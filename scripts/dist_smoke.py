@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """End-to-end smoke test of the distributed sweep executor over real TCP.
 
-Runs a 6-spec plan twice — once serially in-process, once through a
-coordinator plus two real ``python -m repro dist-worker`` subprocesses —
-**kills one worker with SIGKILL mid-run**, and asserts:
+Runs a 6-spec plan twice through ``SweepRunner.run`` — once inline, once on
+a :class:`~repro.dist.DistExecutor` (coordinator plus two real ``python -m
+repro dist-worker`` subprocesses) against a result store — **kills one
+worker with SIGKILL** from ``on_record`` when the first fresh record
+arrives, and asserts:
 
 * the surviving worker (plus lease re-issue of the victim's shard) still
   drains the plan;
@@ -11,19 +13,17 @@ coordinator plus two real ``python -m repro dist-worker`` subprocesses —
 * the result store holds exactly one row per spec (zero duplicates even
   with at-least-once execution).
 
-Exit code 0 on success; any assertion or timeout exits non-zero.  This is
-the CI ``dist-smoke`` job; it also runs fine locally::
+Exit code 0 on success; any assertion or executor error exits non-zero.
+This is the CI ``dist-smoke`` job; it also runs fine locally::
 
     python scripts/dist_smoke.py
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import tempfile
-import time
 
 # a fixed fingerprint so coordinator and worker subprocesses always agree,
 # even on a dirty CI checkout
@@ -31,7 +31,7 @@ os.environ["REPRO_CODE_FINGERPRINT"] = "dist-smoke-fp"
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.dist import DistCoordinator, spawn_worker  # noqa: E402
+from repro.dist import DistExecutor  # noqa: E402
 from repro.experiments.plan import ExperimentPlan  # noqa: E402
 from repro.experiments.sweep import SweepRunner  # noqa: E402
 from repro.store import ResultStore  # noqa: E402
@@ -40,71 +40,41 @@ PLAN = ExperimentPlan(
     ns=(32, 48, 64), adversaries=("none", "silent"), modes=("sync",), seeds=(1,)
 )  # 3 ns x 2 adversaries = 6 specs
 
-DRAIN_TIMEOUT = 120.0
-
 
 def main() -> int:
     specs = len(PLAN)
     serial = SweepRunner(PLAN, jobs=1).run()
+    executor = DistExecutor(workers=2, lease_timeout=2.0, worker_poll=0.1)
+    killed = []
+
+    def kill_a_worker(index, record, served) -> None:
+        # first fresh record: SIGKILL a worker — whatever lease it holds
+        # must expire and be re-issued to the survivor
+        if not killed:
+            victim = executor.procs[0]
+            victim.kill()
+            victim.wait(timeout=10.0)
+            killed.append(victim.pid)
+            print(f"killed worker pid {victim.pid} after record {index}")
 
     with tempfile.TemporaryDirectory() as tmp:
         serial_path = os.path.join(tmp, "serial.json")
         dist_path = os.path.join(tmp, "dist.json")
         serial.save(serial_path, canonical=True)
 
-        store = ResultStore(os.path.join(tmp, "store.sqlite"))
-        coordinator = DistCoordinator(PLAN, store=store, lease_timeout=2.0)
-        host, port = coordinator.start()
-        address = f"{host}:{port}"
-        print(f"coordinator on {address}, plan of {specs} specs, lease 2.0s")
-
-        workers = [spawn_worker(address, index=i, poll=0.1) for i in range(2)]
-        try:
-            # wait until at least one shard is done, then SIGKILL a worker —
-            # whatever lease it held must expire and be re-issued
-            deadline = time.time() + DRAIN_TIMEOUT
-            while coordinator.board.counts()["done"] < 1:
-                if time.time() > deadline:
-                    raise TimeoutError("no shard completed before the kill")
-                time.sleep(0.05)
-            workers[0].kill()
-            workers[0].wait(timeout=10.0)
-            print(f"killed worker pid {workers[0].pid} mid-run")
-
-            if not coordinator.wait(timeout=DRAIN_TIMEOUT):
-                raise TimeoutError(
-                    f"plan did not drain: {coordinator.board.counts()}"
-                )
-            result = coordinator.result(timeout=10.0, jobs=2)
-        finally:
-            for proc in workers:
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.wait(timeout=10.0)
-            coordinator.close()
+        with ResultStore(os.path.join(tmp, "store.sqlite")) as store:
+            result = SweepRunner(PLAN).run(
+                store=store, executor=executor, on_record=kill_a_worker
+            )
+            rows = store.stats()["records"]
+        assert killed, "no fresh record arrived, so no worker was killed"
 
         result.save(dist_path, canonical=True)
         with open(serial_path, "rb") as a, open(dist_path, "rb") as b:
             assert a.read() == b.read(), "distributed result diverged from serial"
-
-        stats = store.stats()
-        assert stats["records"] == specs, (
-            f"expected exactly {specs} store rows, found {stats['records']} "
+        assert rows == specs, (
+            f"expected exactly {specs} store rows, found {rows} "
             f"(duplicate persistence?)"
-        )
-        store.close()
-
-        status = coordinator.status()
-        print(
-            json.dumps(
-                {
-                    "specs": specs,
-                    "expired_leases": status["expired_leases"],
-                    "duplicate_completions": status["duplicate_completions"],
-                    "completed_by": status["completed_by"],
-                    "store_records": stats["records"],
-                }
-            )
         )
     print(
         f"dist smoke OK: byte-identical after SIGKILL, "

@@ -47,6 +47,7 @@ from repro.faults import (
 )
 from repro.dist import (
     DistCoordinator,
+    DistExecutor,
     DistributedSweepError,
     active_coordinators,
     run_distributed_sweep,
@@ -127,7 +128,8 @@ __all__ = [
     "SweepRunner", "SweepResult", "WorkerPool", "run_sweep", "execute_spec",
     "WorkerCrashedError",
     # distributed execution
-    "DistCoordinator", "DistributedSweepError", "run_distributed_sweep",
+    "DistCoordinator", "DistExecutor", "DistributedSweepError",
+    "run_distributed_sweep",
     "run_worker", "active_coordinators",
     # result store and experiment service
     "ResultStore", "StoreError", "spec_key", "plan_key", "code_fingerprint",

@@ -1,17 +1,17 @@
 """The lease state machine behind the coordinator: spec-keyed shard claiming.
 
-A :class:`ShardBoard` owns a plan's specs as indexed shards and hands them
-out under **leases**: a claim moves a shard ``pending → leased`` with a
+A :class:`ShardBoard` owns a sequence of specs as indexed shards and hands
+them out under **leases**: a claim moves a shard ``pending → leased`` with a
 deadline; heartbeats push the deadline forward; a shard whose deadline
 lapses is re-issued to the next claimer (at-least-once execution).
 Completions are first-wins per shard — a late completion from an expired
 lease is still accepted if nobody else finished the shard first, and a
 *second* completion is acknowledged but discarded (exactly-once results).
 
-The board is pure bookkeeping — no sockets, no store — and takes an
-injectable ``clock``, so every lease race (expiry, re-issue, duplicate
-completion) is testable deterministically without sleeping.  All methods
-are thread-safe; the TCP handler threads of
+The board is pure bookkeeping — no sockets, no records, no store — and
+takes an injectable ``clock``, so every lease race (expiry, re-issue,
+duplicate completion) is testable deterministically without sleeping.  All
+methods are thread-safe; the TCP handler threads of
 :class:`~repro.dist.coordinator.DistCoordinator` call straight into it.
 """
 
@@ -20,10 +20,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments.plan import ExperimentSpec
-from repro.experiments.sweep import ExperimentRecord
 
 #: default lease lifetime; heartbeats are expected every third of this
 DEFAULT_LEASE_TIMEOUT = 30.0
@@ -34,7 +33,7 @@ PENDING, LEASED, DONE = "pending", "leased", "done"
 
 @dataclass
 class Shard:
-    """One unit of claimable work: a plan slot, its spec and its lease."""
+    """One unit of claimable work: a slot, its spec and its lease."""
 
     index: int
     spec: ExperimentSpec
@@ -45,9 +44,6 @@ class Shard:
     deadline: float = 0.0
     #: how many times this shard has been issued (>1 means re-issue)
     attempts: int = 0
-    record: Optional[ExperimentRecord] = None
-    #: "store"/"resume" when the record was served instead of executed
-    served_from: Optional[str] = None
 
 
 @dataclass
@@ -70,7 +66,7 @@ class BoardCounters:
 
 
 class ShardBoard:
-    """Thread-safe lease-based claiming over a plan's indexed specs."""
+    """Thread-safe lease-based claiming over a sequence of indexed specs."""
 
     def __init__(
         self,
@@ -88,30 +84,13 @@ class ShardBoard:
         ]
         self.counters = BoardCounters()
         self._lock = threading.Lock()
-        self._done = threading.Event()
         self._lease_seq = 0
-        if not self.shards:
-            self._done.set()
-
-    # ------------------------------------------------------------------
-    # serving (store/resume hits — before any shard is issued)
-    # ------------------------------------------------------------------
-    def serve(self, index: int, record: ExperimentRecord, source: str) -> None:
-        """Mark a shard done with an already-known record (store/resume hit)."""
-        with self._lock:
-            shard = self.shards[index]
-            if shard.state == DONE:
-                return
-            shard.state = DONE
-            shard.record = record
-            shard.served_from = source
-            self._check_done()
 
     # ------------------------------------------------------------------
     # the lease protocol
     # ------------------------------------------------------------------
     def claim(self, worker: str) -> ClaimResult:
-        """Issue the first pending (or expired-lease) shard, in plan order."""
+        """Issue the first pending (or expired-lease) shard, in index order."""
         with self._lock:
             now = self.clock()
             earliest: Optional[float] = None
@@ -151,10 +130,8 @@ class ShardBoard:
                     return True
             return False
 
-    def complete(
-        self, index: int, record: ExperimentRecord, worker: str = "?"
-    ) -> bool:
-        """Accept a finished record (first-wins); ``False`` for duplicates.
+    def complete(self, index: int, worker: str = "?") -> bool:
+        """Mark a shard finished (first-wins); ``False`` for duplicates.
 
         A completion from an *expired* lease is still accepted when the
         shard is not yet done — the record is a pure function of the spec,
@@ -167,60 +144,23 @@ class ShardBoard:
                 self.counters.duplicate_completions += 1
                 return False
             shard.state = DONE
-            shard.record = record
             shard.worker = worker
             self.counters.completed_by[worker] = (
                 self.counters.completed_by.get(worker, 0) + 1
             )
-            self._check_done()
             return True
 
     # ------------------------------------------------------------------
     # progress
     # ------------------------------------------------------------------
-    def _check_done(self) -> None:
-        if all(shard.state == DONE for shard in self.shards):
-            self._done.set()
-
     @property
     def finished(self) -> bool:
-        return self._done.is_set()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until every shard is done (or the timeout elapses)."""
-        return self._done.wait(timeout=timeout)
+        with self._lock:
+            return all(shard.state == DONE for shard in self.shards)
 
     def counts(self) -> Dict[str, int]:
         with self._lock:
             by_state = {PENDING: 0, LEASED: 0, DONE: 0}
-            served = {"store": 0, "resume": 0}
             for shard in self.shards:
                 by_state[shard.state] += 1
-                if shard.served_from:
-                    served[shard.served_from] += 1
-            return {
-                "total": len(self.shards),
-                "pending": by_state[PENDING],
-                "leased": by_state[LEASED],
-                "done": by_state[DONE],
-                "served_from_store": served["store"],
-                "served_from_resume": served["resume"],
-                "executed": by_state[DONE] - served["store"] - served["resume"],
-            }
-
-    def records(self) -> Tuple[List[ExperimentRecord], int, int]:
-        """Plan-ordered records plus (store, resume) served counts.
-
-        Only valid once :attr:`finished`; raises otherwise, because a
-        partial list would silently break plan-order reassembly.
-        """
-        with self._lock:
-            missing = [s.index for s in self.shards if s.record is None]
-            if missing:
-                raise RuntimeError(
-                    f"board is not finished: {len(missing)} shard(s) without a "
-                    f"record (first missing index {missing[0]})"
-                )
-            served_store = sum(1 for s in self.shards if s.served_from == "store")
-            served_resume = sum(1 for s in self.shards if s.served_from == "resume")
-            return [s.record for s in self.shards], served_store, served_resume
+            return {"total": len(self.shards), **by_state}

@@ -2,39 +2,39 @@
 
 A :class:`DistCoordinator` wraps a :class:`~repro.dist.board.ShardBoard` in
 a ``ThreadingTCPServer`` speaking the newline-delimited JSON protocol of
-:mod:`repro.dist.protocol`.  Construction order encodes the contract:
+:mod:`repro.dist.protocol`.  It is given the specs that still need
+*executing* — :class:`~repro.dist.launch.DistExecutor` hands it the pending
+delta of a :meth:`SweepRunner.run <repro.experiments.sweep.SweepRunner.run>`
+— and owns only what is distributed about them:
 
-1. the plan is validated and sharded in **plan order**;
-2. result-store hits (then ``--resume`` seed records) are served
-   immediately — *before the server even listens*, so a fully warm plan
-   never issues a shard;
-3. :meth:`start` binds the socket (port ``0`` = ephemeral) and worker
-   connections claim/heartbeat/complete against the board;
-4. every accepted completion is flushed to the store incrementally
-   (idempotent ``(spec_key, fingerprint)`` upsert — duplicate completions
-   are discarded *before* the store, so no duplicate rows either way);
-5. :meth:`result` blocks for the last shard and reassembles the
-   plan-ordered :class:`~repro.experiments.sweep.SweepResult`.
+1. :meth:`start` binds the socket (port ``0`` = ephemeral) and worker
+   connections handshake/claim/heartbeat/complete against the board;
+2. a ``complete`` frame is checked (index on the board, record answers that
+   shard's spec) and accepted first-wins — duplicates are discarded here,
+   before anything downstream sees them;
+3. every accepted ``(index, record)`` is handed to the one consumer of
+   :meth:`completions`, and the worker's ack is held back until that
+   consumer comes back for the next one — i.e. until the sweep path has
+   flushed the record — so ``accepted: true`` means *durable*.
 
 Live coordinators register themselves in a process-local registry so the
 experiment service can surface their status (``GET /dist/coordinators``)
-without holding references.
+without holding references; ``total`` there counts the shards of the
+pending delta, not the plan.
 """
 
 from __future__ import annotations
 
+import queue
 import socketserver
 import threading
-import time
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dist.board import DEFAULT_LEASE_TIMEOUT, ShardBoard
 from repro.dist.protocol import read_frame, write_frame
-from repro.experiments.plan import ExperimentPlan
-from repro.experiments.sweep import ExperimentRecord, SweepResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.store import ResultStore
+from repro.experiments.plan import ExperimentSpec
+from repro.experiments.sweep import ExperimentRecord
+from repro.store.keys import code_fingerprint, spec_key
 
 #: process-local registry of live coordinators (service status endpoint)
 _ACTIVE: Dict[int, "DistCoordinator"] = {}
@@ -97,12 +97,19 @@ class _ShardHandler(socketserver.StreamRequestHandler):
                 alive = coordinator.board.heartbeat(str(frame.get("lease", "")))
                 write_frame(self.wfile, {"type": "ok" if alive else "expired"})
             elif kind == "complete":
-                accepted = coordinator.complete(
-                    int(frame["index"]),
-                    frame["record"],  # type: ignore[arg-type]
-                    worker=str(frame.get("worker", "?")),
-                )
-                write_frame(self.wfile, {"type": "ok", "accepted": accepted})
+                try:
+                    accepted = coordinator.complete(
+                        int(frame["index"]),  # type: ignore[arg-type]
+                        frame["record"],  # type: ignore[arg-type]
+                        worker=str(frame.get("worker", "?")),
+                    )
+                except (KeyError, TypeError, ValueError) as exc:
+                    write_frame(
+                        self.wfile,
+                        {"type": "error", "reason": f"bad complete frame: {exc}"},
+                    )
+                else:
+                    write_frame(self.wfile, {"type": "ok", "accepted": accepted})
             else:
                 write_frame(
                     self.wfile,
@@ -111,19 +118,12 @@ class _ShardHandler(socketserver.StreamRequestHandler):
 
 
 class DistCoordinator:
-    """Shard an experiment plan and serve it to TCP workers under leases.
+    """Serve a sequence of specs to TCP workers under leases.
 
     Parameters
     ----------
-    plan:
-        The grid to run; validated up front (bad specs fail before any
-        worker connects).
-    store:
-        Optional :class:`~repro.store.ResultStore` — hits are served before
-        any shard is issued, fresh records are flushed incrementally.
-    seed_records:
-        ``spec_key → record`` mapping (the ``--resume`` file); served after
-        store hits, re-persisted to the store when one is given.
+    specs:
+        The specs to execute, already validated; shard ``i`` is ``specs[i]``.
     lease_timeout:
         Seconds before an unheartbeated lease expires and its shard is
         re-issued.
@@ -132,63 +132,26 @@ class DistCoordinator:
     fingerprint:
         Code identity workers must match; defaults to
         :func:`repro.store.keys.code_fingerprint`.
-    on_record:
-        ``(index, record, served_from_store)`` callback in completion
-        order — same hook :class:`~repro.experiments.sweep.SweepRunner`
-        exposes, so the service can stream distributed jobs too.
     """
 
     def __init__(
         self,
-        plan: ExperimentPlan,
-        store: Optional["ResultStore"] = None,
-        seed_records: Optional[Mapping[str, ExperimentRecord]] = None,
+        specs: Sequence[ExperimentSpec],
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         host: str = "127.0.0.1",
         port: int = 0,
         clock: Optional[Callable[[], float]] = None,
         fingerprint: Optional[str] = None,
-        on_record: Optional[Callable[[int, ExperimentRecord, bool], None]] = None,
     ) -> None:
-        from repro.store.keys import code_fingerprint
-
-        self.plan = plan
-        self.store = store
         self.fingerprint = fingerprint or code_fingerprint()
-        self._on_record = on_record
+        self.board = ShardBoard(specs, lease_timeout=lease_timeout, clock=clock)
         self._host, self._port = host, port
         self._server: Optional[_CoordinatorServer] = None
         self._server_thread: Optional[threading.Thread] = None
-        self._started_at: Optional[float] = None
         self._workers_seen: Dict[str, int] = {}
         self._lock = threading.Lock()
-
-        specs = plan.specs()
-        for spec in specs:
-            spec.validate()
-        self.board = ShardBoard(specs, lease_timeout=lease_timeout, clock=clock)
-        # Store hits (then resume seeds) are served before the server ever
-        # listens: a warm plan issues zero shards and needs zero workers.
-        if store is not None:
-            for index, hit in enumerate(store.get_many(specs)):
-                if hit is not None:
-                    self._serve(index, hit, "store")
-        if seed_records:
-            from repro.store.keys import spec_key
-
-            for index, spec in enumerate(specs):
-                shard = self.board.shards[index]
-                if shard.state != "done":
-                    hit = seed_records.get(spec_key(spec))
-                    if hit is not None:
-                        self._serve(index, hit, "resume")
-                        if store is not None:
-                            store.put(hit)
-
-    def _serve(self, index: int, record: ExperimentRecord, source: str) -> None:
-        self.board.serve(index, record, source)
-        if self._on_record is not None:
-            self._on_record(index, record, True)
+        #: accepted ``(index, record, flushed-event)`` awaiting the consumer
+        self._accepted: "queue.Queue[tuple]" = queue.Queue()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -200,7 +163,6 @@ class DistCoordinator:
         server = _CoordinatorServer((self._host, self._port), _ShardHandler)
         server.coordinator = self
         self._server = server
-        self._started_at = time.perf_counter()
         self._server_thread = threading.Thread(
             target=server.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -219,7 +181,7 @@ class DistCoordinator:
         return self._server.server_address[0], self._server.server_address[1]
 
     def close(self) -> None:
-        """Stop serving (idempotent); leases and records stay readable."""
+        """Stop serving (idempotent); the board stays readable."""
         with _ACTIVE_LOCK:
             _ACTIVE.pop(id(self), None)
         server, self._server = self._server, None
@@ -281,21 +243,53 @@ class DistCoordinator:
     def complete(
         self, index: int, record_data: Dict[str, object], worker: str = "?"
     ) -> bool:
-        record = ExperimentRecord.from_dict(record_data)
-        accepted = self.board.complete(index, record, worker=worker)
-        if accepted:
-            if self.store is not None:
-                self.store.put(record)
-            if self._on_record is not None:
-                self._on_record(index, record, False)
-        return accepted
+        """Accept a worker's record first-wins; ``False`` for a duplicate.
 
-    # ------------------------------------------------------------------
-    # progress and results
-    # ------------------------------------------------------------------
+        Raises ``ValueError`` for an index off the board or a record whose
+        spec is not the shard's.  An accepted completion returns only once
+        the consumer of :meth:`completions` is done with the record, so the
+        worker's ack follows the flush.
+        """
+        shards = self.board.shards
+        if not 0 <= index < len(shards):
+            raise ValueError(f"no shard {index} on a board of {len(shards)}")
+        record = ExperimentRecord.from_dict(record_data)
+        if spec_key(record.spec) != shards[index].spec_key:
+            raise ValueError(
+                f"record of spec {record.spec.key!r} does not answer shard "
+                f"{index} ({shards[index].spec.key!r})"
+            )
+        if not self.board.complete(index, worker=worker):
+            return False
+        flushed = threading.Event()
+        self._accepted.put((index, record, flushed))
+        flushed.wait()
+        return True
+
+    def completions(
+        self, idle: Optional[Callable[[], None]] = None
+    ) -> Iterator[Tuple[int, ExperimentRecord]]:
+        """Yield each accepted ``(index, record)`` once, in arrival order,
+        until every shard is done (single consumer).
+
+        Resuming the generator releases the handler thread that delivered
+        the previous record.  ``idle()`` runs whenever 0.1 s pass without a
+        completion — the local worker supervisor's hook; whatever it raises
+        ends the iteration.
+        """
+        for _ in self.board.shards:
+            while True:
+                try:
+                    index, record, flushed = self._accepted.get(timeout=0.1)
+                    break
+                except queue.Empty:
+                    if idle is not None:
+                        idle()
+            yield index, record
+            flushed.set()
+
     def status(self) -> Dict[str, object]:
         """JSON-safe progress snapshot (the service's ``/dist`` payload)."""
-        counts = self.board.counts()
         with self._lock:
             workers = dict(self._workers_seen)
         address = None
@@ -311,40 +305,5 @@ class DistCoordinator:
             "expired_leases": self.board.counters.expired_leases,
             "duplicate_completions": self.board.counters.duplicate_completions,
             "completed_by": dict(self.board.counters.completed_by),
-            **counts,
+            **self.board.counts(),
         }
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until every shard is done (or the timeout elapses)."""
-        return self.board.wait(timeout=timeout)
-
-    def result(
-        self, timeout: Optional[float] = None, jobs: Optional[int] = None
-    ) -> SweepResult:
-        """The plan-ordered sweep result; blocks until the board drains.
-
-        ``jobs`` labels the result (the worker count the caller launched);
-        it defaults to the number of distinct workers that completed a
-        shard, or 1 for a fully served plan.
-        """
-        if not self.board.wait(timeout=timeout):
-            counts = self.board.counts()
-            raise TimeoutError(
-                f"distributed sweep incomplete after {timeout}s: "
-                f"{counts['done']}/{counts['total']} shards done "
-                f"({counts['leased']} leased, {counts['pending']} pending)"
-            )
-        records, served_store, served_resume = self.board.records()
-        total_seconds = (
-            time.perf_counter() - self._started_at if self._started_at else 0.0
-        )
-        if jobs is None:
-            jobs = max(1, len(self.board.counters.completed_by))
-        return SweepResult(
-            plan=self.plan,
-            records=records,
-            total_seconds=total_seconds,
-            jobs=jobs,
-            served_from_store=served_store + served_resume,
-            served_from_resume=served_resume,
-        )

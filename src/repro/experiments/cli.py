@@ -25,8 +25,8 @@ Subcommands
     ``$REPRO_STORE`` default.  ``--resume out.json`` re-seeds from a prior
     (possibly partial) result file and runs only the missing spec keys.
 
-    ``--distributed N`` runs the plan through the distributed executor
-    instead of a local pool: one in-process coordinator plus ``N``
+    ``--distributed N`` executes what the store cannot serve on the dist
+    executor instead of a local pool: one in-process coordinator plus ``N``
     ``dist-worker`` subprocesses claiming spec-keyed shards under leases
     (see :mod:`repro.dist`).  ``--canonical`` saves ``--out`` with volatile
     fields (wall-clock, worker counts) zeroed, so distributed and serial
@@ -73,7 +73,7 @@ Subcommands
     Run the report sections and generate the living reproduction document::
 
         python -m repro report --quick -o EXPERIMENTS.md
-        python -m repro report --sections figure1a,lemma8 --cache .report-cache -o -
+        python -m repro report --sections figure1a,lemma8 --store report.sqlite -o -
 
 ``registries``
     Render the auto-generated registry reference (all five registries)::
@@ -116,7 +116,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.experiments import compare_rows, format_table, run_result_row
 from repro.experiments.bench import write_report
 from repro.experiments.plan import ExperimentPlan, ExperimentSpec
-from repro.experiments.sweep import run_sweep
+from repro.experiments.sweep import SweepResult, SweepRunner, run_sweep
 
 
 def _csv_ints(text: str) -> List[int]:
@@ -339,11 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output path ('-' prints to stdout; default: EXPERIMENTS.md)",
     )
     report.add_argument(
-        "--cache", default=None, metavar="DIR",
-        help="DEPRECATED: forwards to --store DIR/report-store.sqlite "
-             "(the whole-plan JSON cache was replaced by per-spec store lookups)",
-    )
-    report.add_argument(
         "--store", default=None, metavar="PATH",
         help="serve each section's already-computed records from the "
              "content-addressed result store at PATH and flush fresh ones back",
@@ -500,7 +495,7 @@ def _build_plan(args: argparse.Namespace, modes: List[str], adversaries: List[st
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.dist import DistributedSweepError, run_distributed_sweep
+    from repro.dist import DistExecutor, DistributedSweepError
     from repro.store import StoreError, resolve_store
     from repro.store.keys import spec_key
 
@@ -517,8 +512,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         store = resolve_store(args.store, args.no_store)
         seed_records = None
         if args.resume and os.path.exists(args.resume):
-            from repro.experiments.sweep import SweepResult
-
             # An interrupted sweep may leave the resume file empty or
             # truncated mid-JSON; that means "no prior records", not a
             # fatal error — warn and run the full plan.
@@ -538,21 +531,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"resume: seeding {len(seed_records)}/{len(plan)} records "
                 f"from {args.resume}"
             )
+        executor = None
         if args.distributed:
-            result = run_distributed_sweep(
-                plan,
-                workers=args.distributed,
-                store=store,
-                seed_records=seed_records,
-                lease_timeout=args.lease_timeout,
-            )
-        else:
-            result = run_sweep(
-                plan, jobs=args.jobs, store=store, seed_records=seed_records
-            )
+            executor = DistExecutor(args.distributed, lease_timeout=args.lease_timeout)
+        result = SweepRunner(plan, jobs=args.jobs).run(
+            store=store, seed_records=seed_records, executor=executor
+        )
         if out:
             result.save(out, canonical=args.canonical)
-    except (ValueError, StoreError, DistributedSweepError, TimeoutError) as exc:
+    except (ValueError, StoreError, DistributedSweepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -684,7 +671,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             sections=args.sections,
             quick=args.quick,
             jobs=args.jobs,
-            cache_dir=args.cache,
             store_path=args.store,
             include_volatile=args.timings,
         )

@@ -1,23 +1,32 @@
-"""Parallel execution of experiment plans and JSON persistence of results.
+"""The one ``spec → record`` path, its executors, and JSON persistence.
 
 :func:`execute_spec` is the unit of work — a module-level function so it can
-be pickled into ``multiprocessing`` workers.  :class:`SweepRunner` fans a
-plan's specs across a worker pool (or runs them serially for ``jobs=1``),
-preserving plan order in the returned :class:`SweepResult` regardless of
-completion order.  Results serialise to the JSON layout used by the repo's
-``BENCH_*.json`` trajectory files.
+be pickled into ``multiprocessing`` workers.  :meth:`SweepRunner.run` is the
+**only** code that serves already-known records (result store, ``--resume``
+seeds), flushes fresh ones and reassembles plan order; sweeps, the report
+builder, the service and the distributed executor all go through it.
 
-Scheduling is dynamic: specs are dispatched **unordered with explicit
-chunking** (``imap_unordered``, chunk size 1 by default), so one slow spec —
-a large-``n`` asynchronous run — no longer pins a worker while its statically
-chunked siblings idle behind it; records are reassembled into plan order from
-the ``(index, record)`` pairs the workers return.
+Fresh records come from an **executor**: a callable that takes the pending
+``(index, spec)`` pairs and yields ``(index, record)`` in completion order,
+carrying a ``jobs`` attribute (the worker count the result is labelled
+with).  An executor may assume its specs are validated, non-empty and
+unknown to the store; it owns nothing but execution.  There are three:
 
-:class:`WorkerPool` is the warm-pool primitive: one ``multiprocessing`` pool
-kept alive and handed to any number of ``SweepRunner.run`` calls, so a
-multi-plan driver (the report builder's sections, back-to-back sweeps) pays
-pool spin-up once instead of per plan.  Workers are primed by a
-sampler-table prewarm initializer (see :func:`_worker_init`).
+* :class:`InlineExecutor` — a loop in this process (``jobs=1``);
+* :class:`PoolExecutor` — ``multiprocessing`` workers, dispatched
+  **unordered with explicit chunking** (``imap_unordered``, chunk size 1 by
+  default) so one slow spec never pins siblings behind it, with dead-worker
+  detection (:class:`WorkerCrashedError`) instead of a hang;
+* :class:`repro.dist.DistExecutor` — a TCP coordinator over the pending
+  specs plus supervised workers (``sweep --distributed N``).
+
+:class:`WorkerPool` is the warm-pool primitive and the one place a
+``multiprocessing`` pool is built: kept alive and handed to any number of
+``SweepRunner.run`` calls, a multi-plan driver (the report builder's
+sections, the service) pays pool spin-up once instead of per plan; without a
+shared pool the pool executor uses a private one and tears it down.  Workers
+are primed by a sampler-table prewarm initializer (see :func:`_worker_init`).
+Results serialise to the JSON layout of the repo's ``BENCH_*.json`` files.
 """
 
 from __future__ import annotations
@@ -26,8 +35,19 @@ import json
 import multiprocessing
 import os
 import time
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.experiments.plan import ExperimentPlan, ExperimentSpec
 
@@ -46,7 +66,7 @@ class WorkerCrashedError(RuntimeError):
 
     ``imap_unordered`` never yields the dead worker's task, so without
     detection the sweep would hang forever on a result that cannot arrive.
-    :class:`SweepRunner` polls the pool's worker processes while waiting and
+    :class:`PoolExecutor` polls the pool's worker processes while waiting and
     raises this error naming the dead pid/exit code and the spec keys that
     were still unfinished.
     """
@@ -296,7 +316,7 @@ class WorkerPool:
     """A warm multiprocessing pool shared across any number of sweep runs.
 
     ``SweepRunner.run(pool=...)`` reuses the pool instead of building (and
-    tearing down) a fresh one per plan; the pool lazily starts on first use
+    tearing down) a private one per plan; the pool lazily starts on first use
     and *grows* (rebuilds larger) if a later plan asks for more workers than
     it currently has.  Use as a context manager::
 
@@ -360,8 +380,87 @@ class WorkerPool:
         self.close()
 
 
+#: the ``(plan index, spec)`` pairs an executor is handed
+Pending = Sequence[Tuple[int, ExperimentSpec]]
+#: what an executor is: pending pairs in, ``(index, record)`` pairs out in
+#: completion order, plus a ``jobs`` attribute labelling the result
+Executor = Callable[[Pending], Iterator[Tuple[int, ExperimentRecord]]]
+
+
+class InlineExecutor:
+    """Executor: run the pending specs one after another in this process."""
+
+    jobs = 1
+
+    def __call__(self, pending: Pending) -> Iterator[Tuple[int, ExperimentRecord]]:
+        for index, spec in pending:
+            yield index, execute_spec(spec)
+
+
+class PoolExecutor:
+    """Executor: fan the pending specs across ``multiprocessing`` workers.
+
+    A shared ``pool`` is reused and left warm for the caller's next plan;
+    without one a private :class:`WorkerPool` is built and torn down.
+    """
+
+    def __init__(
+        self, jobs: int, pool: Optional[WorkerPool] = None, chunksize: int = 1
+    ) -> None:
+        self.jobs = jobs
+        self._shared = pool
+        self._chunksize = chunksize
+
+    def __call__(self, pending: Pending) -> Iterator[Tuple[int, ExperimentRecord]]:
+        pool = WorkerPool() if self._shared is None else self._shared
+        worker_pool = pool.acquire(
+            self.jobs, _prewarm_args([spec for _, spec in pending])
+        )
+        if self._shared is not None:
+            self.jobs = min(pool.size, len(pending))
+        unfinished = {index: spec.key for index, spec in pending}
+        try:
+            # Track worker Process objects by pid from *before* dispatch:
+            # Pool silently reaps and respawns dead workers, so a crashed
+            # process is only observable through a reference captured
+            # while it was still in the pool's worker list.
+            tracked: Dict[int, object] = {}
+            for proc in getattr(worker_pool, "_pool", None) or ():
+                tracked.setdefault(proc.pid, proc)
+            iterator = worker_pool.imap_unordered(
+                _execute_indexed, list(pending), chunksize=self._chunksize
+            )
+            while unfinished:
+                try:
+                    index, record = iterator.next(timeout=0.25)
+                except multiprocessing.TimeoutError:
+                    for proc in getattr(worker_pool, "_pool", None) or ():
+                        tracked.setdefault(proc.pid, proc)
+                    dead = [
+                        proc
+                        for proc in tracked.values()
+                        if proc.exitcode not in (None, 0)
+                    ]
+                    if dead:
+                        pool.terminate()
+                        raise WorkerCrashedError(
+                            f"sweep worker pid {dead[0].pid} died with exit "
+                            f"code {dead[0].exitcode} while "
+                            f"{len(unfinished)} spec(s) were unfinished "
+                            f"(first: {next(iter(unfinished.values()))}) "
+                            f"— its results can never arrive, aborting the "
+                            f"sweep instead of hanging"
+                        )
+                    continue
+                del unfinished[index]
+                yield index, record
+        finally:
+            if self._shared is None:
+                pool.terminate()
+
+
 class SweepRunner:
-    """Fan an :class:`ExperimentPlan` across worker processes.
+    """Run an :class:`ExperimentPlan` through the one ``spec → record`` path.
 
     Parameters
     ----------
@@ -372,7 +471,7 @@ class SweepRunner:
         ``1`` runs serially in-process (no pool), which is what tests use for
         determinism of coverage measurements and debuggability.
     chunksize:
-        Specs per dispatch unit of the unordered scheduler.  The default of
+        Specs per dispatch unit of the pool executor.  The default of
         1 maximises load balance (one slow spec never holds hostages);
         raise it only for plans of very many very short specs, where
         per-task IPC would dominate.
@@ -399,16 +498,13 @@ class SweepRunner:
         store: Optional["ResultStore"] = None,
         seed_records: Optional[Mapping[str, ExperimentRecord]] = None,
         on_record: Optional[Callable[[int, ExperimentRecord, bool], None]] = None,
+        executor: Optional[Executor] = None,
     ) -> SweepResult:
         """Execute every spec of the plan; records come back in plan order.
 
-        Every spec is validated against its protocol adapter *before* any
-        worker starts, so a bad parameter fails fast instead of half-way
-        through a long sweep.  Dispatch is unordered with explicit chunking
-        (one slow spec cannot pin siblings behind it in a static chunk);
-        the ``(index, record)`` pairs are reassembled into plan order.
-        When ``pool`` is given its warm workers are reused (and kept alive
-        for the caller's next plan) instead of spinning up a fresh pool.
+        Every spec is validated against its protocol adapter *before*
+        anything executes, so a bad parameter fails fast instead of half-way
+        through a long sweep.
 
         With ``store`` (a :class:`~repro.store.ResultStore`) the run is
         *incremental*: records already stored under the current code
@@ -418,8 +514,16 @@ class SweepRunner:
         re-running the same command.  ``seed_records`` (spec-key → record,
         the ``--resume`` file) serves the same way but is not re-persisted
         unless a store is also given.  ``on_record(index, record,
-        served_from_store)`` fires once per record in completion order —
-        the service's progress/streaming hook.
+        served_from_store)`` fires once per record — served ones first, in
+        plan order, then fresh ones in completion order, each *after* its
+        flush — the service's progress/streaming hook.
+
+        The pending delta goes to ``executor``; by default that is
+        :class:`InlineExecutor` for ``jobs == 1`` (or a single pending spec)
+        and :class:`PoolExecutor` otherwise — on ``pool`` when given, whose
+        warm workers stay alive for the caller's next plan.  Nothing pending
+        means no executor call at all (no pool, no coordinator, no worker)
+        and ``jobs == 1`` on the result.
         """
         from repro.store.keys import spec_key as _spec_key
 
@@ -449,81 +553,32 @@ class SweepRunner:
                 if on_record is not None:
                     on_record(index, record, True)
         pending = [(i, spec) for i, spec in enumerate(specs) if records[i] is None]
-
-        def finish(index: int, record: ExperimentRecord) -> None:
-            records[index] = record
-            if store is not None:
-                store.put(record)
-            if on_record is not None:
-                on_record(index, record, False)
-
-        jobs = self.resolve_jobs(len(pending) or 1)
-        if not pending:
-            jobs = 1
-        elif (jobs == 1 or len(pending) <= 1) and pool is None:
-            for index, spec in pending:
-                finish(index, execute_spec(spec))
-        else:
-            pending_specs = [spec for _, spec in pending]
-            prewarm = _prewarm_args(pending_specs)
-            if pool is not None:
-                worker_pool = pool.acquire(jobs, prewarm)
-                jobs = min(pool.size, max(1, len(pending)))
-            else:
-                worker_pool = _worker_context().Pool(
-                    processes=jobs, initializer=_worker_init, initargs=(prewarm,)
+        jobs = 1
+        if pending:
+            if executor is None:
+                workers = self.resolve_jobs(len(pending))
+                if (workers == 1 or len(pending) == 1) and pool is None:
+                    executor = InlineExecutor()
+                else:
+                    executor = PoolExecutor(workers, pool, self.chunksize)
+            with closing(executor(pending)) as fresh:
+                for index, record in fresh:
+                    records[index] = record
+                    if store is not None:
+                        store.put(record)
+                    if on_record is not None:
+                        on_record(index, record, False)
+            jobs = executor.jobs
+            missing = [specs[i].key for i, _ in pending if records[i] is None]
+            if missing:
+                raise RuntimeError(
+                    f"executor finished without a record for {len(missing)} "
+                    f"spec(s) (first: {missing[0]})"
                 )
-            try:
-                # Track worker Process objects by pid from *before* dispatch:
-                # Pool silently reaps and respawns dead workers, so a crashed
-                # process is only observable through a reference captured
-                # while it was still in the pool's worker list.
-                tracked: Dict[int, object] = {}
-                for proc in getattr(worker_pool, "_pool", None) or ():
-                    tracked.setdefault(proc.pid, proc)
-                iterator = worker_pool.imap_unordered(
-                    _execute_indexed, list(pending), chunksize=self.chunksize
-                )
-                remaining = len(pending)
-                while remaining:
-                    try:
-                        index, record = iterator.next(timeout=0.25)
-                    except multiprocessing.TimeoutError:
-                        for proc in getattr(worker_pool, "_pool", None) or ():
-                            tracked.setdefault(proc.pid, proc)
-                        dead = [
-                            proc
-                            for proc in tracked.values()
-                            if proc.exitcode not in (None, 0)
-                        ]
-                        if dead:
-                            unfinished = [
-                                spec.key for i, spec in pending if records[i] is None
-                            ]
-                            if pool is not None:
-                                pool.terminate()
-                            raise WorkerCrashedError(
-                                f"sweep worker pid {dead[0].pid} died with exit "
-                                f"code {dead[0].exitcode} while "
-                                f"{len(unfinished)} spec(s) were unfinished "
-                                f"(first: {unfinished[0] if unfinished else '?'}) "
-                                f"— its results can never arrive, aborting the "
-                                f"sweep instead of hanging"
-                            )
-                        continue
-                    except StopIteration:  # pragma: no cover - remaining guards
-                        break
-                    finish(index, record)
-                    remaining -= 1
-            finally:
-                if pool is None:
-                    worker_pool.terminate()
-                    worker_pool.join()
-        total_seconds = time.perf_counter() - start
         return SweepResult(
             plan=self.plan,
             records=records,
-            total_seconds=total_seconds,
+            total_seconds=time.perf_counter() - start,
             jobs=jobs,
             served_from_store=served,
             served_from_resume=served_resume,

@@ -19,8 +19,7 @@ without creating import cycles.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -94,11 +93,6 @@ class Registry:
     def items(self) -> List[Tuple[str, object]]:
         """``(name, object)`` pairs, sorted by name."""
         return sorted(self._items.items())
-
-    @property
-    def mapping(self) -> Mapping[str, object]:
-        """A read-only live view of the registry (for legacy dict-style access)."""
-        return MappingProxyType(self._items)
 
     def __contains__(self, name: object) -> bool:
         return name in self._items

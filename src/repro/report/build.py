@@ -2,9 +2,8 @@
 
 The builder resolves the requested sections (document order), runs each
 section's :class:`~repro.experiments.plan.ExperimentPlan` through
-:class:`~repro.experiments.sweep.SweepRunner` (or reloads a cached
-:class:`~repro.experiments.sweep.SweepResult` whose plan still matches), and
-renders the provenance header, the claim-inventory table and every section's
+:meth:`SweepRunner.run <repro.experiments.sweep.SweepRunner.run>` (against
+the result store when one is given), and renders the provenance header, the claim-inventory table and every section's
 Markdown.
 
 Determinism contract
@@ -24,7 +23,6 @@ from __future__ import annotations
 import platform
 import subprocess
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -88,10 +86,6 @@ class ReportBuilder:
         executed and flushed back.  The rendered document is byte-identical
         with or without the store — records carry their original
         measurements.
-    cache_dir:
-        Deprecated (whole-plan JSON caching).  Forwards to the store path
-        ``<cache_dir>/report-store.sqlite`` with a ``DeprecationWarning``;
-        use ``store_path`` instead.
     include_volatile:
         Add git commit and wall-clock lines to the provenance header (breaks
         the byte-identical contract; see the module docstring).
@@ -102,7 +96,6 @@ class ReportBuilder:
         sections: Optional[Sequence[str]] = None,
         quick: bool = True,
         jobs: Optional[int] = None,
-        cache_dir: Optional[str] = None,
         include_volatile: bool = False,
         store_path: Optional[str] = None,
     ) -> None:
@@ -110,17 +103,6 @@ class ReportBuilder:
         self.sections: List[ReportSection] = [get_report_section(name) for name in names]
         self.quick = quick
         self.jobs = jobs
-        if cache_dir is not None and store_path is None:
-            warnings.warn(
-                "ReportBuilder(cache_dir=...) / report --cache are deprecated: "
-                "the whole-plan JSON cache was replaced by the per-spec result "
-                "store; forwarding to store_path="
-                f"{str(Path(cache_dir) / 'report-store.sqlite')!r} "
-                "(use --store / store_path directly)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            store_path = str(Path(cache_dir) / "report-store.sqlite")
         self.store_path = store_path
         self.include_volatile = include_volatile
 
@@ -259,7 +241,6 @@ def build_report(
     sections: Optional[Sequence[str]] = None,
     quick: bool = True,
     jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
     out: Optional[str] = None,
     include_volatile: bool = False,
     store_path: Optional[str] = None,
@@ -269,7 +250,6 @@ def build_report(
         sections=sections,
         quick=quick,
         jobs=jobs,
-        cache_dir=cache_dir,
         include_volatile=include_volatile,
         store_path=store_path,
     )

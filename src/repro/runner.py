@@ -13,19 +13,12 @@ from typing import Optional
 # Importing the package registers every built-in strategy with the registry.
 import repro.adversary  # noqa: F401
 from repro.adversary.base import Adversary, AdversaryKnowledge
-from repro.adversary.registry import ADVERSARIES, resolve_adversary
+from repro.adversary.registry import resolve_adversary
 from repro.core.config import AERConfig, SamplerSuite
 from repro.core.scenario import AERScenario, build_aer_nodes, make_scenario
 from repro.net.asynchronous import AsynchronousSimulator, DelayPolicy
 from repro.net.results import SimulationResult
 from repro.net.sync import SynchronousSimulator
-
-#: back-compat alias: the adversary registry's read-only mapping view.  New
-#: strategies are added with ``@repro.adversary.register_adversary("name")``
-#: rather than by mutating this dict; a factory may return ``None`` (the
-#: failure-free run), which is why the value type is ``Optional[Adversary]``.
-ADVERSARY_FACTORIES = ADVERSARIES.mapping
-
 
 def make_adversary(
     name: str,

@@ -18,7 +18,8 @@ Endpoints (all JSON unless noted):
 * ``GET  /store/stats`` — the store's :meth:`~repro.store.ResultStore.stats`.
 * ``GET  /store/records`` — query stored records by protocol/fingerprint.
 * ``GET  /dist/coordinators`` — status snapshots of every live distributed
-  sweep coordinator in this process (see :mod:`repro.dist`).
+  sweep coordinator in this process (see :mod:`repro.dist`); each describes
+  the pending delta its sweep handed to the dist executor, not the plan.
 
 This module imports fastapi and must only be loaded through
 :func:`repro.service.create_app` (which guards the optional dependency) or

@@ -9,18 +9,23 @@ The correctness contract of :mod:`repro.dist`, each half pinned here:
   CoordinatorClient` connections against one coordinator.
 * **Exactly-once persistence** — at-least-once execution (an expired
   lease's shard is re-issued) never produces duplicate store rows or
-  duplicate records in the reassembled result.
+  duplicate records; a ``complete`` frame for a shard that does not exist
+  or with another spec's record is refused; the ack follows the flush.
 * **Byte-identical reassembly** — ``run_distributed_sweep`` (in-process
-  workers and real ``dist-worker`` subprocesses, warm store or cold) and
-  ``sweep --distributed --canonical`` serialise byte-for-byte identically
-  to a serial run of the same plan.
+  workers and real ``dist-worker`` subprocesses) and ``sweep --distributed
+  --canonical`` serialise byte-for-byte identically to a serial run of the
+  same plan.  (Store/resume serving on the dist executor is pinned by the
+  executor-contract matrix in ``tests/test_experiments_sweep.py``.)
 * **Fingerprint handshake** — a worker running different code is rejected
   by name before it can claim anything.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -28,6 +33,7 @@ import pytest
 from repro.dist import (
     CoordinatorClient,
     DistCoordinator,
+    DistributedSweepError,
     ProtocolError,
     ShardBoard,
     WorkerRejectedError,
@@ -38,9 +44,9 @@ from repro.dist import (
     run_worker,
 )
 from repro.experiments.cli import main as cli_main
-from repro.experiments.plan import ExperimentPlan
-from repro.experiments.sweep import RUN_COUNTER, SweepRunner, execute_spec
-from repro.store import ResultStore, spec_key
+from repro.experiments.plan import ExperimentPlan, ExperimentSpec
+from repro.experiments.sweep import SweepResult, SweepRunner, execute_spec
+from repro.store import ResultStore
 
 
 @pytest.fixture(autouse=True)
@@ -71,6 +77,21 @@ def _board(clock=None, lease_timeout=10.0, specs=None):
         lease_timeout=lease_timeout,
         clock=clock,
     )
+
+
+@contextlib.contextmanager
+def _serving(specs, **kwargs):
+    """A started coordinator plus the dict a background thread collects its
+    accepted completions into — the consumer role ``SweepRunner.run`` plays
+    (without one, an accepted ``complete`` is never acknowledged)."""
+    with DistCoordinator(specs, **kwargs) as coordinator:
+        records = {}
+        consumer = threading.Thread(
+            target=lambda: records.update(coordinator.completions()),
+            daemon=True,
+        )
+        consumer.start()
+        yield coordinator, records, consumer
 
 
 # ----------------------------------------------------------------------
@@ -119,39 +140,23 @@ class TestShardBoard:
     def test_duplicate_completion_is_discarded_first_wins(self):
         clock = FakeClock()
         board = _board(clock, lease_timeout=10.0)
-        shard = board.claim("w1").shard
-        record = execute_spec(shard.spec)
+        board.claim("w1")
         clock.advance(11.0)
         board.claim("w2")  # re-issue after expiry
         # the original (expired) attempt finishes first: still accepted
-        assert board.complete(0, record, worker="w1")
-        assert not board.complete(0, record, worker="w2")
+        assert board.complete(0, worker="w1")
+        assert not board.complete(0, worker="w2")
         assert board.counters.duplicate_completions == 1
         assert board.counters.completed_by == {"w1": 1}
-
-    def test_served_shards_are_never_issued(self):
-        board = _board(FakeClock())
-        record = execute_spec(PLAN.specs()[0])
-        board.serve(0, record, "store")
-        assert board.claim("w1").shard.index == 1
-        counts = board.counts()
-        assert counts["served_from_store"] == 1 and counts["done"] == 1
 
     def test_drained_and_plan_order_records(self):
         board = _board(FakeClock())
         for _ in range(2):
-            shard = board.claim("w1").shard
-            board.complete(shard.index, execute_spec(shard.spec), worker="w1")
+            board.complete(board.claim("w1").shard.index, worker="w1")
         assert board.claim("w1").kind == "drained"
-        assert board.finished and board.wait(timeout=0.1)
-        records, served_store, served_resume = board.records()
-        assert [r.spec for r in records] == list(PLAN.specs())
-        assert (served_store, served_resume) == (0, 0)
-
-    def test_records_refuses_a_partial_board(self):
-        board = _board(FakeClock())
-        with pytest.raises(RuntimeError, match="not finished"):
-            board.records()
+        assert board.finished
+        assert [shard.spec for shard in board.shards] == list(PLAN.specs())
+        assert board.counts() == {"total": 2, "pending": 0, "leased": 0, "done": 2}
 
     def test_empty_plan_is_born_finished(self):
         board = _board(FakeClock(), specs=[])
@@ -168,7 +173,9 @@ class TestCoordinatorTCP:
         discarded and the reassembled result matches a serial run."""
         clock = FakeClock()
         serial = SweepRunner(PLAN, jobs=1).run()
-        with DistCoordinator(PLAN, lease_timeout=10.0, clock=clock) as coord:
+        with _serving(PLAN.specs(), lease_timeout=10.0, clock=clock) as (
+            coord, records, consumer,
+        ):
             address = coord.address
             with CoordinatorClient(address, worker="w1") as w1, CoordinatorClient(
                 address, worker="w2"
@@ -191,13 +198,69 @@ class TestCoordinatorTCP:
             status = coord.status()
             assert status["expired_leases"] == 1
             assert status["duplicate_completions"] == 1
-            result = coord.result(timeout=5.0)
+            consumer.join(timeout=5.0)
+        assert sorted(records) == [0, 1]  # each shard delivered exactly once
+        result = SweepResult(PLAN, [records[0], records[1]], 0.0, 1)
         assert json.dumps(result.canonical_dict()) == json.dumps(
             serial.canonical_dict()
         )
 
+    def test_complete_frame_is_validated(self):
+        """A handshaken client that never claimed anything cannot mark a
+        shard done with another spec's record, and an index off the board
+        is an error frame, not a dead handler thread."""
+        other = execute_spec(PLAN.specs()[0]).to_dict()
+        with DistCoordinator(PLAN.specs()) as coord:
+            with CoordinatorClient(coord.address, worker="rogue") as client:
+                client.hello()
+                with pytest.raises(ProtocolError, match="does not answer shard 1"):
+                    client.complete("L?", 1, other)
+                for index in (-1, 99):  # -1 used to wrap onto the last shard
+                    with pytest.raises(ProtocolError, match=f"no shard {index}"):
+                        client.complete("L?", index, other)
+                with pytest.raises(ProtocolError, match="bad complete frame"):
+                    client.complete("L?", 0, {"spec": other["spec"]})
+                # the connection survived and nothing was marked done
+                assert client.claim()["index"] == 0
+            assert coord.status()["done"] == 0
+            assert coord.status()["duplicate_completions"] == 0
+
+    def test_complete_is_acknowledged_only_after_the_store_flush(self, tmp_path):
+        """The one path flushes before the worker sees ``accepted: true``:
+        a second store connection, opened by the worker the moment
+        ``complete()`` returns, already finds the record."""
+        path = str(tmp_path / "s.sqlite")
+        found = []
+
+        def by_hand(pending):  # an executor whose one TCP worker is this test
+            with DistCoordinator([spec for _, spec in pending]) as coord:
+
+                def work():
+                    with CoordinatorClient(coord.address, worker="w") as client:
+                        client.hello()
+                        while (lease := client.claim())["type"] == "lease":
+                            spec = ExperimentSpec.from_dict(lease["spec"])
+                            record = execute_spec(spec).to_dict()
+                            assert client.complete(
+                                lease["lease"], lease["index"], record
+                            )
+                            with ResultStore(path) as reader:
+                                found.append(reader.get_many([spec])[0] is not None)
+
+                worker = threading.Thread(target=work, daemon=True)
+                worker.start()
+                for local, record in coord.completions():
+                    yield pending[local][0], record
+                worker.join(timeout=10.0)
+
+        by_hand.jobs = 1
+        with ResultStore(path) as store:
+            result = SweepRunner(PLAN).run(store=store, executor=by_hand)
+        assert found == [True, True]
+        assert result.served_from_store == 0
+
     def test_stale_code_worker_is_rejected_by_name(self):
-        with DistCoordinator(PLAN) as coord:
+        with DistCoordinator(PLAN.specs()) as coord:
             client = CoordinatorClient(
                 coord.address, worker="stale-w", fingerprint="other-fp"
             )
@@ -212,13 +275,13 @@ class TestCoordinatorTCP:
                 run_worker(coord.address, worker_id="w", fingerprint="other-fp")
 
     def test_claim_before_hello_is_a_protocol_error(self):
-        with DistCoordinator(PLAN) as coord:
+        with DistCoordinator(PLAN.specs()) as coord:
             with CoordinatorClient(coord.address, worker="rude") as client:
                 with pytest.raises(ProtocolError, match="handshake required"):
                     client.claim()
 
     def test_status_needs_no_handshake_and_registry_lists_it(self):
-        with DistCoordinator(PLAN) as coord:
+        with DistCoordinator(PLAN.specs()) as coord:
             host, port = coord.address
             status = coordinator_status(f"{host}:{port}")
             assert status["total"] == 2 and not status["finished"]
@@ -248,39 +311,6 @@ class TestDistributedSweep:
         )
         assert result.jobs == 2
 
-    def test_store_flushes_exactly_once_and_warm_plan_spawns_nothing(
-        self, tmp_path
-    ):
-        with ResultStore(str(tmp_path / "s.sqlite")) as store:
-            first = run_distributed_sweep(
-                PLAN, workers=2, store=store, in_process=True
-            )
-            assert first.served_from_store == 0
-            assert store.stats()["records"] == len(PLAN)  # zero duplicates
-            executed_before = RUN_COUNTER["executed"]
-            warm = run_distributed_sweep(
-                PLAN, workers=2, store=store, in_process=True
-            )
-            # fully served before the server listens: nothing executed in
-            # this process, no worker threads started, jobs reads 1
-            assert RUN_COUNTER["executed"] == executed_before
-            assert warm.served_from_store == len(PLAN)
-            assert warm.jobs == 1
-            assert [r.spec for r in warm.records] == [
-                r.spec for r in first.records
-            ]
-
-    def test_resume_seeds_serve_and_repersist(self, tmp_path):
-        complete = SweepRunner(PLAN, jobs=1).run()
-        seeds = {spec_key(r.spec): r for r in complete.records[:1]}
-        with ResultStore(str(tmp_path / "s.sqlite")) as store:
-            result = run_distributed_sweep(
-                PLAN, workers=2, store=store, seed_records=seeds, in_process=True
-            )
-            assert result.served_from_store == 1  # combined served count
-            assert result.served_from_resume == 1
-            assert store.stats()["records"] == len(PLAN)  # seed re-persisted
-
     def test_worker_subprocesses_match_serial(self, tmp_path):
         serial = SweepRunner(PLAN, jobs=1).run()
         with ResultStore(str(tmp_path / "s.sqlite")) as store:
@@ -295,6 +325,17 @@ class TestDistributedSweep:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers"):
             run_distributed_sweep(PLAN, workers=0)
+
+    def test_dead_workers_raise_instead_of_hanging(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.dist.launch.spawn_worker",
+            lambda *args, **kwargs: subprocess.Popen(
+                [sys.executable, "-c", "raise SystemExit(3)"]
+            ),
+        )
+        with pytest.raises(DistributedSweepError, match=r"exit codes \[3\]"):
+            run_distributed_sweep(PLAN, workers=2, max_respawns=1)
+        assert active_coordinators() == []  # the coordinator was closed
 
 
 # ----------------------------------------------------------------------
@@ -327,8 +368,7 @@ class TestDistCLI:
         assert all(r["seconds"] == 0.0 for r in data["records"])
 
     def test_dist_worker_command_drains_a_coordinator(self, capsys):
-        coordinator = DistCoordinator(PLAN, lease_timeout=15.0)
-        with coordinator:
+        with _serving(PLAN.specs(), lease_timeout=15.0) as (coordinator, _, _):
             host, port = coordinator.address
             code = cli_main(
                 ["dist-worker", f"{host}:{port}", "--id", "cli-w", "--poll", "0.1"]
@@ -339,7 +379,7 @@ class TestDistCLI:
             assert coordinator.status()["completed_by"] == {"cli-w": 2}
 
     def test_dist_worker_command_reports_rejection(self, monkeypatch, capsys):
-        with DistCoordinator(PLAN) as coordinator:
+        with DistCoordinator(PLAN.specs()) as coordinator:
             host, port = coordinator.address
             monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "stale-fp")
             assert cli_main(["dist-worker", f"{host}:{port}"]) == 2
@@ -355,7 +395,9 @@ class TestDistCLI:
 # ----------------------------------------------------------------------
 def test_two_worker_threads_split_the_plan():
     plan = ExperimentPlan(ns=(24,), adversaries=("none", "silent"), seeds=(3, 4))
-    with DistCoordinator(plan, lease_timeout=15.0) as coordinator:
+    with _serving(plan.specs(), lease_timeout=15.0) as (
+        coordinator, records, consumer,
+    ):
         host, port = coordinator.address
         counts = {}
 
@@ -371,10 +413,10 @@ def test_two_worker_threads_split_the_plan():
             t.start()
         for t in threads:
             t.join(timeout=60)
-        assert coordinator.wait(timeout=5.0)
+        assert coordinator.board.finished
         assert sum(counts.values()) == len(plan)  # nothing executed twice
-        result = coordinator.result(timeout=5.0)
-    assert [r.spec for r in result.records] == list(plan.specs())
+        consumer.join(timeout=5.0)
+    assert [records[i].spec for i in sorted(records)] == list(plan.specs())
 
 
 # ----------------------------------------------------------------------
@@ -410,7 +452,7 @@ def test_service_lists_live_coordinators():
     app = create_app(manager=JobManager(store=None, jobs=1))
     with TestClient(app) as client:
         assert client.get("/dist/coordinators").json() == []
-        with DistCoordinator(PLAN) as coordinator:
+        with DistCoordinator(PLAN.specs()) as coordinator:
             host, port = coordinator.address
             listed = client.get("/dist/coordinators").json()
             assert [c["address"] for c in listed] == [f"{host}:{port}"]

@@ -1,4 +1,9 @@
-"""Tests for the experiment-sweep subsystem (plans, runner, persistence, CLI)."""
+"""Tests for the experiment-sweep subsystem (plans, runner, persistence, CLI).
+
+``TestExecutorContract`` is the one matrix that pins what
+``SweepRunner.run`` owns — serving, flushing, ``on_record``, counters, plan
+order — identically over every executor (inline, pool, dist).
+"""
 
 from __future__ import annotations
 
@@ -14,8 +19,11 @@ from repro.experiments import (
     SweepRunner,
     execute_spec,
 )
+from repro.dist import DistExecutor, active_coordinators
 from repro.experiments.cli import main as cli_main
+from repro.experiments.sweep import RUN_COUNTER, InlineExecutor, PoolExecutor
 from repro.runner import run_aer_experiment
+from repro.store import ResultStore, spec_key
 
 SMALL_PLAN = ExperimentPlan(
     ns=(24,),
@@ -124,6 +132,83 @@ class TestSweepRunner:
             assert a.total_bits == b.total_bits
 
 
+class _Spy:
+    """An executor wrapper that records what it was handed."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    @property
+    def jobs(self):
+        return self.inner.jobs
+
+    def __call__(self, pending):
+        self.calls.append(list(pending))
+        return self.inner(pending)
+
+
+class TestExecutorContract:
+    PLAN = ExperimentPlan(ns=(24,), adversaries=("none", "silent"), seeds=(3, 4))
+
+    EXECUTORS = {
+        "inline": lambda: InlineExecutor(),
+        "pool": lambda: PoolExecutor(2),
+        "dist": lambda: DistExecutor(2, in_process=True, worker_poll=0.05),
+    }
+    #: name → (plan indices already in the store, indices in the resume seed)
+    STATES = {
+        "cold": ((), ()),
+        "store_served": ((0, 1, 2, 3), ()),
+        "store_and_resume": ((0,), (0, 1, 2)),  # the store wins index 0
+        "partially_warm": ((1, 3), ()),
+    }
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return SweepRunner(self.PLAN, jobs=1).run()
+
+    @pytest.mark.parametrize("state", STATES)
+    @pytest.mark.parametrize("kind", EXECUTORS)
+    def test_one_path_over_every_executor(
+        self, kind, state, reference, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "contract-fp")
+        stored, seeded = self.STATES[state]
+        served = sorted(set(stored) | set(seeded))
+        pending = [i for i in range(len(self.PLAN)) if i not in served]
+        seeds = {spec_key(reference.records[i].spec): reference.records[i] for i in seeded}
+        executor = _Spy(self.EXECUTORS[kind]())
+        events = []
+        with ResultStore(str(tmp_path / "s.sqlite")) as store:
+            store.put_many(reference.records[i] for i in stored)
+
+            def on_record(index, record, was_served):
+                # fresh records are flushed before anyone hears about them
+                assert store.get_many([record.spec])[0] is not None
+                events.append((index, was_served))
+
+            executed_before = RUN_COUNTER["executed"]
+            result = SweepRunner(self.PLAN).run(
+                store=store, seed_records=seeds, on_record=on_record, executor=executor
+            )
+            assert store.stats()["records"] == len(self.PLAN)  # one row per spec
+        assert result.canonical_dict() == reference.canonical_dict()
+        assert result.served_from_store == len(served)
+        assert result.served_from_resume == len(set(seeded) - set(stored))
+        # served records first (plan order), then each fresh index once
+        assert events[: len(served)] == [(i, True) for i in served]
+        assert sorted(events[len(served):]) == [(i, False) for i in pending]
+        if pending:
+            assert [[i for i, _ in call] for call in executor.calls] == [pending]
+            assert result.jobs == executor.jobs
+        else:  # nothing pending: no executor call, so no worker of any kind
+            assert executor.calls == []
+            assert result.jobs == 1
+            assert RUN_COUNTER["executed"] == executed_before
+        assert active_coordinators() == []
+
+
 class TestWorkerPool:
     def test_pool_is_reused_across_plans(self):
         from repro.experiments import ExperimentPlan
@@ -189,10 +274,10 @@ class TestCLI:
 class TestWorkerCrashDetection:
     """A pool worker dying mid-spec must fail the sweep, not hang it."""
 
-    def test_killed_worker_raises_instead_of_hanging(self):
+    @pytest.fixture()
+    def suicide_plan(self):
         import multiprocessing
 
-        from repro.experiments.sweep import WorkerCrashedError, WorkerPool
         from repro.protocols import PROTOCOLS, ProtocolAdapter, RunResult, register_protocol
 
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -217,14 +302,27 @@ class TestWorkerCrashDetection:
                     max_node_bits=0, median_node_bits=0.0, load_imbalance=1.0,
                 )
 
-        plan = ExperimentPlan(ns=(8,), protocols=("suicide_test",), seeds=(3, 4, 5, 6))
         try:
-            with WorkerPool(processes=2) as pool:
-                with pytest.raises(WorkerCrashedError) as excinfo:
-                    SweepRunner(plan, jobs=2).run(pool=pool)
-                assert pool.size == 0  # the poisoned pool was terminated
-            message = str(excinfo.value)
-            assert "died with exit code" in message
-            assert "suicide_test" in message  # names an unfinished spec key
+            yield ExperimentPlan(ns=(8,), protocols=("suicide_test",), seeds=(3, 4, 5, 6))
         finally:
             PROTOCOLS.unregister("suicide_test")
+
+    def test_killed_worker_raises_instead_of_hanging(self, suicide_plan):
+        from repro.experiments.sweep import WorkerCrashedError, WorkerPool
+
+        with WorkerPool(processes=2) as pool:
+            with pytest.raises(WorkerCrashedError) as excinfo:
+                SweepRunner(suicide_plan, jobs=2).run(pool=pool)
+            assert pool.size == 0  # the poisoned pool was terminated
+        message = str(excinfo.value)
+        assert "died with exit code" in message
+        assert "suicide_test" in message  # names an unfinished spec key
+
+    def test_killed_worker_of_a_private_pool_raises_too(self, suicide_plan):
+        import multiprocessing
+
+        from repro.experiments.sweep import WorkerCrashedError
+
+        with pytest.raises(WorkerCrashedError, match="died with exit code -9"):
+            SweepRunner(suicide_plan, jobs=2).run()
+        assert multiprocessing.active_children() == []  # private pool reaped

@@ -227,13 +227,6 @@ class TestAdversaryRegistry:
         with pytest.raises(ValueError, match="already registered"):
             api.register_adversary("silent")(SilentAdversary)
 
-    def test_legacy_factories_view_is_live_and_readonly(self):
-        from repro.runner import ADVERSARY_FACTORIES
-
-        assert "silent" in ADVERSARY_FACTORIES
-        with pytest.raises(TypeError):
-            ADVERSARY_FACTORIES["hack"] = lambda byz, knowledge: None  # type: ignore[index]
-
     def test_custom_adversary_runs_through_spec(self):
         @api.register_adversary("test_crash")
         class CrashOnly(SilentAdversary):

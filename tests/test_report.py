@@ -262,23 +262,6 @@ def test_store_round_trip_skips_resimulation(tiny_section, tmp_path, monkeypatch
     assert {r.spec.seed for r in rebuilt.sweep.records} == {0, 1}
 
 
-def test_cache_dir_is_a_deprecated_shim_onto_the_store(tiny_section, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "report-test-fp")
-    cache = tmp_path / "cache"
-    with pytest.deprecated_call(match="--cache are deprecated"):
-        builder = ReportBuilder(sections=["tiny_test"], jobs=1, cache_dir=str(cache))
-    assert builder.store_path == str(cache / "report-store.sqlite")
-    [built] = builder.build_sections()
-    assert not built.from_cache
-    assert (cache / "report-store.sqlite").exists()
-    # the forwarded store serves the next --cache build entirely
-    with pytest.deprecated_call():
-        again = ReportBuilder(sections=["tiny_test"], jobs=1, cache_dir=str(cache))
-    [reloaded] = again.build_sections()
-    assert reloaded.from_cache
-    assert reloaded.markdown == built.markdown
-
-
 # ----------------------------------------------------------------------
 # registries document and CLI
 # ----------------------------------------------------------------------
