@@ -4,7 +4,7 @@ These adversaries never send a byte; their entire power is the choice of
 message delays within the reliability bound.  They isolate the *scheduling*
 component of the asynchronous lower bounds from the *Byzantine traffic*
 component (the :mod:`repro.adversary.cornering` attack combines both), which
-is what the ablation benchmark ``bench_ablation_scheduler`` compares.
+is what the ``ablation_scheduler`` report section compares.
 """
 
 from __future__ import annotations

@@ -1,20 +1,17 @@
-"""Sweep runners and table formatting shared by benchmarks and examples.
+"""Plain-text tables and row builders shared by the CLI, examples and claim checks.
 
-Every benchmark in ``benchmarks/`` follows the same pattern: sweep a
-parameter (usually ``n``), collect one row of measurements per point, print a
-plain-text table mirroring the corresponding table/figure of the paper, and
-assert the qualitative shape.  The helpers here implement the sweep and the
-formatting so that each benchmark file reads as a description of *what* is
-measured rather than plumbing.
+:func:`format_table` renders flat dict rows as an aligned table (the CLI's
+stdout, the examples, and the per-record rows ``benchmarks/test_claims.py``
+prints when a section's check fails); :func:`run_result_row` condenses one
+normalized run into such a row and :func:`compare_rows` aggregates sweep
+records into the Figure-1-style cross-protocol table of ``python -m repro
+compare``.
 """
 
 from __future__ import annotations
 
 import statistics
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-from repro.net.results import SimulationResult
-from repro.runner import run_aer_experiment
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.sweep import ExperimentRecord
@@ -25,11 +22,9 @@ def format_table(rows: Sequence[Mapping[str, object]], title: Optional[str] = No
     """Render a list of flat dicts as an aligned plain-text table.
 
     All rows are expected to share the same keys (the first row defines the
-    column order); values are rendered with ``str``.  The output is what the
-    benchmarks print so that the paper-vs-measured comparison is visible in
-    the pytest output.  The committed EXPERIMENTS.md is *generated* — not
-    pasted — by ``python -m repro report`` (:mod:`repro.report`), which
-    renders the same rows as Markdown.
+    column order); values are rendered with ``str``.  The committed
+    EXPERIMENTS.md is *generated* — not pasted — by ``python -m repro
+    report`` (:mod:`repro.report`), which renders the same rows as Markdown.
     """
     if not rows:
         return f"{title or 'table'}: (no rows)"
@@ -48,23 +43,6 @@ def format_table(rows: Sequence[Mapping[str, object]], title: Optional[str] = No
     for line in rendered:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)))
     return "\n".join(lines)
-
-
-def result_row(result: SimulationResult, **extra: object) -> Dict[str, object]:
-    """Condense a :class:`SimulationResult` into one table row."""
-    metrics = result.metrics
-    row: Dict[str, object] = {
-        "n": result.n,
-        "decided": f"{len(result.decisions)}/{len(result.correct_ids)}",
-        "agreement": int(result.agreement_reached),
-        "rounds": metrics.rounds if metrics.rounds is not None else "-",
-        "span": round(metrics.span, 2) if metrics.span is not None else "-",
-        "amortized_bits": round(metrics.amortized_bits, 1),
-        "max_node_bits": metrics.max_node_bits,
-        "load_imbalance": round(metrics.load_imbalance, 2),
-    }
-    row.update(extra)
-    return row
 
 
 def run_result_row(result: "RunResult", **extra: object) -> Dict[str, object]:
@@ -122,45 +100,4 @@ def compare_rows(records: Sequence["ExperimentRecord"]) -> List[Dict[str, object
                 "seconds": round(statistics.mean(r.seconds for r in group), 3),
             }
         )
-    return rows
-
-
-def sweep_aer(
-    ns: Iterable[int],
-    adversary_name: str = "none",
-    mode: str = "sync",
-    rushing: bool = False,
-    seed: int = 0,
-    **experiment_kwargs: object,
-) -> List[SimulationResult]:
-    """Run :func:`repro.runner.run_aer_experiment` for every ``n`` in the sweep."""
-    return [
-        run_aer_experiment(
-            n=n,
-            adversary_name=adversary_name,
-            mode=mode,
-            rushing=rushing,
-            seed=seed,
-            **experiment_kwargs,  # type: ignore[arg-type]
-        )
-        for n in ns
-    ]
-
-
-def sweep_rows(
-    ns: Iterable[int],
-    runner: Callable[[int], SimulationResult],
-    label: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """Run ``runner(n)`` for every ``n`` and collect table rows.
-
-    ``label`` (when given) is added to every row under the ``protocol``
-    column, which is how the Figure 1 benchmarks stack several protocols in
-    one table.
-    """
-    rows = []
-    for n in ns:
-        result = runner(n)
-        extra = {"protocol": label} if label is not None else {}
-        rows.append(result_row(result, **extra))
     return rows

@@ -4,7 +4,7 @@ Everything the analysis of Section 4 treats as a constant or a function of
 ``n`` lives here: the quorum size ``d = O(log n)``, the length ``c log n`` of
 ``gstring``, the label space ``R`` of the poll sampler, and the per-node
 answer budget ``log² n`` of Algorithm 3.  Keeping them in one dataclass makes
-the ablation benchmarks (``bench_ablation_*``) one-liners: build a config,
+the ablation report sections (``ablation_*``) one-liners: build a config,
 tweak one knob, re-run.
 """
 

@@ -31,6 +31,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.plan import ExperimentPlan, ExperimentSpec
+from repro.store.keys import git_commit
 
 #: the fixed sweep: do not change without resetting the baseline
 FIXED_SWEEP = (
@@ -88,31 +89,6 @@ SEED_BASELINE_SECONDS: Dict[str, float] = {
 }
 
 
-def _git_commit() -> str:
-    """Short HEAD commit (``+dirty`` if the tree has uncommitted changes).
-
-    The dirty marker is the provenance fix for the trajectory file: a sweep
-    measured on top of uncommitted work used to be silently attributed to
-    the parent commit, so ``BENCH_kernel.json`` could claim numbers for a
-    tree that never existed.  ``"unknown"`` outside a git checkout.
-    """
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10, check=False,
-        )
-        status = subprocess.run(
-            ["git", "status", "--porcelain"],
-            capture_output=True, text=True, timeout=10, check=False,
-        )
-    except (OSError, subprocess.SubprocessError):  # pragma: no cover - git missing/hung
-        return "unknown"
-    commit = out.stdout.strip() or "unknown"
-    if commit != "unknown" and status.stdout.strip():
-        commit += "+dirty"
-    return commit
-
-
 def verify_provenance(path: str = "BENCH_kernel.json") -> str:
     """Assert the recorded measurement commit matches the checked-out HEAD.
 
@@ -124,7 +100,7 @@ def verify_provenance(path: str = "BENCH_kernel.json") -> str:
     with open(path, encoding="utf-8") as fh:
         report = json.load(fh)
     recorded = str((report.get("git") or {}).get("commit") or "unknown")
-    head = _git_commit()
+    head = git_commit()
     if recorded != head:
         raise RuntimeError(
             f"stale benchmark provenance in {path}: recorded git.commit is "
@@ -354,7 +330,7 @@ def build_report(
             "python": platform.python_version(),
             "machine": platform.machine(),
         },
-        "git": {"commit": commit or _git_commit()},
+        "git": {"commit": commit or git_commit()},
         "repeats": max(1, repeats),
         "baseline_seconds": SEED_BASELINE_SECONDS,
         "cases": cases,
@@ -430,7 +406,7 @@ def write_report(
     specs = tuple(FIXED_SWEEP) + (tuple(EXTENDED_SWEEP) if update else ())
     # Capture provenance *before* the (long) timed sweep: the numbers belong
     # to the tree as it stood when measurement started, not when it finished.
-    commit = _git_commit()
+    commit = git_commit()
     # --update also measures per-case peak RSS (a subprocess per vectorized
     # case) so the committed artifact carries the memory trajectory
     cases = run_fixed_sweep(repeats=repeats, specs=specs, measure_rss=update)

@@ -478,7 +478,7 @@ class SamplerBorderAdapter(ProtocolAdapter):
             n=n, trials=int(p["model_trials"]), seed=seed  # type: ignore[call-overload]
         )
         # One shared rng, random families first: the exact draw sequence of
-        # the original bench_property2 benchmark, so its tables reproduce.
+        # the original Property 2 benchmark, so its tables reproduce.
         rng = random_module.Random(seed)
         worst_random = worst_family_border_ratio(
             sampler, family_size, trials=int(p["random_trials"]), rng=rng, greedy=False  # type: ignore[call-overload]

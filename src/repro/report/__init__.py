@@ -1,17 +1,17 @@
 """Report subsystem: measured evidence rendered as EXPERIMENTS.md.
 
 The fifth registry of the architecture's layer 4 (see ARCHITECTURE.md): a
-:class:`~repro.report.base.ReportSection` declares the experiment grid one
-paper claim needs, how its records become table rows, and the
-paper-vs-measured commentary; :class:`~repro.report.build.ReportBuilder`
-runs every requested section through the sweep subsystem (with optional
-result caching) and assembles the provenance-stamped Markdown document.
+:class:`~repro.report.base.ReportSection` is the single home of one paper
+claim — the experiment grid it needs, how its records become table rows, the
+paper-vs-measured commentary, and its shape assertions (``check``);
+:class:`~repro.report.build.ReportBuilder` runs every requested section
+through the sweep subsystem (with optional result caching) and assembles the
+provenance-stamped Markdown document.
 
 ``python -m repro report --quick -o EXPERIMENTS.md`` is the CLI entry point;
 ``python -m repro registries -o REGISTRIES.md`` renders the companion
-registry reference.  The benchmarks import the section instances from
-:mod:`repro.report.sections` and print the very same per-record rows, so
-pytest output and the document share one row source.
+registry reference; ``python -m pytest benchmarks -q`` runs every section's
+``check`` (``benchmarks/test_claims.py``, parametrized over this registry).
 """
 
 from repro.report.base import (

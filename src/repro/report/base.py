@@ -22,11 +22,15 @@ delay policies and scenario generators::
         def record_row(self, record):
             return {"n": record.spec.n, "seed": record.spec.seed, ...}
 
+        def check(self, records):  # optional: the claim's shape assertions
+            assert all(r.agreement for r in records)
+
 after which ``python -m repro report --sections my_claim`` runs and renders
-it.  The per-record row builder is the *single* source of table logic: the
-benchmarks print exactly these rows (one per run) and the report prints
-their cross-seed aggregation, so the pytest output and the document cannot
-drift apart.
+it, and ``python -m pytest benchmarks -q`` runs its ``check`` on its check
+grid — no new file.  The section is the *single* home of a claim: claim text,
+grids, row builder, commentary and the shape assertions live side by side,
+and a failing check prints the very rows (``record_row``, one per run) whose
+cross-seed aggregation the report renders.
 """
 
 from __future__ import annotations
@@ -146,19 +150,20 @@ class ReportSection:
         Markdown heading of the rendered section.
     ``claim``
         The paper's statement this section measures, quoted in the document.
-    ``benchmark``
-        The ``benchmarks/`` file that asserts the same claim's shape in
-        pytest (and prints rows built by this very section).
     ``order``
         Sort key for document order (registry names alone would interleave
         ``lemma10`` before ``lemma6``).
+    ``check_grid``
+        Keyword arguments of the section's ``plan_for`` naming the grid the
+        thresholds of :meth:`check` were calibrated on; ``None`` (the
+        default) means the quick grid.
     """
 
     name: str = ""
     title: str = ""
     claim: str = ""
-    benchmark: str = ""
     order: int = 100
+    check_grid: Optional[Mapping[str, object]] = None
 
     # ------------------------------------------------------------------
     # the experiment grid
@@ -167,17 +172,23 @@ class ReportSection:
         """The grid this section needs (small/CI-sized when ``quick``)."""
         raise NotImplementedError
 
+    @property
+    def check_plan(self) -> "ExperimentPlan":
+        """The grid :meth:`check` runs on (see :attr:`check_grid`)."""
+        if self.check_grid is None:
+            return self.plan(quick=True)
+        return self.plan_for(**self.check_grid)  # type: ignore[attr-defined]
+
     # ------------------------------------------------------------------
     # rows: one builder, two tables
     # ------------------------------------------------------------------
     def record_row(self, record: "ExperimentRecord") -> Dict[str, object]:
         """One flat table row for one executed spec.
 
-        This is the row-building code shared with the benchmarks: the
-        benchmark prints ``[section.record_row(r) for r in sweep.records]``
-        verbatim, the report aggregates the same rows across seeds.
-        Wall-clock columns are deliberately absent (the document must be
-        byte-identical across runs).
+        The report aggregates these rows across seeds; :meth:`check` asserts
+        on them and ``benchmarks/test_claims.py`` prints them, one per run,
+        when a check fails.  Wall-clock columns are deliberately absent (the
+        document must be byte-identical across runs).
         """
         raise NotImplementedError
 
@@ -204,13 +215,32 @@ class ReportSection:
     max_columns: Sequence[str] = ()
 
     # ------------------------------------------------------------------
+    # the claim's shape
+    # ------------------------------------------------------------------
+    def check(self, records: Sequence["ExperimentRecord"]) -> None:
+        """Assert the claim's qualitative shape on the records of :attr:`check_plan`.
+
+        Who wins, how quantities grow — never absolute numbers; a violation
+        raises ``AssertionError``.  The default asserts nothing; a section
+        that overrides it is run by ``benchmarks/test_claims.py``.  ``report``
+        never calls it.
+        """
+
+    @property
+    def claim_test(self) -> str:
+        """Pytest node id that runs :meth:`check` (``""`` if not overridden)."""
+        if type(self).check is ReportSection.check:
+            return ""
+        return f"benchmarks/test_claims.py::test_claim[{self.name}]"
+
+    # ------------------------------------------------------------------
     # commentary and rendering
     # ------------------------------------------------------------------
     def commentary(self, records: Sequence["ExperimentRecord"]) -> List[str]:
         """Paper-vs-measured remarks rendered as a bullet list (may be empty)."""
         return []
 
-    def render(self, records: Sequence["ExperimentRecord"], quick: bool = True) -> str:
+    def render(self, records: Sequence["ExperimentRecord"]) -> str:
         """Full Markdown for this section: heading, claim, table, commentary."""
         parts = [f"## {self.title}", ""]
         if self.claim:
@@ -219,12 +249,8 @@ class ReportSection:
         remarks = self.commentary(records)
         if remarks:
             parts += [f"- {remark}" for remark in remarks] + [""]
-        if self.benchmark:
-            parts += [
-                f"*Shape assertions: [`{self.benchmark}`]({self.benchmark}) "
-                "(same row-building code).*",
-                "",
-            ]
+        if self.claim_test:
+            parts += [f"*Shape assertions: `{self.claim_test}` (this section's `check`).*", ""]
         return "\n".join(parts)
 
     # ------------------------------------------------------------------

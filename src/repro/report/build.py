@@ -21,7 +21,6 @@ local reports, not for the committed artifact.
 from __future__ import annotations
 
 import platform
-import subprocess
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.sweep import SweepResult, SweepRunner, WorkerPool
 from repro.store import ResultStore
+from repro.store.keys import git_commit
 from repro.report.base import (
     ReportSection,
     get_report_section,
@@ -52,18 +52,6 @@ class BuiltSection:
     sweep: SweepResult
     markdown: str
     from_cache: bool
-
-
-def _git_commit() -> str:
-    """Short HEAD commit, or ``"unknown"`` outside a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10, check=False,
-        )
-    except (OSError, subprocess.SubprocessError):  # pragma: no cover - git missing/hung
-        return "unknown"
-    return out.stdout.strip() or "unknown"
 
 
 class ReportBuilder:
@@ -139,7 +127,7 @@ class ReportBuilder:
                 shared_pool = None if serial else pool
                 for section in self.sections:
                     sweep, from_cache = self._run_section(section, shared_pool, store)
-                    markdown = section.render(sweep.records, quick=self.quick)
+                    markdown = section.render(sweep.records)
                     built.append(
                         BuiltSection(
                             section=section, sweep=sweep, markdown=markdown,
@@ -179,7 +167,7 @@ class ReportBuilder:
             {"provenance": "format", "value": REPORT_FORMAT},
         ]
         if self.include_volatile:
-            rows.append({"provenance": "git commit", "value": _git_commit()})
+            rows.append({"provenance": "git commit", "value": git_commit()})
             rows.append({"provenance": "wall-time", "value": f"{seconds:.1f}s"})
         return markdown_table(rows)
 
@@ -188,7 +176,7 @@ class ReportBuilder:
             {
                 "section": f"[{b.section.name}](#{_anchor(b.section.title)})",
                 "paper claim": b.section.title.split("—", 1)[-1].strip(),
-                "benchmark": f"`{b.section.benchmark}`" if b.section.benchmark else "-",
+                "benchmark": f"`{b.section.claim_test}`" if b.section.claim_test else "-",
             }
             for b in built
         ]

@@ -102,8 +102,8 @@ def render_registries(title: Optional[str] = "Registry reference") -> str:
                     "name": f"`{name}`",
                     "title": get_report_section(name).title,
                     "benchmark": (
-                        f"`{get_report_section(name).benchmark}`"
-                        if get_report_section(name).benchmark
+                        f"`{get_report_section(name).claim_test}`"
+                        if get_report_section(name).claim_test
                         else "-"
                     ),
                 }

@@ -11,7 +11,7 @@ def default_quorum_size(n: int, multiplier: float = 2.0, minimum: int = 7) -> in
 
     The paper only requires ``d = Θ(log n)`` (Lemmas 1 and 2); the multiplier
     trades failure probability against communication and is swept by the
-    ``bench_ablation_quorum_size`` benchmark.  The value is forced odd so that
+    ``ablation_quorum`` report section.  The value is forced odd so that
     "more than half" thresholds never tie.
     """
     d = max(minimum, int(math.ceil(multiplier * math.log2(max(2, n)))))

@@ -16,7 +16,7 @@ combinatorial properties of the samplers ``I``, ``H`` and ``J``:
 
 These functions evaluate the properties on concrete sampler instances.  They
 are used both by the test-suite (sanity at small ``n``) and by the
-``bench_property2_sampler_border`` benchmark, which reproduces the
+``property2`` report section, which reproduces the
 Monte-Carlo counterpart of the probability computation in Section 4.1.
 """
 

@@ -12,7 +12,7 @@ towards ``[n] \\ L*``, and the paper shows
 i.e. w.h.p. every such family expands.  This module provides the digraph
 model itself (independently of the keyed-hash construction used at runtime)
 and a Monte-Carlo estimator of the border-failure probability, which is what
-``bench_property2_sampler_border`` reports next to the analytic bound.
+the ``property2`` report section reports next to the analytic bound.
 """
 
 from __future__ import annotations

@@ -9,10 +9,12 @@ The store's keying invariant (pinned by ``tests/test_store.py``):
   ``params='{"a":2,"b":1}'``) therefore produce one key, and every field
   that changes what a run computes (``backend``, ``trace``, scenario knobs)
   is part of the hash.
-* ``code_fingerprint()`` reuses the bench provenance helper: the short git
-  commit with a ``+dirty`` marker for uncommitted trees, so records measured
-  on different code never serve each other.  ``$REPRO_CODE_FINGERPRINT``
-  overrides it (tests, and deployments without a git checkout).
+* ``code_fingerprint()`` is :func:`git_commit` — the short git commit with a
+  ``+dirty`` marker for uncommitted trees, the one provenance stamp shared
+  with ``python -m repro bench`` and ``report --timings`` — so records
+  measured on different code never serve each other.
+  ``$REPRO_CODE_FINGERPRINT`` overrides it (tests, and deployments without a
+  git checkout).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,20 +49,42 @@ def plan_key(plan: "ExperimentPlan") -> str:
     return _canonical_digest(plan.to_dict())
 
 
+def git_commit() -> str:
+    """Short HEAD commit (``+dirty`` if the tree has uncommitted changes).
+
+    The dirty marker keeps provenance honest: a sweep, report or benchmark
+    measured on top of uncommitted work used to be silently attributed to
+    the parent commit, so ``BENCH_kernel.json`` could claim numbers for a
+    tree that never existed.  ``"unknown"`` outside a git checkout.
+    """
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, timeout=10, check=False,
+        )
+        status = subprocess.run(
+            ["git", "status", "--porcelain"],
+            capture_output=True, text=True, timeout=10, check=False,
+        )
+    except (OSError, subprocess.SubprocessError):  # pragma: no cover - git missing/hung
+        return "unknown"
+    commit = out.stdout.strip() or "unknown"
+    if commit != "unknown" and status.stdout.strip():
+        commit += "+dirty"
+    return commit
+
+
 def code_fingerprint(refresh: bool = False) -> str:
     """The code identity records are stamped with.
 
     ``$REPRO_CODE_FINGERPRINT`` wins when set (checked on every call, so
-    tests can flip it); otherwise the bench helper's ``git rev-parse`` +
-    dirty marker, cached per process (two subprocess calls are too slow for
-    per-record use).
+    tests can flip it); otherwise :func:`git_commit`, cached per process
+    (two subprocess calls are too slow for per-record use).
     """
     override = os.environ.get("REPRO_CODE_FINGERPRINT")
     if override:
         return override
     global _fingerprint_cache
     if _fingerprint_cache is None or refresh:
-        from repro.experiments.bench import _git_commit
-
-        _fingerprint_cache = _git_commit()
+        _fingerprint_cache = git_commit()
     return _fingerprint_cache

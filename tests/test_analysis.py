@@ -13,9 +13,8 @@ from repro.analysis.complexity import (
     growth_exponent,
     polylog_ratio,
 )
-from repro.analysis.experiments import format_table, result_row, sweep_aer, sweep_rows
+from repro.analysis.experiments import format_table
 from repro.analysis.statistics import SuccessEstimate, estimate_success, wilson_interval
-from repro.runner import run_aer_experiment
 
 
 class TestGrowthFitting:
@@ -136,22 +135,3 @@ class TestExperimentPlumbing:
 
     def test_format_table_empty(self):
         assert "no rows" in format_table([], title="empty")
-
-    def test_result_row_fields(self, small_sync_result):
-        row = result_row(small_sync_result, protocol="AER")
-        assert row["protocol"] == "AER"
-        assert row["agreement"] == 1
-        assert row["n"] == small_sync_result.n
-
-    def test_sweep_aer_lengths(self):
-        results = sweep_aer([24, 32], adversary_name="silent", seed=1)
-        assert [r.n for r in results] == [24, 32]
-
-    def test_sweep_rows_labels(self):
-        rows = sweep_rows(
-            [24, 32],
-            lambda n: run_aer_experiment(n=n, adversary_name="silent", seed=1),
-            label="AER",
-        )
-        assert all(row["protocol"] == "AER" for row in rows)
-        assert [row["n"] for row in rows] == [24, 32]

@@ -8,6 +8,10 @@ a real tiny sweep run twice — the contract the CI freshness job
 
 from __future__ import annotations
 
+import importlib.util
+import subprocess
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.cli import main as cli_main
@@ -25,7 +29,9 @@ from repro.report import (
     register_report_section,
     render_registries,
 )
-from repro.report.sections import LEMMA7, LEMMA8
+
+LEMMA7 = get_report_section("lemma7")
+LEMMA8 = get_report_section("lemma8")
 
 
 def make_record(spec: ExperimentSpec = None, **overrides) -> ExperimentRecord:
@@ -182,10 +188,63 @@ def test_section_render_golden_snapshot():
         "fitted exponent n/a.\n"
         "- Outcome: agreement in 2/2 runs (rate 1.000, 95% CI [0.342, 1.000]).\n"
         "\n"
-        "*Shape assertions: "
-        "[`benchmarks/bench_lemma8_sync_pull_latency.py`]"
-        "(benchmarks/bench_lemma8_sync_pull_latency.py) (same row-building code).*\n"
+        "*Shape assertions: `benchmarks/test_claims.py::test_claim[lemma8]` "
+        "(this section's `check`).*\n"
     )
+
+
+# ----------------------------------------------------------------------
+# shape checks live on the section
+# ----------------------------------------------------------------------
+def test_claims_module_is_parametrized_over_the_sections_that_override_check():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "test_claims.py"
+    module_spec = importlib.util.spec_from_file_location("claims_module", path)
+    claims = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(claims)
+    overriding = [
+        name for name in list_report_sections()
+        if type(get_report_section(name)).check is not ReportSection.check
+    ]
+    assert claims.CHECKED_SECTIONS == overriding
+    assert len(overriding) == 14
+    unchecked = set(list_report_sections()) - set(overriding)
+    assert unchecked == {"figure1a_scale", "adversary_matrix"}
+    for name in unchecked:
+        section = get_report_section(name)
+        assert section.claim_test == ""
+        assert "Shape assertions" not in section.render([make_record()])
+
+
+def _lemma7_records(*wrong_decisions: int):
+    """One 13-of-13-decided record per argument, that many decisions off gstring."""
+    spec = ExperimentSpec(n=16, adversary="wrong_answer", seed=0, label="lemma7")
+    return [
+        make_record(spec=spec, extras={"decided_gstring": (13 - wrong) / 13})
+        for wrong in wrong_decisions
+    ]
+
+
+def test_lemma7_check_rejects_a_wrong_decision():
+    LEMMA7.check(_lemma7_records(0, 0, 0, 0))
+    with pytest.raises(AssertionError):
+        LEMMA7.check(_lemma7_records(0, 0, 0, 1))
+
+
+def _lemma8_records(decided_count: int):
+    return [
+        make_record(
+            ExperimentSpec(n=n, adversary="wrong_answer", seed=0, label="lemma8"),
+            decided_count=decided_count, correct_count=26,
+        )
+        for n in (16, 32)
+    ]
+
+
+def test_lemma8_check_rejects_half_the_nodes_undecided():
+    LEMMA8.check(_lemma8_records(decided_count=26))
+    assert _lemma8_records(decided_count=13)[0].decided_fraction == 0.5
+    with pytest.raises(AssertionError):
+        LEMMA8.check(_lemma8_records(decided_count=13))
 
 
 # ----------------------------------------------------------------------
@@ -232,6 +291,16 @@ def test_builder_document_is_byte_identical_and_timestamp_free(tiny_section):
 def test_builder_volatile_provenance_is_opt_in(tiny_section):
     text = ReportBuilder(sections=["tiny_test"], jobs=1, include_volatile=True).build()
     assert "git commit" in text and "wall-time" in text
+
+
+def test_volatile_provenance_marks_a_dirty_tree(tiny_section, monkeypatch):
+    def fake_git(cmd, **kwargs):
+        stdout = "abc1234\n" if cmd[:2] == ["git", "rev-parse"] else " M src/repro/x.py\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_git)
+    text = ReportBuilder(sections=["tiny_test"], jobs=1, include_volatile=True).build()
+    assert "| git commit | abc1234+dirty |" in text
 
 
 def test_store_round_trip_skips_resimulation(tiny_section, tmp_path, monkeypatch):
