@@ -32,7 +32,7 @@ def main() -> None:
     args = parser.parse_args()
 
     result = api.run_experiment("full_ba", n=args.n, seed=args.seed)
-    ba = result.raw  # the native BAResult, for stage-level detail
+    ba = result.raw  # the native two-stage BAResult, for stage-level detail
 
     print("=== stage 1: almost-everywhere agreement (committee tree) ===")
     print(f"gstring                         : {ba.gstring}")
@@ -44,7 +44,7 @@ def main() -> None:
     print(f"agreement reached               : {result.agreement}")
     print(f"decided value == gstring        : {result.extras['decided_gstring'] == 1.0}")
     print(f"stage-2 rounds                  : {result.extras['aer_rounds']}")
-    print(f"stage-2 amortized bits per node : {ba.aer_result.metrics.amortized_bits:.0f}")
+    print(f"stage-2 amortized bits per node : {ba.everywhere_result.metrics.amortized_bits:.0f}")
     print()
     print("=== composed protocol (the paper's BA) ===")
     print(f"total rounds                    : {result.rounds}")

@@ -2,7 +2,8 @@
 
 The fixture (``tests/golden/engine_golden.json``) pins the externally visible
 outcome of the simulation engine — decisions, rounds/span, bit metrics — for a
-matrix of (mode, adversary, n, seed) cases.  ``tests/test_engine_golden.py``
+matrix of (mode, adversary, n, seed) cases, plus the fault-injection cases and
+the full normalized record of every ae-stage composition.  ``tests/test_engine_golden.py``
 asserts the current engine reproduces these values exactly, which is what makes
 engine refactors provably behavior-preserving.
 
@@ -19,7 +20,6 @@ import json
 import sys
 
 from repro.experiments.plan import ExperimentSpec
-from repro.runner import run_aer_experiment
 
 #: (mode, rushing, adversary, n, seed) matrix pinned by the fixture
 GOLDEN_MATRIX = [
@@ -60,14 +60,36 @@ FAULT_MATRIX = [
 ]
 
 
+#: composition cases (PR 15): every caller of the ae-stage, pinned on the full
+#: normalized record.  Keys start with ``compose:``; the entry carries its
+#: ``"spec"`` dict and the ``RunResult.to_dict()`` under ``"result"``.
+COMPOSITION_MATRIX = [
+    ("compose:full_ba:sync:n48:s3", dict(n=48, protocol="full_ba", seed=3)),
+    ("compose:full_ba:async:n48:s6",
+     dict(n=48, protocol="full_ba", mode="async", seed=6)),
+    ("compose:full_ba:sync-traced:n32:s3",
+     dict(n=32, protocol="full_ba", seed=3, trace="summary")),
+    ("compose:full_ba:sync-rushing:equivocate:n48:s5",
+     dict(n=48, protocol="full_ba", adversary="equivocate", rushing=True,
+          seed=5, t=6)),
+    ("compose:composed_ba:sample_majority:n48:s2",
+     dict(n=48, protocol="composed_ba", seed=2,
+          params={"strategy": "sample_majority"})),
+    ("compose:composed_ba:naive:n48:s2",
+     dict(n=48, protocol="composed_ba", seed=2, params={"strategy": "naive"})),
+    ("compose:aer:from_ae:n48:s3",
+     dict(n=48, seed=3, params={"scenario": "from_ae"})),
+]
+
+
 def case_key(mode: str, rushing: bool, adversary: str, n: int, seed: int) -> str:
     return f"{mode}{'-rushing' if rushing else ''}:{adversary}:n{n}:s{seed}"
 
 
 def run_case(mode: str, rushing: bool, adversary: str, n: int, seed: int) -> dict:
-    result = run_aer_experiment(
-        n, adversary_name=adversary, mode=mode, rushing=rushing, seed=seed
-    )
+    result = ExperimentSpec(
+        n=n, adversary=adversary, mode=mode, rushing=rushing, seed=seed
+    ).run().raw
     return {
         "decisions": {str(i): v for i, v in sorted(result.decisions.items())},
         "rounds": result.rounds,
@@ -106,12 +128,20 @@ def run_fault_case(spec_kwargs: dict) -> dict:
     }
 
 
+def run_composition_case(spec_kwargs: dict) -> dict:
+    spec = ExperimentSpec(**spec_kwargs)
+    return {"spec": spec.to_dict(), "result": spec.run().to_dict()}
+
+
 def main(out_path: str) -> None:
     golden = {
         case_key(*case): run_case(*case) for case in GOLDEN_MATRIX
     }
     golden.update(
         {key: run_fault_case(kwargs) for key, kwargs in FAULT_MATRIX}
+    )
+    golden.update(
+        {key: run_composition_case(kwargs) for key, kwargs in COMPOSITION_MATRIX}
     )
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)

@@ -25,12 +25,10 @@ Quickstart
 >>> result.agreement
 True
 
-The pre-registry entry points remain available:
-
->>> from repro import run_aer_experiment
->>> result = run_aer_experiment(n=64, adversary_name="wrong_answer", seed=1)
->>> result.agreement_reached
-True
+Below the registry sit the two stage runners — :func:`repro.run_aer` for the
+AER stage on a given scenario, :func:`repro.ae.run_ae_stage` for the
+almost-everywhere stage — and the native result of a run is on ``result.raw``
+(a ``SimulationResult``, or a two-stage :class:`BAResult` for the compositions).
 """
 
 from repro.core import (
@@ -43,7 +41,7 @@ from repro.core import (
     build_aer_nodes,
     make_scenario,
 )
-from repro.runner import make_adversary, run_aer, run_aer_experiment
+from repro.runner import make_adversary, run_aer
 
 __version__ = "1.0.0"
 
@@ -58,6 +56,5 @@ __all__ = [
     "make_scenario",
     "make_adversary",
     "run_aer",
-    "run_aer_experiment",
     "__version__",
 ]

@@ -1,7 +1,7 @@
 """Adversary base class and the knowledge it is granted.
 
 The base :class:`Adversary` implements the
-:class:`~repro.net.simulator.AdversaryProtocol` with entirely passive
+:class:`~repro.net.kernel.AdversaryProtocol` with entirely passive
 behaviour (corrupted nodes stay silent — pure crash faults) so that concrete
 strategies only override the hooks they care about.
 
@@ -21,8 +21,8 @@ from typing import Iterable, List, Optional
 
 from repro.core.config import AERConfig, SamplerSuite
 from repro.core.scenario import AERScenario
+from repro.net.kernel import AdversaryContext, SendRecord
 from repro.net.messages import Message
-from repro.net.simulator import AdversaryContext, SendRecord
 
 
 @dataclass(frozen=True)

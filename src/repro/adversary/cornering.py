@@ -24,8 +24,8 @@ from typing import List, Optional, Set
 from repro.adversary.base import Adversary, AdversaryKnowledge
 from repro.adversary.registry import register_adversary
 from repro.core.messages import PollMessage, PullMessage
-from repro.net.simulator import SendRecord
 from repro.net.asynchronous import MIN_DELAY
+from repro.net.kernel import SendRecord
 
 
 @register_adversary("cornering")

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Set
 from repro.adversary.base import Adversary, AdversaryKnowledge
 from repro.adversary.registry import register_adversary
 from repro.net.asynchronous import MIN_DELAY
-from repro.net.simulator import SendRecord
+from repro.net.kernel import SendRecord
 
 
 @register_adversary("slow_knowledgeable")

@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.adversary.base import Adversary, AdversaryKnowledge
 from repro.adversary.registry import register_adversary
 from repro.core.messages import PushMessage
+from repro.net.kernel import SendRecord
 from repro.net.rng import random_bitstring
-from repro.net.simulator import SendRecord
 
 
 @register_adversary("push_flood")

@@ -14,9 +14,9 @@ from typing import List, Optional
 from repro.adversary.base import Adversary, AdversaryKnowledge
 from repro.adversary.registry import register_adversary
 from repro.core.messages import AnswerMessage, PollMessage, PushMessage
+from repro.net.kernel import SendRecord
 from repro.net.messages import Message
 from repro.net.rng import random_bitstring
-from repro.net.simulator import SendRecord
 
 
 @register_adversary("silent")

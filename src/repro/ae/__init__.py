@@ -28,7 +28,7 @@ affects a vanishing fraction of nodes.  The benchmarks measure both claims.
 
 from repro.ae.committees import Committee, CommitteeTree
 from repro.ae.config import AEConfig
-from repro.ae.protocol import AENode, build_ae_nodes, scenario_from_ae_run
+from repro.ae.protocol import AENode, build_ae_nodes, run_ae_stage, scenario_from_ae_run
 from repro.ae.coin import combine_contributions, majority_string
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "AEConfig",
     "AENode",
     "build_ae_nodes",
+    "run_ae_stage",
     "scenario_from_ae_run",
     "combine_contributions",
     "majority_string",

@@ -18,15 +18,16 @@ The protocol is synchronous by design — the paper itself notes that no
 efficient *asynchronous* almost-everywhere agreement protocol is known
 (Section 5), and its BA composition implicitly runs this phase synchronously.
 
-The outcome of a run is read off the node objects (:attr:`AENode.learned`)
-and converted into an :class:`~repro.core.scenario.AERScenario` by
-:func:`scenario_from_ae_run`, which is exactly the composition performed by
-:class:`repro.core.ba.BAProtocol`.
+:func:`run_ae_stage` is the one place the stage is executed: it builds the
+committee tree and the correct population, runs them, reads the outcome off
+the node objects (:attr:`AENode.learned`) and converts it into the
+:class:`~repro.core.scenario.AERScenario` every everywhere stage consumes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ae.coin import combine_contributions, majority_string
@@ -34,9 +35,11 @@ from repro.ae.committees import CommitteeTree
 from repro.ae.config import AEConfig
 from repro.ae.messages import ContributionMessage, EchoMessage, RelayMessage
 from repro.core.scenario import AERScenario
-from repro.net.messages import Message
+from repro.net.messages import Message, SizeModel
 from repro.net.node import Node
+from repro.net.results import SimulationResult
 from repro.net.rng import random_bitstring
+from repro.net.sync import SynchronousSimulator
 
 #: round at which root members echo the contributions they received
 ECHO_ROUND = 2
@@ -223,3 +226,46 @@ def scenario_from_ae_run(
         byzantine_ids=frozenset(byzantine_ids),
         candidates=candidates,
     )
+
+
+def run_ae_stage(
+    n: int,
+    byzantine_ids,
+    string_length: int,
+    *,
+    seed: int,
+    size_model: SizeModel,
+    committee_multiplier: float = 2.0,
+    max_rounds: int = 64,
+    trace=None,
+) -> Tuple[SimulationResult, AERScenario]:
+    """Run the almost-everywhere stage; return its result and the scenario it leaves.
+
+    ``string_length`` is the everywhere stage's (stage 1 must generate strings
+    of exactly the length stage 2 expects); ``size_model`` is the caller's bit
+    accounting.  The caller draws ``byzantine_ids`` — each composition keeps
+    its own corrupt-set stream — and at least one node must be left correct.
+    """
+    byzantine_ids = frozenset(byzantine_ids)
+    if len(byzantine_ids) >= n:
+        raise ValueError(
+            f"the almost-everywhere stage needs at least one correct node "
+            f"(got {len(byzantine_ids)} corrupted of n={n})"
+        )
+    config = replace(
+        AEConfig.for_system(n, seed=seed, committee_multiplier=committee_multiplier),
+        string_length=string_length,
+    )
+    nodes = build_ae_nodes(config, byzantine_ids)
+    result = SynchronousSimulator(
+        nodes=nodes,
+        n=n,
+        seed=seed,
+        max_rounds=max_rounds,
+        # the coin protocol acts at fixed rounds; idle rounds before them are
+        # not quiescence
+        min_rounds=FINALIZE_ROUND + 1,
+        size_model=size_model,
+        trace=trace,
+    ).run()
+    return result, scenario_from_ae_run(nodes, n, byzantine_ids, string_length)

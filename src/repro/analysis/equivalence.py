@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.statistics import distributions_equivalent, mean_ci
-from repro.runner import run_aer_experiment
+from repro.experiments.plan import ExperimentSpec
 
 #: metrics whose cross-seed distributions the statistical check compares
 STATISTICAL_METRICS = ("rounds", "total_bits", "total_messages", "decided_fraction")
@@ -37,14 +37,13 @@ EXACT_ADVERSARIES = ("none", "silent", "push_flood", "quorum_flood")
 
 
 def _run(n: int, adversary: str, seed: int, backend: str, wrong_candidate_mode: str):
-    return run_aer_experiment(
-        n,
-        adversary_name=adversary,
-        mode="sync",
+    return ExperimentSpec(
+        n=n,
+        adversary=adversary,
         seed=seed,
         wrong_candidate_mode=wrong_candidate_mode,
         backend=backend,
-    )
+    ).run().raw
 
 
 def _fingerprint(result) -> Dict[str, object]:

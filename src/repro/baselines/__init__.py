@@ -22,7 +22,7 @@ Figure 1 compares AER/BA against:
 
 from repro.baselines.sample_majority import SampleMajorityConfig, SampleMajorityNode, run_sample_majority
 from repro.baselines.naive_broadcast import NaiveBroadcastNode, run_naive_broadcast
-from repro.baselines.composed_ba import ComposedBAResult, run_composed_ba
+from repro.baselines.composed_ba import run_composed_ba
 
 __all__ = [
     "SampleMajorityConfig",
@@ -30,6 +30,5 @@ __all__ = [
     "run_sample_majority",
     "NaiveBroadcastNode",
     "run_naive_broadcast",
-    "ComposedBAResult",
     "run_composed_ba",
 ]

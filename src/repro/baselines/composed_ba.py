@@ -15,71 +15,15 @@ baseline everywhere stages of this package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.ae.committees import CommitteeTree
-from repro.ae.config import AEConfig
-from repro.ae.protocol import FINALIZE_ROUND, build_ae_nodes, scenario_from_ae_run
+from repro.ae.protocol import run_ae_stage
 from repro.baselines.naive_broadcast import run_naive_broadcast
 from repro.baselines.sample_majority import SampleMajorityConfig, run_sample_majority
+from repro.core.ba import BAResult
 from repro.core.config import AERConfig
-from repro.core.scenario import AERScenario
 from repro.net.messages import SizeModel
-from repro.net.results import SimulationResult
 from repro.net.rng import derive_rng
-from repro.net.sync import SynchronousSimulator
-
-
-@dataclass(frozen=True)
-class ComposedBAResult:
-    """Outcome of an ae-stage + baseline-everywhere-stage composition."""
-
-    gstring: str
-    scenario: AERScenario
-    ae_result: SimulationResult
-    everywhere_result: SimulationResult
-
-    @property
-    def agreement_reached(self) -> bool:
-        """Every correct node decided on the same value in the everywhere stage."""
-        return self.everywhere_result.agreement_reached
-
-    @property
-    def total_bits(self) -> int:
-        """Total bits exchanged across both stages."""
-        return (
-            self.ae_result.metrics.total_bits
-            + self.everywhere_result.metrics.total_bits
-        )
-
-    @property
-    def amortized_bits(self) -> float:
-        """Total bits divided by ``n``."""
-        return self.total_bits / self.ae_result.n
-
-    @property
-    def total_rounds(self) -> float:
-        """Rounds of both stages combined."""
-        return (self.ae_result.rounds or 0) + (self.everywhere_result.rounds or 0)
-
-    @property
-    def max_node_bits(self) -> int:
-        """Worst per-node load (bits) across both stages, added node-wise."""
-        combined: Dict[int, int] = dict(self.ae_result.metrics.per_node_bits)
-        for node_id, bits in self.everywhere_result.metrics.per_node_bits.items():
-            combined[node_id] = combined.get(node_id, 0) + bits
-        return max(combined.values()) if combined else 0
-
-    def row(self) -> Dict[str, float]:
-        """Flat dict used by the Figure 1b benchmark table."""
-        return {
-            "n": self.ae_result.n,
-            "agreement": int(self.agreement_reached),
-            "total_rounds": round(self.total_rounds, 2),
-            "amortized_bits": round(self.amortized_bits, 1),
-            "max_node_bits": self.max_node_bits,
-        }
 
 
 def run_composed_ba(
@@ -89,52 +33,41 @@ def run_composed_ba(
     seed: int = 0,
     max_rounds: int = 64,
     trace=None,
-) -> ComposedBAResult:
+) -> BAResult:
     """Run the almost-everywhere stage and then a baseline everywhere stage.
 
-    The corrupted set, committee structure and string length are chosen
-    exactly as :class:`repro.core.ba.BAProtocol` chooses them, so the
-    Figure 1b rows are an apples-to-apples comparison.
+    The committee structure and string length are chosen exactly as
+    :class:`repro.core.ba.BAProtocol` chooses them (both call
+    :func:`~repro.ae.protocol.run_ae_stage`), so the Figure 1b rows are an
+    apples-to-apples comparison.
     """
     if t is None:
         t = n // 6
     rng = derive_rng(seed, "composed-ba", n, strategy)
     byzantine_ids = frozenset(rng.sample(range(n), t))
 
-    aer_config = AERConfig.for_system(n, sampler_seed=seed)
-    ae_defaults = AEConfig.for_system(n, seed=seed)
-    ae_config = AEConfig(
-        n=n,
-        committee_size=ae_defaults.committee_size,
-        string_length=aer_config.string_length,
+    string_length = AERConfig.for_system(n, sampler_seed=seed).string_length
+    ae_result, scenario = run_ae_stage(
+        n,
+        byzantine_ids,
+        string_length,
         seed=seed,
-    )
-
-    tree = CommitteeTree(ae_config)
-    ae_nodes = build_ae_nodes(ae_config, byzantine_ids, tree=tree)
-    ae_sim = SynchronousSimulator(
-        nodes=ae_nodes,
-        n=n,
-        seed=seed,
-        max_rounds=max_rounds,
-        min_rounds=FINALIZE_ROUND + 1,
         size_model=SizeModel(n=n),
+        max_rounds=max_rounds,
         trace=trace,
     )
-    ae_result = ae_sim.run()
-    scenario = scenario_from_ae_run(ae_nodes, n, byzantine_ids, aer_config.string_length)
     if trace is not None:
         trace.stage_boundary()
 
     if strategy == "sample_majority":
-        config = SampleMajorityConfig.for_system(n, string_length=aer_config.string_length)
+        config = SampleMajorityConfig.for_system(n, string_length=string_length)
         everywhere = run_sample_majority(scenario, config=config, seed=seed + 1, trace=trace)
     elif strategy == "naive":
         everywhere = run_naive_broadcast(scenario, seed=seed + 1, trace=trace)
     else:
         raise ValueError(f"unknown composition strategy {strategy!r}")
 
-    return ComposedBAResult(
+    return BAResult(
         gstring=scenario.gstring,
         scenario=scenario,
         ae_result=ae_result,

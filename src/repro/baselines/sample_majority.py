@@ -27,10 +27,10 @@ from typing import Dict, Optional, Set
 
 from repro.core.messages import AnswerMessage
 from repro.core.scenario import AERScenario
+from repro.net.kernel import AdversaryProtocol
 from repro.net.messages import Message, SizeModel
 from repro.net.node import Node
 from repro.net.results import SimulationResult
-from repro.net.simulator import AdversaryProtocol
 from repro.net.sync import SynchronousSimulator
 
 

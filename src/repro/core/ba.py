@@ -8,24 +8,23 @@ The paper's headline protocol is a two-stage composition:
 2. the **AER** stage (Section 3), which propagates ``gstring`` from almost
    everywhere to everywhere, again at poly-log amortized cost.
 
-:class:`BAProtocol` performs exactly this composition: it runs the
-almost-everywhere phase under the synchronous scheduler, converts its outcome
-into an :class:`~repro.core.scenario.AERScenario`, runs AER (synchronously or
-asynchronously, with an optional adversary in each phase), and reports the
-combined complexity figures that the Figure 1b benchmark prints.
+:class:`BAProtocol` is exactly that: it draws the corrupt set, calls
+:func:`repro.ae.protocol.run_ae_stage`, hands the scenario it leaves to
+:func:`repro.runner.run_aer` (synchronously or asynchronously, with an
+optional adversary) and returns both stage results as a :class:`BAResult`.
+Adding the stages up is :meth:`repro.protocols.base.RunResult.from_stages`'s
+job, not this module's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.core.config import AERConfig
-from repro.core.scenario import AERScenario, build_aer_nodes
-from repro.net.asynchronous import AsynchronousSimulator
+from repro.core.scenario import AERScenario
 from repro.net.results import SimulationResult
 from repro.net.rng import derive_rng
-from repro.net.sync import SynchronousSimulator
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,9 @@ class BAConfig:
 
     ``ae_committee_multiplier`` / ``quorum_multiplier`` feed the sub-protocol
     configurations; ``t`` is the number of corrupted nodes (``⌊n/6⌋`` by
-    default — see the note on finite-``n`` constants in ``run_aer_experiment``
-    and EXPERIMENTS.md; the bound tolerated asymptotically is ``(1/3 − ε)n``).
+    default — see the note on finite-``n`` constants on
+    :class:`repro.protocols.builtin.AERProtocolAdapter` and EXPERIMENTS.md;
+    the bound tolerated asymptotically is ``(1/3 − ε)n``).
     """
 
     n: int
@@ -55,72 +55,33 @@ class BAConfig:
 
 @dataclass(frozen=True)
 class BAResult:
-    """Outcome of one composed run.
+    """Outcome of one ae-stage + everywhere-stage composition.
 
-    The combined complexity figures add the two stages together; per-node
-    loads are added node-wise (both stages run on the same identities), so
-    ``max_node_bits`` is exact.
+    A plain pair of stage results (the everywhere stage is AER here, a
+    baseline in :func:`repro.baselines.composed_ba.run_composed_ba`); the
+    combined complexity figures are derived from the two in exactly one
+    place, :meth:`repro.protocols.base.RunResult.from_stages`.
     """
 
     gstring: str
     scenario: AERScenario
     ae_result: SimulationResult
-    aer_result: SimulationResult
+    everywhere_result: SimulationResult
 
     @property
     def agreement_reached(self) -> bool:
         """Every correct node decided, and on the same value."""
-        return self.aer_result.agreement_reached
+        return self.everywhere_result.agreement_reached
 
     @property
     def decided_value(self) -> Optional[object]:
         """The common decision (``None`` if agreement failed)."""
-        return self.aer_result.agreement_value()
+        return self.everywhere_result.agreement_value()
 
     @property
     def knowledge_fraction_after_ae(self) -> float:
         """Fraction of all nodes that were correct and knew ``gstring`` after stage 1."""
         return self.scenario.knowledge_fraction_of_all
-
-    @property
-    def total_bits(self) -> int:
-        """Total bits exchanged across both stages."""
-        return self.ae_result.metrics.total_bits + self.aer_result.metrics.total_bits
-
-    @property
-    def amortized_bits(self) -> float:
-        """Total bits divided by ``n`` — the paper's amortized communication measure."""
-        return self.total_bits / self.ae_result.n
-
-    @property
-    def total_rounds(self) -> float:
-        """Rounds of stage 1 plus rounds (or normalized span) of stage 2."""
-        stage1 = self.ae_result.rounds or 0
-        stage2 = (
-            self.aer_result.rounds
-            if self.aer_result.rounds is not None
-            else (self.aer_result.span or 0.0)
-        )
-        return stage1 + stage2
-
-    @property
-    def max_node_bits(self) -> int:
-        """Worst per-node load (sent + received bits) summed over both stages."""
-        combined: Dict[int, int] = dict(self.ae_result.metrics.per_node_bits)
-        for node_id, bits in self.aer_result.metrics.per_node_bits.items():
-            combined[node_id] = combined.get(node_id, 0) + bits
-        return max(combined.values()) if combined else 0
-
-    def row(self) -> Dict[str, float]:
-        """Flat dict used by the Figure 1b benchmark table."""
-        return {
-            "n": self.ae_result.n,
-            "agreement": int(self.agreement_reached),
-            "knowledge_after_ae": round(self.knowledge_fraction_after_ae, 3),
-            "total_rounds": round(self.total_rounds, 2),
-            "amortized_bits": round(self.amortized_bits, 1),
-            "max_node_bits": self.max_node_bits,
-        }
 
 
 class BAProtocol:
@@ -132,8 +93,6 @@ class BAProtocol:
         The composed-protocol parameters.
     byzantine_ids:
         Explicit corrupt set; drawn uniformly at random when omitted.
-    ae_adversary_factory:
-        Optional ``f(byzantine_ids, ae_config, tree) -> adversary`` for stage 1.
     aer_adversary_factory:
         Optional ``f(scenario, aer_config, samplers) -> adversary`` for stage 2.
     trace:
@@ -146,12 +105,10 @@ class BAProtocol:
         self,
         config: BAConfig,
         byzantine_ids=None,
-        ae_adversary_factory: Optional[Callable] = None,
         aer_adversary_factory: Optional[Callable] = None,
         trace=None,
     ) -> None:
         self.config = config
-        self.ae_adversary_factory = ae_adversary_factory
         self.aer_adversary_factory = aer_adversary_factory
         self.trace = trace
         rng = derive_rng(config.seed, "ba", config.n)
@@ -167,10 +124,9 @@ class BAProtocol:
     # ------------------------------------------------------------------
     def run(self) -> BAResult:
         """Run both stages and return the composed result."""
-        # Imported lazily to avoid a circular import between repro.core and repro.ae.
-        from repro.ae.committees import CommitteeTree
-        from repro.ae.config import AEConfig
-        from repro.ae.protocol import FINALIZE_ROUND, build_ae_nodes, scenario_from_ae_run
+        # Imported lazily: repro.ae and repro.runner both import repro.core.
+        from repro.ae.protocol import run_ae_stage
+        from repro.runner import run_aer
 
         config = self.config
         aer_config = AERConfig.for_system(
@@ -178,80 +134,38 @@ class BAProtocol:
             sampler_seed=config.seed,
             quorum_multiplier=config.quorum_multiplier,
         )
-        ae_defaults = AEConfig.for_system(
+        ae_result, scenario = run_ae_stage(
             config.n,
+            self.byzantine_ids,
+            aer_config.string_length,
             seed=config.seed,
-            committee_multiplier=config.ae_committee_multiplier,
-        )
-        # Stage 1 must generate strings of exactly the length AER expects.
-        ae_config = AEConfig(
-            n=ae_defaults.n,
-            committee_size=ae_defaults.committee_size,
-            string_length=aer_config.string_length,
-            seed=ae_defaults.seed,
-        )
-
-        # ---- stage 1: almost-everywhere agreement -------------------------
-        tree = CommitteeTree(ae_config)
-        ae_nodes = build_ae_nodes(ae_config, self.byzantine_ids, tree=tree)
-        ae_adversary = None
-        if self.ae_adversary_factory is not None:
-            ae_adversary = self.ae_adversary_factory(self.byzantine_ids, ae_config, tree)
-        ae_sim = SynchronousSimulator(
-            nodes=ae_nodes,
-            n=config.n,
-            adversary=ae_adversary,
-            seed=config.seed,
-            rushing=config.rushing,
-            max_rounds=config.max_rounds,
-            min_rounds=FINALIZE_ROUND + 1,
             size_model=aer_config.size_model(),
+            committee_multiplier=config.ae_committee_multiplier,
+            max_rounds=config.max_rounds,
             trace=self.trace,
         )
-        ae_result = ae_sim.run()
-        scenario = scenario_from_ae_run(
-            ae_nodes, config.n, self.byzantine_ids, aer_config.string_length
-        )
 
-        # ---- stage 2: AER ---------------------------------------------------
         samplers = aer_config.shared_samplers()
         if self.trace is not None:
             self.trace.stage_boundary()
             self.trace.mark_string("gstring", scenario.gstring)
-        aer_nodes = build_aer_nodes(
-            scenario, aer_config, samplers=samplers, trace=self.trace
-        )
-        aer_adversary = None
+        adversary = None
         if self.aer_adversary_factory is not None:
-            aer_adversary = self.aer_adversary_factory(scenario, aer_config, samplers)
-
-        if config.aer_mode == "sync":
-            aer_sim = SynchronousSimulator(
-                nodes=aer_nodes,
-                n=config.n,
-                adversary=aer_adversary,
-                seed=config.seed + 1,
-                rushing=config.rushing,
-                max_rounds=config.max_rounds,
-                size_model=aer_config.size_model(),
-                trace=self.trace,
-            )
-        elif config.aer_mode == "async":
-            aer_sim = AsynchronousSimulator(
-                nodes=aer_nodes,
-                n=config.n,
-                adversary=aer_adversary,
-                seed=config.seed + 1,
-                size_model=aer_config.size_model(),
-                trace=self.trace,
-            )
-        else:
-            raise ValueError(f"unknown aer_mode {config.aer_mode!r}")
-        aer_result = aer_sim.run()
-
+            adversary = self.aer_adversary_factory(scenario, aer_config, samplers)
+        aer_result = run_aer(
+            scenario,
+            config=aer_config,
+            adversary=adversary,
+            mode=config.aer_mode,
+            rushing=config.rushing,
+            seed=config.seed + 1,
+            max_rounds=config.max_rounds,
+            samplers=samplers,
+            trace=self.trace,
+        )
         return BAResult(
             gstring=scenario.gstring,
             scenario=scenario,
             ae_result=ae_result,
-            aer_result=aer_result,
+            everywhere_result=aer_result,
         )

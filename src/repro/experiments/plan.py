@@ -77,9 +77,8 @@ def _canonical_faults(value) -> str:
 class ExperimentSpec:
     """One fully described experiment run of any registered protocol.
 
-    The knob fields (``adversary`` ... ``quorum_multiplier``) mirror
-    :func:`repro.runner.run_aer_experiment` and are shared by several
-    protocols; ``params`` carries protocol-specific extras (e.g.
+    The knob fields (``adversary`` ... ``quorum_multiplier``) are the ``aer``
+    adapter's parameters and are shared by several protocols; ``params`` carries protocol-specific extras (e.g.
     ``{"strategy": "naive"}`` for ``composed_ba``).  ``label`` is a free-form
     tag carried through to records (useful to mark series in a benchmark
     table).

@@ -38,7 +38,6 @@ from repro.net.node import Node, NodeContext
 from repro.net.results import SimulationResult
 from repro.net.rng import DeterministicRNG, derive_rng, stable_hash
 from repro.net.kernel import EventKernel
-from repro.net.simulator import Simulator
 from repro.net.sync import SynchronousSimulator
 from repro.net.asynchronous import AsynchronousSimulator, DelayPolicy, RandomDelayPolicy
 
@@ -53,7 +52,6 @@ __all__ = [
     "derive_rng",
     "stable_hash",
     "EventKernel",
-    "Simulator",
     "SynchronousSimulator",
     "AsynchronousSimulator",
     "DelayPolicy",

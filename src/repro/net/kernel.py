@@ -276,10 +276,6 @@ class EventKernel:
             node.bind(_NodeContext(self, node_id, rng))
         if adversary is not None:
             adversary.bind(AdversaryContext(self, derive_rng(seed, "adversary")))
-        #: bound per-node message handlers, saving an attribute lookup per delivery
-        self._on_message_of: Dict[int, object] = {
-            node_id: node.on_message for node_id, node in self.nodes.items()
-        }
         # Columnar delivery state: handlers and node objects in id-indexed
         # arrays, so the delivery inner loop is two list indexings instead of
         # dict lookups.  ``_id_limit`` covers every known identity (correct
@@ -325,21 +321,6 @@ class EventKernel:
     # ------------------------------------------------------------------
     # delivery
     # ------------------------------------------------------------------
-    def deliver(self, sender: int, dest: int, message: Message, bits: int) -> None:
-        """Hand a message to its recipient (correct node or adversary)."""
-        if self.faults is not None and self.faults.should_drop(sender, dest, self.now()):
-            return
-        self.metrics.record_delivery(dest, bits)
-        node = self.nodes.get(dest)
-        if node is not None:
-            node.on_message(sender, message)
-            self.note_decisions(dest)
-        elif self.adversary is not None and dest in self.byzantine_ids:
-            self.adversary.on_deliver(dest, sender, message)
-        # messages to ids that exist in neither set (possible when a protocol
-        # is run on a sub-population) are silently dropped, matching the model
-        # where such a node simply never replies.
-
     def intern_payload(self, message: Message) -> Message:
         """Return the canonical object for ``message`` (payload interning).
 

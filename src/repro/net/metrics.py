@@ -89,6 +89,40 @@ class MetricsSummary:
     decision_times: Dict[int, float]
     per_node_bits: Dict[int, int]
 
+    @staticmethod
+    def from_loads(
+        n: int,
+        total_messages: int,
+        total_bits: int,
+        per_node_bits: Dict[int, int],
+        decision_times: Dict[int, float],
+        rounds: Optional[int],
+        span: Optional[float],
+    ) -> "MetricsSummary":
+        """The one place the load statistics are derived.
+
+        ``total_messages`` / ``total_bits`` cover every sender;
+        ``per_node_bits`` and ``decision_times`` cover the nodes the
+        statistics are about (all of ``[0, n)``, or the correct ones).
+        """
+        loads = list(per_node_bits.values()) or [0]
+        median_load = statistics.median(loads)
+        max_load = max(loads)
+        return MetricsSummary(
+            n=n,
+            total_messages=total_messages,
+            total_bits=total_bits,
+            amortized_bits=total_bits / max(1, n),
+            max_node_bits=max_load,
+            median_node_bits=median_load,
+            mean_node_bits=statistics.fmean(loads),
+            load_imbalance=max_load / max(1.0, median_load),
+            rounds=rounds,
+            span=span,
+            decision_times=decision_times,
+            per_node_bits=per_node_bits,
+        )
+
     @property
     def max_decision_time(self) -> Optional[float]:
         """Latest decision time among correct nodes, or ``None`` if nobody decided."""
@@ -262,12 +296,6 @@ class MetricsCollector:
     def _total_bits_of(self, node_id: int) -> int:
         return self._sent_bits.get(node_id, 0) + self._received_bits.get(node_id, 0)
 
-    def per_node_bits(self, node_ids: Optional[List[int]] = None) -> Dict[int, int]:
-        """Return ``{node_id: sent+received bits}`` for the requested nodes."""
-        if node_ids is None:
-            node_ids = sorted(set(self._sent_bits) | set(self._received_bits))
-        return {node_id: self._total_bits_of(node_id) for node_id in node_ids}
-
     def summary(self, restrict_to: Optional[List[int]] = None) -> MetricsSummary:
         """Condense the recorded events into a :class:`MetricsSummary`.
 
@@ -280,38 +308,19 @@ class MetricsCollector:
             Totals (total bits/messages) always cover the whole system.
         """
         n = self.size_model.n
-        total_messages = sum(self._sent_messages.values())
-        total_bits = sum(self._sent_bits.values())
-
         if restrict_to is None:
             node_ids = list(range(n))
             decisions = dict(self._decision_times)
         else:
             node_ids = list(restrict_to)
-            decisions = {
-                i: t for i, t in self._decision_times.items() if i in set(restrict_to)
-            }
-        per_node = {i: self._total_bits_of(i) for i in node_ids}
-        loads = list(per_node.values())
-        if not loads:
-            loads = [0]
-
-        median_load = statistics.median(loads)
-        mean_load = statistics.fmean(loads)
-        max_load = max(loads)
-        imbalance = max_load / max(1.0, median_load)
-
-        return MetricsSummary(
-            n=n,
-            total_messages=total_messages,
-            total_bits=total_bits,
-            amortized_bits=total_bits / max(1, n),
-            max_node_bits=max_load,
-            median_node_bits=median_load,
-            mean_node_bits=mean_load,
-            load_imbalance=imbalance,
+            keep = set(node_ids)
+            decisions = {i: t for i, t in self._decision_times.items() if i in keep}
+        return MetricsSummary.from_loads(
+            n,
+            total_messages=sum(self._sent_messages.values()),
+            total_bits=sum(self._sent_bits.values()),
+            per_node_bits={i: self._total_bits_of(i) for i in node_ids},
+            decision_times=decisions,
             rounds=self._rounds,
             span=self._span,
-            decision_times=decisions,
-            per_node_bits=per_node,
         )

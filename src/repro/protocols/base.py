@@ -1,13 +1,13 @@
 """The protocol-adapter contract and the normalized run result.
 
 The repo implements several protocols with heterogeneous native result types
-(:class:`~repro.net.results.SimulationResult` for single-stage runs,
-:class:`~repro.core.ba.BAResult` / ``ComposedBAResult`` for two-stage
-compositions).  To compare them in one Figure-1-style table — and to fan any
-mix of them across sweep workers with one JSON schema — every protocol is
-wrapped in a :class:`ProtocolAdapter` that returns a :class:`RunResult`: one
-flat record with the paper's metrics columns (bits, rounds, per-node load,
-agreement), regardless of how the underlying protocol reports them.
+(:class:`~repro.net.results.SimulationResult` for single-stage runs, the
+two-stage :class:`~repro.core.ba.BAResult` for the compositions).  To compare
+them in one Figure-1-style table — and to fan any mix of them across sweep
+workers with one JSON schema — every protocol is wrapped in a
+:class:`ProtocolAdapter` that returns a :class:`RunResult`: one flat record
+with the paper's metrics columns (bits, rounds, per-node load, agreement),
+regardless of how the underlying protocol reports them.
 
 Adding a protocol is one class::
 
@@ -79,8 +79,9 @@ class RunResult:
     total_messages / total_bits:
         Totals over *all* traffic, including Byzantine senders.
     amortized_bits:
-        Correct-node total bits divided by ``n`` — the paper's amortized
-        communication complexity.
+        :attr:`total_bits` divided by ``n`` — the paper's amortized
+        communication complexity (every sender's bits: the collector's
+        totals are never restricted to correct nodes).
     max_node_bits / median_node_bits / load_imbalance:
         Per-node load distribution over correct nodes (stage-summed node-wise
         for compositions), behind Figure 1a's "Load-Balanced" row.
@@ -203,7 +204,7 @@ class RunResult:
         loads = sorted(combined.values())
         max_node_bits = loads[-1] if loads else 0
         median_node_bits = float(statistics.median(loads)) if loads else 0.0
-        total_correct_bits = sum(stage.metrics.total_bits for stage in stages)
+        total_bits = sum(stage.metrics_all.total_bits for stage in stages)
         return RunResult(
             protocol=protocol,
             n=n,
@@ -214,8 +215,8 @@ class RunResult:
             span=final.span,
             max_decision_time=final.metrics.max_decision_time,
             total_messages=sum(s.metrics_all.total_messages for s in stages),
-            total_bits=sum(s.metrics_all.total_bits for s in stages),
-            amortized_bits=total_correct_bits / n,
+            total_bits=total_bits,
+            amortized_bits=total_bits / n,
             max_node_bits=max_node_bits,
             median_node_bits=median_node_bits,
             load_imbalance=max_node_bits / max(1.0, median_node_bits),
@@ -348,6 +349,13 @@ class ProtocolAdapter:
                 raise ValueError(
                     f"unknown parameter {key!r} for protocol {self.name!r} "
                     f"(accepted: {', '.join(sorted(self.params))})"
+                )
+        if "t" in self.params:
+            t = self.resolve_params(spec)["t"]
+            if t is not None and not 0 <= t < spec.n:  # type: ignore[operator]
+                raise ValueError(
+                    f"t must satisfy 0 <= t < n: at least one node stays "
+                    f"correct (got t={t} with n={spec.n})"
                 )
 
     def relax_spec(self, spec: "ExperimentSpec") -> "ExperimentSpec":

@@ -17,9 +17,10 @@ input scenario from the same generator with the same seed, so a cross-protocol
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from functools import partial
+from typing import Dict, Optional, Tuple
 
-from repro.core.ba import BAConfig, BAProtocol
+from repro.core.ba import BAConfig, BAProtocol, BAResult
 from repro.core.config import AERConfig
 from repro.core.scenario import AERScenario
 from repro.faults import injector_for_spec
@@ -38,6 +39,50 @@ def _gstring_extras(result: SimulationResult, scenario: AERScenario) -> Dict[str
     }
 
 
+def _config_and_scenario(spec, p, **config_options) -> Tuple[AERConfig, AERScenario]:
+    """``n → (config, scenario)``, derived once for AER and the baselines.
+
+    Every scenario-driven adapter goes through here with the same seed, so a
+    cross-protocol comparison runs on identical almost-everywhere states.
+    """
+    n, seed = spec.n, spec.seed
+    t = p["t"] if p["t"] is not None else max(1, n // 6)
+    config = AERConfig.for_system(n, sampler_seed=seed, **config_options)
+    scenario = make_scenario_by_name(
+        str(p["scenario"]),
+        n,
+        config,
+        seed,
+        t=t,
+        knowledge_fraction=p["knowledge_fraction"],
+        wrong_candidate_mode=p["wrong_candidate_mode"],
+    )
+    return config, scenario
+
+
+def _traced(run_result: RunResult, trace) -> RunResult:
+    """Attach the collector's condensed block when the spec asked for one."""
+    return run_result if trace is None else run_result.with_trace(trace.finalize())
+
+
+def _ae_extras(result: BAResult) -> Dict[str, object]:
+    """Scalars every ae-stage composition reports alongside the metrics."""
+    return {
+        "knowledge_after_ae": round(result.knowledge_fraction_after_ae, 4),
+        "decided_gstring": round(
+            result.everywhere_result.fraction_decided(result.gstring), 4
+        ),
+        "ae_rounds": result.ae_result.rounds,
+    }
+
+
+def _composition(name: str, result: BAResult, extras: Dict[str, object], trace) -> RunResult:
+    """Both stage results go to :meth:`RunResult.from_stages`, the only place
+    stages are added up."""
+    stages = (result.ae_result, result.everywhere_result)
+    return _traced(RunResult.from_stages(name, stages, raw=result, extras=extras), trace)
+
+
 def _resolve_delay_policy(params: Dict[str, object]) -> Optional[DelayPolicy]:
     name = params.get("delay_policy")
     if not name:
@@ -48,7 +93,18 @@ def _resolve_delay_policy(params: Dict[str, object]) -> Optional[DelayPolicy]:
 
 @register_protocol
 class AERProtocolAdapter(ProtocolAdapter):
-    """The paper's AER protocol on a named scenario generator."""
+    """The paper's AER protocol on a named scenario generator.
+
+    The defaults (``t = n/6`` corrupted nodes, 78% of all nodes correct and
+    knowledgeable — i.e. essentially all correct nodes, which the paper's
+    "all but a 1/4 fraction of the correct nodes know gstring" formulation
+    allows) satisfy the protocol's assumptions with a comfortable margin at
+    the laptop-scale ``n`` used in the experiments.  The asymptotic bound
+    ``t < (1/3 − ε)n`` with knowledge barely above ``n/2`` requires quorums
+    of ``c log n`` nodes for a much larger constant ``c`` than is practical
+    at small ``n``; the stress benchmarks sweep these margins explicitly and
+    EXPERIMENTS.md discusses the constants.
+    """
 
     name = "aer"
     description = "AER almost-everywhere-to-everywhere agreement (the paper's Section 3)"
@@ -95,31 +151,18 @@ class AERProtocolAdapter(ProtocolAdapter):
             )
 
     def run(self, spec) -> RunResult:
-        # The parameter resolution below mirrors repro.runner.run_aer_experiment
-        # call for call, so the default path stays byte-identical to it (the
-        # golden tests pin that path); the scenario generator and the delay
-        # policy are the two extension points the plain runner does not have.
+        # Looked up on repro.runner at call time (not imported at module
+        # level) so wrappers installed on that module are seen.
         from repro.runner import make_adversary, run_aer
 
         p = self.resolve_params(spec)
-        n, seed = spec.n, spec.seed
-        t = p["t"] if p["t"] is not None else max(1, n // 6)
-        config = AERConfig.for_system(
-            n, sampler_seed=seed, quorum_multiplier=p["quorum_multiplier"]
+        config, scenario = _config_and_scenario(
+            spec, p, quorum_multiplier=p["quorum_multiplier"]
         )
         if p["answer_budget"] is not None:
             # The Algorithm 3 budget ablation knob; scenario and samplers are
             # unaffected (neither depends on the budget).
             config = config.with_(answer_budget=int(p["answer_budget"]))  # type: ignore[call-overload]
-        scenario = make_scenario_by_name(
-            str(p["scenario"]),
-            n,
-            config,
-            seed,
-            t=t,
-            knowledge_fraction=p["knowledge_fraction"],
-            wrong_candidate_mode=p["wrong_candidate_mode"],
-        )
         if spec.backend == "vectorized":
             # validate() already pinned sync mode, no rushing, no trace and a
             # supported adversary; the vectorized engine resolves the
@@ -129,7 +172,7 @@ class AERProtocolAdapter(ProtocolAdapter):
                 scenario,
                 config=config,
                 adversary_name=str(p["adversary"]),
-                seed=seed,
+                seed=spec.seed,
                 max_rounds=int(p["max_rounds"]),  # type: ignore[call-overload]
                 backend="vectorized",
                 vec_memory_mb=(
@@ -151,7 +194,7 @@ class AERProtocolAdapter(ProtocolAdapter):
             adversary=adversary,
             mode=str(p["mode"]),
             rushing=bool(p["rushing"]),
-            seed=seed,
+            seed=spec.seed,
             max_rounds=int(p["max_rounds"]),  # type: ignore[call-overload]
             delay_policy=_resolve_delay_policy(p),
             samplers=samplers,
@@ -167,10 +210,7 @@ class AERProtocolAdapter(ProtocolAdapter):
             forced = getattr(adversary, "total_forced", None)
             if forced is not None:
                 extras["strings_forced"] = int(forced)
-            return RunResult.from_simulation(self.name, result, extras).with_trace(
-                trace.finalize()
-            )
-        return RunResult.from_simulation(self.name, result, extras)
+        return _traced(RunResult.from_simulation(self.name, result, extras), trace)
 
 
 @register_protocol
@@ -205,30 +245,14 @@ class FullBAAdapter(ProtocolAdapter):
             ae_committee_multiplier=float(p["ae_committee_multiplier"]),  # type: ignore[arg-type]
             max_rounds=int(p["max_rounds"]),  # type: ignore[call-overload]
         )
-        aer_adversary_factory = None
-        adversary_name = str(p["adversary"])
-        if adversary_name != "none":
-            def aer_adversary_factory(scenario, aer_config, samplers):
-                return make_adversary(adversary_name, scenario, aer_config, samplers)
-
         trace = collector_for_spec(spec)
         result = BAProtocol(
-            config, aer_adversary_factory=aer_adversary_factory, trace=trace
+            config,
+            aer_adversary_factory=partial(make_adversary, str(p["adversary"])),
+            trace=trace,
         ).run()
-        extras = {
-            "knowledge_after_ae": round(result.knowledge_fraction_after_ae, 4),
-            "decided_gstring": round(
-                result.aer_result.fraction_decided(result.gstring), 4
-            ),
-            "ae_rounds": result.ae_result.rounds,
-            "aer_rounds": result.aer_result.rounds,
-        }
-        run_result = RunResult.from_stages(
-            self.name, (result.ae_result, result.aer_result), raw=result, extras=extras
-        )
-        if trace is not None:
-            run_result = run_result.with_trace(trace.finalize())
-        return run_result
+        extras = {**_ae_extras(result), "aer_rounds": result.everywhere_result.rounds}
+        return _composition(self.name, result, extras, trace)
 
 
 @register_protocol
@@ -261,23 +285,8 @@ class ComposedBAAdapter(ProtocolAdapter):
             max_rounds=int(p["max_rounds"]),  # type: ignore[call-overload]
             trace=trace,
         )
-        extras = {
-            "strategy": str(p["strategy"]),
-            "knowledge_after_ae": round(result.scenario.knowledge_fraction_of_all, 4),
-            "decided_gstring": round(
-                result.everywhere_result.fraction_decided(result.gstring), 4
-            ),
-            "ae_rounds": result.ae_result.rounds,
-        }
-        run_result = RunResult.from_stages(
-            self.name,
-            (result.ae_result, result.everywhere_result),
-            raw=result,
-            extras=extras,
-        )
-        if trace is not None:
-            run_result = run_result.with_trace(trace.finalize())
-        return run_result
+        extras = {"strategy": str(p["strategy"]), **_ae_extras(result)}
+        return _composition(self.name, result, extras, trace)
 
 
 class _ScenarioBaselineAdapter(ProtocolAdapter):
@@ -294,24 +303,8 @@ class _ScenarioBaselineAdapter(ProtocolAdapter):
         "max_rounds": 16,
     }
 
-    def _scenario(self, spec, p) -> AERScenario:
-        n, seed = spec.n, spec.seed
-        t = p["t"] if p["t"] is not None else max(1, n // 6)
-        # Same config/scenario derivation as the AER adapter, so cross-protocol
-        # comparisons run on identical almost-everywhere input states.
-        config = AERConfig.for_system(n, sampler_seed=seed)
-        scenario = make_scenario_by_name(
-            str(p["scenario"]),
-            n,
-            config,
-            seed,
-            t=t,
-            knowledge_fraction=p["knowledge_fraction"],
-            wrong_candidate_mode=p["wrong_candidate_mode"],
-        )
-        return scenario
-
-    def _adversary(self, spec, p, scenario: AERScenario):
+    @staticmethod
+    def _adversary(p, scenario: AERScenario, aer_config: AERConfig):
         """Resolve the adversary knob against the baseline's scenario.
 
         The registered strategies are written against AER's message types;
@@ -324,8 +317,7 @@ class _ScenarioBaselineAdapter(ProtocolAdapter):
             return None
         from repro.runner import make_adversary
 
-        config = AERConfig.for_system(spec.n, sampler_seed=spec.seed)
-        return make_adversary(name, scenario, config, config.shared_samplers())
+        return make_adversary(name, scenario, aer_config, aer_config.shared_samplers())
 
 
 @register_protocol
@@ -358,7 +350,7 @@ class SampleMajorityAdapter(_ScenarioBaselineAdapter):
         )
 
         p = self.resolve_params(spec)
-        scenario = self._scenario(spec, p)
+        aer_config, scenario = _config_and_scenario(spec, p)
         config = SampleMajorityConfig.for_system(
             spec.n,
             string_length=len(scenario.gstring),
@@ -381,17 +373,15 @@ class SampleMajorityAdapter(_ScenarioBaselineAdapter):
         result = run_sample_majority(
             scenario,
             config=config,
-            adversary=self._adversary(spec, p, scenario),
+            adversary=self._adversary(p, scenario, aer_config),
             seed=spec.seed,
             max_rounds=int(p["max_rounds"]),  # type: ignore[call-overload]
             trace=trace,
         )
-        run_result = RunResult.from_simulation(
-            self.name, result, _gstring_extras(result, scenario)
+        return _traced(
+            RunResult.from_simulation(self.name, result, _gstring_extras(result, scenario)),
+            trace,
         )
-        if trace is not None:
-            run_result = run_result.with_trace(trace.finalize())
-        return run_result
 
 
 @register_protocol
@@ -406,21 +396,19 @@ class NaiveBroadcastAdapter(_ScenarioBaselineAdapter):
         from repro.baselines.naive_broadcast import run_naive_broadcast
 
         p = self.resolve_params(spec)
-        scenario = self._scenario(spec, p)
+        aer_config, scenario = _config_and_scenario(spec, p)
         trace = collector_for_spec(spec)
         result = run_naive_broadcast(
             scenario,
-            adversary=self._adversary(spec, p, scenario),
+            adversary=self._adversary(p, scenario, aer_config),
             seed=spec.seed,
             max_rounds=int(p["max_rounds"]),  # type: ignore[call-overload]
             trace=trace,
         )
-        run_result = RunResult.from_simulation(
-            self.name, result, _gstring_extras(result, scenario)
+        return _traced(
+            RunResult.from_simulation(self.name, result, _gstring_extras(result, scenario)),
+            trace,
         )
-        if trace is not None:
-            run_result = run_result.with_trace(trace.finalize())
-        return run_result
 
 
 @register_protocol

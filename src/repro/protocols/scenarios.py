@@ -21,8 +21,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.ae.protocol import run_ae_stage
 from repro.core.config import AERConfig
 from repro.core.scenario import AERScenario, make_scenario
+from repro.net.messages import SizeModel
+from repro.net.rng import derive_rng
 from repro.registry import Registry
 
 #: named scenario-generator registry
@@ -81,37 +84,17 @@ def ae_generated_scenario(
     validated: whether the substrate achieved the ``> 1/2`` knowledge
     precondition is itself an experimental outcome.
     """
-    # Imported lazily: repro.ae sits beside (not below) this layer.
-    from repro.ae.committees import CommitteeTree
-    from repro.ae.config import AEConfig
-    from repro.ae.protocol import FINALIZE_ROUND, build_ae_nodes, scenario_from_ae_run
-    from repro.net.messages import SizeModel
-    from repro.net.rng import derive_rng
-    from repro.net.sync import SynchronousSimulator
-
     if t is None:
         t = max(1, n // 6)
     rng = derive_rng(seed, "scenario-from-ae", n)
     byzantine_ids = frozenset(rng.sample(range(n), t))
-
-    ae_defaults = AEConfig.for_system(
-        n, seed=seed, committee_multiplier=ae_committee_multiplier
-    )
-    ae_config = AEConfig(
-        n=n,
-        committee_size=ae_defaults.committee_size,
-        string_length=config.string_length,
+    _, scenario = run_ae_stage(
+        n,
+        byzantine_ids,
+        config.string_length,
         seed=seed,
-    )
-    tree = CommitteeTree(ae_config)
-    ae_nodes = build_ae_nodes(ae_config, byzantine_ids, tree=tree)
-    simulator = SynchronousSimulator(
-        nodes=ae_nodes,
-        n=n,
-        seed=seed,
-        max_rounds=max_rounds,
-        min_rounds=FINALIZE_ROUND + 1,
         size_model=SizeModel(n=n),
+        committee_multiplier=ae_committee_multiplier,
+        max_rounds=max_rounds,
     )
-    simulator.run()
-    return scenario_from_ae_run(ae_nodes, n, byzantine_ids, config.string_length)
+    return scenario

@@ -1,9 +1,13 @@
-"""High-level experiment runners.
+"""The AER stage runner.
 
-The examples, tests and benchmarks all drive the system through this module:
-build a scenario, pick an adversary by name, run AER under the synchronous or
-asynchronous scheduler, get a :class:`~repro.net.results.SimulationResult`
-back.  Everything is a pure function of the explicit seed.
+:func:`run_aer` is the one place AER nodes are handed to a scheduler: given a
+scenario (synthesised, or left behind by :func:`repro.ae.protocol.run_ae_stage`),
+it builds the correct population, picks the synchronous or asynchronous
+simulator — or the vectorized backend — and returns a
+:class:`~repro.net.results.SimulationResult`.  :func:`make_adversary` resolves
+an adversary strategy by registry name against that scenario.  Everything is
+a pure function of the explicit seed; "``n`` → result" is
+``ExperimentSpec(n=...).run()``.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ import repro.adversary  # noqa: F401
 from repro.adversary.base import Adversary, AdversaryKnowledge
 from repro.adversary.registry import resolve_adversary
 from repro.core.config import AERConfig, SamplerSuite
-from repro.core.scenario import AERScenario, build_aer_nodes, make_scenario
+from repro.core.scenario import AERScenario, build_aer_nodes
 from repro.net.asynchronous import AsynchronousSimulator, DelayPolicy
 from repro.net.results import SimulationResult
 from repro.net.sync import SynchronousSimulator
+
 
 def make_adversary(
     name: str,
@@ -154,80 +159,3 @@ def run_aer(
     else:
         raise ValueError(f"unknown mode {mode!r} (expected 'sync' or 'async')")
     return simulator.run()
-
-
-def run_aer_experiment(
-    n: int,
-    adversary_name: str = "none",
-    mode: str = "sync",
-    rushing: bool = False,
-    seed: int = 0,
-    t: Optional[int] = None,
-    knowledge_fraction: float = 0.78,
-    wrong_candidate_mode: str = "random",
-    quorum_multiplier: float = 2.0,
-    delay_policy: Optional[DelayPolicy] = None,
-    max_rounds: int = 64,
-    backend: str = "message",
-    faults=None,
-    vec_memory_mb: Optional[float] = None,
-) -> SimulationResult:
-    """One-call experiment: synthesise a scenario, pick an adversary, run AER.
-
-    This is the entry point the benchmarks sweep over ``n``; every choice is
-    derived deterministically from ``seed``.
-
-    The defaults (``t = n/6`` corrupted nodes, 78% of all nodes correct and
-    knowledgeable — i.e. essentially all correct nodes, which the paper's
-    "all but a 1/4 fraction of the correct nodes know gstring" formulation
-    allows) satisfy the protocol's assumptions with a comfortable margin at
-    the laptop-scale ``n`` used in the experiments.  The asymptotic bound
-    ``t < (1/3 − ε)n`` with knowledge barely above ``n/2`` requires quorums
-    of ``c log n`` nodes for a much larger constant ``c`` than is practical
-    at small ``n``; the stress benchmarks sweep these margins explicitly and
-    EXPERIMENTS.md discusses the constants.
-    """
-    if t is None:
-        t = max(1, n // 6)
-    config = AERConfig.for_system(n, sampler_seed=seed, quorum_multiplier=quorum_multiplier)
-    scenario = make_scenario(
-        n,
-        config=config,
-        t=t,
-        knowledge_fraction=knowledge_fraction,
-        wrong_candidate_mode=wrong_candidate_mode,
-        seed=seed,
-    )
-    if backend == "vectorized":
-        return run_aer(
-            scenario,
-            config=config,
-            adversary_name=adversary_name,
-            mode=mode,
-            rushing=rushing,
-            seed=seed,
-            max_rounds=max_rounds,
-            backend=backend,
-            faults=faults,
-            vec_memory_mb=vec_memory_mb,
-        )
-    if vec_memory_mb is not None:
-        raise ValueError(
-            "vec_memory_mb only applies to backend='vectorized'; the message "
-            "kernel has no chunked working set to budget"
-        )
-    samplers = config.shared_samplers()
-    adversary = make_adversary(adversary_name, scenario, config, samplers)
-    return run_aer(
-        scenario,
-        config=config,
-        adversary=adversary,
-        mode=mode,
-        rushing=rushing,
-        seed=seed,
-        max_rounds=max_rounds,
-        delay_policy=delay_policy,
-        samplers=samplers,
-        backend=backend,
-        faults=faults,
-    )

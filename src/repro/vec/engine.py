@@ -56,7 +56,6 @@ through a capture context so its own RNG usage is identical.
 
 from __future__ import annotations
 
-import statistics
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -151,41 +150,28 @@ def _summary_from_arrays(
     rounds: int,
     restrict_to: Optional[List[int]],
 ) -> MetricsSummary:
-    """Columnar equivalent of :meth:`repro.net.metrics.MetricsCollector.summary`.
+    """:meth:`repro.net.metrics.MetricsCollector.summary` from the engine's arrays.
 
-    Totals always cover every sender; per-node statistics cover
-    ``restrict_to`` (or all of ``[0, n)``), exactly like the collector.  All
-    values are converted to Python ints/floats so the summary serialises
-    identically to the message backend's.
+    Same selection as the collector — totals cover every sender, per-node
+    statistics cover ``restrict_to`` (or all of ``[0, n)``) — with every value
+    converted to Python ints/floats so the summary serialises identically to
+    the message backend's.
     """
-    total_bits_arr = sent_bits + recv_bits
+    loads = (sent_bits + recv_bits).tolist()
     if restrict_to is None:
-        node_ids = list(range(n))
+        per_node = dict(enumerate(loads))
         decisions = dict(decision_times)
     else:
-        node_ids = list(restrict_to)
-        keep = set(restrict_to)
-        decisions = {i: t for i, t in decision_times.items() if i in keep}
-    loads = [int(total_bits_arr[i]) for i in node_ids]
-    per_node = dict(zip(node_ids, loads))
-    if not loads:
-        loads = [0]
-    median_load = statistics.median(loads)
-    mean_load = statistics.fmean(loads)
-    max_load = max(loads)
-    return MetricsSummary(
-        n=n,
+        per_node = {i: loads[i] for i in restrict_to}
+        decisions = {i: t for i, t in decision_times.items() if i in per_node}
+    return MetricsSummary.from_loads(
+        n,
         total_messages=int(sent_msgs.sum()),
         total_bits=int(sent_bits.sum()),
-        amortized_bits=int(sent_bits.sum()) / max(1, n),
-        max_node_bits=max_load,
-        median_node_bits=median_load,
-        mean_node_bits=mean_load,
-        load_imbalance=max_load / max(1.0, median_load),
+        per_node_bits=per_node,
+        decision_times=decisions,
         rounds=rounds,
         span=None,
-        decision_times=decisions,
-        per_node_bits=per_node,
     )
 
 
@@ -932,12 +918,11 @@ def run_aer_vectorized(
     seed: int = 0,
     max_rounds: int = 64,
     tables: Optional[VecSamplerTables] = None,
-    use_numpy: Optional[bool] = None,
     memory_mb: Optional[float] = None,
 ) -> SimulationResult:
     """Run one synchronous AER execution on the vectorized backend.
 
-    Mirrors the message kernel's ``run_aer_experiment`` execution semantics
+    Mirrors the message kernel's ``run_aer`` execution semantics
     (synchronous, non-rushing, eager pull, no trace) for the adversaries in
     :data:`VEC_ADVERSARIES`; any other combination raises ``ValueError``.
 
@@ -954,7 +939,7 @@ def run_aer_vectorized(
     if config is None:
         config = AERConfig.for_system(scenario.n)
     if tables is None:
-        tables = tables_for(config, use_numpy)
+        tables = tables_for(config)
     run = _VecRun(scenario, config, adversary_name, seed, max_rounds, tables,
                   memory_mb=memory_mb)
     return run.run()

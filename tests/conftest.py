@@ -60,6 +60,24 @@ def medium_scenario(medium_config):
 
 
 @pytest.fixture(scope="session")
+def direct_aer_run():
+    """``f(n, adversary, mode, seed)``: an AER run built by hand from
+    ``make_scenario`` + ``run_aer`` with the ``aer`` adapter's defaults — the
+    independent check on the adapter's parameter resolution."""
+
+    def run(n, adversary="none", mode="sync", seed=0):
+        config = AERConfig.for_system(n, sampler_seed=seed)
+        scenario = make_scenario(
+            n, config=config, t=max(1, n // 6), knowledge_fraction=0.78, seed=seed
+        )
+        return run_aer(
+            scenario, config=config, adversary_name=adversary, mode=mode, seed=seed
+        )
+
+    return run
+
+
+@pytest.fixture(scope="session")
 def small_sync_result(small_scenario, small_config):
     """One failure-free synchronous AER run on the small scenario (reused by many tests)."""
     return run_aer(small_scenario, config=small_config, adversary_name="none", seed=11)

@@ -19,7 +19,7 @@ from repro.adversary.strategies import (
 )
 from repro.core.messages import PollMessage
 from repro.net.asynchronous import MIN_DELAY
-from repro.net.simulator import SendRecord
+from repro.net.kernel import SendRecord
 from repro.runner import make_adversary, run_aer
 
 

@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 from repro.ae.coin import combine_contributions, fraction_agreeing, majority_string, xor_strings
 from repro.ae.committees import CommitteeTree
 from repro.ae.config import AEConfig
-from repro.ae.protocol import FINALIZE_ROUND, build_ae_nodes, scenario_from_ae_run
+from repro.ae.protocol import (
+    FINALIZE_ROUND,
+    build_ae_nodes,
+    run_ae_stage,
+    scenario_from_ae_run,
+)
 from repro.net.messages import SizeModel
 from repro.net.rng import derive_rng
 from repro.net.sync import SynchronousSimulator
@@ -206,3 +211,8 @@ class TestAEConfig:
 
     def test_string_length_matches_default(self):
         assert AEConfig.for_system(256).string_length == 32
+
+
+def test_run_ae_stage_refuses_an_empty_correct_population():
+    with pytest.raises(ValueError, match="at least one correct node"):
+        run_ae_stage(16, range(16), 16, seed=0, size_model=SizeModel(n=16))

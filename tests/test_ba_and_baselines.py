@@ -8,6 +8,7 @@ from repro.baselines.naive_broadcast import run_naive_broadcast
 from repro.baselines.sample_majority import SampleMajorityConfig, run_sample_majority
 from repro.baselines.composed_ba import run_composed_ba
 from repro.core.ba import BAConfig, BAProtocol
+from repro.experiments.plan import ExperimentSpec
 
 
 class TestBAConfig:
@@ -30,25 +31,30 @@ class TestBAProtocol:
     def test_knowledge_after_ae_exceeds_half(self, ba_result):
         assert ba_result.knowledge_fraction_after_ae > 0.5
 
-    def test_combined_metrics_add_up(self, ba_result):
-        assert ba_result.total_bits == (
+    @pytest.fixture(scope="class")
+    def run_result(self):
+        """The adapter's record of the same run: the stage sums live there."""
+        return ExperimentSpec(n=64, protocol="full_ba", seed=3).run()
+
+    def test_combined_metrics_add_up(self, run_result, ba_result):
+        assert run_result.total_bits == (
             ba_result.ae_result.metrics.total_bits
-            + ba_result.aer_result.metrics.total_bits
+            + ba_result.everywhere_result.metrics.total_bits
         )
-        assert ba_result.amortized_bits == pytest.approx(ba_result.total_bits / 64)
+        assert run_result.amortized_bits == pytest.approx(run_result.total_bits / 64)
 
-    def test_total_rounds_combines_stages(self, ba_result):
-        assert ba_result.total_rounds == (
-            (ba_result.ae_result.rounds or 0) + (ba_result.aer_result.rounds or 0)
+    def test_total_rounds_combines_stages(self, run_result, ba_result):
+        assert run_result.rounds == (
+            (ba_result.ae_result.rounds or 0) + (ba_result.everywhere_result.rounds or 0)
         )
 
-    def test_max_node_bits_at_least_each_stage(self, ba_result):
-        assert ba_result.max_node_bits >= ba_result.aer_result.metrics.max_node_bits
+    def test_max_node_bits_at_least_each_stage(self, run_result, ba_result):
+        assert run_result.max_node_bits >= ba_result.everywhere_result.metrics.max_node_bits
 
-    def test_row_is_flat(self, ba_result):
-        row = ba_result.row()
+    def test_row_is_flat(self, run_result):
+        row = run_result.to_dict()
         assert row["n"] == 64
-        assert row["agreement"] == 1
+        assert row["agreement"] is True
 
     def test_gstring_has_expected_length(self, ba_result):
         assert len(ba_result.gstring) == len(ba_result.scenario.gstring)
@@ -57,11 +63,11 @@ class TestBAProtocol:
         byz = frozenset(range(8))
         result = BAProtocol(BAConfig(n=64, seed=4), byzantine_ids=byz).run()
         assert set(result.scenario.byzantine_ids) == set(byz)
-        assert not set(result.aer_result.decisions) & byz
+        assert not set(result.everywhere_result.decisions) & byz
 
     def test_async_aer_stage(self):
         result = BAProtocol(BAConfig(n=48, seed=6, aer_mode="async")).run()
-        assert result.aer_result.span is not None
+        assert result.everywhere_result.span is not None
         assert result.agreement_reached
 
     def test_invalid_mode_rejected(self):
@@ -72,7 +78,7 @@ class TestBAProtocol:
         a = BAProtocol(BAConfig(n=48, seed=9)).run()
         b = BAProtocol(BAConfig(n=48, seed=9)).run()
         assert a.gstring == b.gstring
-        assert a.total_bits == b.total_bits
+        assert a.everywhere_result.metrics == b.everywhere_result.metrics
 
 
 class TestSampleMajorityBaseline:
@@ -130,8 +136,8 @@ class TestComposedBA:
     def test_sample_majority_composition(self):
         result = run_composed_ba(64, strategy="sample_majority", seed=2)
         assert result.agreement_reached
-        assert result.total_rounds >= 2
-        assert result.amortized_bits > 0
+        assert result.ae_result.rounds + result.everywhere_result.rounds >= 2
+        assert result.everywhere_result.metrics.amortized_bits > 0
 
     def test_naive_composition(self):
         result = run_composed_ba(64, strategy="naive", seed=2)
@@ -149,7 +155,12 @@ class TestComposedBA:
         ) * 0.8  # naive is at least in the same ballpark or worse
 
     def test_row_contents(self):
-        result = run_composed_ba(48, strategy="naive", seed=1)
-        row = result.row()
-        assert row["n"] == 48
-        assert set(row) >= {"agreement", "total_rounds", "amortized_bits", "max_node_bits"}
+        result = ExperimentSpec(
+            n=48, protocol="composed_ba", seed=1, params={"strategy": "naive"}
+        ).run()
+        stages = (result.raw.ae_result, result.raw.everywhere_result)
+        assert result.n == 48
+        assert result.rounds == sum(stage.rounds for stage in stages)
+        assert result.amortized_bits == pytest.approx(
+            sum(stage.metrics.total_bits for stage in stages) / 48
+        )

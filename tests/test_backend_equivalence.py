@@ -25,7 +25,6 @@ from repro.analysis.statistics import (
 )
 from repro.experiments.plan import ExperimentPlan, ExperimentSpec
 from repro.protocols import get_protocol
-from repro.runner import run_aer_experiment
 
 
 class TestGoldenEquality:
@@ -72,9 +71,11 @@ class TestGoldenEquality:
         with pytest.raises(ValueError, match="rushing"):
             run_aer(scenario, config=config, rushing=True, backend="vectorized")
 
-    def test_runner_unknown_backend(self):
+    def test_runner_unknown_backend(self, small_scenario, small_config):
+        from repro.runner import run_aer
+
         with pytest.raises(ValueError, match="unknown backend"):
-            run_aer_experiment(32, backend="warp")
+            run_aer(small_scenario, config=small_config, backend="warp")
 
 
 class TestBackendSpecPlumbing:

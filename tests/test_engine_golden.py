@@ -24,14 +24,15 @@ from dataclasses import fields
 import pytest
 
 from repro.experiments.plan import ExperimentSpec
-from repro.runner import run_aer_experiment
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "engine_golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
-#: legacy positional-key cases vs PR-8 fault cases (these carry a "spec" dict)
+#: legacy positional-key cases vs the spec-keyed ones (these carry a "spec"
+#: dict): PR-8 fault cases, and the composition cases pinning a full "result"
 LEGACY_CASES = sorted(k for k, v in GOLDEN.items() if "spec" not in v)
-FAULT_CASES = sorted(k for k, v in GOLDEN.items() if "spec" in v)
+FAULT_CASES = sorted(k for k, v in GOLDEN.items() if "spec" in v and "result" not in v)
+COMPOSITION_CASES = sorted(k for k, v in GOLDEN.items() if "result" in v)
 
 
 def _parse_case(key: str):
@@ -46,9 +47,9 @@ def test_engine_reproduces_golden_case(case_key):
     mode, rushing, adversary, n, seed = _parse_case(case_key)
     expected = GOLDEN[case_key]
 
-    result = run_aer_experiment(
-        n, adversary_name=adversary, mode=mode, rushing=rushing, seed=seed
-    )
+    result = ExperimentSpec(
+        n=n, adversary=adversary, mode=mode, rushing=rushing, seed=seed
+    ).run().raw
 
     assert {str(i): v for i, v in result.decisions.items()} == expected["decisions"]
     assert result.rounds == expected["rounds"]
@@ -93,6 +94,22 @@ def test_engine_reproduces_golden_fault_case(case_key):
         k: v for k, v in result.extras.items() if k.startswith("fault_")
     }
     assert fault_extras == expected["extras"]
+
+
+@pytest.mark.parametrize("case_key", COMPOSITION_CASES, ids=COMPOSITION_CASES)
+def test_engine_reproduces_golden_composition_case(case_key):
+    """Every caller of the ae-stage is pinned on its full normalized record.
+
+    ``full_ba`` (sync, async, traced, rushing adversary), ``composed_ba`` with
+    both everywhere stages and ``aer`` on the ``from_ae`` scenario: the whole
+    ``RunResult.to_dict()`` — stage sums, node-wise load, extras, trace block —
+    must survive a JSON round trip equal to what the fixture recorded.
+    """
+    expected = GOLDEN[case_key]
+    spec = ExperimentSpec.from_dict(expected["spec"])
+
+    assert spec.to_dict() == expected["spec"]
+    assert json.loads(json.dumps(spec.run().to_dict())) == expected["result"]
 
 
 @pytest.mark.parametrize("mode", ["sync", "async"])

@@ -22,7 +22,6 @@ from repro.experiments import (
 from repro.dist import DistExecutor, active_coordinators
 from repro.experiments.cli import main as cli_main
 from repro.experiments.sweep import RUN_COUNTER, InlineExecutor, PoolExecutor
-from repro.runner import run_aer_experiment
 from repro.store import ResultStore, spec_key
 
 SMALL_PLAN = ExperimentPlan(
@@ -72,10 +71,10 @@ class TestPlan:
 
 
 class TestExecuteSpec:
-    def test_record_matches_direct_run(self):
+    def test_record_matches_direct_run(self, direct_aer_run):
         spec = ExperimentSpec(n=24, adversary="none", mode="sync", seed=3)
         record = execute_spec(spec)
-        result = run_aer_experiment(n=24, adversary_name="none", mode="sync", seed=3)
+        result = direct_aer_run(24, adversary="none", mode="sync", seed=3)
         assert record.agreement == result.agreement_reached
         assert record.rounds == result.rounds
         assert record.total_messages == result.metrics_all.total_messages

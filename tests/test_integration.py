@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import run_aer_experiment
+from repro.experiments.plan import ExperimentSpec
 from repro.core.config import AERConfig
 from repro.core.scenario import make_scenario
 from repro.runner import make_adversary, run_aer
@@ -106,7 +106,7 @@ class TestLiveness:
         decided_gstring = 0
         wrong = 0
         for seed in range(5):
-            result = run_aer_experiment(n=48, adversary_name="wrong_answer", seed=seed)
+            result = ExperimentSpec(n=48, adversary="wrong_answer", seed=seed).run().raw
             correct = len(result.correct_ids)
             total_nodes += correct
             value_counts = {}
@@ -128,7 +128,7 @@ class TestLiveness:
 
 class TestRunnerInterface:
     def test_run_aer_experiment_default(self):
-        result = run_aer_experiment(n=36, seed=2)
+        result = ExperimentSpec(n=36, seed=2).run().raw
         assert result.agreement_reached
 
     def test_invalid_mode_rejected(self, small_scenario, small_config):

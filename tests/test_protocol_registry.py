@@ -94,13 +94,11 @@ class TestProtocolRoundTrips:
         record = execute_spec(restored)
         assert record.extras["strategy"] == "naive"
 
-    def test_aer_adapter_matches_plain_runner(self):
-        from repro.runner import run_aer_experiment
-
+    def test_aer_adapter_matches_plain_runner(self, direct_aer_run):
         result = get_protocol("aer").run(
             ExperimentSpec(n=SMALL_N, adversary="silent", seed=SEED)
         )
-        direct = run_aer_experiment(n=SMALL_N, adversary_name="silent", seed=SEED)
+        direct = direct_aer_run(SMALL_N, adversary="silent", seed=SEED)
         assert result.total_bits == direct.metrics_all.total_bits
         assert result.rounds == direct.rounds
         assert result.max_node_bits == direct.metrics.max_node_bits
@@ -108,10 +106,12 @@ class TestProtocolRoundTrips:
 
     def test_run_result_normalizes_composition(self):
         result = api.run_experiment("full_ba", n=SMALL_N, seed=SEED)
-        ba = result.raw
-        assert result.rounds == ba.total_rounds
-        assert result.max_node_bits == ba.max_node_bits
-        assert result.amortized_bits == pytest.approx(ba.amortized_bits)
+        stages = (result.raw.ae_result, result.raw.everywhere_result)
+        assert result.rounds == sum(stage.rounds for stage in stages)
+        assert result.max_node_bits >= max(s.metrics.max_node_bits for s in stages)
+        assert result.amortized_bits == pytest.approx(
+            sum(stage.metrics.total_bits for stage in stages) / SMALL_N
+        )
         assert 0.0 <= result.extras["knowledge_after_ae"] <= 1.0
 
     def test_custom_protocol_plugs_into_sweep(self):
@@ -171,6 +171,15 @@ class TestSpecValidation:
     def test_delay_policy_under_sync_rejected(self):
         spec = ExperimentSpec(n=SMALL_N, params={"delay_policy": "constant"})
         with pytest.raises(ValueError, match="delay_policy.*async"):
+            spec.validate()
+
+    @pytest.mark.parametrize("t", [-1, SMALL_N, SMALL_N + 24])
+    @pytest.mark.parametrize(
+        "protocol", ["aer", "full_ba", "composed_ba", "sample_majority", "naive_broadcast"]
+    )
+    def test_t_out_of_range_rejected_before_anything_runs(self, protocol, t):
+        spec = ExperimentSpec(n=SMALL_N, protocol=protocol, t=t)
+        with pytest.raises(ValueError, match="0 <= t < n"):
             spec.validate()
 
     def test_from_dict_rejects_unknown_spec_key(self):
@@ -329,6 +338,11 @@ class TestCLI:
     def test_run_rejects_bad_protocol(self, capsys):
         assert cli_main(["run", "--n", str(SMALL_N), "--protocol", "bogus"]) == 2
         assert "unknown protocol" in capsys.readouterr().err
+
+    def test_run_rejects_t_leaving_no_correct_node(self, capsys):
+        code = cli_main(["run", "--n", "16", "--protocol", "full_ba", "--t", "16"])
+        assert code == 2
+        assert "0 <= t < n" in capsys.readouterr().err
 
     def test_sweep_protocol_mix_writes_one_schema(self, tmp_path, capsys):
         out_path = tmp_path / "mix.json"

@@ -7,9 +7,9 @@ from typing import List, Optional
 
 import pytest
 
+from repro.net.kernel import EventKernel, SendRecord, build_node_ids
 from repro.net.messages import Message, SizeModel
 from repro.net.node import Node
-from repro.net.simulator import SendRecord, Simulator, build_node_ids
 from repro.net.sync import SynchronousSimulator
 
 
@@ -182,7 +182,7 @@ class TestValidation:
             node.send(1, Ping())
 
     def test_base_simulator_hooks_are_abstract(self):
-        sim = Simulator(nodes=[], n=1, seed=0)
+        sim = EventKernel(nodes=[], n=1, seed=0)
         with pytest.raises(NotImplementedError):
             sim.now()
         with pytest.raises(NotImplementedError):

@@ -23,7 +23,6 @@ import pytest
 
 from repro.experiments.plan import ExperimentPlan, ExperimentSpec
 from repro.experiments.sweep import SweepResult, SweepRunner
-from repro.runner import run_aer_experiment
 from repro.trace import ProbePoint, TraceCollector, TraceSummary, register_probe
 from repro.trace.collector import collector_for_spec
 
@@ -44,10 +43,8 @@ class TestDisabledPathEquivalence:
     )
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c['mode']}:{c['adversary']}")
-    def test_trace_off_matches_plain_runner(self, case):
-        plain = run_aer_experiment(
-            case["n"], adversary_name=case["adversary"], mode=case["mode"], seed=case["seed"]
-        )
+    def test_trace_off_matches_plain_runner(self, case, direct_aer_run):
+        plain = direct_aer_run(**case)
         spec_result = ExperimentSpec(
             n=case["n"], adversary=case["adversary"], mode=case["mode"],
             seed=case["seed"], trace="off",

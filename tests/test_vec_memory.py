@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import AERConfig
-from repro.runner import run_aer_experiment
+from repro.experiments.plan import ExperimentSpec
+from repro.runner import run_aer
 from repro.vec.bitpack import BitMatrix, bits_for, pack_rows, packed_width, unpack_rows
 from repro.vec.tables import VecSamplerTables
 
@@ -173,30 +174,27 @@ def _fingerprint(result):
 def test_undersized_budget_is_byte_identical():
     # 1 MB forces minimal chunks, a starved unpacked cache and maximal
     # streaming — and must still reproduce the default run exactly
-    kwargs = dict(
-        adversary_name="push_flood", seed=0, backend="vectorized",
+    spec = ExperimentSpec(
+        n=2048, adversary="push_flood", seed=0, backend="vectorized",
         wrong_candidate_mode="common_wrong",
     )
-    default = run_aer_experiment(2048, **kwargs)
-    starved = run_aer_experiment(2048, vec_memory_mb=1, **kwargs)
+    default = spec.run().raw
+    starved = spec.with_(params={"vec_memory_mb": 1}).run().raw
     assert _fingerprint(default) == _fingerprint(starved)
 
 
-def test_vec_memory_mb_rejected_on_message_backend():
+def test_vec_memory_mb_rejected_on_message_backend(small_scenario, small_config):
     with pytest.raises(ValueError, match="vec_memory_mb"):
-        run_aer_experiment(64, adversary_name="none", seed=0,
-                           backend="message", vec_memory_mb=64)
+        run_aer(small_scenario, config=small_config, backend="message", vec_memory_mb=64)
 
 
 def test_vec_memory_mb_must_be_positive():
+    spec = ExperimentSpec(n=2048, backend="vectorized", params={"vec_memory_mb": 0})
     with pytest.raises(ValueError, match="positive"):
-        run_aer_experiment(2048, adversary_name="none", seed=0,
-                           backend="vectorized", vec_memory_mb=0)
+        spec.run()
 
 
 def test_spec_params_plumb_the_budget():
-    from repro.experiments.plan import ExperimentSpec
-
     base = ExperimentSpec(n=2048, adversary="none", mode="sync", seed=0,
                           wrong_candidate_mode="common_wrong",
                           backend="vectorized")
@@ -209,8 +207,6 @@ def test_spec_params_plumb_the_budget():
 
 
 def test_spec_rejects_budget_on_message_backend():
-    from repro.experiments.plan import ExperimentSpec
-
     spec = ExperimentSpec(n=64, adversary="none", mode="sync", seed=0,
                           params={"vec_memory_mb": 64})
     with pytest.raises(ValueError, match="vec_memory_mb"):
@@ -246,7 +242,6 @@ def test_report_repeats_reflect_flag():
 
 def test_measure_peak_rss_smoke():
     from repro.experiments.bench import measure_peak_rss
-    from repro.experiments.plan import ExperimentSpec
 
     spec = ExperimentSpec(n=1024, adversary="none", mode="sync", seed=0,
                           wrong_candidate_mode="common_wrong",
