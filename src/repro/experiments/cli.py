@@ -81,10 +81,10 @@ Subcommands
         python -m repro registries -o REGISTRIES.md
 
 ``bench``
-    The fixed kernel benchmark sweep; writes ``BENCH_kernel.json``.
-    ``--update`` is the committed-artifact mode: min-of-5 over the fixed
-    *and* extended cases, git + platform provenance, and the previous
-    generation of the file preserved under its ``trajectory`` key.
+    Runs the repo benchmark (``BENCHMARK.json``: ``bench/run.py``, from a
+    source checkout) and prints its end-to-end table; writes nothing.
+    ``--update`` also appends the run as one generation under the
+    ``trajectory`` key of ``BENCH_kernel.json``, keyed by the commit measured.
 
 Protocol-specific parameters are passed as repeated ``--param key=value``
 options; values are parsed as JSON when possible (``--param
@@ -114,7 +114,7 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.experiments import compare_rows, format_table, run_result_row
-from repro.experiments.bench import write_report
+from repro.experiments.bench import BenchError, run_bench, verify_provenance
 from repro.experiments.plan import ExperimentPlan, ExperimentSpec
 from repro.experiments.sweep import SweepResult, SweepRunner, run_sweep
 
@@ -397,22 +397,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--log-level", default="info")
 
-    bench = sub.add_parser("bench", help="fixed kernel benchmark; writes BENCH_kernel.json")
-    bench.add_argument("--out", default="BENCH_kernel.json")
+    bench = sub.add_parser(
+        "bench", help="run the repo benchmark (BENCHMARK.json) and print its end-to-end table"
+    )
+    bench.add_argument("--out", default="BENCH_kernel.json", help="the trajectory file")
     bench.add_argument(
         "--update", action="store_true",
-        help="committed-artifact mode: min-of-5 over the fixed AND extended "
-             "sweeps, git+platform provenance, previous numbers preserved "
-             "under 'trajectory' (replaces the old hand-run script dance)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=None,
-        help="timed repetitions per case (default: 3, or 5 with --update)",
+        help="append the run as one generation under --out's 'trajectory', "
+             "keyed by the commit measured; without it nothing is written",
     )
     bench.add_argument(
         "--verify-provenance", action="store_true",
-        help="don't run anything; assert the recorded git.commit in the "
-             "report matches the checked-out HEAD (the CI perf-job guard)",
+        help="don't run anything; assert the newest generation in --out was "
+             "measured at the checked-out HEAD (the CI perf-job guard)",
     )
 
     equivalence = sub.add_parser(
@@ -749,19 +746,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.verify_provenance:
-        from repro.experiments.bench import verify_provenance
-
-        try:
+    try:
+        if args.verify_provenance:
             commit = verify_provenance(args.out)
-        except (OSError, ValueError, RuntimeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"{args.out}: provenance OK (measured at {commit})")
-        return 0
-    report = write_report(args.out, update=args.update, repeats=args.repeats)
-    print(json.dumps(report, indent=1))
-    print(f"report written to {args.out}")
+            print(f"{args.out}: provenance OK (measured at {commit})")
+            return 0
+        entry = run_bench(args.out, update=args.update)
+    except (OSError, ValueError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code if isinstance(exc, BenchError) else 1
+    rows = [
+        {"workload": name, **run["end_to_end"], "attempted": run["attempted"], "failed": run["failed"]}
+        for name, run in entry["workloads"].items()
+    ]
+    print(format_table(rows, title=f"end-to-end metrics at {entry['commit']}"))
+    if args.update:
+        print(f"generation {entry['commit']} written to {args.out}")
     return 0
 
 

@@ -412,12 +412,12 @@ class PoolExecutor:
         self._chunksize = chunksize
 
     def __call__(self, pending: Pending) -> Iterator[Tuple[int, ExperimentRecord]]:
-        pool = WorkerPool() if self._shared is None else self._shared
-        worker_pool = pool.acquire(
-            self.jobs, _prewarm_args([spec for _, spec in pending])
-        )
-        if self._shared is not None:
-            self.jobs = min(pool.size, len(pending))
+        if self._shared is None:  # a private pool never outnumbers its work
+            pool, want = WorkerPool(), min(self.jobs, len(pending))
+        else:
+            pool, want = self._shared, self.jobs
+        worker_pool = pool.acquire(want, _prewarm_args([spec for _, spec in pending]))
+        self.jobs = min(pool.size, len(pending))
         unfinished = {index: spec.key for index, spec in pending}
         try:
             # Track worker Process objects by pid from *before* dispatch:

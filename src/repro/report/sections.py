@@ -425,8 +425,8 @@ class Figure1bSection(ReportSection):
             gap = round(exponents["naive"] - exponents["ba"], 3)
             remarks.append(
                 f"BA's bits grow slower than the all-to-all composition's "
-                f"(exponent gap {gap}); the benchmark asserts this ordering "
-                "over its larger grid."
+                f"(exponent gap {gap}); this section's check asserts this "
+                "ordering over its check grid."
             )
         ba = by_label.get("ba", [])
         if ba:

@@ -420,25 +420,8 @@ def test_two_worker_threads_split_the_plan():
 
 
 # ----------------------------------------------------------------------
-# bench cases and the service endpoint
+# the service endpoint
 # ----------------------------------------------------------------------
-def test_bench_distributed_cases_schema():
-    from repro.experiments.bench import build_report, run_distributed_cases
-
-    tiny = ExperimentPlan(ns=(24,), seeds=(3, 4))
-    cases = run_distributed_cases(repeats=1, plan=tiny, in_process=True)
-    assert [c["key"] for c in cases] == [
-        "pooled_n2", "distributed_n2", "distributed_n4",
-    ]
-    for case in cases:
-        assert case["agreement_reached"] and case["seconds"] > 0
-        assert case["total_messages"] > 0
-    report = build_report(cases=cases, repeats=1, commit="test")
-    assert report["distributed_overhead_n2"] == pytest.approx(
-        cases[1]["seconds"] / cases[0]["seconds"], abs=0.01
-    )
-
-
 def test_service_lists_live_coordinators():
     from repro.service import fastapi_available
 

@@ -139,12 +139,15 @@ def test_trace_summary_equals_off_async_n256():
     The BENCH_kernel async case (n=256, no adversary) runs once with tracing
     off and once with the summary collector attached; every normalized
     metric must agree exactly — probes observe the grouped dispatch records,
-    they never change scheduling, RNG consumption or accounting.
+    they never change scheduling, RNG consumption or accounting.  The
+    ``trace="off"`` totals are the ones every recorded fixed-sweep generation
+    of ``BENCH_kernel.json`` carries for this spec.
     """
     base = ExperimentSpec(n=256, adversary="none", mode="async", seed=0)
     off = base.run()
     summary = base.with_(trace="summary").run()
 
+    assert (off.total_messages, off.total_bits) == (940353, 63192476)
     assert off.trace is None
     assert summary.trace is not None and summary.trace["mode"] == "summary"
     for field in fields(type(off)):

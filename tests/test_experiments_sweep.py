@@ -21,7 +21,7 @@ from repro.experiments import (
 )
 from repro.dist import DistExecutor, active_coordinators
 from repro.experiments.cli import main as cli_main
-from repro.experiments.sweep import RUN_COUNTER, InlineExecutor, PoolExecutor
+from repro.experiments.sweep import RUN_COUNTER, InlineExecutor, PoolExecutor, WorkerPool
 from repro.store import ResultStore, spec_key
 
 SMALL_PLAN = ExperimentPlan(
@@ -129,6 +129,20 @@ class TestSweepRunner:
         for a, b in zip(serial.records, parallel.records):
             assert a.spec == b.spec
             assert a.total_bits == b.total_bits
+
+    def test_private_pool_starts_no_more_workers_than_pending(self, monkeypatch):
+        sizes = []
+        acquire = WorkerPool.acquire
+
+        def spy(pool, jobs, prewarm=()):
+            worker_pool = acquire(pool, jobs, prewarm)
+            sizes.append(pool.size)
+            return worker_pool
+
+        monkeypatch.setattr(WorkerPool, "acquire", spy)
+        result = SweepRunner(SMALL_PLAN, jobs=8).run()
+        # two specs pending: two workers started, and the label says so
+        assert sizes == [2] and result.jobs == 2
 
 
 class _Spy:

@@ -1,5 +1,5 @@
-"""Tests for the vectorized backend's memory layer: bit-packed tables,
-the ``vec_memory_mb`` budget contract, and the bench RSS instrumentation.
+"""Tests for the vectorized backend's memory layer: bit-packed tables
+and the ``vec_memory_mb`` budget contract.
 
 The load-bearing properties:
 
@@ -7,10 +7,7 @@ The load-bearing properties:
   samplers' draws, on both the sampler path (small ``n``) and the batched
   hash path (large ``n``);
 * the budget knob changes *memory only* — an absurdly undersized budget
-  must produce byte-identical results to the default;
-* BENCH provenance carries each generation's measurement protocol
-  (``repeats``) into the trajectory, so min-of-2 numbers are never read
-  as min-of-5.
+  must produce byte-identical results to the default.
 """
 
 from __future__ import annotations
@@ -211,40 +208,3 @@ def test_spec_rejects_budget_on_message_backend():
                           params={"vec_memory_mb": 64})
     with pytest.raises(ValueError, match="vec_memory_mb"):
         spec.run()
-
-
-# ----------------------------------------------------------------------
-# bench instrumentation
-# ----------------------------------------------------------------------
-def test_trajectory_carries_repeats():
-    from repro.experiments.bench import _previous_trajectory
-
-    previous = {
-        "git": {"commit": "abc1234"},
-        "repeats": 2,
-        "cases": [{"key": "sync:none:n512:s0", "seconds": 1.0}],
-    }
-    trajectory = _previous_trajectory(previous)
-    assert trajectory["abc1234"]["repeats"] == 2
-    # generations that predate the repeats key stay unlabelled, not guessed
-    del previous["repeats"]
-    assert "repeats" not in _previous_trajectory(previous)["abc1234"]
-
-
-def test_report_repeats_reflect_flag():
-    from repro.experiments.bench import build_report
-
-    cases = [{"key": "sync:none:n512:s0", "n": 512, "seconds": 1.0}]
-    report = build_report(cases=cases, repeats=2, commit="dead")
-    assert report["repeats"] == 2
-    assert "minimum of 2 runs" in report["description"]
-
-
-def test_measure_peak_rss_smoke():
-    from repro.experiments.bench import measure_peak_rss
-
-    spec = ExperimentSpec(n=1024, adversary="none", mode="sync", seed=0,
-                          wrong_candidate_mode="common_wrong",
-                          backend="vectorized")
-    rss = measure_peak_rss(spec)
-    assert rss is None or rss > 10.0  # None only where the child cannot run
