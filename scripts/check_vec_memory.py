@@ -12,7 +12,9 @@ The references were recorded on the machine that records the committed
 BENCH baselines; RSS is far more stable across hosts than wall-clock (it
 is dominated by numpy array footprints, not CPU speed), so the guard is
 meaningful on shared runners too.  Message/bit totals are asserted
-exactly — the budget knob must never change results, only memory.
+exactly — the budget knob must never change results, only memory.  Each
+line also reports the case's wall-clock seconds, for the record only:
+nothing is gated on them.
 
 Usage (from the repo root)::
 
@@ -33,10 +35,13 @@ import sys
 from repro.experiments.plan import ExperimentSpec
 
 _CHILD = """\
-import json, resource, sys
+import json, resource, sys, time
 from repro.experiments.plan import ExperimentSpec
-result = ExperimentSpec.from_dict(json.loads(sys.argv[1])).run()
+spec = ExperimentSpec.from_dict(json.loads(sys.argv[1]))
+start = time.perf_counter()
+result = spec.run()
 print(json.dumps({
+    "wall_s": time.perf_counter() - start,
     "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     "msgs": int(result.total_messages),
     "bits": int(result.total_bits),
@@ -84,7 +89,8 @@ def run_guard(tolerance: float, large: bool) -> int:
         verdict = "OK" if out["rss_mb"] <= ceiling else "FAIL"
         print(
             f"n={N_GUARD} {label}: peak_rss={out['rss_mb']:.1f}MB "
-            f"(reference {reference:.0f}MB, ceiling {ceiling:.0f}MB) {verdict}"
+            f"(reference {reference:.0f}MB, ceiling {ceiling:.0f}MB) {verdict} "
+            f"wall={out['wall_s']:.1f}s"
         )
         if out["rss_mb"] > ceiling:
             failures.append(f"{label}: {out['rss_mb']:.1f}MB > {ceiling:.0f}MB")
@@ -97,7 +103,7 @@ def run_guard(tolerance: float, large: bool) -> int:
         out = _run_cold(_spec(N_LARGE, None))
         print(
             f"n={N_LARGE} default budget: peak_rss={out['rss_mb']:.1f}MB "
-            f"msgs={out['msgs']} bits={out['bits']}"
+            f"msgs={out['msgs']} bits={out['bits']} wall={out['wall_s']:.1f}s"
         )
     if failures:
         print("vec memory guard FAILED:", file=sys.stderr)

@@ -9,9 +9,8 @@ is three orders of magnitude too slow to fit a growth-fit sweep.
 Layout
 ------
 ``hashing``
-    Batched, bit-identical re-implementation of the samplers' keyed blake2b
-    draw (`repro.net.rng.stable_hash`) as single-block compressions over
-    uint64 lanes.
+    The samplers' keyed blake2b draws (`repro.net.rng.stable_hash`) made a
+    table at a time with ``hashlib``; members selected in numpy.
 ``bitpack``
     Bit-level array storage: ``ceil(log2 n)``-bit packed member-index rows
     and one-bit-per-cell boolean matrices (:class:`~repro.vec.bitpack.BitMatrix`).

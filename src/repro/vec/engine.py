@@ -359,7 +359,7 @@ class _VecRun:
         """Create live rows for polls launched by ``xs`` and account their sends."""
         if len(xs) == 0:
             return
-        jmem_all = self.tables.poll_rows(xs, labels, cache=False)
+        jmem_all = self.tables.poll_rows(xs, labels)
         for sid in np.unique(sids):
             s = self.strings[int(sid)]
             sel = np.nonzero(sids == sid)[0]

@@ -1,83 +1,25 @@
-"""Batched blake2b sampler draws, bit-identical to :func:`repro.net.rng.stable_hash`.
+"""Batched sampler draws, bit-identical to :func:`repro.net.rng.stable_hash`.
 
 The samplers draw quorum members as ``stable_hash(seed, name, s, x, counter)
 % n`` — a 16-byte blake2b digest over length-prefixed ``repr`` encodings.
-Every message hashed this way is far below one blake2b block (128 bytes), so
-a draw is exactly **one** compression of a zero-padded block with the final
-flag set.  This module evaluates millions of such compressions at once: the
-message buffers live in a ``(batch, 128)`` uint8 matrix, the compression
-state in sixteen uint64 lanes of ``batch`` elements, and the twelve blake2b
-rounds run as vectorized uint64 arithmetic.
-
-Bit-identity is non-negotiable — the whole vectorized backend inherits its
-exactness guarantee from these draws matching ``hashlib`` — so anything the
-fast path cannot represent (a message longer than one block, a row that
-needs more counter draws than were batched) falls back to ``hashlib``
-per-row.  ``tests/test_vec_hashing.py`` pins the equivalence directly
-against the Python samplers.
+This module makes those draws for whole tables at once with the very calls
+the samplers make: one ``hashlib.blake2b`` per row over the key prefix and
+the row's parts, copied and finished once per counter (the
+:func:`repro.net.rng.hash_prefix` idiom).  Bit-identity with the message
+kernel — the guarantee the whole vectorized backend inherits — therefore
+holds by construction; only the ``% n`` reduction and the first-distinct
+selection are numpy.  That loop costs ~0.4 µs per draw, a third of what
+blake2b rounds written as numpy lane arithmetic cost, so there is no
+vectorized compression here to keep in step with RFC 7693.
+``tests/test_vec_hashing.py`` checks the draws against the Python samplers.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
-
-#: blake2b initialisation vector (RFC 7693, section 2.6)
-_IV = (
-    0x6A09E667F3BCC908,
-    0xBB67AE8584CAA73B,
-    0x3C6EF372FE94F82B,
-    0xA54FF53A5F1D36F1,
-    0x510E527FADE682D1,
-    0x9B05688C2B3E6C1F,
-    0x1F83D9ABFB41BD6B,
-    0x5BE0CD19137E2179,
-)
-
-#: parameter-block word 0 for digest_size=16, key=0, fanout=1, depth=1
-_PARAM0 = 0x01010010
-
-#: blake2b message schedule (RFC 7693, section 2.7)
-_SIGMA = (
-    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
-    (14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3),
-    (11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4),
-    (7, 9, 3, 1, 13, 12, 11, 14, 2, 6, 5, 10, 4, 0, 15, 8),
-    (9, 0, 5, 7, 2, 4, 10, 15, 14, 1, 11, 12, 6, 8, 3, 13),
-    (2, 12, 6, 10, 0, 11, 8, 3, 4, 13, 7, 5, 15, 14, 1, 9),
-    (12, 5, 1, 15, 14, 13, 4, 10, 0, 7, 6, 3, 9, 2, 8, 11),
-    (13, 11, 7, 14, 12, 1, 3, 9, 5, 0, 15, 4, 8, 6, 2, 10),
-    (6, 15, 14, 9, 11, 3, 0, 8, 12, 2, 13, 7, 1, 4, 10, 5),
-    (10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0),
-)
-
-#: the quarter-round wiring of one blake2b round: four columns, four diagonals
-_MIX = (
-    (0, 4, 8, 12),
-    (1, 5, 9, 13),
-    (2, 6, 10, 14),
-    (3, 7, 11, 15),
-    (0, 5, 10, 15),
-    (1, 6, 11, 12),
-    (2, 7, 8, 13),
-    (3, 4, 9, 14),
-)
-
-#: messages per compression batch — sized so the 16 state lanes, the 16
-#: message lanes and the scratch lane (~8.5 MiB at 2**15) stay cache-resident
-_BATCH = 1 << 15
-
-#: reusable uint64 workspace (17 lanes of ``_BATCH``), allocated on first use;
-#: temporaries this size would otherwise be mmap'd and faulted per operation
-_WORKSPACE: List[np.ndarray] = []
-
-#: reusable ``(_BATCH, 128)`` message buffer, allocated on first use — a
-#: table build at ``n = 10⁶`` runs thousands of compression batches per
-#: round-trip, and re-zeroing one resident buffer beats allocating (and
-#: page-faulting) a fresh one per batch
-_MSG_BUF: List[np.ndarray] = []
 
 
 def encode_parts(*parts: object) -> bytes:
@@ -90,129 +32,37 @@ def encode_parts(*parts: object) -> bytes:
     return bytes(out)
 
 
-def _rotr_inplace(x: np.ndarray, r: int, scratch: np.ndarray) -> None:
-    np.right_shift(x, np.uint64(r), out=scratch)
-    np.left_shift(x, np.uint64(64 - r), out=x)
-    np.bitwise_or(x, scratch, out=x)
-
-
-def _compress_final(m: List[np.ndarray], msg_len: int, count: int) -> tuple:
-    """One final-block blake2b compression over uint64 lanes.
-
-    ``m`` holds the sixteen little-endian message words (length ``count``
-    each); returns the first two state words ``(h0, h1)`` — the 16-byte
-    digest is their little-endian concatenation.
-    """
-    u64 = np.uint64
-    if not _WORKSPACE:
-        _WORKSPACE.extend(np.empty(_BATCH, dtype=np.uint64) for _ in range(17))
-    v = [lane[:count] for lane in _WORKSPACE[:16]]
-    scratch = _WORKSPACE[16][:count]
-    for i in range(8):
-        v[i][:] = u64(_IV[i])
-        v[i + 8][:] = u64(_IV[i])
-    v[0] ^= u64(_PARAM0)
-    v[12] ^= u64(msg_len)
-    np.invert(v[14], out=v[14])
-    for rnd in range(12):
-        s = _SIGMA[rnd % 10]
-        for g, (a, b, c, d) in enumerate(_MIX):
-            x, y = m[s[2 * g]], m[s[2 * g + 1]]
-            np.add(v[a], v[b], out=v[a])
-            np.add(v[a], x, out=v[a])
-            np.bitwise_xor(v[d], v[a], out=v[d])
-            _rotr_inplace(v[d], 32, scratch)
-            np.add(v[c], v[d], out=v[c])
-            np.bitwise_xor(v[b], v[c], out=v[b])
-            _rotr_inplace(v[b], 24, scratch)
-            np.add(v[a], v[b], out=v[a])
-            np.add(v[a], y, out=v[a])
-            np.bitwise_xor(v[d], v[a], out=v[d])
-            _rotr_inplace(v[d], 16, scratch)
-            np.add(v[c], v[d], out=v[c])
-            np.bitwise_xor(v[b], v[c], out=v[b])
-            _rotr_inplace(v[b], 63, scratch)
-    h0 = v[0] ^ v[8]
-    h0 ^= u64(_IV[0] ^ _PARAM0)
-    h1 = v[1] ^ v[9]
-    h1 ^= u64(_IV[1])
-    return h0, h1
-
-
-def _digest_mod(buf: np.ndarray, msg_len: int, n: int) -> np.ndarray:
-    """``int.from_bytes(digest, "big") % n`` for each 128-byte row of ``buf``."""
-    words = buf.view("<u8")
-    m = [np.ascontiguousarray(words[:, i]) for i in range(16)]
-    h0, h1 = _compress_final(m, msg_len, len(buf))
-    # big-endian digest value = byteswap(h0)·2^64 + byteswap(h1)
-    hi = h0.byteswap() % np.uint64(n)
-    lo = h1.byteswap() % np.uint64(n)
-    shift = (1 << 64) % n
-    return ((hi.astype(np.int64) * shift + lo.astype(np.int64)) % n).astype(np.int64)
-
-
-def _digit_lengths(values: np.ndarray) -> np.ndarray:
-    """Decimal digit count of each (non-negative) value."""
-    lengths = np.ones(len(values), dtype=np.int64)
-    power = 10
-    while True:
-        above = values >= power
-        if not above.any():
-            return lengths
-        lengths += above
-        power *= 10
-
-
-def batch_digest_mod(prefix: bytes, columns: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """Vectorized ``stable_hash(*prefix_parts, c0[i], c1[i], ...) % n``.
+def batch_digest_mod(
+    prefix: bytes, columns: Sequence[np.ndarray], n: int, draws: Optional[int] = None
+) -> np.ndarray:
+    """``stable_hash(*prefix_parts, c0[i], c1[i], ...) % n`` for every row ``i``.
 
     ``prefix`` is the already-encoded constant part list (via
-    :func:`encode_parts`); ``columns`` are equal-length arrays of
-    non-negative integers, each absorbed as one further part per row.
-    Rows whose encoded message exceeds one blake2b block take the exact
-    ``hashlib`` path.
+    :func:`encode_parts`); ``columns`` are equal-length integer arrays, each
+    absorbed as one further part per row.  With ``draws`` every row is
+    hashed once and finished with ``counter = 0 .. draws - 1`` as the last
+    part, and the result is the ``(rows, draws)`` matrix of those draws.
     """
-    columns = [np.asarray(c, dtype=np.int64) for c in columns]
-    total = len(columns[0])
-    out = np.empty(total, dtype=np.int64)
-    lengths = [_digit_lengths(c) for c in columns]
-    shape_key = lengths[0].copy()
-    for extra in lengths[1:]:
-        shape_key = shape_key * 21 + extra
-    prefix_arr = np.frombuffer(prefix, dtype=np.uint8)
-    for key in np.unique(shape_key):
-        idx = np.nonzero(shape_key == key)[0]
-        digit_counts = [int(length[idx[0]]) for length in lengths]
-        msg_len = len(prefix) + sum(4 + count for count in digit_counts)
-        if msg_len > 128:
-            for i in idx:
-                hasher = hashlib.blake2b(digest_size=16)
-                hasher.update(prefix)
-                hasher.update(encode_parts(*[int(c[i]) for c in columns]))
-                out[i] = int.from_bytes(hasher.digest(), "big") % n
-            continue
-        if not _MSG_BUF:
-            _MSG_BUF.append(np.zeros((_BATCH, 128), dtype=np.uint8))
-        for start in range(0, len(idx), _BATCH):
-            chunk = idx[start : start + _BATCH]
-            buf = _MSG_BUF[0][: len(chunk)]
-            buf.fill(0)
-            buf[:, : len(prefix)] = prefix_arr
-            offset = len(prefix)
-            for column, count in zip(columns, digit_counts):
-                values = column[chunk]
-                buf[:, offset + 3] = count  # 4-byte big-endian length, count < 256
-                offset += 4
-                for j in range(count):
-                    power = 10 ** (count - 1 - j)
-                    buf[:, offset + j] = 48 + (values // power) % 10
-                offset += count
-            out[chunk] = _digest_mod(buf, msg_len, n)
-    return out
+    # without draws the one empty suffix finishes each row's own digest
+    suffixes = [b""] if draws is None else [encode_parts(c) for c in range(draws)]
+    digests: List[bytes] = []
+    append = digests.append
+    for row in zip(*(np.asarray(c, dtype=np.int64).tolist() for c in columns)):
+        base = hashlib.blake2b(prefix + encode_parts(*row), digest_size=16)
+        for suffix in suffixes:
+            hasher = base.copy()
+            hasher.update(suffix)
+            append(hasher.digest())
+    # big-endian digest value = hi·2^64 + lo, reduced without leaving int64
+    words = np.frombuffer(b"".join(digests), dtype=">u8").reshape(-1, 2)
+    hi = (words[:, 0] % np.uint64(n)).astype(np.int64)
+    lo = (words[:, 1] % np.uint64(n)).astype(np.int64)
+    values = (hi * ((1 << 64) % n) + lo) % n
+    return values if draws is None else values.reshape(-1, draws)
 
 
 def _py_first_distinct(prefix: bytes, parts: Sequence[int], size: int, n: int) -> List[int]:
-    """Exact per-row fallback mirroring the samplers' counter loop."""
+    """The samplers' counter loop for one row, drawing until ``size`` are distinct."""
     base = hashlib.blake2b(digest_size=16)
     base.update(prefix)
     base.update(encode_parts(*parts))
@@ -243,9 +93,9 @@ def first_distinct_rows(
     For each row ``i`` the draw sequence is ``stable_hash(*prefix, *cols[i],
     counter) % n`` for ``counter = 0, 1, ...``; the row's members are the
     first ``size`` distinct values, returned sorted (the samplers' canonical
-    representation).  ``size + extra_draws`` counters are hashed per row in
-    one batch; the rare row with more hash collisions than that is resolved
-    exactly via :func:`_py_first_distinct`.
+    representation).  ``size + extra_draws`` counters are hashed per row;
+    the rare row with more hash collisions than that is resolved by
+    :func:`_py_first_distinct`.
     """
     columns = [np.asarray(c, dtype=np.int64) for c in columns]
     rows = len(columns[0])
@@ -253,17 +103,13 @@ def first_distinct_rows(
     # instead of paying for an int64 matrix plus a cast copy
     out = np.empty((rows, size), dtype=dtype)
     draws = size + extra_draws
-    # chunk so the ~10 simultaneous (span, draws) int64 temporaries (repeats,
-    # values, argsort, ranks) stay a few MB each; a span·draws of half a
-    # million still feeds the hash batches at full width
-    row_chunk = max(1, (512 << 10) // max(1, draws))
-    counter_tile = np.arange(draws, dtype=np.int64)
+    # chunk so the list of digests (~64 bytes per draw as Python objects)
+    # stays a few MB, whatever the table size
+    row_chunk = max(1, (32 << 10) // draws)
     for start in range(0, rows, row_chunk):
         stop = min(rows, start + row_chunk)
         span = stop - start
-        repeated = [np.repeat(c[start:stop], draws) for c in columns]
-        repeated.append(np.tile(counter_tile, span))
-        values = batch_digest_mod(prefix, repeated, n).reshape(span, draws)
+        values = batch_digest_mod(prefix, [c[start:stop] for c in columns], n, draws)
         order = np.argsort(values, axis=1, kind="stable")
         ranked = np.take_along_axis(values, order, axis=1)
         dup_sorted = np.zeros((span, draws), dtype=bool)

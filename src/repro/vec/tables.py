@@ -9,9 +9,8 @@ provides them, bit-identical to the Python samplers, through two paths:
   :class:`~repro.core.config.SamplerSuite`, so identity with the message
   backend is true by construction (and the suite's LRU tables stay warm for
   any message-backend run of the same config);
-* **hash path** (large ``n``): rows come from
-  :mod:`repro.vec.hashing`'s batched blake2b, which
-  ``tests/test_vec_hashing.py`` pins bit-identical to the samplers' draws.
+* **hash path** (large ``n``): rows come from :mod:`repro.vec.hashing`,
+  which makes the samplers' own ``hashlib`` draws a table at a time.
 
 Storage is the ``n = 10⁶`` part of the story (ARCHITECTURE.md "vec memory
 model"): member rows are held **bit-packed** at ``ceil(log2 n)`` bits per id
@@ -20,7 +19,8 @@ to keep, and unpacked on demand into int32 gather rows.  A byte-budgeted LRU
 caches fully unpacked tables for hot strings — at ``n = 10⁵`` the whole
 ``H`` table fits the default budget and gathers stay as fast as the old
 materialised tables, while at ``n = 10⁶`` the same code streams chunked
-unpacks instead of holding 160 MB per string.
+unpacks instead of holding 160 MB per string.  Poll rows (``J``) are drawn
+per launch and kept nowhere.
 
 Providers are cached per process (keyed by the sampler parameters) so bench
 repetitions and sweep workers reuse the expensive full tables, mirroring
@@ -87,7 +87,6 @@ class VecSamplerTables:
         self.use_numpy = config.n >= NUMPY_MIN_N if use_numpy is None else use_numpy
         self._suite = config.shared_samplers()
         self._tables: Dict[Tuple[str, str], _PackedFamilyTable] = {}
-        self._poll_rows: Dict[Tuple[int, int], np.ndarray] = {}
         #: byte-budgeted LRU of fully unpacked (family, string) tables
         self._unpacked: "OrderedDict[Tuple[str, str], np.ndarray]" = OrderedDict()
         self._unpacked_bytes = 0
@@ -222,43 +221,17 @@ class VecSamplerTables:
     # ------------------------------------------------------------------
     # poll family J
     # ------------------------------------------------------------------
-    def poll_rows(
-        self, xs: Sequence[int], labels: Sequence[int], cache: bool = True
-    ) -> np.ndarray:
-        """Poll-list rows ``J(x, r)`` for the given pairs.
-
-        ``cache=True`` memoises per ``(x, label)`` pair — right for the
-        scalar adversary/dead-poll paths that revisit pairs.  The engine's
-        bulk launches pass ``cache=False``: every pair is fresh there, and
-        an unbounded per-pair dict would dominate memory at ``n = 10⁶``.
-        """
+    def poll_rows(self, xs: Sequence[int], labels: Sequence[int]) -> np.ndarray:
+        """Poll-list rows ``J(x, r)`` for the given pairs, drawn afresh each call."""
         xs = np.asarray(xs, dtype=np.int64)
         labels = np.asarray(labels, dtype=np.int64)
-        if not cache:
-            return self._poll_rows_raw(xs, labels).astype(np.int32, copy=False)
-        out = np.empty((len(xs), self.size), dtype=np.int32)
-        missing = []
-        for i, (x, r) in enumerate(zip(xs.tolist(), labels.tolist())):
-            row = self._poll_rows.get((x, r))
-            if row is None:
-                missing.append(i)
-            else:
-                out[i] = row
-        if missing:
-            idx = np.asarray(missing, dtype=np.int64)
-            out[idx] = self._poll_rows_raw(xs[idx], labels[idx])
-            for i in missing:
-                self._poll_rows[(int(xs[i]), int(labels[i]))] = out[i].copy()
-        return out
-
-    def _poll_rows_raw(self, xs: np.ndarray, labels: np.ndarray) -> np.ndarray:
         if self.use_numpy:
             prefix = encode_parts(self.config.sampler_seed, self._suite.poll.name)
             return first_distinct_rows(
                 prefix, [xs, labels], self.size, self.n, dtype=np.int32
             )
         poll_list = self._suite.poll.poll_list
-        rows = np.empty((len(xs), self.size), dtype=np.int64)
+        rows = np.empty((len(xs), self.size), dtype=np.int32)
         for i in range(len(xs)):
             rows[i] = poll_list(int(xs[i]), int(labels[i]))
         return rows

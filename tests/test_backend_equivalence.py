@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.equivalence import check_exact
+from repro.analysis.equivalence import EXACT_ADVERSARIES, check_exact
 from repro.analysis.statistics import (
     MeanEstimate,
     distributions_equivalent,
@@ -45,6 +45,30 @@ class TestGoldenEquality:
             wrong_candidate_mode="random",
         )
         assert report.mismatches == []
+
+    @pytest.mark.parametrize("wrong_candidate_mode", ["common_wrong", "random"])
+    def test_aer_exact_on_the_hash_path(self, monkeypatch, wrong_candidate_mode):
+        # Every other exact grid runs n < NUMPY_MIN_N, where the engine gathers
+        # rows copied out of the samplers; here it runs over repro.vec.hashing.
+        import repro.vec.tables as tables
+        from repro.experiments.sweep import execute_spec
+        from repro.samplers.tables import LRUCache
+
+        monkeypatch.setattr(tables, "NUMPY_MIN_N", 0)
+        monkeypatch.setattr(tables, "_PROVIDER_CACHE", LRUCache(4))
+        for adversary in EXACT_ADVERSARIES:
+            spec = ExperimentSpec(
+                n=64, adversary=adversary, seed=3,
+                wrong_candidate_mode=wrong_candidate_mode,
+            )
+            message = execute_spec(spec).to_dict()
+            vectorized = execute_spec(spec.with_(backend="vectorized")).to_dict()
+            for data in (message, vectorized):
+                data.pop("seconds")
+                data["spec"].pop("backend")
+            assert vectorized == message
+        providers = list(tables._PROVIDER_CACHE._data.values())
+        assert providers and all(p.use_numpy for p in providers)  # rows were hashed
 
     def test_sample_majority_exact(self):
         spec = {"n": 96, "protocol": "sample_majority", "adversary": "silent", "seed": 0}

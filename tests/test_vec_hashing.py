@@ -1,20 +1,19 @@
-"""The batched blake2b path must match ``stable_hash`` and the samplers bit-for-bit.
+"""The batched draws must match ``stable_hash`` and the samplers bit-for-bit.
 
 The vectorized engine's exactness guarantee bottoms out here: every quorum
 and poll-list membership it computes comes from
 :func:`repro.vec.hashing.batch_digest_mod` /
-:func:`repro.vec.hashing.first_distinct_rows`, which reimplement the one
-blake2b compression the samplers perform per draw as uint64 lane arithmetic.
-These tests pin the equivalence directly against ``hashlib`` (via
-:func:`repro.net.rng.stable_hash`) and against the Python samplers' member
-loops, including the per-row fallbacks for oversized messages and
-collision-heavy rows.
+:func:`repro.vec.hashing.first_distinct_rows`, which make the samplers'
+``hashlib`` draws a table at a time and select the members in numpy.
+These tests check them against :func:`repro.net.rng.stable_hash` and against
+the Python samplers' member loops, including prefixes beyond one blake2b
+block and collision-heavy rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import AERConfig
 from repro.net.rng import stable_hash
@@ -114,6 +113,36 @@ class TestFirstDistinctRows:
         got = first_distinct_rows(prefix, [xs, rs], poll.list_size, 128)
         for i, (x, r) in enumerate(rows):
             assert got[i].tolist() == sorted(poll.entry(x, r).members)
+
+
+@given(
+    prefix_parts=st.one_of(
+        st.just(()), st.tuples(st.integers(0, 10**6), st.text("01", max_size=180))
+    ),
+    table=st.lists(st.tuples(*[st.integers(0, 10**12)] * 3), min_size=1, max_size=6),
+    width=st.integers(1, 3),
+    size=st.integers(1, 10),
+    slack=st.one_of(st.integers(0, 8), st.integers(0, 10**7 - 10)),
+    extra_draws=st.sampled_from([0, 4]),
+)
+@settings(max_examples=60, deadline=None)
+def test_draws_match_the_stable_hash_loop(prefix_parts, table, width, size, slack, extra_draws):
+    # prefixes of 0-197 bytes (one blake2b block is 128), n from size upward
+    n = size + slack
+    prefix = encode_parts(*prefix_parts)
+    rows = [row[:width] for row in table]
+    columns = [np.array(column, dtype=np.int64) for column in zip(*rows)]
+    digests = batch_digest_mod(prefix, columns, n)
+    assert digests.tolist() == [stable_hash(*prefix_parts, *row) % n for row in rows]
+    members = first_distinct_rows(prefix, columns, size, n, extra_draws=extra_draws)
+    for row, got in zip(rows, members.tolist()):
+        drawn, counter = [], 0
+        while len(drawn) < size:
+            draw = stable_hash(*prefix_parts, *row, counter) % n
+            counter += 1
+            if draw not in drawn:
+                drawn.append(draw)
+        assert got == sorted(drawn)
 
 
 class TestEncodeParts:

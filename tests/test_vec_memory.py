@@ -15,9 +15,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.vec.tables as vec_tables
 from repro.core.config import AERConfig
 from repro.experiments.plan import ExperimentSpec
+from repro.experiments.sweep import execute_spec
 from repro.runner import run_aer
+from repro.samplers.tables import LRUCache
 from repro.vec.bitpack import BitMatrix, bits_for, pack_rows, packed_width, unpack_rows
 from repro.vec.tables import VecSamplerTables
 
@@ -115,12 +118,10 @@ def test_poll_rows_match_samplers(use_numpy):
     tables = VecSamplerTables(config, use_numpy=use_numpy)
     xs = [0, 5, 191, 5]
     labels = [9, 1, 7, 1]
-    got = tables.poll_rows(xs, labels)
-    raw = tables.poll_rows(xs, labels, cache=False)
     poll_list = config.shared_samplers().poll.poll_list
     expected = np.asarray([poll_list(x, r) for x, r in zip(xs, labels)])
-    assert (got == expected).all()
-    assert (raw == expected).all()
+    assert (tables.poll_rows(xs, labels) == expected).all()
+    assert (tables.poll_rows([191], [7]) == expected[2:3]).all()  # the engine's scalar call
 
 
 def test_rows_identical_across_cache_budgets():
@@ -153,6 +154,29 @@ def test_packed_tables_are_smaller_than_int32():
     int32_bytes = config.n * tables.size * 4
     # 11 bits/id at n=2048 vs 32: packed must be well under half the size
     assert tables.packed_nbytes() < int32_bytes / 2
+
+
+# ----------------------------------------------------------------------
+# the provider cache: warmth changes time, never results
+# ----------------------------------------------------------------------
+def test_warm_provider_record_equals_cold(monkeypatch):
+    spec = ExperimentSpec(
+        n=1536, adversary="quorum_flood", seed=4, backend="vectorized",
+        wrong_candidate_mode="common_wrong",
+    )
+
+    def record(spec):
+        data = execute_spec(spec).to_dict()
+        data.pop("seconds")
+        return data
+
+    monkeypatch.setattr(vec_tables, "_PROVIDER_CACHE", LRUCache(4))
+    cold = record(spec)
+    monkeypatch.setattr(vec_tables, "_PROVIDER_CACHE", LRUCache(4))
+    record(spec.with_(adversary="none"))  # same seed: builds the tables this run reuses
+    assert record(spec) == cold
+    record(spec.with_(params={"vec_memory_mb": 1}))  # empties the unpacked-table LRU
+    assert record(spec) == cold
 
 
 # ----------------------------------------------------------------------
