@@ -1,12 +1,14 @@
 #!/usr/bin/env python
 """End-to-end smoke test of the experiment service over real HTTP.
 
-Starts ``python -m repro serve`` as a subprocess against a fresh store,
+Starts ``python -m repro serve --port 0 --jobs 2`` as a subprocess against a
+fresh store and reads the address it bound from its first output line,
 submits a 4-spec quick plan, polls the job to completion, streams its
 records, then re-submits the identical plan and asserts every record is
-served from the store (zero protocol re-executions).  Uses only the
-stdlib (urllib) so the smoke needs nothing beyond the ``[service]`` extra
-the server itself requires.
+served from the store (zero protocol re-executions).  Finally it SIGTERMs
+the server and asserts a clean shutdown: exit code 0 within 15 s and none of
+its pool worker processes left alive.  Server and smoke are both
+stdlib-only (``http.server`` / ``urllib``).
 
 Exit code 0 on success; any assertion or timeout exits non-zero.  This is
 the CI ``service-smoke`` job; it also runs fine locally::
@@ -16,7 +18,6 @@ the CI ``service-smoke`` job; it also runs fine locally::
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -58,21 +59,15 @@ def wait_for(predicate, timeout: float, what: str):
     raise SystemExit(f"smoke: timed out after {timeout:.0f}s waiting for {what}")
 
 
-def healthy(base: str):
-    try:
-        status, body = request(base, "/healthz")
-    except (urllib.error.URLError, ConnectionError, OSError):
-        return None
-    return body if status == 200 else None
-
-
 def finished_job(base: str, job_id: str):
     _, job = request(base, f"/jobs/{job_id}")
     return job if job["status"] in ("done", "failed") else None
 
 
-def run_smoke(base: str) -> None:
-    wait_for(lambda: healthy(base), 30, "the server to come up")
+def run_smoke(base: str) -> str:
+    """Drive the loop against a listening server; returns the summary line."""
+    status, health = request(base, "/healthz")
+    assert status == 200 and health["status"] == "ok", f"healthz: {status} {health}"
 
     status, first = request(base, "/plans", PLAN)
     assert status == 202, f"submit returned {status}: {first}"
@@ -100,31 +95,50 @@ def run_smoke(base: str) -> None:
 
     _, stats = request(base, "/store/stats")
     assert stats["records"] == 4, f"store holds {stats['records']} records, expected 4"
-    print(f"smoke: OK — 4 ran, then {served}/4 served from store "
-          f"({stats['records']} records at {stats['path']})")
+    return (f"smoke: OK — 4 ran, then {served}/4 served from store "
+            f"({stats['records']} records at {stats['path']})")
+
+
+def parent_of(pid: int) -> int | None:
+    """The parent pid of a live process (Linux ``/proc``); ``None`` once it
+    is gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state, ppid = handle.read().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return None
+    return None if state == "Z" else int(ppid)
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--port", type=int, default=8765)
-    parser.add_argument("--host", default="127.0.0.1")
-    args = parser.parse_args()
-
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as tmp:
         store = os.path.join(tmp, "smoke-store.sqlite")
         server = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
-             "--host", args.host, "--port", str(args.port),
-             "--store", store, "--jobs", "2"],
+             "--port", "0", "--store", store, "--jobs", "2"],
+            stdout=subprocess.PIPE, text=True, env=env,
         )
         try:
-            run_smoke(f"http://{args.host}:{args.port}")
+            banner = server.stdout.readline()  # "serving on http://host:port (store: …)"
+            assert banner.startswith("serving on http://"), f"unexpected banner {banner!r}"
+            summary = run_smoke(banner.split()[2])
+            pids = map(int, filter(str.isdigit, os.listdir("/proc")))
+            workers = [pid for pid in pids if parent_of(pid) == server.pid]
+            assert workers, "the --jobs 2 server ran the plan without pool workers"
         finally:
             server.terminate()
             try:
-                server.wait(timeout=15)
+                code = server.wait(timeout=15)
             except subprocess.TimeoutExpired:
                 server.kill()
+                raise SystemExit("smoke: the server ignored SIGTERM for 15 s")
+        assert code == 0, f"server exited with {code} on SIGTERM, expected 0"
+        leaked = [pid for pid in workers if parent_of(pid) is not None]
+        assert not leaked, f"worker processes survived the server: {leaked}"
+        print(f"{summary}; SIGTERM: exit 0, {len(workers)} pool workers reaped")
     return 0
 
 

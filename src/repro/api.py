@@ -90,7 +90,7 @@ from repro.report import (
     register_report_section,
     render_registries,
 )
-from repro.service import Job, JobManager, create_app, fastapi_available
+from repro.service import Job, JobManager, make_server
 from repro.store import (
     ResultStore,
     StoreError,
@@ -133,7 +133,7 @@ __all__ = [
     "run_worker", "active_coordinators",
     # result store and experiment service
     "ResultStore", "StoreError", "spec_key", "plan_key", "code_fingerprint",
-    "default_store_path", "Job", "JobManager", "create_app", "fastapi_available",
+    "default_store_path", "Job", "JobManager", "make_server",
     # conveniences
     "spec_for", "run_experiment", "compare",
     "format_table", "compare_rows", "run_result_row",

@@ -51,7 +51,7 @@ Subcommands
         python -m repro store prune --fingerprint abc1234+dirty
 
 ``serve``
-    The experiment service (needs the ``[service]`` extra)::
+    The experiment service (stdlib; prints the address it bound, ``--port 0`` works)::
 
         python -m repro serve --host 127.0.0.1 --port 8000
 
@@ -110,7 +110,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
+import threading
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.experiments import compare_rows, format_table, run_result_row
@@ -384,10 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve = sub.add_parser(
-        "serve", help="run the experiment service (needs the [service] extra)"
+        "serve", help="run the experiment service (stdlib HTTP; prints the address it bound)"
     )
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8000)
+    serve.add_argument("--port", type=int, default=8000, help="0 picks an ephemeral port")
     serve.add_argument(
         "--store", default=None, metavar="PATH",
         help="result store path (default: $REPRO_STORE or .repro-store.sqlite)",
@@ -395,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--jobs", type=int, default=None, help="worker processes per sweep"
     )
-    serve.add_argument("--log-level", default="info")
 
     bench = sub.add_parser(
         "bench", help="run the repo benchmark (BENCHMARK.json) and print its end-to-end table"
@@ -714,34 +715,21 @@ def cmd_store(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import fastapi_available
-    from repro.store import StoreError, default_store_path
+    from repro.service import make_server
+    from repro.store import StoreError
 
-    if not fastapi_available():
-        print(
-            "error: the experiment service needs the optional [service] extra: "
-            "pip install 'aer-repro[service]' (fastapi + uvicorn)",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        import uvicorn
-    except ImportError:
-        print(
-            "error: uvicorn is not installed — pip install 'aer-repro[service]'",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.service import create_app
-
-    store_path = args.store or default_store_path()
-    try:
-        app = create_app(store_path=store_path, jobs=args.jobs)
-    except StoreError as exc:
+        server = make_server(args.store, args.jobs, host=args.host, port=args.port)
+    except (StoreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"serving on http://{args.host}:{args.port} (store: {store_path})")
-    uvicorn.run(app, host=args.host, port=args.port, log_level=args.log_level)
+    stop = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):  # both end in server.close()
+        signal.signal(signum, lambda *_: stop.set())
+    with server:
+        host, port = server.server_address[:2]
+        print(f"serving on http://{host}:{port} (store: {server.manager.store.path})", flush=True)
+        stop.wait()
     return 0
 
 

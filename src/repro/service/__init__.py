@@ -1,47 +1,26 @@
 """Experiment service: submit plans over HTTP, stream records, query the store.
 
-Two halves, split exactly like the related-work services (an ``api`` layer
-over a ``worker`` layer):
+Two stdlib-only halves, split the way :mod:`repro.dist` is:
 
-* :mod:`repro.service.jobs` — framework-free job orchestration.  A
-  :class:`JobManager` owns one background worker thread, one shared warm
+* :mod:`repro.service.jobs` — job orchestration.  A :class:`JobManager` owns
+  one background worker thread, one shared warm
   :class:`~repro.experiments.sweep.WorkerPool` and one
-  :class:`~repro.store.ResultStore`; submitted
-  :class:`~repro.experiments.plan.ExperimentPlan`\\ s queue onto the thread,
-  identical in-flight submissions **coalesce onto one job**, and records
-  stream out in completion order.  No FastAPI import — the manager is fully
-  testable (and usable as a library) without the ``[service]`` extra.
-* :mod:`repro.service.app` — the FastAPI application over the manager:
-  submit / poll / NDJSON-stream / store-query routers.  Imported lazily so
-  this package works without ``fastapi`` installed; ``python -m repro
-  serve`` is the uvicorn entry point.
+  :class:`~repro.store.ResultStore`; identical in-flight submissions
+  **coalesce onto one job**, and records stream out in completion order.
+  Usable as a library without any HTTP.
+* :mod:`repro.service.app` — the ``http.server`` layer over the manager
+  (submit / poll / NDJSON-stream / store-query routes), entered through
+  :func:`make_server`; ``python -m repro serve`` is its command line.
 """
 
 from repro.service.jobs import Job, JobManager
 
-__all__ = ["Job", "JobManager", "create_app", "fastapi_available"]
+__all__ = ["Job", "JobManager", "make_server"]
 
 
-def fastapi_available() -> bool:
-    """Whether the optional ``[service]`` extra (fastapi) is importable."""
-    try:
-        import fastapi  # noqa: F401
-    except ImportError:
-        return False
-    return True
+def make_server(*args, **kwargs):
+    """:func:`repro.service.app.make_server`, importing the HTTP half on first
+    use so ``import repro.api`` does not pay for ``http.server``."""
+    from repro.service.app import make_server as _make_server
 
-
-def create_app(*args, **kwargs):
-    """Build the FastAPI app (lazy import; see :func:`repro.service.app.create_app`).
-
-    Raises a ``RuntimeError`` naming the install command when fastapi is
-    missing, instead of an ImportError deep inside a router module.
-    """
-    if not fastapi_available():
-        raise RuntimeError(
-            "the experiment service needs the optional [service] extra: "
-            "pip install 'aer-repro[service]' (fastapi + uvicorn)"
-        )
-    from repro.service.app import create_app as _create_app
-
-    return _create_app(*args, **kwargs)
+    return _make_server(*args, **kwargs)

@@ -1,11 +1,12 @@
-"""FastAPI application over the JobManager: the experiment service's API half.
+"""Stdlib ``http.server`` layer over the JobManager: the service's API half.
 
-Endpoints (all JSON unless noted):
+This endpoint list is the contract (JSON; every error is ``{"detail": …}``):
 
 * ``GET  /healthz`` — liveness + store/job counters.
 * ``POST /plans`` — submit an :class:`~repro.experiments.plan.ExperimentPlan`
-  as JSON (the ``plan.to_dict()`` layout); returns the job id.  Identical
-  in-flight submissions coalesce onto one job (``coalesced: true``).
+  as JSON (the ``plan.to_dict()`` layout); returns the job id (202; 422 for
+  an invalid plan).  Identical in-flight submissions coalesce onto one job
+  (``coalesced: true``).
 * ``GET  /jobs`` — progress snapshots of every job, newest first.
 * ``GET  /jobs/{job_id}`` — one job's progress (done/total,
   served-from-store count, status).
@@ -16,158 +17,244 @@ Endpoints (all JSON unless noted):
 * ``GET  /jobs/{job_id}/result`` — the finished plan-ordered record list
   (409 while still running).
 * ``GET  /store/stats`` — the store's :meth:`~repro.store.ResultStore.stats`.
-* ``GET  /store/records`` — query stored records by protocol/fingerprint.
+* ``GET  /store/records`` — query stored records by protocol/fingerprint
+  (both 404 when the service runs without a store).
 * ``GET  /dist/coordinators`` — status snapshots of every live distributed
   sweep coordinator in this process (see :mod:`repro.dist`); each describes
   the pending delta its sweep handed to the dist executor, not the plan.
 
-This module imports fastapi and must only be loaded through
-:func:`repro.service.create_app` (which guards the optional dependency) or
-``python -m repro serve``.
+Route functions are plain ``(manager, path params, query, body) -> (status,
+payload)``, :class:`_Handler` is transport only, :func:`make_server` the entry.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import asynccontextmanager
-from typing import Optional
+import re
+import threading
+import traceback
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Iterator, Optional
+from urllib.parse import parse_qsl, urlsplit
 
-from fastapi import APIRouter, FastAPI, HTTPException
-from fastapi.responses import StreamingResponse
-
+from repro.dist.coordinator import active_coordinators
 from repro.experiments.plan import ExperimentPlan
 from repro.service.jobs import JobManager
 from repro.store import ResultStore, default_store_path
 
-
-def _record_line(index: int, record, served: bool) -> str:
-    payload = {
-        "index": index,
-        "served_from_store": served,
-        "record": record.to_dict(),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+#: largest request body accepted; a longer one is refused (413) unread
+MAX_BODY_BYTES = 1 << 20
+#: the only spelling of a count taken from outside (``start``, ``limit``, Content-Length)
+NATURAL = re.compile(r"[0-9]{1,18}")
 
 
-def build_router(manager: JobManager) -> APIRouter:
-    """The service's routes, bound to one JobManager."""
-    router = APIRouter()
-
-    @router.get("/healthz")
-    def healthz() -> dict:
-        stats = manager.store.stats() if manager.store is not None else None
-        return {
-            "status": "ok",
-            "jobs": len(manager.list_jobs()),
-            "store": stats,
-        }
-
-    @router.post("/plans", status_code=202)
-    def submit_plan(plan: dict) -> dict:
-        try:
-            parsed = ExperimentPlan.from_dict(plan)
-            job, coalesced = manager.submit(parsed)
-        except (ValueError, TypeError) as exc:
-            raise HTTPException(status_code=422, detail=str(exc)) from None
-        return {"job_id": job.id, "coalesced": coalesced, "total": job.total}
-
-    @router.get("/jobs")
-    def list_jobs() -> list:
-        return manager.list_jobs()
-
-    def _job(job_id: str):
-        try:
-            return manager.get(job_id)
-        except KeyError:
-            raise HTTPException(status_code=404, detail=f"unknown job {job_id!r}") from None
-
-    @router.get("/jobs/{job_id}")
-    def job_progress(job_id: str) -> dict:
-        return _job(job_id).progress()
-
-    @router.get("/jobs/{job_id}/records")
-    def job_records(job_id: str, start: int = 0) -> StreamingResponse:
-        _job(job_id)  # 404 before the stream starts, not inside it
-
-        def stream():
-            for index, record, served in manager.iter_records(job_id, start=start):
-                yield _record_line(index, record, served)
-
-        return StreamingResponse(stream(), media_type="application/x-ndjson")
-
-    @router.get("/jobs/{job_id}/result")
-    def job_result(job_id: str) -> dict:
-        job = _job(job_id)
-        if not job.finished:
-            raise HTTPException(
-                status_code=409,
-                detail=f"job {job_id!r} is {job.status} ({job.done}/{job.total})",
-            )
-        ordered = sorted(job.records, key=lambda item: item[0])
-        return {
-            **job.progress(),
-            "records": [record.to_dict() for _, record, _ in ordered],
-        }
-
-    @router.get("/store/stats")
-    def store_stats() -> dict:
-        if manager.store is None:
-            raise HTTPException(status_code=404, detail="service runs without a store")
-        return manager.store.stats()
-
-    @router.get("/store/records")
-    def store_records(
-        protocol: Optional[str] = None,
-        fingerprint: Optional[str] = None,
-        limit: int = 100,
-    ) -> list:
-        if manager.store is None:
-            raise HTTPException(status_code=404, detail="service runs without a store")
-        return manager.store.query(
-            protocol=protocol, fingerprint=fingerprint, limit=limit
-        )
-
-    @router.get("/dist/coordinators")
-    def dist_coordinators() -> list:
-        from repro.dist import active_coordinators
-
-        return active_coordinators()
-
-    return router
+class HTTPError(Exception):
+    """``HTTPError(status, detail)``: a route's ``{"detail": detail}`` answer."""
 
 
-def create_app(
-    store_path: Optional[str] = None,
-    jobs: Optional[int] = None,
-    manager: Optional[JobManager] = None,
-) -> FastAPI:
-    """Build the service application.
+def _job(manager: JobManager, job_id: str):
+    try:
+        return manager.get(job_id)
+    except KeyError:
+        raise HTTPError(404, f"unknown job {job_id!r}") from None
 
-    ``store_path`` defaults to :func:`repro.store.default_store_path`
-    (``$REPRO_STORE`` or ``.repro-store.sqlite``); pass an explicit
-    ``manager`` to share one across apps (tests).  The app owns whatever it
-    creates: manager, pool and store are released on shutdown through the
-    idle-safe close path.
-    """
-    owned = manager is None
-    if manager is None:
-        store = ResultStore(store_path or default_store_path())
-        manager = JobManager(store=store, jobs=jobs)
 
-    @asynccontextmanager
-    async def lifespan(app: FastAPI):
-        yield
-        if owned:
-            manager.close()
-            if manager.store is not None:
-                manager.store.close()
+def _store(manager: JobManager) -> ResultStore:
+    if manager.store is None:
+        raise HTTPError(404, "service runs without a store")
+    return manager.store
 
-    app = FastAPI(
-        title="aer-repro experiment service",
-        description="Submit experiment plans, stream records, query the "
-        "content-addressed result store.",
-        lifespan=lifespan,
+
+def _count(query: dict, name: str, default: int) -> int:
+    text = query.get(name, str(default))
+    if not NATURAL.fullmatch(text):
+        raise HTTPError(422, f"{name} must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def healthz(manager, params, query, body):
+    stats = manager.store.stats() if manager.store is not None else None
+    return 200, {"status": "ok", "jobs": len(manager.list_jobs()), "store": stats}
+
+
+def submit_plan(manager, params, query, body):
+    if not isinstance(body, dict):
+        raise HTTPError(422, "the plan must be a JSON object")
+    try:
+        job, coalesced = manager.submit(ExperimentPlan.from_dict(body))
+    except (ValueError, TypeError) as exc:
+        raise HTTPError(422, str(exc)) from None
+    return 202, {"job_id": job.id, "coalesced": coalesced, "total": job.total}
+
+
+def list_jobs(manager, params, query, body):
+    return 200, manager.list_jobs()
+
+
+def job_progress(manager, params, query, body):
+    return 200, _job(manager, params["job_id"]).progress()
+
+
+def job_records(manager, params, query, body):
+    job_id, start = params["job_id"], _count(query, "start", 0)
+    _job(manager, job_id)  # 404 before the stream starts, not inside it
+    return 200, (
+        json.dumps(
+            {"index": index, "served_from_store": served, "record": record.to_dict()},
+            sort_keys=True, separators=(",", ":"),
+        ) + "\n"
+        for index, record, served in manager.iter_records(job_id, start=start)
     )
-    app.state.manager = manager
-    app.include_router(build_router(manager))
-    return app
+
+
+def job_result(manager, params, query, body):
+    job = _job(manager, params["job_id"])
+    if not job.finished:
+        raise HTTPError(409, f"job {job.id!r} is {job.status} ({job.done}/{job.total})")
+    ordered = sorted(job.records, key=lambda item: item[0])
+    return 200, {**job.progress(), "records": [record.to_dict() for _, record, _ in ordered]}
+
+
+def store_stats(manager, params, query, body):
+    return 200, _store(manager).stats()
+
+
+def store_records(manager, params, query, body):
+    return 200, _store(manager).query(
+        protocol=query.get("protocol"), fingerprint=query.get("fingerprint"),
+        limit=_count(query, "limit", 100),
+    )
+
+
+def dist_coordinators(manager, params, query, body):
+    return 200, active_coordinators()
+
+
+#: the one route table the handler dispatches through: (method, path regex, route)
+ROUTES = [
+    ("GET", "/healthz", healthz),
+    ("POST", "/plans", submit_plan),
+    ("GET", "/jobs", list_jobs),
+    ("GET", "/jobs/(?P<job_id>[^/]+)", job_progress),
+    ("GET", "/jobs/(?P<job_id>[^/]+)/records", job_records),
+    ("GET", "/jobs/(?P<job_id>[^/]+)/result", job_result),
+    ("GET", "/store/stats", store_stats),
+    ("GET", "/store/records", store_records),
+    ("GET", "/dist/coordinators", dist_coordinators),
+]
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Transport only: parse the request, dispatch through ROUTES, write."""
+
+    protocol_version = "HTTP/1.1"  # chunked streaming needs it
+
+    def _answer(self):
+        url = urlsplit(self.path)
+        allowed = {
+            method: (route, match)
+            for method, pattern, route in ROUTES
+            if (match := re.fullmatch(pattern, url.path))
+        }
+        if not allowed:
+            raise HTTPError(404, f"no such path {url.path!r}")
+        if self.command not in allowed:
+            raise HTTPError(405, f"{self.command} is not allowed on {url.path!r}")
+        route, match = allowed[self.command]
+        body = self._json_body() if self.command == "POST" else None
+        return route(self.server.manager, match.groupdict(), dict(parse_qsl(url.query)), body)
+
+    def _json_body(self):
+        length = self.headers.get("Content-Length", "")
+        if not NATURAL.fullmatch(length):
+            raise HTTPError(411, "a Content-Length is required")
+        if int(length) > MAX_BODY_BYTES:
+            raise HTTPError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+        try:
+            return json.loads(self.rfile.read(int(length)))
+        except ValueError:
+            raise HTTPError(422, "body is not valid JSON") from None
+
+    def _dispatch(self) -> None:
+        try:
+            status, payload = self._answer()
+        except HTTPError as exc:
+            status, payload = exc.args[0], {"detail": exc.args[1]}
+        except Exception as exc:  # the boundary: report it, keep serving
+            traceback.print_exc()
+            status, payload = 500, {"detail": f"{type(exc).__name__}: {exc}"}
+        try:
+            if isinstance(payload, Iterator):
+                self._write_stream(payload)
+            else:
+                self._write_json(status, payload)
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True  # the client left; its job runs on
+
+    do_GET = do_POST = do_PUT = do_DELETE = _dispatch
+
+    def _write_json(self, status: int, payload) -> None:
+        data = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        if status >= 400:  # the request body may be unread: drop the connection
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(data)
+
+    def _write_stream(self, lines: Iterator[str]) -> None:
+        self.send_response(200)
+        self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Transfer-Encoding", "chunked")
+        self.end_headers()
+        for line in lines:
+            data = line.encode()
+            self.wfile.write(b"%x\r\n%s\r\n" % (len(data), data))
+        self.wfile.write(b"0\r\n\r\n")
+
+
+class ServiceServer(ThreadingHTTPServer):
+    """What :func:`make_server` returns: serving on a daemon thread (handler
+    threads are daemonic too) until :meth:`close` / the end of its ``with``."""
+
+    manager: JobManager
+    owned: tuple = ()  # what make_server created for this server, closed with it
+
+    def close(self) -> None:
+        """Stop serving and release what this server owns (idempotent)."""
+        self.shutdown()
+        self.server_close()
+        for resource in self.owned:
+            resource.close()
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def make_server(
+    store_path: Optional[str] = None, jobs: Optional[int] = None,
+    manager: Optional[JobManager] = None, host: str = "127.0.0.1", port: int = 0,
+) -> ServiceServer:
+    """Bind the service and start serving; ``server_address`` is what it bound.
+
+    ``store_path`` defaults to :func:`repro.store.default_store_path`; pass a
+    ``manager`` to share one (tests).  The server owns what it creates here:
+    manager, pool and store go through their idle-safe close paths.
+    """
+    store = ResultStore(store_path or default_store_path()) if manager is None else None
+    try:
+        server = ServiceServer((host, port), _Handler)
+    except OSError:
+        if store is not None:
+            store.close()
+        raise
+    if manager is None:
+        manager = JobManager(store=store, jobs=jobs)
+        server.owned = (manager, store)
+    server.manager = manager
+    threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05},  # bounds close()
+        name="repro-service-http", daemon=True,
+    ).start()
+    return server

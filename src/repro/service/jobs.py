@@ -1,4 +1,4 @@
-"""Framework-free job orchestration for the experiment service.
+"""Job orchestration for the experiment service (no HTTP in here).
 
 A :class:`JobManager` is the service's worker half: one daemon thread drains
 a FIFO of submitted :class:`~repro.experiments.plan.ExperimentPlan`\\ s and
@@ -18,8 +18,8 @@ layer builds on:
   pool via its idle-safe graceful path, so a service restart never leaks
   worker processes.
 
-Everything here is importable without fastapi: the manager doubles as the
-library API for "run these plans in the background of my process".
+Nothing here imports the HTTP half: the manager doubles as the library API
+for "run these plans in the background of my process".
 """
 
 from __future__ import annotations

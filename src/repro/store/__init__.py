@@ -15,7 +15,7 @@ Any sweep or report run against a warm store is *incremental*: records
 already computed are served from SQLite, only the delta executes — see
 ``SweepRunner.run(store=...)`` and ``ReportBuilder(store_path=...)``.  The
 storage engine is SQLite in WAL mode, so many reader processes (and the
-FastAPI service's request threads) can query while a sweep writes.
+experiment service's request threads) can query while a sweep writes.
 """
 
 from repro.store.keys import code_fingerprint, plan_key, spec_key

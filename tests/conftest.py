@@ -7,6 +7,10 @@ still exercising real quorum logic (quorums of 7+ members, 16% Byzantine).
 
 from __future__ import annotations
 
+import json
+import urllib.error
+import urllib.request
+
 import pytest
 
 from repro.core.config import AERConfig
@@ -81,3 +85,24 @@ def direct_aer_run():
 def small_sync_result(small_scenario, small_config):
     """One failure-free synchronous AER run on the small scenario (reused by many tests)."""
     return run_aer(small_scenario, config=small_config, adversary_name="none", seed=11)
+
+
+@pytest.fixture(scope="session")
+def http():
+    """``f(url, body=None, method=None) -> (status, body)`` against a real
+    socket: ``body`` is sent as JSON (``bytes`` go out raw), the answer comes
+    back parsed when it is JSON and as text otherwise (the NDJSON stream)."""
+
+    def request(url, body=None, method=None):
+        data = body if body is None or isinstance(body, bytes) else json.dumps(body).encode()
+        req = urllib.request.Request(url, data=data, method=method)
+        try:
+            with urllib.request.urlopen(req, timeout=60) as resp:
+                status, headers, raw = resp.status, resp.headers, resp.read()
+        except urllib.error.HTTPError as exc:
+            status, headers, raw = exc.code, exc.headers, exc.read()
+        if headers.get("Content-Type") == "application/json":
+            return status, json.loads(raw)
+        return status, raw.decode()
+
+    return request

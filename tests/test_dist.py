@@ -422,22 +422,16 @@ def test_two_worker_threads_split_the_plan():
 # ----------------------------------------------------------------------
 # the service endpoint
 # ----------------------------------------------------------------------
-def test_service_lists_live_coordinators():
-    from repro.service import fastapi_available
+def test_service_lists_live_coordinators(http):
+    from repro.service import JobManager, make_server
 
-    if not fastapi_available():
-        pytest.skip("needs the [service] extra")
-    from fastapi.testclient import TestClient
-
-    from repro.service import create_app
-    from repro.service.jobs import JobManager
-
-    app = create_app(manager=JobManager(store=None, jobs=1))
-    with TestClient(app) as client:
-        assert client.get("/dist/coordinators").json() == []
+    with JobManager(store=None, jobs=1) as manager, make_server(manager=manager) as server:
+        url = "http://%s:%d/dist/coordinators" % server.server_address[:2]
+        assert http(url) == (200, [])
         with DistCoordinator(PLAN.specs()) as coordinator:
             host, port = coordinator.address
-            listed = client.get("/dist/coordinators").json()
+            status, listed = http(url)
+            assert status == 200
             assert [c["address"] for c in listed] == [f"{host}:{port}"]
             assert listed[0]["total"] == len(PLAN)
-        assert client.get("/dist/coordinators").json() == []
+        assert http(url) == (200, [])

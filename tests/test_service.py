@@ -1,21 +1,29 @@
-"""Experiment-service subsystem: job manager, coalescing, streaming, HTTP app.
+"""Experiment-service subsystem: job manager, coalescing, streaming, HTTP layer.
 
-The :class:`~repro.service.jobs.JobManager` half is framework-free and fully
-tested here without the ``[service]`` extra; the FastAPI layer is exercised
-only when fastapi is importable (the main CI test job runs without it — the
-import guard itself is part of the contract) and e2e by the CI service-smoke
-job.
+Both halves are stdlib-only and fully tested here: the
+:class:`~repro.service.jobs.JobManager` directly, the ``http.server`` layer
+through a real :func:`~repro.service.make_server` socket on a loopback port
+(``urllib`` via the ``http`` fixture, raw sockets where the request itself is
+the malformed input).  ``scripts/service_smoke.py`` covers the ``python -m
+repro serve`` process with a worker pool end to end.
 """
 
 from __future__ import annotations
 
 import json
+import signal
+import socket
+import struct
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.experiments.plan import ExperimentPlan
-from repro.experiments.sweep import RUN_COUNTER
-from repro.service import JobManager, fastapi_available
+from repro.experiments.sweep import RUN_COUNTER, SweepRunner
+from repro.service import JobManager, make_server
 from repro.service.jobs import DONE, FAILED
 from repro.store import ResultStore
 
@@ -125,65 +133,251 @@ class TestJobManager:
 
 
 # ----------------------------------------------------------------------
-# import guard: the service package must work without fastapi
+# HTTP layer, over a real loopback socket
 # ----------------------------------------------------------------------
-def test_create_app_guard_names_the_extra(monkeypatch):
-    if fastapi_available():
-        pytest.skip("fastapi installed; the missing-dependency path is moot")
-    from repro.service import create_app
-
-    with pytest.raises(RuntimeError, match=r"\[service\] extra"):
-        create_app()
+@pytest.fixture()
+def base(manager):
+    with make_server(manager=manager) as server:
+        yield "http://%s:%d" % server.server_address[:2]
 
 
-def test_serve_cli_fails_cleanly_without_fastapi(capsys):
-    if fastapi_available():
-        pytest.skip("fastapi installed; the missing-dependency path is moot")
-    from repro.experiments.cli import main as cli_main
+@pytest.fixture()
+def gate(monkeypatch):
+    """Holds every job after its first record until ``gate.set()``."""
+    gate = threading.Event()
+    real_run = SweepRunner.run
 
-    assert cli_main(["serve"]) == 2
-    assert "[service]" in capsys.readouterr().err
+    def gated_run(self, on_record=None, **kwargs):
+        def held(index, record, served):
+            on_record(index, record, served)
+            assert gate.wait(timeout=60)
+
+        return real_run(self, on_record=held, **kwargs)
+
+    monkeypatch.setattr(SweepRunner, "run", gated_run)
+    yield gate
+    gate.set()
 
 
-# ----------------------------------------------------------------------
-# HTTP layer (runs only with the [service] extra installed)
-# ----------------------------------------------------------------------
-@pytest.mark.skipif(not fastapi_available(), reason="needs the [service] extra")
+def wait_until(predicate, what, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.02)
+
+
+def connect(base) -> socket.socket:
+    host, port = base.removeprefix("http://").split(":")
+    return socket.create_connection((host, int(port)), timeout=30)
+
+
+def raw_exchange(base, request: bytes):
+    """Send ``request`` verbatim, read to EOF; ``(status, JSON body)``."""
+    with connect(base) as sock:
+        sock.sendall(request)
+        answer = b"".join(iter(lambda: sock.recv(65536), b""))
+    head, _, body = answer.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
 class TestHTTPApp:
-    @pytest.fixture()
-    def client(self, manager):
-        from fastapi.testclient import TestClient
-
-        from repro.service import create_app
-
-        app = create_app(manager=manager)
-        with TestClient(app) as client:
-            yield client
-
-    def test_submit_poll_stream_and_cached_resubmit(self, client):
+    def test_submit_poll_stream_and_cached_resubmit(self, base, http):
         payload = PLAN.to_dict()
-        submitted = client.post("/plans", json=payload).json()
+        status, submitted = http(base + "/plans", payload)
+        assert status == 202 and submitted["total"] == 2 and not submitted["coalesced"]
         job_id = submitted["job_id"]
-        assert submitted["total"] == 2
 
-        lines = [
-            json.loads(line)
-            for line in client.get(f"/jobs/{job_id}/records").text.splitlines()
-        ]
-        assert len(lines) == 2
+        status, stream = http(f"{base}/jobs/{job_id}/records")
+        lines = [json.loads(line) for line in stream.splitlines()]
+        assert status == 200 and len(lines) == 2
+        assert set(lines[0]) == {"index", "served_from_store", "record"}
         assert {line["record"]["spec"]["seed"] for line in lines} == {3, 4}
 
-        progress = client.get(f"/jobs/{job_id}").json()
-        assert progress["status"] == "done" and progress["done"] == 2
+        status, progress = http(f"{base}/jobs/{job_id}")
+        assert status == 200 and progress["status"] == "done" and progress["done"] == 2
+        assert [job["id"] for job in http(base + "/jobs")[1]] == [job_id]
 
-        again = client.post("/plans", json=payload).json()
-        result = client.get(f"/jobs/{again['job_id']}/result")
-        while result.status_code == 409:
-            result = client.get(f"/jobs/{again['job_id']}/result")
-        assert result.json()["served_from_store"] == 2
+        _, again = http(base + "/plans", payload)
+        wait_until(lambda: http(f"{base}/jobs/{again['job_id']}/result")[0] == 200, "job 2")
+        assert http(f"{base}/jobs/{again['job_id']}/result")[1]["served_from_store"] == 2
 
-    def test_store_endpoints_and_errors(self, client):
-        assert client.get("/healthz").json()["status"] == "ok"
-        assert client.get("/store/stats").json()["schema_version"] >= 1
-        assert client.get("/jobs/nope").status_code == 404
-        assert client.post("/plans", json={"ns": [24], "bogus": 1}).status_code == 422
+    def test_store_endpoints_and_errors(self, base, http):
+        status, stats = http(base + "/store/stats")
+        assert status == 200 and stats["schema_version"] >= 1
+        assert http(base + "/healthz") == (200, {"status": "ok", "jobs": 0, "store": stats})
+        assert http(base + "/jobs/nope")[0] == 404
+        assert http(base + "/plans", {"ns": [24], "bogus": 1})[0] == 422
+        _, submitted = http(base + "/plans", PLAN.to_dict())
+        http(f"{base}/jobs/{submitted['job_id']}/records")  # blocks until done
+        status, stored = http(base + "/store/records?protocol=aer&limit=1")
+        assert status == 200 and len(stored) == 1
+        assert http(base + "/store/records?fingerprint=other-fp") == (200, [])
+        assert http(base + "/dist/coordinators") == (200, [])
+
+    def test_stream_resume_is_the_tail_of_the_full_stream(self, base, http):
+        _, submitted = http(base + "/plans", PLAN.to_dict())
+        records = f"{base}/jobs/{submitted['job_id']}/records"
+        _, full = http(records)
+        status, tail = http(records + "?start=1")
+        assert status == 200 and tail and full.endswith(tail)
+        assert [json.loads(line)["index"] for line in tail.splitlines()] == [1]
+        assert http(records + "?start=2") == (200, "")
+
+    def test_inflight_submit_coalesces_and_result_waits(self, base, http, gate):
+        _, first = http(base + "/plans", PLAN.to_dict())
+        job = f"{base}/jobs/{first['job_id']}"
+        wait_until(lambda: http(job)[1]["done"] == 1, "the first record")
+        assert http(base + "/plans", PLAN.to_dict()) == (
+            202, {"job_id": first["job_id"], "coalesced": True, "total": 2}
+        )
+        status, refused = http(job + "/result")
+        assert status == 409 and "running (1/2)" in refused["detail"]
+        gate.set()
+        wait_until(lambda: http(job + "/result")[0] == 200, "the job to finish")
+        result = http(job + "/result")[1]
+        assert result["submissions"] == 2
+        assert [record["spec"]["seed"] for record in result["records"]] == [3, 4]
+
+    def test_dropped_stream_client_leaves_the_job_running(self, base, http, gate, capsys):
+        _, submitted = http(base + "/plans", PLAN.to_dict())
+        job = f"{base}/jobs/{submitted['job_id']}"
+        with connect(base) as sock, sock.makefile("rb") as reader:
+            sock.sendall(f"GET {job.removeprefix(base)}/records HTTP/1.1\r\nHost: t\r\n\r\n".encode())
+            assert reader.readline().startswith(b"HTTP/1.1 200")
+            headers = dict(line.decode().strip().split(": ", 1) for line in iter(reader.readline, b"\r\n"))
+            assert headers["Transfer-Encoding"] == "chunked"
+            assert headers["Content-Type"] == "application/x-ndjson"
+            first = reader.read(int(reader.readline(), 16))
+            assert json.loads(first)["index"] == 0
+            # drop mid-stream with a reset, not a polite FIN
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        gate.set()
+        wait_until(lambda: http(job)[1]["status"] == "done", "the job to finish")
+        status, rest = http(job + "/records?start=1")
+        assert status == 200 and [json.loads(line)["index"] for line in rest.splitlines()] == [1]
+        wait_until(
+            lambda: not any("process_request_thread" in t.name for t in threading.enumerate()),
+            "the dropped client's handler thread to end",
+        )
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method, path, body, expected",
+        [
+            ("GET", "/healthz", None, 200),
+            ("GET", "/jobs", None, 200),
+            ("GET", "/store/records?limit=0", None, 200),
+            ("GET", "/nope", None, 404),
+            ("GET", "/jobs/nope", None, 404),
+            ("GET", "/jobs/nope/records", None, 404),
+            ("GET", "/jobs/nope/result", None, 404),
+            ("GET", "/jobs/nope/records/extra", None, 404),
+            ("DELETE", "/nope", None, 404),
+            ("GET", "/plans", None, 405),
+            ("POST", "/jobs", {}, 405),
+            ("PUT", "/plans", {}, 405),
+            ("DELETE", "/jobs/nope", None, 405),
+            ("POST", "/plans", b"{not json", 422),
+            ("POST", "/plans", b"\xff\xfe", 422),
+            ("POST", "/plans", [24], 422),
+            ("POST", "/plans", "ns=24", 422),
+            ("POST", "/plans", {"ns": [24], "bogus": 1}, 422),
+            ("POST", "/plans", {"ns": [24], "trace": "bogus"}, 422),
+            ("GET", "/jobs/nope/records?start=-1", None, 422),
+            ("GET", "/jobs/nope/records?start=one", None, 422),
+            ("GET", "/store/records?limit=-1", None, 422),
+            ("GET", "/store/records?limit=1.5", None, 422),
+            ("GET", "/store/records?limit=" + "9" * 5000, None, 422),
+        ],
+    )
+    def test_status_of_every_kind_of_request(self, base, http, method, path, body, expected):
+        status, answer = http(base + path, body, method=method)
+        assert status == expected
+        assert status < 400 or set(answer) == {"detail"}
+
+    @pytest.mark.parametrize(
+        "headers, expected",
+        [
+            ("", 411),
+            ("Content-Length: -5\r\n", 411),
+            ("Content-Length: many\r\n", 411),
+            # refused on the header alone: the server would block on a read
+            (f"Content-Length: {2 << 20}\r\n", 413),
+        ],
+    )
+    def test_body_length_is_checked_before_reading(self, base, headers, expected):
+        status, answer = raw_exchange(base, f"POST /plans HTTP/1.1\r\nHost: t\r\n{headers}\r\n".encode())
+        assert status == expected and set(answer) == {"detail"}
+
+    def test_route_exception_is_a_500_and_the_server_keeps_serving(self, base, http, manager, monkeypatch, capsys):
+        def boom(job_id):
+            raise RuntimeError("route exploded")
+
+        monkeypatch.setattr(manager, "get", boom)
+        assert http(base + "/jobs/any") == (500, {"detail": "RuntimeError: route exploded"})
+        assert "route exploded" in capsys.readouterr().err  # the traceback is reported
+        assert http(base + "/healthz")[0] == 200
+
+    def test_storeless_service_answers_404_on_the_store_routes(self, http):
+        with JobManager(store=None, jobs=1) as mgr, make_server(manager=mgr) as server:
+            base = "http://%s:%d" % server.server_address[:2]
+            assert http(base + "/healthz")[1]["store"] is None
+            for path in ("/store/stats", "/store/records"):
+                assert http(base + path) == (404, {"detail": "service runs without a store"})
+
+
+# ----------------------------------------------------------------------
+# lifecycle: what make_server creates it releases; the serve command
+# ----------------------------------------------------------------------
+def test_make_server_owns_and_releases_what_it_creates(tmp_path, http):
+    with make_server(store_path=str(tmp_path / "owned.sqlite"), jobs=1) as server:
+        base = "http://%s:%d" % server.server_address[:2]
+        assert http(base + "/store/stats")[1]["records"] == 0
+        owned = server.manager
+    server.close()  # idempotent
+    with pytest.raises(RuntimeError, match="closed"):
+        owned.submit(PLAN)
+    with pytest.raises(AttributeError):
+        owned.store.stats()  # the store's connection went with it
+    with pytest.raises(OSError):
+        http(base + "/healthz")
+
+
+def test_shared_manager_outlives_its_server(manager):
+    with make_server(manager=manager):
+        pass
+    job, _ = manager.submit(ExperimentPlan(ns=(24,), seeds=(3,)))
+    assert manager.wait(job.id, timeout=60).status == DONE
+
+
+def test_serve_cli_reports_a_taken_port_cleanly(tmp_path, capsys):
+    from repro.experiments.cli import main as cli_main
+
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        argv = ["serve", "--port", str(port), "--store", str(tmp_path / "s.sqlite")]
+        assert cli_main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
+def test_serve_cli_prints_its_bound_address_and_stops_on_signal(tmp_path, http, signum):
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--jobs", "1",
+         "--store", str(tmp_path / "cli.sqlite")],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    try:
+        banner = server.stdout.readline().split()
+        assert banner[:2] == ["serving", "on"] and not banner[2].endswith(":0")
+        assert http(banner[2] + "/healthz")[0] == 200
+        server.send_signal(signum)
+        assert server.wait(timeout=30) == 0
+    finally:
+        server.kill()
+        server.wait()
+
+
+def test_importing_the_api_does_not_load_the_http_layer():
+    code = "import sys, repro.api; sys.exit('http.server' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
