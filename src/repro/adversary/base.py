@@ -55,7 +55,9 @@ class Adversary:
     Subclasses override any of the event hooks (:meth:`on_start`,
     :meth:`on_round`, :meth:`on_deliver`, :meth:`observe_send`,
     :meth:`delay_for`) and use :meth:`send_as` / :meth:`broadcast_as` to emit
-    messages from the identities they control.
+    messages from the identities they control.  Overriding one of the last
+    two is what makes the asynchronous scheduler call them for every message
+    (:attr:`watches_sends`).
     """
 
     def __init__(
@@ -96,6 +98,23 @@ class Adversary:
     def delay_for(self, record: SendRecord) -> Optional[float]:
         """Choose the delay of a message (async); ``None`` keeps the default policy."""
         return None
+
+    @property
+    def watches_sends(self) -> bool:
+        """Whether this class overrides :meth:`observe_send` or :meth:`delay_for`.
+
+        The asynchronous scheduler calls the two hooks once per message only
+        for an adversary that watches sends; for any other it keeps each
+        multicast one grouped record and draws the delays itself.  Compared
+        through the class at call time, so a wrapper installed on
+        ``Adversary`` itself (a profiler's) is inherited by both sides of
+        the comparison and does not flip the answer.
+        """
+        cls = type(self)
+        return (
+            cls.observe_send is not Adversary.observe_send
+            or cls.delay_for is not Adversary.delay_for
+        )
 
     # ------------------------------------------------------------------
     # helpers for subclasses

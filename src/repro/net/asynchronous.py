@@ -40,9 +40,18 @@ is placed by ``bisect.insort`` into the bucket's unconsumed tail, which
 preserves exactness for arbitrarily small delays.
 
 A multicast is one grouped dispatch record (metrics, trace and payload
-interning happen once per record); its per-destination delays are drawn at
-dispatch time **in destination order** — exactly the RNG consumption order
-of per-message scheduling — and expanded into the buckets immediately.
+interning happen once per record), with or without an adversary; its
+per-destination delays are chosen at dispatch time **in destination order**
+— exactly the RNG consumption order of per-message scheduling — and expanded
+into the buckets immediately.  Who chooses them depends on the adversary's
+*class*: one that overrides neither ``observe_send`` nor ``delay_for``
+(``watches_sends`` is false) cannot tell the difference, so the scheduler
+draws from the delay policy directly, as in a failure-free run; one that
+does is shown a :class:`SendRecord` per destination and asked for each
+delay, between the same sequence numbers as if the multicast had been sent
+message by message.  Only where per-message *entries* are observable — the
+message log, and the trace events of a run with an adversary — is a
+multicast dispatched one destination at a time.
 """
 
 from __future__ import annotations
@@ -209,23 +218,37 @@ class AsynchronousSimulator(EventKernel):
         self._cur_idx: int = 0
         self._pending: int = 0
         self._scheduler_rng = derive_rng(seed, "scheduler")
-        # Fast-path delay selection: with no adversary and one of the two
-        # built-in policies, the per-message SendRecord (observation payload)
-        # and the clamp are provably redundant, so the hot path skips them.
+        #: the adversary when it watches sends (overrides ``observe_send`` or
+        #: ``delay_for``; a stand-in that does not say is assumed to), else
+        #: ``None``: only a watcher is shown each message and asked for its delay
+        self._watcher = (
+            adversary
+            if adversary is not None and getattr(adversary, "watches_sends", True)
+            else None
+        )
+        #: per-sender delay rescaling (mixed populations)
+        has_delay_classes = faults is not None and faults.has_delay_classes
+        self._delay_classes = faults if has_delay_classes else None
+        # Fast-path delay selection: when nobody overrides the delay (no
+        # watching adversary, no fault delay classes) and the policy is one
+        # of the two built-in ones, the per-message SendRecord (observation
+        # payload) and the clamp are provably redundant, so the hot path
+        # skips them — under a send-blind adversary exactly as with none.
         # The draws are bit-identical to the policy's (`uniform(a, b)` is
         # exactly ``a + (b - a) * random()``).
         self._uniform_fast = None
         self._constant_fast = None
-        has_delay_classes = faults is not None and faults.has_delay_classes
-        if adversary is None and not has_delay_classes:
+        if self._watcher is None and not has_delay_classes:
             policy = self.delay_policy
             if type(policy) is RandomDelayPolicy:
                 self._uniform_fast = (policy.low, policy.high - policy.low)
             elif type(policy) is ConstantDelayPolicy:
                 self._constant_fast = policy.value
-        #: per-sender delay rescaling (mixed populations); forces every
-        #: dispatch through the per-message _schedule path when active
-        self._delay_classes = faults if has_delay_classes else None
+        #: a traced run with an adversary reports one ``message_dispatched``
+        #: event per message, and the count is part of the run's record (the
+        #: trace summary), so besides the message log this is the one
+        #: configuration that still un-groups multicasts
+        self._trace_each_message = trace is not None and adversary is not None
 
     # ------------------------------------------------------------------
     # EventKernel interface (the scheduling policy)
@@ -237,30 +260,38 @@ class AsynchronousSimulator(EventKernel):
         bits = self.metrics.record_send(sender, dest, message, self._time)
         if self.trace is not None:
             self.trace.on_dispatch(sender, 1, message.kind, bits)
-        self._schedule(sender, dest, message, bits)
+        self._schedule(sender, (dest,), message, bits)
 
     def dispatch_send_many(self, sender: int, dests: Sequence[int], message: Message) -> None:
         if not dests:
             return
-        if self.adversary is not None or self.metrics.message_log_enabled:
-            # Preserve the exact per-message interleaving of adversary
-            # observations (which may themselves send) with log entries.
+        if self._trace_each_message or self.metrics.message_log_enabled:
+            # Per-message *entries* are observable here: keep their exact
+            # interleaving with the entries of whatever the adversary sends
+            # while it observes.
             for dest in dests:
                 self.dispatch_send(sender, dest, message)
             return
+        # One record per multicast, adversary or not: metrics are commutative
+        # sums, so charging them before the per-destination observations is
+        # exact.
         message = self.intern_payload(message)
         bits = self.metrics.record_send_many(sender, tuple(dests), message, self._time)
         if self.trace is not None:
             self.trace.on_dispatch(sender, len(dests), message.kind, bits)
+        self._schedule(sender, dests, message, bits)
+
+    def _schedule(self, sender: int, dests: Sequence[int], message: Message, bits: int) -> None:
+        """Choose each destination's delay, in destination order, and queue the events."""
         time = self._time
-        seq = self._seq
-        uniform = self._uniform_fast
         buckets = self._buckets
         buckets_get = buckets.get
         cur_bucket = self._cur_bucket
+        uniform = self._uniform_fast
         if uniform is not None:
             low, span = uniform
             rand = self._scheduler_rng.random
+            seq = self._seq
             for dest in dests:
                 seq += 1
                 # parenthesised so the delay is rounded exactly as uniform() does
@@ -274,6 +305,9 @@ class AsynchronousSimulator(EventKernel):
                     else:
                         lst.append(event)
                 else:
+                    # an arrival within the bucket being consumed (delay of the
+                    # order of one bucket width): exact placement into the
+                    # unconsumed tail
                     insort(self._cur_list, event, self._cur_idx)
             self._seq = seq
             self._pending += len(dests)
@@ -281,6 +315,7 @@ class AsynchronousSimulator(EventKernel):
         if self._constant_fast is not None:
             arrival = time + self._constant_fast
             bucket = int(arrival * _BUCKET_RATE)
+            seq = self._seq
             events = [
                 (arrival, seq + offset, sender, dest, message, bits)
                 for offset, dest in enumerate(dests, 1)
@@ -297,49 +332,53 @@ class AsynchronousSimulator(EventKernel):
                 for event in events:
                     insort(self._cur_list, event, self._cur_idx)
             return
-        # custom delay policy without an adversary: per-destination draws
-        # through the policy, in destination order (the historical path)
+        # Somebody chooses the delay per message: a watching adversary, a
+        # custom delay policy, or a fault delay class.  The adversary may send
+        # from inside ``observe_send`` (re-entering this method), so ``_seq``
+        # is read through ``self`` per message: sequence numbers interleave
+        # exactly as in message-by-message dispatch.
+        watcher = self._watcher
+        if watcher is not None:
+            observe_send = watcher.observe_send
+            delay_for = watcher.delay_for
+        policy_delay = self.delay_policy.delay
+        rng = self._scheduler_rng
+        delay_classes = self._delay_classes
         for dest in dests:
-            self._schedule(sender, dest, message, bits)
-
-    def _schedule(self, sender: int, dest: int, message: Message, bits: int) -> None:
-        uniform = self._uniform_fast
-        if uniform is not None:
-            low, span = uniform
-            delay = low + span * self._scheduler_rng.random()
-        elif self._constant_fast is not None:
-            delay = self._constant_fast
-        else:
-            record = SendRecord(sender, dest, message, self._time)
+            record = SendRecord(sender, dest, message, time)
             delay: Optional[float] = None
-            if self.adversary is not None:
+            if watcher is not None:
                 # Full-information model: the adversary observes every send and
                 # may pick the delay (reliability forces it into (0, 1]).
-                self.adversary.observe_send(record)
-                delay = self.adversary.delay_for(record)
+                observe_send(record)
+                delay = delay_for(record)
             if delay is None:
-                delay = self.delay_policy.delay(record, self._scheduler_rng)
-            delay = min(1.0, max(MIN_DELAY, float(delay)))
-            if self._delay_classes is not None:
-                scale = self._delay_classes.delay_scale(sender)
+                delay = policy_delay(record, rng)
+            # reliability: clamp into [MIN_DELAY, 1], here and again after a
+            # class rescaling (comparisons rather than min/max calls: this is
+            # per message; NaN lands on MIN_DELAY either way)
+            delay = float(delay)
+            if not delay >= MIN_DELAY:
+                delay = MIN_DELAY
+            elif delay > 1.0:
+                delay = 1.0
+            if delay_classes is not None:
+                scale = delay_classes.delay_scale(sender)
                 if scale != 1.0:
                     delay = min(1.0, max(MIN_DELAY, delay * scale))
-
-        self._seq += 1
-        arrival = self._time + delay
-        event = (arrival, self._seq, sender, dest, message, bits)
-        bucket = int(arrival * _BUCKET_RATE)
-        if bucket != self._cur_bucket:
-            lst = self._buckets.get(bucket)
-            if lst is None:
-                self._buckets[bucket] = [event]
+            self._seq = seq = self._seq + 1
+            arrival = time + delay
+            event = (arrival, seq, sender, dest, message, bits)
+            bucket = int(arrival * _BUCKET_RATE)
+            if bucket != cur_bucket:
+                lst = buckets_get(bucket)
+                if lst is None:
+                    buckets[bucket] = [event]
+                else:
+                    lst.append(event)
             else:
-                lst.append(event)
-        else:
-            # an arrival within the bucket being consumed (delay of the order
-            # of one bucket width): exact placement into the unconsumed tail
-            insort(self._cur_list, event, self._cur_idx)
-        self._pending += 1
+                insort(self._cur_list, event, self._cur_idx)
+        self._pending += len(dests)
 
     def run(self) -> SimulationResult:
         """Process events until all correct nodes decide or a safety cap is hit."""

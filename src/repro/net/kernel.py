@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from repro.net.messages import Message, SizeModel
 from repro.net.metrics import MetricsCollector
@@ -76,8 +75,7 @@ def paused_gc():
         gc.enable()
 
 
-@dataclass(frozen=True)
-class SendRecord:
+class SendRecord(NamedTuple):
     """A single message put on the wire (used for adversary observation and logs)."""
 
     sender: int
@@ -92,6 +90,17 @@ class AdversaryProtocol(Protocol):
     The concrete adversary framework lives in :mod:`repro.adversary`; the
     simulators only rely on this narrow protocol so that tests can plug in
     trivial stand-ins.
+
+    One optional read-only attribute is consulted besides the methods:
+    ``watches_sends``.  The asynchronous scheduler un-groups a multicast into
+    per-destination :class:`SendRecord` observations only for an adversary
+    that watches sends; one whose ``watches_sends`` is false promises that
+    its :meth:`observe_send` does nothing and its :meth:`delay_for` returns
+    ``None``, and is never called on either.
+    :class:`~repro.adversary.base.Adversary` derives the value from whether
+    the subclass overrides one of the two hooks, so a user-defined adversary
+    gets the right answer for free; an object without the attribute is
+    treated as watching.
     """
 
     @property

@@ -106,6 +106,40 @@ class TestAdversaryBase:
         assert adversary.delay_for(record) is None
 
 
+class TestWatchesSends:
+    """``watches_sends`` is derived from which hooks the class overrides."""
+
+    @pytest.mark.parametrize(
+        "cls", [Adversary, SilentAdversary, WrongAnswerAdversary,
+                PushFloodAdversary, QuorumTargetedFloodAdversary],
+    )
+    def test_send_blind_classes(self, cls, knowledge):
+        assert cls([1], knowledge).watches_sends is False
+
+    @pytest.mark.parametrize("name", ["cornering", "cornering_nodelay", "slow_knowledgeable"])
+    def test_registered_watchers(self, name, small_scenario_module, small_config_module, small_samplers_module):
+        adversary = make_adversary(name, small_scenario_module, small_config_module, small_samplers_module)
+        assert adversary.watches_sends is True
+
+    def test_unregistered_watcher(self, knowledge):
+        assert TargetedDelayAdversary([1], knowledge, victims=[3]).watches_sends is True
+
+    @pytest.mark.parametrize("hook", ["observe_send", "delay_for"])
+    def test_overriding_one_hook_is_enough(self, hook, knowledge):
+        cls = type("OneHook", (SilentAdversary,), {hook: lambda self, record: None})
+        assert cls([1], knowledge).watches_sends is True
+
+    def test_read_only_and_immune_to_a_wrapper_on_the_base_class(self, knowledge, monkeypatch):
+        adversary = SilentAdversary([1], knowledge)
+        with pytest.raises(AttributeError):
+            adversary.watches_sends = True
+        # what a profiler does: replace the hook on Adversary itself
+        original = Adversary.observe_send
+        monkeypatch.setattr(Adversary, "observe_send", lambda self, record: original(self, record))
+        assert adversary.watches_sends is False
+        assert CorneringAdversary([1], knowledge).watches_sends is True
+
+
 class TestStrategyRegistry:
     def test_make_adversary_none(self, small_scenario_module, small_config_module, small_samplers_module):
         adversary = make_adversary("none", small_scenario_module, small_config_module, small_samplers_module)

@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List
 
 import pytest
 
+from repro.adversary.base import Adversary
+from repro.adversary.registry import ADVERSARIES
+from repro.core.config import AERConfig
+from repro.core.scenario import build_aer_nodes, make_scenario
+from repro.faults import FaultInjector, FaultSchedule
 from repro.net.asynchronous import (
     MIN_DELAY,
     AsynchronousSimulator,
     ConstantDelayPolicy,
     RandomDelayPolicy,
+    make_delay_policy,
 )
 from repro.net.messages import Message
 from repro.net.node import Node
+from repro.runner import make_adversary
 
 
 @dataclass(frozen=True)
@@ -209,3 +216,139 @@ class TestAdversaryScheduling:
         nodes = [AllDecideNode(i) for i in range(5)]
         result = AsynchronousSimulator(nodes=nodes, n=6, adversary=adversary, seed=1).run()
         assert result.span >= MIN_DELAY
+
+
+    @pytest.mark.parametrize("forced, arrival", [(0.0, MIN_DELAY), (2.0, 1.0), (1, 1.0)])
+    def test_out_of_range_and_int_delays_become_clamped_float_arrivals(self, forced, arrival):
+        adversary = DelayRecordingAdversary({5}, forced_delay=forced)
+        nodes = [AllDecideNode(i) for i in range(5)]
+        sim = AsynchronousSimulator(nodes=nodes, n=6, adversary=adversary, seed=1)
+        for node in nodes:
+            node.on_start()  # every send happens at time 0.0
+        events = [event for bucket in sim._buckets.values() for event in bucket]
+        assert len(events) == len(adversary.observed) == 25
+        assert all(type(event[0]) is float and event[0] == arrival for event in events)
+
+
+# ----------------------------------------------------------------------
+# grouped dispatch under an adversary
+# ----------------------------------------------------------------------
+def _send_blind_adversaries() -> List[str]:
+    """Registered adversaries that override neither ``observe_send`` nor ``delay_for``."""
+    config = AERConfig.for_system(24)
+    scenario = make_scenario(24, config=config, seed=0)
+    samplers = config.shared_samplers()
+    adversaries = {
+        name: make_adversary(name, scenario, config, samplers) for name in ADVERSARIES.names()
+    }
+    return sorted(
+        name for name, adv in adversaries.items() if adv is not None and not adv.watches_sends
+    )
+
+
+SEND_BLIND = _send_blind_adversaries()
+
+
+def _aer_async(n, seed, adversary_name, policy, *, watching=False, log=False, faults=None):
+    """One async AER run; ``watching`` swaps in a subclass with an empty ``observe_send``.
+
+    The subclass observes nothing and changes nothing, but it overrides a
+    hook, so the scheduler must show it every message and ask it for every
+    delay: the per-destination path, for the very same run.
+    """
+    config = AERConfig.for_system(n)
+    scenario = make_scenario(n, config=config, seed=seed)
+    samplers = config.shared_samplers()
+    adversary = make_adversary(adversary_name, scenario, config, samplers)
+    if watching:
+        cls = type(adversary)
+        watcher = type("Watching" + cls.__name__, (cls,), {"observe_send": lambda self, record: None})
+        adversary = watcher(scenario.byzantine_ids, adversary.knowledge)
+    sim = AsynchronousSimulator(
+        build_aer_nodes(scenario, config, samplers=samplers),
+        n=n,
+        adversary=adversary,
+        seed=seed,
+        delay_policy=make_delay_policy(policy),
+        size_model=config.size_model(),
+        faults=faults,
+    )
+    if log:
+        sim.metrics.enable_message_log()
+    return sim, sim.run()
+
+
+def _assert_same_result(grouped, per_message):
+    for field in fields(grouped):
+        assert getattr(grouped, field.name) == getattr(per_message, field.name), field.name
+
+
+class TestGroupedDispatchUnderAdversary:
+    def test_the_send_blind_set_is_the_expected_one(self):
+        assert SEND_BLIND == [
+            "equivocate", "noise", "push_flood", "quorum_flood", "silent", "wrong_answer",
+        ]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("n", [24, 40])
+    @pytest.mark.parametrize("policy", ["random", "constant", "pareto"])
+    @pytest.mark.parametrize("adversary", SEND_BLIND)
+    def test_grouped_run_equals_per_message_run(self, adversary, policy, n, seed):
+        grouped_sim, grouped = _aer_async(n, seed, adversary, policy)
+        watched_sim, per_message = _aer_async(n, seed, adversary, policy, watching=True)
+        assert grouped_sim._watcher is None and watched_sim._watcher is not None
+        assert grouped.metrics_all.total_messages > 0
+        _assert_same_result(grouped, per_message)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("policy", ["random", "constant", "pareto"])
+    @pytest.mark.parametrize("adversary", SEND_BLIND)
+    def test_message_logs_are_identical(self, adversary, policy, seed):
+        grouped_sim, grouped = _aer_async(24, seed, adversary, policy, log=True)
+        watched_sim, per_message = _aer_async(24, seed, adversary, policy, watching=True, log=True)
+        assert grouped_sim.metrics.message_log == watched_sim.metrics.message_log
+        assert len(grouped_sim.metrics.message_log) == grouped.metrics_all.total_messages
+        _assert_same_result(grouped, per_message)
+
+    def test_message_log_does_not_change_the_run(self):
+        _, plain = _aer_async(24, 1, "push_flood", "random")
+        _, logged = _aer_async(24, 1, "push_flood", "random", log=True)
+        _assert_same_result(plain, logged)
+
+    def test_a_stand_in_without_the_attribute_is_treated_as_watching(self):
+        adversary = DelayRecordingAdversary({5}, forced_delay=None)
+        sim = AsynchronousSimulator(
+            nodes=[AllDecideNode(i) for i in range(5)], n=6, adversary=adversary, seed=1
+        )
+        assert not hasattr(adversary, "watches_sends")
+        assert sim._watcher is adversary
+        assert sim._uniform_fast is None and sim._constant_fast is None
+
+    def test_send_blind_adversary_arms_the_fast_paths(self):
+        nodes = [AllDecideNode(i) for i in range(5)]
+        sim = AsynchronousSimulator(nodes=nodes, n=6, adversary=Adversary({5}), seed=1)
+        assert sim._watcher is None and sim._uniform_fast == (0.1, 0.9)
+        nodes = [AllDecideNode(i) for i in range(5)]
+        sim = AsynchronousSimulator(
+            nodes=nodes, n=6, adversary=Adversary({5}), seed=1,
+            delay_policy=ConstantDelayPolicy(0.5),
+        )
+        assert sim._constant_fast == 0.5
+
+    def test_fault_delay_classes_still_schedule_per_message(self):
+        schedule = FaultSchedule(slow_fraction=0.5, slow_factor=3.0, byzantine_factor=0.25)
+
+        def run(watching):
+            return _aer_async(
+                24, 3, "silent", "random", watching=watching,
+                faults=FaultInjector(schedule, n=24, seed=3),
+            )
+
+        sim, grouped = run(watching=False)
+        assert sim._watcher is None and sim._delay_classes is not None
+        assert sim._uniform_fast is None and sim._constant_fast is None
+        _, per_message = run(watching=True)
+        _assert_same_result(grouped, per_message)
+        # and the classes did rescale something: the unfaulted run differs
+        _, unfaulted = _aer_async(24, 3, "silent", "random")
+        assert unfaulted.metrics.decision_times != grouped.metrics.decision_times

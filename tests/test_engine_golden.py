@@ -7,9 +7,13 @@ produced by the pre-columnar engine (the original entries by the pre-kernel
 seed engine).  These tests assert the current engine reproduces every pinned
 value *exactly*, which is what makes kernel and sampler refactors provably
 behavior-preserving.  The matrix deliberately covers both scheduler paths of
-the columnar engine: the adversary-free fast paths (grouped sync inboxes,
-the async calendar queue) and the per-message adversary paths, including the
-rushing observation list and the ``cornering_nodelay`` delay adversary.
+the columnar engine: the fast paths nobody observes per message (grouped
+sync inboxes; the async calendar queue with no adversary or a send-blind
+one, ``watches_sends`` false) and the observed ones — the rushing observation
+list, the per-destination ``SendRecord`` observations of ``cornering`` and
+the ``cornering_nodelay`` delay adversary inside one grouped async record,
+and the traced adversary runs, the one place a multicast is still dispatched
+message by message.
 
 If a PR intentionally changes engine behaviour, regenerate the fixture with
 ``scripts/gen_golden.py`` and call the change out explicitly.
