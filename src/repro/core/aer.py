@@ -164,6 +164,21 @@ class AERNode(Node):
                 fallback(sender, message)
                 return
 
+    @classmethod
+    def grouped_handlers(cls, nodes, deliver_one):
+        """Offer the ``Fw1`` hop — d·d·|J| messages per poll — as whole records.
+
+        Only while ``on_message`` is :class:`AERNode`'s own: a subclass that
+        overrides it is promised every message, so it is offered nothing and
+        keeps per-destination delivery.  Compared through the class when the
+        kernel asks, so a wrapper installed on ``AERNode.on_message`` itself
+        (the benchmark's tracer) is inherited by both sides.
+        """
+        if cls.on_message is not AERNode.on_message:
+            return {}
+        engines = [None if node is None else node.pull_engine for node in nodes]
+        return {Fw1Message: PullEngine.grouped_on_fw1(engines, deliver_one)}
+
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------

@@ -30,7 +30,7 @@ strictly liveness-preserving and safety-neutral — see DESIGN.md §5):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, Set, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Set, Tuple
 
 from repro.core.messages import (
     AnswerMessage,
@@ -42,8 +42,9 @@ from repro.core.messages import (
 from repro.samplers.hash_sampler import QuorumSampler
 from repro.samplers.poll_sampler import PollSampler
 
-#: safety bound on the shared per-message Fw1 edge memo; overflow clears the
-#: memo (a pure cache of sampler facts — only recomputation is lost)
+#: safety bound on each of the two shared per-run memos (Fw1 edge facts,
+#: serve plans); overflow clears the memo (a pure cache of sampler facts —
+#: only recomputation is lost)
 _EDGE_MEMO_LIMIT = 1 << 17
 
 
@@ -67,6 +68,9 @@ class PullOwner(Protocol):
 
     def send_many(self, dests, message) -> None:
         """Send the same message to every node in ``dests`` (batched multicast)."""
+
+    def send_plan(self, plan) -> None:
+        """Send each ``(dests, message)`` multicast of the shared tuple ``plan``, in order."""
 
     def decide(self, value: object) -> None:
         """Irrevocably decide on ``value``."""
@@ -107,6 +111,14 @@ class PullEngine:
         # misses and recomputes the same pure fact).
         self._fw1_edge_memo: Dict[int, tuple] = pull_sampler.shared_scratch.setdefault(
             "fw1_edge_memo", {}
+        )
+        # Shared the same way, keyed by value: what serving the pull request
+        # ``(origin, candidate, label)`` puts on the wire — one ``(H(s, w),
+        # Fw1)`` pair per ``w ∈ J(origin, label)`` — is a pure function of
+        # the samplers, so the d proxies of one pull build it once between
+        # them instead of |J| equal messages and 2·|J| table queries each.
+        self._serve_plans: Dict[Tuple[int, str, int], tuple] = (
+            pull_sampler.shared_scratch.setdefault("serve_plans", {})
         )
 
         # ---- poller state (Algorithm 1) ------------------------------------
@@ -151,11 +163,12 @@ class PullEngine:
         self.labels[candidate] = label
         self._answers.setdefault(candidate, set())
 
-        poll_list = self.poll_sampler.poll_list(self.owner.node_id, label)
-        quorum = self.pull_sampler.quorum(candidate, self.owner.node_id)
+        node_id = self._node_id
+        poll_list = self.poll_sampler.poll_list(node_id, label)
+        quorum = self.pull_sampler.quorum(candidate, node_id)
         if self.trace is not None:
-            self.trace.poll_started(self.owner.node_id, len(poll_list), len(quorum))
-            self.trace.quorum_contacted(self.owner.node_id, len(quorum))
+            self.trace.poll_started(node_id, len(poll_list), len(quorum))
+            self.trace.quorum_contacted(node_id, len(quorum))
         self.owner.send_many(poll_list, PollMessage(candidate=candidate, label=label))
         self.owner.send_many(quorum, PullMessage(candidate=candidate, label=label))
 
@@ -194,14 +207,32 @@ class PullEngine:
         self._serve_pull(sender, candidate, label)
 
     def _serve_pull(self, origin: int, candidate: str, label: int) -> None:
+        """Relay ``(origin, candidate, label)`` to ``H(s, w)`` for each ``w ∈ J(origin, label)``.
+
+        What goes on the wire is the same for each of the pull's d proxies,
+        so it is one shared tuple of ``(quorum, Fw1)`` pairs (see
+        ``__init__``), sent through ``send_plan`` — which lets a scheduler
+        validate and price it once for all of them.
+        """
         key = (origin, candidate, label)
         if key in self._served_pulls:
             return
         self._served_pulls.add(key)
-        pull_table = self.pull_sampler.table(candidate)
-        for target in self.poll_sampler.poll_list(origin, label):
-            fw1 = Fw1Message(origin=origin, candidate=candidate, label=label, target=target)
-            self.owner.send_many(pull_table.quorum(target), fw1)
+        plans = self._serve_plans
+        plan = plans.get(key)
+        if plan is None:
+            pull_table = self.pull_sampler.table(candidate)
+            plan = tuple(
+                (
+                    pull_table.quorum(target),
+                    Fw1Message(origin=origin, candidate=candidate, label=label, target=target),
+                )
+                for target in self.poll_sampler.poll_list(origin, label)
+            )
+            if len(plans) >= _EDGE_MEMO_LIMIT:
+                plans.clear()
+            plans[key] = plan
+        self.owner.send_plan(plan)
 
     def on_fw1(self, sender: int, message: Fw1Message) -> None:
         """First forwarding hop reached us (as a member of ``H(s, w)``)."""
@@ -263,6 +294,62 @@ class PullEngine:
                 target, Fw2Message(origin=origin, candidate=candidate, label=state[1])
             )
 
+    @staticmethod
+    def grouped_on_fw1(
+        engines: List[Optional["PullEngine"]],
+        deliver_one: Callable[[int, int, Fw1Message], None],
+    ) -> Callable[[int, tuple, Fw1Message], None]:
+        """:meth:`on_fw1` for a whole multicast record (``Node.grouped_handlers``).
+
+        ``engines`` is indexed by node id (``None``: no correct node there —
+        ``deliver_one`` reaches whoever is).  The returned ``f(sender, dests,
+        message)`` is ``on_fw1(sender, message)`` on every destination in
+        order, with the key and label computed once per record and only the
+        steady state — a state exists for the key and carries this label —
+        written out here; first arrival and label change are
+        :meth:`on_fw1`'s alone.
+        """
+        lookups = [None if e is None else e._fw1_state.get for e in engines]
+        arrivals = [None if e is None else e.on_fw1 for e in engines]
+        owners = [None if e is None else e.owner for e in engines]
+
+        def on_fw1_record(sender: int, dests: tuple, message: Fw1Message) -> None:
+            origin, candidate = message.origin, message.candidate
+            target = message.target
+            key = (origin, candidate, target)
+            label = message.label
+            fw2 = None
+            for dest in dests:
+                lookup = lookups[dest]
+                if lookup is None:
+                    deliver_one(dest, sender, message)
+                    continue
+                state = lookup(key)
+                if state is None:
+                    arrivals[dest](sender, message)
+                    continue
+                if state[2]:
+                    continue  # Fw2 already on the wire
+                if state[1] != label:
+                    arrivals[dest](sender, message)
+                    continue
+                if sender not in state[3]:
+                    continue
+                votes = state[0]
+                votes.add(sender)
+                owner = owners[dest]
+                if candidate != owner.believed:
+                    continue
+                if len(votes) >= state[4]:
+                    state[2] = True
+                    if fw2 is None:
+                        # the destinations of one record cross their (equal)
+                        # thresholds together: one message for all of them
+                        fw2 = Fw2Message(origin=origin, candidate=candidate, label=label)
+                    owner.send(target, fw2)
+
+        return on_fw1_record
+
     def _fill_edge_memo(self, message: Fw1Message, pull_table) -> tuple:
         """Compute and memoise the pure per-message Fw1 facts (memo miss path).
 
@@ -305,8 +392,11 @@ class PullEngine:
             return
 
         key = (origin, candidate)
-        votes = self._fw2_votes.setdefault(key, set())
-        votes.add(sender)
+        votes = self._fw2_votes.get(key)
+        if votes is None:
+            self._fw2_votes[key] = {sender}
+        else:
+            votes.add(sender)
         self._fw2_labels[key] = label
         if candidate != self.owner.believed:
             return  # recorded; re-examined after a decision updates the belief
@@ -327,21 +417,21 @@ class PullEngine:
         key = (origin, candidate)
         if key in self._answered or key not in self._polled:
             return
-        votes = self._fw2_votes.get(key, set())
+        votes = self._fw2_votes.get(key)
         threshold = self.pull_sampler.table(candidate).threshold(self._node_id)
-        if len(votes) < threshold:
+        if (len(votes) if votes is not None else 0) < threshold:
             return
         if not self.owner.has_decided and self.answers_sent >= self.answer_budget:
             # Algorithm 3: "if Count > log² n: wait for has_decided".
             self._deferred_answers.append(key)
             if self.trace is not None:
-                self.trace.budget_exhausted(self.owner.node_id)
+                self.trace.budget_exhausted(self._node_id)
             return
         self._answered.add(key)
         if not self.owner.has_decided:
             self.answers_sent += 1
         if self.trace is not None:
-            self.trace.poll_answered(self.owner.node_id, origin)
+            self.trace.poll_answered(self._node_id, origin)
         self.owner.send(origin, AnswerMessage(candidate=candidate))
 
     # ------------------------------------------------------------------

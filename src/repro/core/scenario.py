@@ -183,11 +183,11 @@ def build_aer_nodes(
     """
     if samplers is None:
         samplers = config.shared_samplers()
-    # Per-run scratch (e.g. the pull engines' shared Fw1 memo) starts fresh:
-    # cached suites keep their *tables* warm across runs, but per-message
-    # memos reference run-local message objects and would otherwise
-    # accumulate garbage in the process-local suite cache.
-    samplers.pull.shared_scratch["fw1_edge_memo"] = {}
+    # Per-run scratch (the pull engines' shared Fw1 edge memo and serve
+    # plans) starts fresh: cached suites keep their *tables* warm across
+    # runs, but per-message memos reference run-local message objects and
+    # would otherwise accumulate garbage in the process-local suite cache.
+    samplers.pull.shared_scratch.clear()
     return [
         AERNode(
             node_id=node_id,

@@ -15,7 +15,13 @@ Hot-path design (the columnar fast path):
 * a multicast enters the kernel as **one** grouped ``(sender, dests, message,
   bits)`` record via :meth:`EventKernel.dispatch_send_many`, so its metrics
   are a constant number of dict updates and the per-destination fan-out
-  happens only at delivery time;
+  happens only at delivery time — inside the protocol's own record handler
+  where it offers one (:meth:`~repro.net.node.Node.grouped_handlers`), in
+  :meth:`EventKernel.deliver_batch`'s loop otherwise;
+* a sequence of multicasts that several nodes send identically enters as a
+  *plan* (:meth:`EventKernel.dispatch_plan`): the default is the loop over
+  ``dispatch_send_many``, the synchronous scheduler validates and prices the
+  plan once for all its senders;
 * repeated payloads are **interned** (:meth:`EventKernel.intern_payload`):
   equal immutable messages dispatched by different senders collapse to one
   canonical object, so a round's inbox is a struct-of-arrays over a small
@@ -25,7 +31,9 @@ Hot-path design (the columnar fast path):
   synchronous round's inbox) **columnarly**: per-node received counters are
   flat integer arrays indexed by node id (no dict churn on the inner loop),
   handlers are fetched from an id-indexed array, and the whole batch is
-  flushed to the :class:`~repro.net.metrics.MetricsCollector` with one call;
+  flushed to the :class:`~repro.net.metrics.MetricsCollector` with one call
+  (a record handed to a grouped handler is counted per record, not per
+  destination: summed per distinct ``dests`` tuple, folded in once);
   decision tracking runs once per *touched* node after the batch (all
   deliveries of a batch share the same logical time, so decision timestamps
   are unchanged; within a batch they are recorded in node-id order).
@@ -35,7 +43,7 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, NamedTuple, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from repro.net.messages import Message, SizeModel
 from repro.net.metrics import MetricsCollector
@@ -193,14 +201,13 @@ class _NodeContext:
         self._kernel.dispatch_send(self._node_id, dest, message)
 
     def send_many(self, dests: Sequence[int], message: Message) -> None:
-        if not isinstance(dests, (tuple, list)):
-            dests = tuple(dests)  # tolerate sets/generators, as multicast always did
-        if not dests:
-            return
         kernel = self._kernel
-        if min(dests) < 0 or max(dests) >= kernel.n:
-            raise ValueError(f"destination outside [0, {kernel.n}) in {dests!r}")
-        kernel.dispatch_send_many(self._node_id, dests, message)
+        dests = kernel.checked_dests(dests)
+        if dests:
+            kernel.dispatch_send_many(self._node_id, dests, message)
+
+    def send_plan(self, plan: Sequence[Tuple[Sequence[int], Message]]) -> None:
+        self._kernel.dispatch_plan(self._node_id, plan)
 
 
 class EventKernel:
@@ -298,6 +305,14 @@ class EventKernel:
             if node_id >= 0:
                 self._handler_list[node_id] = node.on_message
                 self._node_list[node_id] = node
+        # Record-level handlers the protocol offers (``Node.grouped_handlers``)
+        # — asked for once, from a population of a single class.  A fault
+        # injector filters per edge, so under one every record is fanned out
+        # per destination.
+        classes = {type(node) for node in self.nodes.values()}
+        self._grouped: Dict[type, Callable[[int, tuple, Message], None]] = {}
+        if len(classes) == 1 and faults is None:
+            self._grouped = classes.pop().grouped_handlers(self._node_list, self._deliver_one)
         #: payload intern table: equal messages collapse to one canonical
         #: object (bounded; cleared wholesale on overflow, which only costs
         #: re-canonicalisation — interning is a pure memory/speed memo)
@@ -322,6 +337,28 @@ class EventKernel:
         """
         for dest in dests:
             self.dispatch_send(sender, dest, message)
+
+    def checked_dests(self, dests: Sequence[int]) -> Sequence[int]:
+        """``dests`` as a tuple or list whose every member is in ``[0, n)``."""
+        if not isinstance(dests, (tuple, list)):
+            dests = tuple(dests)  # tolerate sets/generators, as multicast always did
+        if dests and (min(dests) < 0 or max(dests) >= self.n):
+            raise ValueError(f"destination outside [0, {self.n}) in {dests!r}")
+        return dests
+
+    def dispatch_plan(self, sender: int, plan: Sequence[Tuple[Sequence[int], Message]]) -> None:
+        """Accept a sequence of ``(dests, message)`` multicasts from ``sender``.
+
+        A *plan* is what several senders put on the wire identically (the d
+        proxies of one pull request): the same multicasts in the same order.
+        The default is the loop over :meth:`dispatch_send_many`, which is
+        always equivalent; a scheduler that can do a plan's per-multicast
+        work once for all its senders overrides it.
+        """
+        for dests, message in plan:
+            dests = self.checked_dests(dests)
+            if dests:
+                self.dispatch_send_many(sender, dests, message)
 
     def run(self) -> SimulationResult:
         """Execute the protocol to completion and return the result."""
@@ -350,6 +387,19 @@ class EventKernel:
         intern[message] = message
         return message
 
+    def _deliver_one(self, dest: int, sender: int, message: Message) -> None:
+        """Hand ``message`` to whoever lives at ``dest`` (no accounting).
+
+        The per-destination step of :meth:`deliver_batch`, for the grouped
+        handlers' use: a correct node's ``on_message``, the adversary's
+        ``on_deliver`` for a corrupted id, nobody otherwise.
+        """
+        handler = self._handler_list[dest]
+        if handler is not None:
+            handler(sender, message)
+        elif self.adversary is not None and dest in self.byzantine_ids:
+            self.adversary.on_deliver(dest, sender, message)
+
     def deliver_batch(self, batch: Iterable[Tuple[int, Sequence[int], Message, int]]) -> None:
         """Deliver a batch of grouped ``(sender, dests, message, bits)`` records.
 
@@ -362,17 +412,43 @@ class EventKernel:
         decision is recorded once at the end of the batch in node-id order
         (all deliveries of a batch share the same logical time, so decision
         timestamps are identical to per-message tracking).
+
+        A multicast whose message type the protocol offered a grouped
+        handler for (:meth:`Node.grouped_handlers`) is handed over whole:
+        the handler walks the destinations, and the record's receive
+        counters are summed per distinct ``dests`` tuple (the sampler tables
+        hand out one cached tuple per quorum) and folded into the arrays
+        once, after the loop — commutative sums, so exact.  Everything else
+        is fanned out here, per destination: other message types, the
+        single-destination records of ``dispatch_send`` (the only ones whose
+        destination nobody validated), every record under a fault injector
+        and every record of a mixed population.
         """
         limit = self._id_limit
         recv_msgs = [0] * limit
         recv_bits = [0] * limit
         handlers = self._handler_list
+        grouped = self._grouped
         adversary = self.adversary
         byzantine = self.byzantine_ids
         faults = self.faults
         now = self.now() if faults is not None else 0.0
         spill: Optional[Dict[int, List[int]]] = None
+        #: id(dests) -> [dests, records, bits] of the records handed over
+        #: whole (the entry holds the tuple, so its id cannot be recycled)
+        handed: Dict[int, list] = {}
         for sender, dests, message, bits in batch:
+            if grouped and len(dests) > 1:
+                group_handler = grouped.get(type(message))
+                if group_handler is not None:
+                    tally = handed.get(id(dests))
+                    if tally is None:
+                        handed[id(dests)] = [dests, 1, bits]
+                    else:
+                        tally[1] += 1
+                        tally[2] += bits
+                    group_handler(sender, dests, message)
+                    continue
             if faults is not None:
                 # injected drops: filter the fan-out before delivery (dropped
                 # messages were counted as sent, never as received)
@@ -397,6 +473,10 @@ class EventKernel:
                     else:
                         entry[0] += 1
                         entry[1] += bits
+        for dests, records, bits in handed.values():
+            for dest in dests:
+                recv_msgs[dest] += records
+                recv_bits[dest] += bits
         counts = [(d, recv_msgs[d], recv_bits[d]) for d in range(limit) if recv_msgs[d]]
         if spill:
             counts.extend((d, e[0], e[1]) for d, e in spill.items())

@@ -254,6 +254,17 @@ class MetricsCollector:
             self._message_log.extend((sender, dest, kind, bits, time) for dest in dests)
         return bits
 
+    def record_sends(self, sender: int, messages: int, bits: int) -> None:
+        """Record ``sender`` sending ``messages`` messages of ``bits`` bits in total.
+
+        For multicasts priced ahead of time (a prepared send plan); the
+        message log, which needs the individual messages, is not fed.
+        """
+        sent_messages = self._sent_messages
+        sent_messages[sender] = sent_messages.get(sender, 0) + messages
+        sent_bits = self._sent_bits
+        sent_bits[sender] = sent_bits.get(sender, 0) + bits
+
     def record_delivery(self, dest: int, bits: int) -> None:
         """Record ``dest`` receiving a message of the given bit cost."""
         received_messages = self._received_messages

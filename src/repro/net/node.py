@@ -14,7 +14,7 @@ paper makes between Lemma 8/9 and Lemma 6/10.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import Callable, Dict, List, Optional, Protocol
 
 from repro.net.messages import Message
 from repro.net.rng import DeterministicRNG
@@ -47,6 +47,9 @@ class NodeContext(Protocol):
     def send_many(self, dests, message: Message) -> None:
         """Send the same ``message`` to every node in ``dests`` (batched multicast)."""
 
+    def send_plan(self, plan) -> None:
+        """Send each ``(dests, message)`` multicast of ``plan``, in order."""
+
     def now(self) -> float:
         """Current time: round number (sync) or event time (async)."""
 
@@ -57,6 +60,13 @@ class Node:
     Subclasses override the ``on_*`` callbacks; they must not keep references
     to other node objects (all interaction goes through messages), which the
     integration tests enforce by running protocols under both schedulers.
+
+    :meth:`on_message` is the contract: one call per delivered message, in
+    dispatch order.  A protocol whose traffic is dominated by one multicast
+    message type may additionally offer, through the class-level
+    :meth:`grouped_handlers` hook, a handler that takes a whole multicast
+    record and walks its destinations itself — an optimisation of the same
+    per-destination semantics, never a second behaviour.
     """
 
     def __init__(self, node_id: int) -> None:
@@ -99,6 +109,15 @@ class Node:
         """
         self.context.send_many(dests, message)
 
+    def send_plan(self, plan) -> None:
+        """Send each ``(dests, message)`` multicast of ``plan``, in order.
+
+        For a sequence of multicasts that several nodes send identically:
+        handing over the one shared tuple lets the kernel validate and price
+        it once for all of them.
+        """
+        self.context.send_plan(plan)
+
     def multicast(self, dests, message: Message) -> None:
         """Send the same ``message`` to every node in ``dests`` (a set/list of ids)."""
         self.context.send_many(dests, message)
@@ -119,3 +138,25 @@ class Node:
 
     def on_message(self, sender: int, message: Message) -> None:
         """Called for every delivered message; ``sender`` is authenticated."""
+
+    @classmethod
+    def grouped_handlers(
+        cls,
+        nodes: List[Optional["Node"]],
+        deliver_one: Callable[[int, int, Message], None],
+    ) -> Dict[type, Callable[[int, tuple, Message], None]]:
+        """Offer record-level handlers ``{message type: f(sender, dests, message)}``.
+
+        The synchronous kernel asks once, at construction, and only when
+        every correct node is of the class ``cls``; for a multicast record
+        whose exact message type is offered it calls ``f`` once instead of
+        ``on_message`` once per destination.  ``f`` must do what that loop
+        does, in the same destination order: ``nodes`` is the id-indexed
+        population (``None`` where the id is not a correct node), and
+        ``deliver_one(dest, sender, message)`` is the kernel's own delivery
+        to one destination — the only way to reach a destination without a
+        node (a Byzantine id goes to ``adversary.on_deliver``).  Every
+        destination of such a record is in ``range(len(nodes))``; the kernel
+        does the receive accounting.  The default offers nothing.
+        """
+        return {}

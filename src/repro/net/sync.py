@@ -25,12 +25,17 @@ fan-out.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.net.kernel import AdversaryProtocol, EventKernel, SendRecord, paused_gc
 from repro.net.messages import Message, SizeModel
 from repro.net.node import Node
 from repro.net.results import SimulationResult
+
+
+#: safety bound on the prepared-plan memo; overflow clears it (a pure memo —
+#: only re-preparation is lost)
+_PLAN_MEMO_LIMIT = 1 << 16
 
 
 class SynchronousSimulator(EventKernel):
@@ -75,6 +80,8 @@ class SynchronousSimulator(EventKernel):
         #: grouped (sender, dests, message, bits) records accepted this round,
         #: delivered as one batch at the start of the next one
         self._outbox: List[tuple] = []
+        #: id(plan) -> (plan, priced records, message total, bit total)
+        self._prepared_plans: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # EventKernel interface (the scheduling policy)
@@ -97,6 +104,46 @@ class SynchronousSimulator(EventKernel):
         self._outbox.append((sender, dests, message, bits))
         if self.trace is not None:
             self.trace.on_dispatch(sender, len(dests), message.kind, bits)
+
+    def dispatch_plan(self, sender: int, plan) -> None:
+        """A plan's multicasts with one metrics update and one outbox extend.
+
+        The first sender of a plan pays for it: destinations range checked,
+        payloads interned, bits priced, totals summed.  Every sender then
+        puts the very ``(sender, dests, message, bits)`` records in the
+        outbox that the loop would have, in the same order.  The prepared
+        form is kept by the plan's identity — the entry holds the plan, so
+        its id cannot be recycled — and only for a tuple, which nobody can
+        change afterwards.  A trace collector and the message log observe
+        per-record and per-message entries, so with either the loop runs.
+        """
+        if type(plan) is not tuple or self.trace is not None or self.metrics.message_log_enabled:
+            super().dispatch_plan(sender, plan)
+            return
+        prepared = self._prepared_plans.get(id(plan))
+        if prepared is None or prepared[0] is not plan:
+            prepared = self._prepare_plan(plan)
+        _plan, records, messages, bits = prepared
+        self.metrics.record_sends(sender, messages, bits)
+        self._outbox.extend([(sender, dests, message, cost) for dests, message, cost in records])
+
+    def _prepare_plan(self, plan: tuple) -> tuple:
+        records = []
+        messages = bits = 0
+        for dests, message in plan:
+            dests = tuple(self.checked_dests(dests))
+            if not dests:
+                continue
+            message = self.intern_payload(message)
+            cost = self.metrics.bits_of(message)
+            records.append((dests, message, cost))
+            messages += len(dests)
+            bits += len(dests) * cost
+        prepared = (plan, records, messages, bits)
+        if len(self._prepared_plans) >= _PLAN_MEMO_LIMIT:
+            self._prepared_plans.clear()
+        self._prepared_plans[id(plan)] = prepared
+        return prepared
 
     def run(self) -> SimulationResult:
         """Execute rounds until every correct node decides or ``max_rounds`` is hit."""

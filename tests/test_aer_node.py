@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
+from repro.adversary.base import Adversary
+from repro.adversary.registry import ADVERSARIES
 from repro.core.aer import AERNode
 from repro.core.config import AERConfig
-from repro.core.messages import PushMessage
+from repro.core.messages import Fw1Message, PushMessage
+from repro.core.pull import PullEngine
 from repro.core.scenario import build_aer_nodes, make_scenario
+from repro.faults import FaultInjector, FaultSchedule
 from repro.net.sync import SynchronousSimulator
-from repro.runner import run_aer
+from repro.runner import make_adversary, run_aer
+from repro.trace.collector import TraceCollector
 
 
 class TestNodeBasics:
@@ -155,3 +162,160 @@ class TestDeterminism:
         a = run_aer(small_scenario, config=small_config, adversary_name="none", seed=1)
         b = run_aer(small_scenario, config=small_config, adversary_name="none", seed=2)
         assert a.agreement_value() == b.agreement_value() == small_scenario.gstring
+
+
+# ----------------------------------------------------------------------
+# grouped Fw1 delivery: checked against the per-destination loop
+# ----------------------------------------------------------------------
+class PerDestinationNode(AERNode):
+    """An ``AERNode`` that offers the kernel no grouped handler.
+
+    Nothing else differs, so a run on this class is the per-destination
+    reference for the very same run on ``AERNode``.
+    """
+
+    @classmethod
+    def grouped_handlers(cls, nodes, deliver_one):
+        return {}
+
+
+class SpyNode(AERNode):
+    """Overrides ``on_message`` — and is therefore promised every message."""
+
+    fw1_seen = 0
+
+    def on_message(self, sender, message):
+        if type(message) is Fw1Message:
+            SpyNode.fw1_seen += 1
+        super().on_message(sender, message)
+
+
+def _aer_sync(
+    n, seed, adversary="none", *, node_cls=AERNode, rushing=False, wrong="random",
+    log=False, trace=None, faults=None,
+):
+    """One sync AER run on ``node_cls`` nodes, built the way ``run_aer`` builds it."""
+    config = AERConfig.for_system(n)
+    scenario = make_scenario(n, config=config, seed=seed, wrong_candidate_mode=wrong)
+    samplers = config.shared_samplers()
+    if not isinstance(adversary, Adversary):
+        adversary = make_adversary(adversary, scenario, config, samplers)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.core.scenario.AERNode", node_cls)
+        nodes = build_aer_nodes(scenario, config, samplers=samplers, trace=trace)
+    assert all(type(node) is node_cls for node in nodes)
+    sim = SynchronousSimulator(
+        nodes, n=n, adversary=adversary, seed=seed, rushing=rushing,
+        size_model=config.size_model(), trace=trace, faults=faults,
+    )
+    if log:
+        sim.metrics.enable_message_log()
+    return sim, sim.run()
+
+
+def _assert_same_result(grouped, per_destination):
+    for field in fields(grouped):
+        assert getattr(grouped, field.name) == getattr(per_destination, field.name), field.name
+
+
+class TestGroupedFw1Delivery:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("n", [24, 40, 64])
+    @pytest.mark.parametrize("wrong", ["random", "common_wrong"])
+    @pytest.mark.parametrize("rushing", [False, True])
+    @pytest.mark.parametrize("adversary", sorted(ADVERSARIES.names()))
+    def test_grouped_run_equals_per_destination_run(self, adversary, rushing, wrong, n, seed):
+        grouped_sim, grouped = _aer_sync(n, seed, adversary, rushing=rushing, wrong=wrong)
+        reference_sim, reference = _aer_sync(
+            n, seed, adversary, rushing=rushing, wrong=wrong, node_cls=PerDestinationNode
+        )
+        assert list(grouped_sim._grouped) == [Fw1Message] and reference_sim._grouped == {}
+        assert grouped.metrics_all.total_messages > 0
+        _assert_same_result(grouped, reference)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("rushing", [False, True])
+    @pytest.mark.parametrize("adversary", sorted(ADVERSARIES.names()))
+    def test_message_logs_are_identical(self, adversary, rushing, seed):
+        plain_sim, plain = _aer_sync(24, seed, adversary, rushing=rushing)
+        grouped_sim, grouped = _aer_sync(24, seed, adversary, rushing=rushing, log=True)
+        reference_sim, reference = _aer_sync(
+            24, seed, adversary, rushing=rushing, log=True, node_cls=PerDestinationNode
+        )
+        assert grouped_sim.metrics.message_log == reference_sim.metrics.message_log
+        assert len(grouped_sim.metrics.message_log) == grouped.metrics_all.total_messages
+        _assert_same_result(grouped, reference)
+        # the log takes a send plan apart multicast by multicast: the same run
+        _assert_same_result(plain, grouped)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("adversary", sorted(ADVERSARIES.names()))
+    def test_trace_summaries_are_identical(self, adversary, seed):
+        _, plain = _aer_sync(24, seed, adversary)
+        grouped_trace, reference_trace = TraceCollector("summary"), TraceCollector("summary")
+        _, grouped = _aer_sync(24, seed, adversary, trace=grouped_trace)
+        _, reference = _aer_sync(
+            24, seed, adversary, trace=reference_trace, node_cls=PerDestinationNode
+        )
+        assert grouped_trace.finalize() == reference_trace.finalize()
+        _assert_same_result(grouped, reference)
+        _assert_same_result(plain, grouped)
+
+    def test_on_message_override_is_delivered_per_destination(self):
+        SpyNode.fw1_seen = 0
+        sim, result = _aer_sync(24, 1, "wrong_answer", node_cls=SpyNode, log=True)
+        assert sim._grouped == {}
+        correct = set(result.correct_ids)
+        fw1_to_correct = sum(
+            1 for _s, dest, kind, _b, _t in sim.metrics.message_log
+            if kind == "fw1" and dest in correct
+        )
+        assert SpyNode.fw1_seen == fw1_to_correct > 0
+        _assert_same_result(result, _aer_sync(24, 1, "wrong_answer", log=True)[1])
+
+    def test_fault_injector_keeps_per_destination_delivery(self):
+        faults = FaultInjector(FaultSchedule(loss_rate=0.1), n=24, seed=1)
+        sim, _ = _aer_sync(24, 1, faults=faults)
+        assert sim._grouped == {}
+
+    @pytest.mark.parametrize("node_cls", [AERNode, PerDestinationNode])
+    def test_byzantine_quorum_member_is_reached_in_its_turn(self, node_cls):
+        """First record of every Fw1 key: who was handed it, in which order.
+
+        A first arrival goes through ``PullEngine.on_fw1`` on both paths, so
+        spies on it and on ``on_deliver`` see the fan-out of that record —
+        which must be the quorum tuple itself, corrupted members included.
+        """
+        events = []
+
+        class Recorder(Adversary):
+            def on_deliver(self, byz_id, sender, message):
+                if type(message) is Fw1Message:
+                    events.append((message, sender, byz_id))
+
+        real_on_fw1 = PullEngine.on_fw1
+
+        def on_fw1(self, sender, message):
+            events.append((message, sender, self._node_id))
+            real_on_fw1(self, sender, message)
+
+        config = AERConfig.for_system(40)
+        scenario = make_scenario(40, config=config, seed=2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PullEngine, "on_fw1", on_fw1)  # nodes bind it at construction
+            sim, result = _aer_sync(40, 2, Recorder(scenario.byzantine_ids), node_cls=node_cls)
+        assert bool(sim._grouped) == (node_cls is AERNode)
+
+        first_sender, fan_out = {}, {}
+        for message, sender, dest in events:
+            if first_sender.setdefault(message, sender) == sender:
+                fan_out.setdefault(message, []).append(dest)
+        table = config.shared_samplers().pull
+        byzantine = set(result.byzantine_ids)
+        inside = 0
+        for message, dests in fan_out.items():
+            quorum = table.quorum(message.candidate, message.target)
+            assert tuple(dests) == quorum
+            inside += any(d in byzantine for d in quorum[1:-1])
+        assert inside > 0
+

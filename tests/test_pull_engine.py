@@ -45,6 +45,10 @@ class FakeOwner:
         for dest in dests:
             self.sent.append((dest, message))
 
+    def send_plan(self, plan) -> None:
+        for dests, message in plan:
+            self.send_many(dests, message)
+
     def decide(self, value) -> None:
         if self.decision is None:
             self.decision = str(value)
@@ -295,6 +299,72 @@ class TestProxyHops:
         for sender in origin_quorum:
             engine.on_fw1(sender, message)
         assert len(owner.sent_of_type(Fw2Message)) == 1
+
+
+class TestGroupedFw1:
+    """``grouped_on_fw1`` against ``on_fw1`` per destination, record by record.
+
+    End-to-end runs only ever hand the grouped handler what correct proxies
+    multicast; here it also gets outsiders as senders, forged and changing
+    labels, unbelieved candidates and destinations with no engine.
+    """
+
+    @staticmethod
+    def _population(samplers, wire, missing):
+        engines = []
+        for node_id in range(SPEC.n):
+            if node_id in missing:
+                engines.append(None)
+                continue
+            owner, engine = make_engine(
+                samplers, node_id=node_id, believed=GSTRING if node_id % 3 else OTHER
+            )
+            owner.send = lambda dest, message, me=node_id: wire.append((me, dest, message))
+            engines.append(engine)
+        return engines
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_effects_as_per_destination_delivery(self, samplers, seed):
+        import random
+
+        pull_sampler, poll_sampler = samplers
+        rng = random.Random(seed)
+        missing = set(rng.sample(range(SPEC.n), 6))
+        grouped_wire, reference_wire = [], []
+        grouped = self._population(samplers, grouped_wire, missing)
+        reference = self._population(samplers, reference_wire, missing)
+        handler = PullEngine.grouped_on_fw1(
+            grouped, lambda dest, sender, message: grouped_wire.append(("nobody", dest, sender, message))
+        )
+
+        edges = []  # (origin, label, target), two labels per origin
+        for origin in rng.sample(range(SPEC.n), 4):
+            for label in rng.sample(range(poll_sampler.label_space), 2):
+                edges.extend((origin, label, w) for w in poll_sampler.poll_list(origin, label)[:3])
+        for _ in range(1500):
+            origin, label, target = rng.choice(edges)
+            if rng.random() < 0.15:
+                label = rng.randrange(poll_sampler.label_space)  # mostly not an edge
+            candidate = GSTRING if rng.random() < 0.8 else OTHER
+            members = pull_sampler.quorum(candidate, origin)
+            sender = rng.choice(members) if rng.random() < 0.85 else rng.randrange(SPEC.n)
+            message = Fw1Message(origin=origin, candidate=candidate, label=label, target=target)
+            dests = pull_sampler.quorum(candidate, target)
+            if rng.random() < 0.1:
+                dests = tuple(rng.sample(range(SPEC.n), 5))  # not the target's quorum
+            handler(sender, dests, message)
+            for dest in dests:
+                if reference[dest] is None:
+                    reference_wire.append(("nobody", dest, sender, message))
+                else:
+                    reference[dest].on_fw1(sender, message)
+            assert grouped_wire == reference_wire
+        assert any(entry[0] == "nobody" for entry in grouped_wire)
+        assert any(type(entry[2]) is Fw2Message for entry in grouped_wire)
+        for mine, theirs in zip(grouped, reference):
+            assert (mine is None) == (theirs is None)
+            if mine is not None:
+                assert mine._fw1_state == theirs._fw1_state
 
 
 class TestPollListAnswering:

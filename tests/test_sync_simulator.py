@@ -7,6 +7,7 @@ from typing import List, Optional
 
 import pytest
 
+from repro.faults import FaultInjector, FaultSchedule
 from repro.net.kernel import EventKernel, SendRecord, build_node_ids
 from repro.net.messages import Message, SizeModel
 from repro.net.node import Node
@@ -264,3 +265,146 @@ class TestDeterminism:
         SynchronousSimulator(nodes=nodes, n=4, seed=1).run()
         values = {node.value for node in nodes}
         assert len(values) == 4
+
+
+# ----------------------------------------------------------------------
+# grouped delivery and send plans
+# ----------------------------------------------------------------------
+class FanoutNode(Node):
+    """Node 0 multicasts one ping to everybody (out of range ids excluded)."""
+
+    def __init__(self, node_id: int, n: int) -> None:
+        super().__init__(node_id)
+        self.n = n
+        self.received: List[tuple] = []
+
+    def on_start(self) -> None:
+        if self.node_id == 0:
+            self.send_many(tuple(range(self.n)), Ping(payload=7))
+
+    def on_message(self, sender: int, message: Message) -> None:
+        self.received.append((sender, message))
+
+
+class GroupedFanoutNode(FanoutNode):
+    """Offers ``Ping`` records whole; the handler does what the loop does."""
+
+    records: List[tuple] = []
+
+    @classmethod
+    def grouped_handlers(cls, nodes, deliver_one):
+        def on_ping_record(sender, dests, message):
+            cls.records.append((sender, dests, message))
+            for dest in dests:
+                deliver_one(dest, sender, message)
+
+        return {Ping: on_ping_record}
+
+
+class OtherGroupedFanoutNode(GroupedFanoutNode):
+    pass
+
+
+def _fanout(node_cls, n=6, byz=(2,), classes=None, **kwargs):
+    adversary = SilentTestAdversary(byz)
+    ids = [i for i in range(n) if i not in byz]
+    nodes = [(classes or {}).get(i, node_cls)(i, n) for i in ids]
+    sim = SynchronousSimulator(nodes=nodes, n=n, adversary=adversary, seed=0, **kwargs)
+    return sim, nodes, adversary, sim.run()
+
+
+class TestGroupedDelivery:
+    def test_offered_record_is_handed_over_whole_and_counted_the_same(self):
+        GroupedFanoutNode.records = []
+        _, reference_nodes, reference_adv, reference = _fanout(FanoutNode)
+        sim, nodes, adversary, grouped = _fanout(GroupedFanoutNode)
+        assert GroupedFanoutNode.records == [(0, tuple(range(6)), Ping(payload=7))]
+        assert [node.received for node in nodes] == [node.received for node in reference_nodes]
+        assert adversary.delivered == reference_adv.delivered == [(2, 0, Ping(payload=7))]
+        assert grouped.metrics_all == reference.metrics_all and grouped.metrics == reference.metrics
+        assert sim.metrics.traffic_of(2).received_messages == 1
+
+    def test_mixed_population_is_never_asked(self):
+        GroupedFanoutNode.records = []
+        sim, nodes, _, _ = _fanout(GroupedFanoutNode, classes={3: OtherGroupedFanoutNode})
+        assert sim._grouped == {} and GroupedFanoutNode.records == []
+        assert all(node.received == [(0, Ping(payload=7))] for node in nodes)
+
+    def test_fault_injector_is_never_asked(self):
+        GroupedFanoutNode.records = []
+        faults = FaultInjector(FaultSchedule(loss_rate=0.5), n=6, seed=3)
+        sim, nodes, _, _ = _fanout(GroupedFanoutNode, faults=faults)
+        assert sim._grouped == {} and GroupedFanoutNode.records == []
+        assert 0 < sum(len(node.received) for node in nodes) < 5  # per-edge drops
+
+    def test_send_as_stays_per_destination(self):
+        """An offered type sent by ``send_as``: unvalidated ids never reach the handler."""
+
+        class Injecting(SilentTestAdversary):
+            def on_round(self, round_no, observed):
+                super().on_round(round_no, observed)
+                if round_no == 0:
+                    for dest in (2, 1, 1000):  # a corrupted id, a node, nobody
+                        self.context.send_as(2, dest, Ping(payload=9))
+
+        GroupedFanoutNode.records = []
+        adversary = Injecting({2})
+        nodes = [GroupedFanoutNode(i, 6) for i in (1, 3, 4, 5)]  # nobody multicasts
+        sim = SynchronousSimulator(nodes=nodes, n=6, adversary=adversary, seed=0)
+        sim.run()
+        assert Ping in sim._grouped and GroupedFanoutNode.records == []
+        assert 1000 >= sim._id_limit
+        assert adversary.delivered == [(2, 2, Ping(payload=9))]
+        assert nodes[0].received == [(2, Ping(payload=9))]
+        assert sim.metrics.traffic_of(1000).received_messages == 1  # counted, delivered to nobody
+
+
+class PlanNode(Node):
+    """Every node sends the same shared plan at start."""
+
+    def __init__(self, node_id: int, plan) -> None:
+        super().__init__(node_id)
+        self.plan = plan
+        self.received: List[tuple] = []
+
+    def on_start(self) -> None:
+        self.send_plan(self.plan)
+
+    def on_message(self, sender: int, message: Message) -> None:
+        self.received.append((sender, message))
+
+
+class TestSendPlan:
+    PLAN = (((1, 2, 3), Ping(payload=1)), ((), Ping(payload=2)), ((0, 3), Ping(payload=3)))
+
+    def _run(self, plan, log=False, **kwargs):
+        nodes = [PlanNode(i, plan) for i in range(4)]
+        sim = SynchronousSimulator(nodes=nodes, n=4, seed=0, **kwargs)
+        if log:
+            sim.metrics.enable_message_log()
+        return sim, nodes, sim.run()
+
+    def test_plan_equals_the_loop_over_send_many(self):
+        fast_sim, fast_nodes, fast = self._run(self.PLAN)
+        loop_sim, loop_nodes, loop = self._run(self.PLAN, log=True)
+        listed_sim, listed_nodes, listed = self._run(list(self.PLAN))  # not a tuple: the loop
+        assert len(fast_sim._prepared_plans) == 1
+        assert not loop_sim._prepared_plans and not listed_sim._prepared_plans
+        assert len(loop_sim.metrics.message_log) == fast.metrics_all.total_messages == 4 * 5
+        for nodes, result in ((loop_nodes, loop), (listed_nodes, listed)):
+            assert [node.received for node in nodes] == [node.received for node in fast_nodes]
+            assert result.metrics_all == fast.metrics_all and result.metrics == fast.metrics
+
+    def test_rushing_adversary_sees_the_plan_message_by_message(self):
+        adversary = SilentTestAdversary({3})
+        nodes = [PlanNode(i, self.PLAN) for i in range(3)]
+        SynchronousSimulator(nodes=nodes, n=4, adversary=adversary, seed=0, rushing=True).run()
+        assert [(r.sender, r.dest, r.message.payload) for r in adversary.observed_rounds[0]] == [
+            (sender, dest, message.payload)
+            for sender in range(3) for dests, message in self.PLAN for dest in dests
+        ]
+
+    @pytest.mark.parametrize("log", [False, True])
+    def test_plan_destinations_are_range_checked(self, log):
+        with pytest.raises(ValueError, match="outside"):
+            self._run((((1, 4), Ping()),), log=log)
