@@ -51,7 +51,9 @@ def run_result_row(result: "RunResult", **extra: object) -> Dict[str, object]:
         "protocol": result.protocol,
         "n": result.n,
         "decided": f"{result.decided_count}/{result.correct_count}",
-        "agreement": int(result.agreement),
+        "agreement": (
+            f"truncated ({result.stopped_by})" if result.stopped_by else int(result.agreement)
+        ),
         "rounds": round(result.rounds, 2) if result.rounds is not None else "-",
         "span": round(result.span, 2) if result.span is not None else "-",
         "amortized_bits": round(result.amortized_bits, 1),

@@ -43,8 +43,9 @@ from repro.samplers.hash_sampler import QuorumSampler
 from repro.samplers.poll_sampler import PollSampler
 
 #: safety bound on each of the two shared per-run memos (Fw1 edge facts,
-#: serve plans); overflow clears the memo (a pure cache of sampler facts —
-#: only recomputation is lost)
+#: serve plans), which ``run_aer`` empties when the run ends; overflow
+#: within a run clears the memo (a pure cache of sampler facts — only
+#: recomputation is lost)
 _EDGE_MEMO_LIMIT = 1 << 17
 
 
@@ -77,6 +78,50 @@ class PullOwner(Protocol):
 
     def random_label(self, label_space: int) -> int:
         """Draw a fresh private random label."""
+
+
+class _Fw1Group:
+    """One ``Fw1`` key's vote set, shared by a record's whole quorum.
+
+    Formed by :meth:`PullEngine.grouped_on_fw1` when one record created a
+    fresh state for the key at every engine-backed destination; from then
+    on every member has seen exactly the same records, so one set stands in
+    for all of theirs.  ``members`` are the members' ``_fw1_state`` lists,
+    aligned with ``dests`` (``None`` where no engine is); ``byzantine`` the
+    destinations without one, in order.
+    """
+
+    __slots__ = (
+        "groups", "key", "dests", "votes", "label", "quorum", "threshold",
+        "members", "byzantine", "all_sent",
+    )
+
+    def __init__(self, groups: dict, key: tuple, dests: tuple, members: list) -> None:
+        first = next(state for state in members if state is not None)
+        self.groups = groups
+        self.key = key
+        self.dests = dests
+        self.votes = first[0]
+        self.label = first[1]
+        self.quorum = first[3]
+        self.threshold = first[4]
+        self.members = members
+        self.byzantine = tuple(d for d, state in zip(dests, members) if state is None)
+        self.all_sent = False
+        for state in members:
+            if state is not None:
+                state[0] = self.votes
+                state[5] = self
+        groups[key] = self
+
+    def dissolve(self) -> None:
+        """Give every member a private copy of the votes and drop the group."""
+        del self.groups[self.key]
+        votes = self.votes
+        for state in self.members:
+            if state is not None:
+                state[0] = set(votes)
+                state[5] = None
 
 
 class PullEngine:
@@ -133,9 +178,12 @@ class PullEngine:
         #: pull requests whose candidate we do not (yet) believe
         self._pending_pulls: List[Tuple[int, str, int]] = []
         #: consolidated first-hop state per (origin, candidate, poll member):
-        #: ``[votes, latest label, fw2 sent, sender quorum set, threshold]``
-        #: — one dict lookup per Fw1 where three (votes/labels/sent) plus
-        #: two sampler-table queries used to be
+        #: ``[votes, latest label, fw2 sent, sender quorum set, threshold,
+        #: group]`` — one dict lookup per Fw1 where three (votes/labels/sent)
+        #: plus two sampler-table queries used to be.  ``group`` is the
+        #: :class:`_Fw1Group` whose vote set ``votes`` currently is (shared
+        #: with the rest of the record's quorum, see :meth:`grouped_on_fw1`),
+        #: ``None`` while the vote set is this engine's own.
         self._fw1_state: Dict[Tuple[int, str, int], list] = {}
 
         # ---- poll-list state (Algorithm 3) ----------------------------------
@@ -247,6 +295,9 @@ class PullEngine:
                 # by threshold checks, which the sent flag guards), so the
                 # remaining pure per-delivery checks are skipped outright.
                 return
+            if state[5] is not None:
+                # one member of a shared vote set gets a delivery of its own
+                state[5].dissolve()
             # An existing state proves our own membership in H(candidate,
             # target) and carries the sender quorum and threshold, so the
             # steady-state cost per delivery is one set lookup plus one
@@ -283,7 +334,7 @@ class PullEngine:
             if quorum_set is None or sender not in quorum_set:
                 return
             state = self._fw1_state[key] = [
-                {sender}, message.label, False, quorum_set, cached[2]
+                {sender}, message.label, False, quorum_set, cached[2], None
             ]
             votes = state[0]
         if candidate != self.owner.believed:
@@ -308,17 +359,62 @@ class PullEngine:
         steady state — a state exists for the key and carries this label —
         written out here; first arrival and label change are
         :meth:`on_fw1`'s alone.
+
+        A record that creates a fresh state (``{sender}``, its label, not
+        sent) at *every* engine-backed destination turns those states into
+        an :class:`_Fw1Group`: one vote set shared by the members, held here
+        by key.  A later record with the same ``dests`` object and label is
+        then one lookup, one quorum test, one ``add`` and one ``len``; the
+        destinations are walked only once the threshold is crossed (Fw2 per
+        believing member, ``deliver_one`` per Byzantine position, in order),
+        otherwise only the Byzantine positions are delivered.  Exact because
+        a member that has sent never reads its votes again (every threshold
+        check is guarded by ``sent``) and no member acts below the
+        threshold.  Anything irregular — other ``dests``, another label, a
+        per-destination :meth:`on_fw1` on a member — dissolves the group into
+        private copies, and the key runs the per-destination code.
         """
         lookups = [None if e is None else e._fw1_state.get for e in engines]
         arrivals = [None if e is None else e.on_fw1 for e in engines]
         owners = [None if e is None else e.owner for e in engines]
+        groups: Dict[Tuple[int, str, int], _Fw1Group] = {}
 
         def on_fw1_record(sender: int, dests: tuple, message: Fw1Message) -> None:
             origin, candidate = message.origin, message.candidate
             target = message.target
             key = (origin, candidate, target)
             label = message.label
+            group = groups.get(key)
+            if group is not None:
+                if group.dests is dests and group.label == label:
+                    if sender in group.quorum and not group.all_sent:
+                        votes = group.votes
+                        votes.add(sender)
+                        if len(votes) >= group.threshold:
+                            fw2 = None
+                            all_sent = True
+                            for dest, state in zip(dests, group.members):
+                                if state is None:
+                                    deliver_one(dest, sender, message)
+                                elif not state[2]:
+                                    owner = owners[dest]
+                                    if candidate != owner.believed:
+                                        all_sent = False
+                                        continue
+                                    state[2] = True
+                                    if fw2 is None:
+                                        fw2 = Fw2Message(
+                                            origin=origin, candidate=candidate, label=label
+                                        )
+                                    owner.send(target, fw2)
+                            group.all_sent = all_sent
+                            return
+                    for dest in group.byzantine:
+                        deliver_one(dest, sender, message)
+                    return
+                group.dissolve()
             fw2 = None
+            fresh = True
             for dest in dests:
                 lookup = lookups[dest]
                 if lookup is None:
@@ -328,6 +424,7 @@ class PullEngine:
                 if state is None:
                     arrivals[dest](sender, message)
                     continue
+                fresh = False
                 if state[2]:
                     continue  # Fw2 already on the wire
                 if state[1] != label:
@@ -347,6 +444,13 @@ class PullEngine:
                         # thresholds together: one message for all of them
                         fw2 = Fw2Message(origin=origin, candidate=candidate, label=label)
                     owner.send(target, fw2)
+            if fresh:
+                # first arrival everywhere: group the states if every
+                # engine-backed destination now holds a fresh one
+                members = [None if lookups[d] is None else lookups[d](key) for d in dests]
+                engined = [s for d, s in zip(dests, members) if lookups[d] is not None]
+                if engined and all(s is not None and not s[2] for s in engined):
+                    _Fw1Group(groups, key, dests, members)
 
         return on_fw1_record
 

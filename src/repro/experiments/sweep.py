@@ -102,6 +102,9 @@ class ExperimentRecord:
     #: condensed TraceSummary dict when the spec asked for tracing (None
     #: otherwise); rides through SweepResult JSONs unchanged
     trace: Optional[Dict[str, object]] = None
+    #: the safety cap that cut the run short (``RunResult.stopped_by``);
+    #: ``None`` — and absent from :meth:`to_dict` — when no cap fired
+    stopped_by: Optional[str] = None
 
     @property
     def protocol(self) -> str:
@@ -127,7 +130,9 @@ class ExperimentRecord:
             + ("+vec" if spec.backend != "message" else ""),
             "seed": spec.seed,
             "decided": f"{self.decided_count}/{self.correct_count}",
-            "agreement": int(self.agreement),
+            "agreement": (
+                f"truncated ({self.stopped_by})" if self.stopped_by else int(self.agreement)
+            ),
             "rounds": self.rounds if self.rounds is not None else "-",
             "span": round(self.span, 2) if self.span is not None else "-",
             "amortized_bits": round(self.amortized_bits, 1),
@@ -139,6 +144,8 @@ class ExperimentRecord:
     def to_dict(self) -> Dict[str, object]:
         data = asdict(self)
         data["spec"] = self.spec.to_dict()
+        if self.stopped_by is None:
+            del data["stopped_by"]
         return data
 
     @staticmethod
@@ -171,6 +178,7 @@ def execute_spec(spec: ExperimentSpec) -> ExperimentRecord:
         load_imbalance=result.load_imbalance,
         extras=dict(result.extras),
         trace=result.trace,
+        stopped_by=result.stopped_by,
     )
 
 

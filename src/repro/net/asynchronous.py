@@ -400,6 +400,7 @@ class AsynchronousSimulator(EventKernel):
         # sorted by (time, seq) once when opened, so consuming an event is a
         # list indexing, not a heap sift.
         delivered = 0
+        stopped_by = None
         max_time = self.max_time
         max_events = self.max_events
         buckets = self._buckets
@@ -434,6 +435,7 @@ class AsynchronousSimulator(EventKernel):
             event = cur_list[cur_idx]
             time = event[0]
             if time > max_time or delivered >= max_events:
+                stopped_by = "max_time" if time > max_time else "max_events"
                 break
             cur_idx += 1
             self._cur_idx = cur_idx
@@ -476,10 +478,12 @@ class AsynchronousSimulator(EventKernel):
         counts = [(d, recv_msgs[d], recv_bits[d]) for d in range(limit) if recv_msgs[d]]
         counts.extend((d, cell[0], cell[1]) for d, cell in spill.items())
         metrics.record_delivery_batch(counts)
+        if stopped_by is None:
+            stopped_by = "quiescent" if self._undecided_count else "decided"
 
         summary = self.metrics.summary(restrict_to=self.correct_ids)
         span = summary.max_decision_time
         if span is None:
             span = self._time
         self.metrics.record_span(span)
-        return self.build_result(rounds=None, span=span)
+        return self.build_result(rounds=None, span=span, stopped_by=stopped_by)

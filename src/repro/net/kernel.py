@@ -503,7 +503,9 @@ class EventKernel:
         """Whether every correct node has decided."""
         return self._undecided_count == 0
 
-    def build_result(self, rounds: Optional[int], span: Optional[float]) -> SimulationResult:
+    def build_result(
+        self, rounds: Optional[int], span: Optional[float], stopped_by: str
+    ) -> SimulationResult:
         """Assemble the :class:`SimulationResult` once execution has stopped."""
         decisions = {
             node_id: node.decision
@@ -519,6 +521,7 @@ class EventKernel:
             span=span,
             metrics=self.metrics.summary(restrict_to=self.correct_ids),
             metrics_all=self.metrics.summary(),
+            stopped_by=stopped_by,
         )
 
 

@@ -7,6 +7,9 @@ from typing import Dict, List, Optional
 
 from repro.net.metrics import MetricsSummary
 
+#: the ``stopped_by`` values that mean a safety cap ended the run early
+CAPS = ("max_events", "max_time", "max_rounds")
+
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -31,6 +34,11 @@ class SimulationResult:
         Summary over *all* nodes (including Byzantine senders), used to
         check that adversarial traffic cannot be used to inflate the
         reported complexity of correct nodes.
+    stopped_by:
+        Why execution stopped: ``"decided"`` (every correct node decided),
+        ``"quiescent"`` (nothing left in flight) or the safety cap that
+        fired — ``"max_events"`` / ``"max_time"`` (async) or
+        ``"max_rounds"`` (sync).  See :attr:`truncated`.
     """
 
     n: int
@@ -41,6 +49,12 @@ class SimulationResult:
     span: Optional[float]
     metrics: MetricsSummary
     metrics_all: MetricsSummary
+    stopped_by: str
+
+    @property
+    def truncated(self) -> Optional[str]:
+        """The cap that cut this run short (one of :data:`CAPS`), else ``None``."""
+        return self.stopped_by if self.stopped_by in CAPS else None
 
     @property
     def all_correct_decided(self) -> bool:

@@ -158,16 +158,20 @@ class SynchronousSimulator(EventKernel):
         self._adversary_turn(round_no=0, starting=True)
         decided_round = self._round if self.all_decided() else None
 
+        stopped_by = "max_rounds"
         while not self.all_decided() and self._round < self.max_rounds:
             if not self._outbox and self._round > 0 and self._round >= self.min_rounds:
-                break  # quiescent: no message in flight, nobody will ever act again
+                stopped_by = "quiescent"  # no message in flight, nobody will ever act again
+                break
             self._advance_round()
             if self.all_decided() and decided_round is None:
                 decided_round = self._round
+        if self.all_decided():
+            stopped_by = "decided"
 
         rounds = decided_round if decided_round is not None else self._round
         self.metrics.record_rounds(rounds)
-        return self.build_result(rounds=rounds, span=None)
+        return self.build_result(rounds=rounds, span=None, stopped_by=stopped_by)
 
     # ------------------------------------------------------------------
     # internals

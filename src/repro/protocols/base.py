@@ -92,6 +92,11 @@ class RunResult:
         Optional condensed :class:`~repro.trace.collector.TraceSummary` as a
         plain JSON dict — present only when the spec asked for
         ``trace="summary"`` / ``"full"``; round-trips through sweep files.
+    stopped_by:
+        The safety cap that cut the run short (``"max_events"``,
+        ``"max_time"`` or ``"max_rounds"``, see
+        :attr:`SimulationResult.truncated`); ``None`` — and absent from
+        :meth:`to_dict` — for every run that stopped on its own.
     raw:
         The protocol's native result object; excluded from equality and
         serialization.
@@ -113,6 +118,7 @@ class RunResult:
     load_imbalance: float
     extras: Dict[str, object] = field(default_factory=dict)
     trace: Optional[Dict[str, object]] = None
+    stopped_by: Optional[str] = None
     raw: object = field(default=None, compare=False, repr=False)
 
     # -- aliases kept for parity with SimulationResult consumers ------------
@@ -129,9 +135,11 @@ class RunResult:
         return self.decided_count / self.correct_count
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe dict (drops :attr:`raw`)."""
+        """JSON-safe dict (drops :attr:`raw`, and :attr:`stopped_by` unless a cap fired)."""
         data = asdict(self)
         data.pop("raw", None)
+        if self.stopped_by is None:
+            del data["stopped_by"]
         return data
 
     def with_trace(self, trace: Optional[Dict[str, object]]) -> "RunResult":
@@ -170,6 +178,7 @@ class RunResult:
             median_node_bits=metrics.median_node_bits,
             load_imbalance=metrics.load_imbalance,
             extras=dict(extras or {}),
+            stopped_by=result.truncated,
             raw=result,
         )
 
@@ -184,7 +193,8 @@ class RunResult:
 
         Totals are summed across stages; per-node loads are added node-wise
         (both stages run on the same identities) before taking the max and
-        median; agreement and decisions are those of the *final* stage.
+        median; agreement and decisions are those of the *final* stage, and
+        ``stopped_by`` names the first stage cap that fired.
         """
         if not stages:
             raise ValueError("a composed run needs at least one stage")
@@ -221,6 +231,7 @@ class RunResult:
             median_node_bits=median_node_bits,
             load_imbalance=max_node_bits / max(1.0, median_node_bits),
             extras=dict(extras or {}),
+            stopped_by=next((s.truncated for s in stages if s.truncated), None),
             raw=raw,
         )
 

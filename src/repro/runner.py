@@ -158,4 +158,9 @@ def run_aer(
         )
     else:
         raise ValueError(f"unknown mode {mode!r} (expected 'sync' or 'async')")
-    return simulator.run()
+    try:
+        return simulator.run()
+    finally:
+        # The per-run memos reference this run's message objects; a cached
+        # suite must not keep them alive once the run is over.
+        samplers.pull.shared_scratch.clear()

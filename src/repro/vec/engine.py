@@ -590,15 +590,19 @@ class _VecRun:
         self._round0()
         rnd = 0
         decided_round: Optional[int] = None
+        stopped_by = "max_rounds"
         while not self._all_decided() and rnd < self.max_rounds:
             if not self._dispatched and rnd > 0:
-                break  # quiescent, exactly like the kernel's empty-outbox exit
+                stopped_by = "quiescent"  # exactly like the kernel's empty-outbox exit
+                break
             rnd += 1
             self._advance(rnd)
             if decided_round is None and self._all_decided():
                 decided_round = rnd
+        if self._all_decided():
+            stopped_by = "decided"
         rounds = decided_round if decided_round is not None else rnd
-        return self._result(rounds)
+        return self._result(rounds, stopped_by)
 
     def _advance(self, rnd: int) -> None:
         self._dispatched = False
@@ -881,7 +885,7 @@ class _VecRun:
     # ------------------------------------------------------------------
     # result assembly
     # ------------------------------------------------------------------
-    def _result(self, rounds: int) -> SimulationResult:
+    def _result(self, rounds: int, stopped_by: str) -> SimulationResult:
         decided = np.nonzero(self.D != -1)[0]
         decisions = {
             int(x): self.strings[int(self.dec_sid[x])] for x in decided
@@ -908,6 +912,7 @@ class _VecRun:
             span=None,
             metrics=metrics,
             metrics_all=metrics_all,
+            stopped_by=stopped_by,
         )
 
 

@@ -156,6 +156,11 @@ def run_sample_majority_vectorized(
 
     all_decided = c > 0 and len(decisions) == c
     rounds = rnd if all_decided or rnd else 0
+    # the kernel's exits: everyone decided, the round cap, else quiescence
+    if len(decisions) == c:
+        stopped_by = "decided"
+    else:
+        stopped_by = "quiescent" if rnd < max_rounds else "max_rounds"
 
     correct_ids = list(scenario.correct_ids)
     byz_ids = [] if adversary_name == "none" else sorted(scenario.byzantine_ids)
@@ -174,4 +179,5 @@ def run_sample_majority_vectorized(
             n, sent_msgs, sent_bits, recv_bits, decision_times, rounds,
             restrict_to=None,
         ),
+        stopped_by=stopped_by,
     )

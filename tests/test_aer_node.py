@@ -151,6 +151,12 @@ class TestEndToEnd:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_run_leaves_no_per_run_scratch_behind(self, small_scenario, small_config, mode):
+        samplers = small_config.shared_samplers()
+        run_aer(small_scenario, config=small_config, samplers=samplers, mode=mode, seed=3)
+        assert samplers.pull.shared_scratch == {}
+
     def test_same_seed_identical_results(self, small_scenario, small_config):
         a = run_aer(small_scenario, config=small_config, adversary_name="none", seed=9)
         b = run_aer(small_scenario, config=small_config, adversary_name="none", seed=9)
@@ -260,6 +266,16 @@ class TestGroupedFw1Delivery:
         assert grouped_trace.finalize() == reference_trace.finalize()
         _assert_same_result(grouped, reference)
         _assert_same_result(plain, grouped)
+
+    def test_quorums_share_their_fw1_vote_sets(self):
+        """The grouped fast path is really on: one vote set per key, not one per member."""
+        sim, _ = _aer_sync(64, 1, "none")
+        states = [
+            state for node in sim.nodes.values() for state in node.pull_engine._fw1_state.values()
+        ]
+        vote_sets = {id(state[0]) for state in states}
+        assert len(states) > 1000
+        assert len(vote_sets) * 4 < len(states)
 
     def test_on_message_override_is_delivered_per_destination(self):
         SpyNode.fw1_seen = 0

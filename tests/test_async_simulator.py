@@ -21,6 +21,7 @@ from repro.net.asynchronous import (
 )
 from repro.net.messages import Message
 from repro.net.node import Node
+from repro.protocols.base import RunResult
 from repro.runner import make_adversary
 
 
@@ -352,3 +353,42 @@ class TestGroupedDispatchUnderAdversary:
         # and the classes did rescale something: the unfaulted run differs
         _, unfaulted = _aer_async(24, 3, "silent", "random")
         assert unfaulted.metrics.decision_times != grouped.metrics.decision_times
+
+
+class TestStoppedBy:
+    """Why a run stopped: on its own, or because a safety cap fired."""
+
+    def _aer(self, **caps):
+        n = 32
+        config = AERConfig.for_system(n)
+        scenario = make_scenario(n, config=config, seed=2)
+        nodes = build_aer_nodes(scenario, config)
+        sim = AsynchronousSimulator(nodes, n=n, seed=2, size_model=config.size_model(), **caps)
+        return sim.run()
+
+    def test_uncapped_run_stops_on_its_own(self):
+        result = self._aer()
+        expected = "decided" if result.all_correct_decided else "quiescent"
+        assert result.stopped_by == expected and result.truncated is None
+        run = RunResult.from_simulation("aer", result)
+        assert run.stopped_by is None and "stopped_by" not in run.to_dict()
+
+    def test_tiny_event_cap_is_named(self):
+        result = self._aer(max_events=50)
+        assert result.stopped_by == "max_events" == result.truncated
+        assert not result.agreement_reached
+        run = RunResult.from_simulation("aer", result)
+        assert run.stopped_by == "max_events" and run.to_dict()["stopped_by"] == "max_events"
+        assert RunResult.from_dict(run.to_dict()) == run
+
+    def test_tiny_time_cap_is_named(self):
+        assert self._aer(max_time=0.5).stopped_by == "max_time"
+
+    def test_everyone_deciding_is_decided(self):
+        nodes = [AllDecideNode(i) for i in range(4)]
+        assert AsynchronousSimulator(nodes, n=4, seed=0).run().stopped_by == "decided"
+
+    def test_nothing_in_flight_is_quiescent(self):
+        nodes = [ChainNode(i, 4, max_hops=2) for i in range(4)]
+        result = AsynchronousSimulator(nodes, n=4, seed=0).run()
+        assert result.stopped_by == "quiescent" and result.truncated is None

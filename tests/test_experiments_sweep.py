@@ -89,6 +89,14 @@ class TestExecuteSpec:
         assert ExperimentRecord.from_dict(record.to_dict()) == record
         row = record.row()
         assert row["n"] == 24 and row["agreement"] == 1
+        assert record.stopped_by is None and "stopped_by" not in record.to_dict()
+
+    def test_round_cap_is_a_named_outcome(self):
+        record = execute_spec(ExperimentSpec(n=24, seed=3, params={"max_rounds": 2}))
+        assert record.stopped_by == "max_rounds" and not record.agreement
+        assert record.to_dict()["stopped_by"] == "max_rounds"
+        assert ExperimentRecord.from_dict(record.to_dict()) == record
+        assert record.row()["agreement"] == "truncated (max_rounds)"
 
 
 class TestSweepRunner:

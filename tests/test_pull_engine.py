@@ -301,6 +301,18 @@ class TestProxyHops:
         assert len(owner.sent_of_type(Fw2Message)) == 1
 
 
+def fw1_meaning(engine: PullEngine) -> dict:
+    """What an engine's first-hop state *means*, per key: label, sent, and votes while unsent.
+
+    A member that has sent never reads its votes again, so they are not
+    part of the meaning (a shared vote set keeps growing past that point).
+    """
+    return {
+        key: (state[1], state[2], None if state[2] else frozenset(state[0]))
+        for key, state in engine._fw1_state.items()
+    }
+
+
 class TestGroupedFw1:
     """``grouped_on_fw1`` against ``on_fw1`` per destination, record by record.
 
@@ -310,14 +322,14 @@ class TestGroupedFw1:
     """
 
     @staticmethod
-    def _population(samplers, wire, missing):
+    def _population(samplers, wire, missing, believes=lambda node_id: node_id % 3):
         engines = []
         for node_id in range(SPEC.n):
             if node_id in missing:
                 engines.append(None)
                 continue
             owner, engine = make_engine(
-                samplers, node_id=node_id, believed=GSTRING if node_id % 3 else OTHER
+                samplers, node_id=node_id, believed=GSTRING if believes(node_id) else OTHER
             )
             owner.send = lambda dest, message, me=node_id: wire.append((me, dest, message))
             engines.append(engine)
@@ -364,7 +376,188 @@ class TestGroupedFw1:
         for mine, theirs in zip(grouped, reference):
             assert (mine is None) == (theirs is None)
             if mine is not None:
-                assert mine._fw1_state == theirs._fw1_state
+                assert fw1_meaning(mine) == fw1_meaning(theirs)
+
+
+class _GroupedPair:
+    """One key's quorum twice: behind ``grouped_on_fw1`` and fed per destination.
+
+    The key is ``(poller, GSTRING, target)`` for the first member of the
+    poll list ``J(poller, label)``; ``dests`` is ``H(GSTRING, target)`` and
+    ``senders`` is ``H(GSTRING, poller)``.  Nodes in ``missing`` have no
+    engine; every other node believes ``GSTRING`` unless in ``doubters``.
+    """
+
+    poller, label = 5, 7
+
+    def __init__(self, samplers, missing=(), doubters=()):
+        pull_sampler, poll_sampler = samplers
+        self.target = poll_sampler.poll_list(self.poller, self.label)[0]
+        self.key = (self.poller, GSTRING, self.target)
+        self.dests = pull_sampler.quorum(GSTRING, self.target)
+        self.senders = pull_sampler.quorum(GSTRING, self.poller)
+        self.threshold = pull_sampler.majority_threshold(GSTRING, self.poller)
+        self.message = self.fw1(self.label)
+        self.grouped_wire, self.reference_wire = [], []
+        def believes(node_id):
+            return node_id not in doubters
+
+        self.grouped = TestGroupedFw1._population(
+            samplers, self.grouped_wire, set(missing), believes
+        )
+        self.reference = TestGroupedFw1._population(
+            samplers, self.reference_wire, set(missing), believes
+        )
+        self.handler = PullEngine.grouped_on_fw1(
+            self.grouped,
+            lambda dest, sender, message: self.grouped_wire.append(("nobody", dest, sender, message)),
+        )
+
+    def fw1(self, label):
+        return Fw1Message(origin=self.poller, candidate=GSTRING, label=label, target=self.target)
+
+    def record(self, sender, message=None, dests=None):
+        """One multicast record, to both sides."""
+        message = message or self.message
+        dests = self.dests if dests is None else dests
+        self.handler(sender, dests, message)
+        for dest in dests:
+            if self.reference[dest] is None:
+                self.reference_wire.append(("nobody", dest, sender, message))
+            else:
+                self.reference[dest].on_fw1(sender, message)
+        self.check()
+
+    def one(self, dest, sender, message=None):
+        """A single-destination ``on_fw1`` (``send_as``, a fault injector, async)."""
+        message = message or self.message
+        self.grouped[dest].on_fw1(sender, message)
+        self.reference[dest].on_fw1(sender, message)
+        self.check()
+
+    def check(self):
+        assert self.grouped_wire == self.reference_wire
+        for mine, theirs in zip(self.grouped, self.reference):
+            if mine is not None:
+                assert fw1_meaning(mine) == fw1_meaning(theirs)
+
+    def states(self):
+        return [self.grouped[d]._fw1_state[self.key] for d in self.dests if self.grouped[d] is not None]
+
+    def is_grouped(self):
+        groups = {id(state[5]) for state in self.states()}
+        shared = {id(state[0]) for state in self.states()}
+        if groups == {id(None)}:
+            assert len(shared) == len(self.states())  # every member owns its votes
+            return False
+        assert len(groups) == 1 and len(shared) == 1
+        return True
+
+    def fw2_senders(self, wire):
+        return [entry[0] for entry in wire if type(entry[2]) is Fw2Message]
+
+
+class TestFw1Group:
+    """The shared vote set of ``grouped_on_fw1``: when it forms, acts and dissolves."""
+
+    def test_first_record_groups_the_quorum_and_threshold_sends_in_order(self, samplers):
+        pair = _GroupedPair(samplers)
+        pair.record(pair.senders[0])
+        assert pair.is_grouped()
+        for sender in pair.senders[1:pair.threshold - 1]:
+            pair.record(sender)
+            pair.record(sender)  # duplicates count once
+        assert pair.fw2_senders(pair.grouped_wire) == []
+        pair.record(pair.senders[pair.threshold - 1])
+        assert pair.fw2_senders(pair.grouped_wire) == list(pair.dests)
+        for sender in pair.senders[pair.threshold:]:
+            pair.record(sender)
+        assert pair.is_grouped()
+        assert len(pair.grouped_wire) == len(pair.dests)
+
+    def test_single_destination_on_fw1_dissolves(self, samplers):
+        pair = _GroupedPair(samplers)
+        pair.record(pair.senders[0])
+        assert pair.is_grouped()
+        pair.one(pair.dests[1], pair.senders[1])
+        assert not pair.is_grouped()
+        for sender in pair.senders[1:]:
+            pair.record(sender)
+        assert not pair.is_grouped()
+        assert pair.fw2_senders(pair.grouped_wire) == list(pair.dests)
+
+    def test_label_change_dissolves(self, samplers):
+        _, poll_sampler = samplers
+        pair = _GroupedPair(samplers)
+        other = next(
+            r for r in range(poll_sampler.label_space)
+            if r != pair.label and poll_sampler.contains(pair.poller, r, pair.target)
+        )
+        pair.record(pair.senders[0])
+        assert pair.is_grouped()
+        pair.record(pair.senders[1], message=pair.fw1(other))
+        assert not pair.is_grouped()
+        for sender in pair.senders[2:]:
+            pair.record(sender, message=pair.fw1(other))
+        fw2 = [entry[2] for entry in pair.grouped_wire if type(entry[2]) is Fw2Message]
+        assert fw2 and {message.label for message in fw2} == {other}
+
+    def test_equal_but_not_identical_dests_dissolves(self, samplers):
+        pair = _GroupedPair(samplers)
+        pair.record(pair.senders[0])
+        assert pair.is_grouped()
+        copy = tuple(list(pair.dests))
+        assert copy == pair.dests and copy is not pair.dests
+        pair.record(pair.senders[1], dests=copy)
+        assert not pair.is_grouped()
+        for sender in pair.senders[2:]:
+            pair.record(sender)
+        assert pair.fw2_senders(pair.grouped_wire) == list(pair.dests)
+
+    def test_state_that_did_not_start_fresh_forms_no_group(self, samplers):
+        pair = _GroupedPair(samplers)
+        pair.one(pair.dests[2], pair.senders[0])
+        for sender in pair.senders:
+            pair.record(sender)
+            assert not pair.is_grouped()
+        assert pair.fw2_senders(pair.grouped_wire) == list(pair.dests)
+
+    def test_byzantine_member_is_delivered_in_destination_order(self, samplers):
+        probe = _GroupedPair(samplers)
+        middle = probe.dests[len(probe.dests) // 2]
+        pair = _GroupedPair(samplers, missing={middle})
+        for sender in pair.senders[:pair.threshold - 1]:
+            pair.record(sender)
+        assert pair.is_grouped()
+        before = len(pair.grouped_wire)
+        crossing = pair.senders[pair.threshold - 1]
+        pair.record(crossing)
+        at_threshold = [
+            entry[1] if entry[0] == "nobody" else entry[0]
+            for entry in pair.grouped_wire[before:]
+        ]
+        assert at_threshold == list(pair.dests)
+        assert pair.grouped_wire[before + pair.dests.index(middle)] == (
+            "nobody", middle, crossing, pair.message
+        )
+        # past the threshold only the Byzantine member hears of the record
+        pair.record(pair.senders[-1])
+        assert pair.grouped_wire[-1] == ("nobody", middle, pair.senders[-1], pair.message)
+        assert len(pair.grouped_wire) == before + len(pair.dests) + 1
+
+    def test_unbelieving_member_forwards_from_shared_votes_after_deciding(self, samplers):
+        probe = _GroupedPair(samplers)
+        doubter = probe.dests[1]
+        pair = _GroupedPair(samplers, doubters={doubter})
+        for sender in pair.senders:
+            pair.record(sender)
+        assert pair.is_grouped()
+        assert doubter not in pair.fw2_senders(pair.grouped_wire)
+        assert len(pair.fw2_senders(pair.grouped_wire)) == len(pair.dests) - 1
+        for side in (pair.grouped, pair.reference):
+            side[doubter].owner.decide(GSTRING)
+        pair.check()
+        assert pair.fw2_senders(pair.grouped_wire)[-1] == doubter
 
 
 class TestPollListAnswering:
