@@ -16,11 +16,12 @@ Layout
     and one-bit-per-cell boolean matrices (:class:`~repro.vec.bitpack.BitMatrix`).
 ``tables``
     Array-shaped sampler tables: ``(rows, d)`` member matrices for the
-    ``I``/``H`` quorum families and batched ``J`` poll rows, built either
-    from the exact Python samplers (small ``n``) or from the batched hash
-    (large ``n``) — both bit-identical to the message backend's draws.
-    Stored bit-packed with a byte-budgeted unpacked-row LRU (the ``n = 10⁶``
-    memory contract).
+    ``I``/``H`` quorum families and the ``J`` poll rows keyed by
+    ``(node, label)``, built either from the exact Python samplers (small
+    ``n``) or from the batched hash (large ``n``) — both bit-identical to the
+    message backend's draws.  Stored bit-packed with a byte-budgeted
+    unpacked-row LRU (the ``n = 10⁶`` memory contract); a poll row is drawn
+    once per provider and decoded by every later run that launches it.
 ``engine``
     The vectorized AER synchronous round loop, streaming its Fw1/Fw2
     fan-outs under an explicit memory budget (``vec_memory_mb``).

@@ -359,6 +359,8 @@ class _VecRun:
         """Create live rows for polls launched by ``xs`` and account their sends."""
         if len(xs) == 0:
             return
+        # decoded from the provider's poll table where an earlier run at
+        # this (n, seed) drew the same (x, label) pairs, hashed otherwise
         jmem_all = self.tables.poll_rows(xs, labels)
         for sid in np.unique(sids):
             s = self.strings[int(sid)]
@@ -418,7 +420,7 @@ class _VecRun:
         # cornering bookkeeping: Poll records mark polled victims, Pull
         # records trigger (deduplicated) proxy serves
         poll_marks: Dict[tuple, List[int]] = {}
-        pull_keys: List[tuple] = []
+        pull_keys: Dict[tuple, None] = {}  # insertion-ordered set
         for idx, (byz_id, dest, message) in enumerate(records):
             if isinstance(message, PushMessage):
                 bits = self._push_bits(message.candidate)
@@ -429,9 +431,7 @@ class _VecRun:
                 poll_marks.setdefault((byz_id, message.label, message.candidate), []).append(dest)
             elif isinstance(message, PullMessage):
                 bits = self._pull_bits(message.candidate)
-                key = (byz_id, message.label, message.candidate)
-                if key not in pull_keys:
-                    pull_keys.append(key)
+                pull_keys[(byz_id, message.label, message.candidate)] = None
             else:  # pragma: no cover - no built-in strategy sends other kinds
                 raise NotImplementedError(
                     f"vectorized backend cannot replay {type(message).__name__}"
@@ -444,11 +444,13 @@ class _VecRun:
 
         # One row per distinct (origin, label, candidate) pull request: the
         # proxies in H(candidate, origin) serve each such key exactly once.
-        for byz_id, label, candidate in pull_keys:
-            sid = self.sid_of.get(candidate)
-            if sid is None:
-                continue  # no correct node believes it: the request is inert
-            jmem = self.tables.poll_rows([byz_id], [label])[0]
+        # A request for a string no correct node believes is inert.
+        live = [key for key in pull_keys if key[2] in self.sid_of]
+        if not live:
+            return
+        jmems = self.tables.poll_rows([key[0] for key in live], [key[1] for key in live])
+        for (byz_id, label, candidate), jmem in zip(live, jmems):
+            sid = self.sid_of[candidate]
             polled = np.zeros(self.size, dtype=bool)
             for victim in poll_marks.get((byz_id, label, candidate), ()):
                 polled |= jmem == victim

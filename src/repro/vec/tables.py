@@ -19,8 +19,13 @@ to keep, and unpacked on demand into int32 gather rows.  A byte-budgeted LRU
 caches fully unpacked tables for hot strings — at ``n = 10⁵`` the whole
 ``H`` table fits the default budget and gathers stay as fast as the old
 materialised tables, while at ``n = 10⁶`` the same code streams chunked
-unpacks instead of holding 160 MB per string.  Poll rows (``J``) are drawn
-per launch and kept nowhere.
+unpacks instead of holding 160 MB per string.
+
+Poll rows (``J``) are a packed table too, but a sparse one: ``J(x, r)`` is
+keyed by the pair, and a run only ever draws the labels its nodes' RNG
+streams produce.  Each distinct pair is hashed once per provider, stored
+bit-packed next to a sorted key index, and decoded on every later launch,
+so a second run at the same ``(n, seed)`` hashes no poll row at all.
 
 Providers are cached per process (keyed by the sampler parameters) so bench
 repetitions and sweep workers reuse the expensive full tables, mirroring
@@ -58,6 +63,11 @@ DEFAULT_UNPACKED_CACHE_BYTES = 64 << 20
 #: tens of MB
 _BUILD_CHUNK = 1 << 15
 
+#: poll-table capacity in rows per node.  A run launches about one poll per
+#: correct node and string it accepts, so 2n keeps every row of a run and
+#: bounds the table at two ``(n, d)`` tables' worth of packed bytes.
+_POLL_ROWS_PER_NODE = 2
+
 
 class _PackedFamilyTable:
     """Lazily row-materialised, bit-packed member matrix for ``(family, string)``."""
@@ -69,6 +79,61 @@ class _PackedFamilyTable:
         self.bits = bits
         self.packed = np.zeros((n, packed_width(size, bits)), dtype=np.uint8)
         self.built = np.zeros(n, dtype=bool)
+
+
+class _PackedPollTable:
+    """Bit-packed poll rows ``J(x, r)`` under the key ``x · label_space + r``.
+
+    Rows are written into ``packed`` (grown to fit, up to ``capacity`` rows)
+    in arrival order; ``keys`` (sorted) and ``slots`` index them.  A
+    batch that would overflow the capacity empties the table first, and
+    one larger than the capacity is not kept.
+    """
+
+    __slots__ = ("capacity", "size", "bits", "packed", "keys", "slots", "rows")
+
+    def __init__(self, capacity: int, size: int, bits: int) -> None:
+        self.capacity = capacity
+        self.size = size
+        self.bits = bits
+        self.packed = np.empty((0, packed_width(size, bits)), dtype=np.uint8)
+        self.keys = np.empty(0, dtype=np.int64)
+        self.slots = np.empty(0, dtype=np.int64)
+        self.rows = 0
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """The slot of every key, ``-1`` where it is not in the table."""
+        if self.rows == 0:
+            return np.full(len(keys), -1, dtype=np.int64)
+        pos = np.searchsorted(self.keys, keys).clip(max=self.rows - 1)
+        return np.where(self.keys[pos] == keys, self.slots[pos], -1)
+
+    def decode(self, slots: np.ndarray) -> np.ndarray:
+        """The rows at ``slots`` as an int32 matrix."""
+        return unpack_rows(self.packed[slots], self.size, self.bits)
+
+    def add(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        """Keep ``rows`` under ``keys`` (distinct, none already present)."""
+        if self.rows + len(keys) > self.capacity:
+            self.keys = self.keys[:0]
+            self.slots = self.slots[:0]
+            self.rows = 0
+            if len(keys) > self.capacity:
+                return
+        start, end = self.rows, self.rows + len(keys)
+        if end > len(self.packed):
+            grown = np.empty((end, self.packed.shape[1]), dtype=np.uint8)
+            grown[:start] = self.packed[:start]
+            self.packed = grown
+        # chunked, like ensure_rows: bounds pack_rows' transient bit planes
+        for lo in range(0, len(keys), _BUILD_CHUNK):
+            chunk = rows[lo : lo + _BUILD_CHUNK]
+            self.packed[start + lo : start + lo + len(chunk)] = pack_rows(chunk, self.bits)
+        order = np.argsort(keys)
+        pos = np.searchsorted(self.keys, keys[order])
+        self.keys = np.insert(self.keys, pos, keys[order])
+        self.slots = np.insert(self.slots, pos, start + order)
+        self.rows = end
 
 
 class VecSamplerTables:
@@ -91,6 +156,10 @@ class VecSamplerTables:
         self._unpacked: "OrderedDict[Tuple[str, str], np.ndarray]" = OrderedDict()
         self._unpacked_bytes = 0
         self.unpacked_budget = DEFAULT_UNPACKED_CACHE_BYTES
+        #: None when ``x · label_space + r`` would not fit an int64 key
+        self._poll: Optional[_PackedPollTable] = None
+        if self.n * config.label_space <= np.iinfo(np.int64).max:
+            self._poll = _PackedPollTable(_POLL_ROWS_PER_NODE * self.n, self.size, self.bits)
 
     # ------------------------------------------------------------------
     # unpacked-table LRU
@@ -215,16 +284,53 @@ class VecSamplerTables:
         return unpack_rows(self._tables[key].packed, self.size, self.bits)
 
     def packed_nbytes(self) -> int:
-        """Resident bytes of the packed member tables (tests/instrumentation)."""
-        return sum(table.packed.nbytes for table in self._tables.values())
+        """Bytes of the packed member and poll tables (tests/instrumentation)."""
+        poll = 0 if self._poll is None else self._poll.packed.nbytes
+        return poll + sum(table.packed.nbytes for table in self._tables.values())
 
     # ------------------------------------------------------------------
     # poll family J
     # ------------------------------------------------------------------
     def poll_rows(self, xs: Sequence[int], labels: Sequence[int]) -> np.ndarray:
-        """Poll-list rows ``J(x, r)`` for the given pairs, drawn afresh each call."""
+        """Poll-list rows ``J(x, r)`` for the given pairs as an int32 matrix.
+
+        Pairs already in the poll table are decoded from it; the others are
+        drawn, each distinct pair once, and kept.  Pairs outside
+        ``[0, n) × [0, label_space)`` are rejected: their keys could collide.
+        """
         xs = np.asarray(xs, dtype=np.int64)
         labels = np.asarray(labels, dtype=np.int64)
+        space = self.config.label_space
+        if not ((xs >= 0) & (xs < self.n) & (labels >= 0) & (labels < space)).all():
+            raise ValueError(f"poll pairs must lie in [0, {self.n}) x [0, {space})")
+        table = self._poll
+        if table is None:
+            return self._draw_poll_rows(xs, labels)
+        keys = xs * space + labels
+        slots = table.find(keys)
+        missing = np.nonzero(slots < 0)[0]
+        if len(missing) == 0:
+            return table.decode(slots)
+        # draw each missing pair once, in order of first appearance
+        _, first, inverse = np.unique(keys[missing], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        new = missing[first[order]]
+        drawn = self._draw_poll_rows(xs[new], labels[new])
+        if len(new) == len(keys):
+            out = drawn  # nothing kept, nothing repeated: the draws are in input order
+        else:
+            out = np.empty((len(keys), self.size), dtype=np.int32)
+            hit = slots >= 0
+            out[hit] = table.decode(slots[hit])
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            out[missing] = drawn[rank[inverse]]
+        # after the hits are read: adding may empty the table
+        table.add(keys[new], drawn)
+        return out
+
+    def _draw_poll_rows(self, xs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """``J(x, r)`` straight from the poll sampler/hash (int32)."""
         if self.use_numpy:
             prefix = encode_parts(self.config.sampler_seed, self._suite.poll.name)
             return first_distinct_rows(

@@ -12,6 +12,8 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,102 @@ def test_poll_rows_match_samplers(use_numpy):
     assert (tables.poll_rows([191], [7]) == expected[2:3]).all()  # the engine's scalar call
 
 
+# ----------------------------------------------------------------------
+# the poll table: each (x, r) is drawn once per provider
+# ----------------------------------------------------------------------
+def _poll_reference(config, xs, labels):
+    poll_list = config.shared_samplers().poll.poll_list
+    return np.asarray([poll_list(int(x), int(r)) for x, r in zip(xs, labels)])
+
+
+def _count_draws(monkeypatch):
+    """Record the number of poll rows every provider draws (not decodes)."""
+    drawn = []
+    draw = VecSamplerTables._draw_poll_rows
+
+    def counting(self, xs, labels):
+        drawn.append(len(xs))
+        return draw(self, xs, labels)
+
+    monkeypatch.setattr(VecSamplerTables, "_draw_poll_rows", counting)
+    return drawn
+
+
+class TestPollTable:
+    @pytest.mark.parametrize("use_numpy", [False, True])
+    def test_decoded_rows_equal_the_draws(self, monkeypatch, use_numpy):
+        config = AERConfig.for_system(192, sampler_seed=5)
+        tables = VecSamplerTables(config, use_numpy=use_numpy)
+        drawn = _count_draws(monkeypatch)
+        xs = np.array([3, 0, 191, 3, 77, 3])
+        labels = np.array([8, 1, 400, 8, 36863, 9])
+        assert (tables.poll_rows(xs, labels) == _poll_reference(config, xs, labels)).all()
+        assert drawn == [5]  # (3, 8) twice in one call: drawn once
+        # a mix of kept and new pairs: only the new ones are drawn
+        more_xs = np.array([77, 5, 3, 5, 0])
+        more_labels = np.array([36863, 2, 9, 2, 1])
+        got = tables.poll_rows(more_xs, more_labels)
+        assert got.dtype == np.int32
+        assert (got == _poll_reference(config, more_xs, more_labels)).all()
+        assert drawn == [5, 1]
+        assert (tables.poll_rows(xs, labels) == _poll_reference(config, xs, labels)).all()
+        assert drawn == [5, 1]
+        # one kept pair and one new one, neither repeated
+        got = tables.poll_rows([6, 3], [6, 8])
+        assert got.shape == (2, tables.size)
+        assert (got == _poll_reference(config, [6, 3], [6, 8])).all()
+        assert drawn == [5, 1, 1]
+
+    def test_overflow_empties_the_table(self, monkeypatch):
+        config = AERConfig.for_system(24, sampler_seed=1)
+        tables = VecSamplerTables(config)
+        capacity = vec_tables._POLL_ROWS_PER_NODE * config.n
+        assert tables._poll.capacity == capacity
+        drawn = _count_draws(monkeypatch)
+        first = np.arange(capacity - 3) % config.n, np.arange(capacity - 3)
+        tables.poll_rows(*first)
+        assert tables._poll.rows == capacity - 3
+        second = np.arange(5), np.full(5, 500)
+        assert (tables.poll_rows(*second) == _poll_reference(config, *second)).all()
+        assert tables._poll.rows == 5  # emptied, then the new batch kept
+        assert len(tables._poll.packed) <= capacity
+        tables.poll_rows(*second)
+        tables.poll_rows(*first)
+        assert drawn == [capacity - 3, 5, capacity - 3]
+
+    def test_a_batch_beyond_capacity_is_drawn_and_not_kept(self):
+        config = AERConfig.for_system(24, sampler_seed=1)
+        tables = VecSamplerTables(config)
+        size = tables._poll.capacity + 1
+        xs, labels = np.arange(size) % config.n, np.arange(size)
+        assert (tables.poll_rows(xs, labels) == _poll_reference(config, xs, labels)).all()
+        assert tables._poll.rows == 0
+
+    @pytest.mark.parametrize("use_numpy", [False, True])
+    def test_pairs_outside_the_key_domain_are_rejected(self, use_numpy):
+        config = AERConfig.for_system(64, sampler_seed=2)
+        tables = VecSamplerTables(config, use_numpy=use_numpy)
+        # x · label_space + r would collide with (1, 0), (0, space - 1), ...
+        for x, label in ((0, config.label_space), (1, -1), (64, 0), (-1, 5)):
+            with pytest.raises(ValueError, match="poll pairs must lie in"):
+                tables.poll_rows([0, x], [4, label])
+        assert tables._poll.rows == 0
+
+    def test_keys_that_overflow_int64_disable_the_table(self):
+        config = dataclasses.replace(AERConfig.for_system(64, sampler_seed=2), label_space=1 << 60)
+        tables = VecSamplerTables(config)
+        assert tables._poll is None
+        xs, labels = np.array([0, 63]), np.array([(1 << 60) - 1, 12])
+        assert (tables.poll_rows(xs, labels) == _poll_reference(config, xs, labels)).all()
+
+    def test_packed_nbytes_counts_the_poll_table(self):
+        config = AERConfig.for_system(192, sampler_seed=0)
+        tables = VecSamplerTables(config)
+        assert tables.packed_nbytes() == 0
+        tables.poll_rows(np.arange(10), np.arange(10))
+        assert tables.packed_nbytes() == tables._poll.packed.nbytes > 0
+
+
 def test_rows_identical_across_cache_budgets():
     config = AERConfig.for_system(192, sampler_seed=0)
     xs = np.arange(192)
@@ -170,13 +268,35 @@ def test_warm_provider_record_equals_cold(monkeypatch):
         data.pop("seconds")
         return data
 
+    drawn = _count_draws(monkeypatch)
     monkeypatch.setattr(vec_tables, "_PROVIDER_CACHE", LRUCache(4))
     cold = record(spec)
+    assert spec.n >= vec_tables.NUMPY_MIN_N  # the hash path
     monkeypatch.setattr(vec_tables, "_PROVIDER_CACHE", LRUCache(4))
     record(spec.with_(adversary="none"))  # same seed: builds the tables this run reuses
+    assert sum(drawn) > 0
+    drawn.clear()
     assert record(spec) == cold
     record(spec.with_(params={"vec_memory_mb": 1}))  # empties the unpacked-table LRU
     assert record(spec) == cold
+    assert drawn == []  # every warm run decoded its poll rows, none was re-hashed
+
+
+def test_vectorized_cornering_is_pinned():
+    # the cornering pull requests draw their poll rows in one batch; these
+    # are the per-key draws' totals (statistical-only against the kernel)
+    cases = {
+        (96, 0): (6, 958_233, 56_911_902),
+        (96, 1): (8, 978_629, 58_136_068),
+        (1100, 1): (6, 24_235_785, 2_189_894_529),
+    }
+    for (n, seed), expected in cases.items():
+        for adversary in ("cornering", "cornering_nodelay"):
+            result = ExperimentSpec(
+                n=n, adversary=adversary, seed=seed, backend="vectorized",
+                wrong_candidate_mode="common_wrong",
+            ).run()
+            assert (result.raw.rounds, result.total_messages, result.total_bits) == expected
 
 
 # ----------------------------------------------------------------------
