@@ -29,32 +29,24 @@ Below the registry sit the two stage runners — :func:`repro.run_aer` for the
 AER stage on a given scenario, :func:`repro.ae.run_ae_stage` for the
 almost-everywhere stage — and the native result of a run is on ``result.raw``
 (a ``SimulationResult``, or a two-stage :class:`BAResult` for the compositions).
+
+The names above are re-exported lazily (:mod:`repro.lazy`): importing
+``repro`` or any subpackage loads no simulation code until one of them — or
+a module that needs the engine — is actually used.
 """
 
-from repro.core import (
-    AERConfig,
-    AERNode,
-    AERScenario,
-    BAConfig,
-    BAProtocol,
-    BAResult,
-    build_aer_nodes,
-    make_scenario,
-)
-from repro.runner import make_adversary, run_aer
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AERConfig",
-    "AERNode",
-    "AERScenario",
-    "BAConfig",
-    "BAProtocol",
-    "BAResult",
-    "build_aer_nodes",
-    "make_scenario",
-    "make_adversary",
-    "run_aer",
-    "__version__",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.config": ("AERConfig",),
+        "repro.core.aer": ("AERNode",),
+        "repro.core.scenario": ("AERScenario", "build_aer_nodes", "make_scenario"),
+        "repro.core.ba": ("BAConfig", "BAProtocol", "BAResult"),
+        "repro.runner": ("make_adversary", "run_aer"),
+    },
+)
+__all__.append("__version__")

@@ -19,21 +19,19 @@ Public surface
 ``AERNode``        — the per-node protocol state machine (push + pull phases).
 ``build_aer_nodes``— construct the correct-node population for a scenario.
 ``BAConfig`` / ``BAProtocol`` — the composed Byzantine Agreement protocol.
+
+The re-exports are lazy (:mod:`repro.lazy`): importing ``repro.core.config``
+for a parameter never loads the node state machine or the kernel.
 """
 
-from repro.core.config import AERConfig, SamplerSuite
-from repro.core.scenario import AERScenario, build_aer_nodes, make_scenario
-from repro.core.aer import AERNode
-from repro.core.ba import BAConfig, BAProtocol, BAResult
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "AERConfig",
-    "SamplerSuite",
-    "AERScenario",
-    "build_aer_nodes",
-    "make_scenario",
-    "AERNode",
-    "BAConfig",
-    "BAProtocol",
-    "BAResult",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.config": ("AERConfig", "SamplerSuite"),
+        "repro.core.scenario": ("AERScenario", "build_aer_nodes", "make_scenario"),
+        "repro.core.aer": ("AERNode",),
+        "repro.core.ba": ("BAConfig", "BAProtocol", "BAResult"),
+    },
+)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from repro.net.messages import SizeModel
 from repro.samplers.base import (
@@ -20,9 +21,11 @@ from repro.samplers.base import (
     default_quorum_size,
     default_string_length,
 )
-from repro.samplers.hash_sampler import QuorumSampler
-from repro.samplers.poll_sampler import PollSampler
 from repro.samplers.tables import LRUCache
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.samplers.hash_sampler import QuorumSampler
+    from repro.samplers.poll_sampler import PollSampler
 
 #: process-local suite cache capacity (suites are a few MB of tables each)
 _SUITE_CACHE_CAPACITY = 8
@@ -117,6 +120,11 @@ class AERConfig:
 
     def build_samplers(self) -> SamplerSuite:
         """Instantiate the shared samplers ``I``, ``H`` and ``J`` (always fresh)."""
+        # Only a run builds samplers: a config read for its parameters (the
+        # report's row builders) does not load the sampler classes.
+        from repro.samplers.hash_sampler import QuorumSampler
+        from repro.samplers.poll_sampler import PollSampler
+
         spec = self.sampler_spec()
         return SamplerSuite(
             push=QuorumSampler(spec, name="I"),

@@ -116,7 +116,6 @@ import threading
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.experiments import compare_rows, format_table, run_result_row
-from repro.experiments.bench import BenchError, run_bench, verify_provenance
 from repro.experiments.plan import ExperimentPlan, ExperimentSpec
 from repro.experiments.sweep import SweepResult, SweepRunner, run_sweep
 
@@ -734,6 +733,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from repro.experiments.bench import BenchError, run_bench, verify_provenance
+
     try:
         if args.verify_provenance:
             commit = verify_provenance(args.out)

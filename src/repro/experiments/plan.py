@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.faults import FaultSchedule
-from repro.trace.collector import TRACE_MODES
+from repro.trace.probes import TRACE_MODES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocols.base import RunResult

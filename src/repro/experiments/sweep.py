@@ -32,7 +32,6 @@ Results serialise to the JSON layout of the repo's ``BENCH_*.json`` files.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
 from contextlib import closing
@@ -273,6 +272,8 @@ class SweepResult:
 
 def _worker_context():
     """Pick the cheapest available multiprocessing start method."""
+    import multiprocessing  # only a pool needs it; a served sweep never builds one
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
@@ -350,6 +351,14 @@ class WorkerPool:
         want = max(1, want)
         if self._pool is None or self._size < want:
             self.close()
+            # Forked workers inherit the parent's modules: import the engine
+            # here, once, instead of compiling it in every worker (a served
+            # plan never gets this far, so it never pays for it).
+            import repro.ae.protocol  # noqa: F401
+            import repro.runner  # noqa: F401
+
+            if any(vectorized for *_, vectorized in prewarm):
+                import repro.vec.engine  # noqa: F401
             self._pool = _worker_context().Pool(
                 processes=want, initializer=_worker_init, initargs=(tuple(prewarm),)
             )
@@ -420,6 +429,8 @@ class PoolExecutor:
         self._chunksize = chunksize
 
     def __call__(self, pending: Pending) -> Iterator[Tuple[int, ExperimentRecord]]:
+        from multiprocessing import TimeoutError as PoolTimeout
+
         if self._shared is None:  # a private pool never outnumbers its work
             pool, want = WorkerPool(), min(self.jobs, len(pending))
         else:
@@ -441,7 +452,7 @@ class PoolExecutor:
             while unfinished:
                 try:
                     index, record = iterator.next(timeout=0.25)
-                except multiprocessing.TimeoutError:
+                except PoolTimeout:
                     for proc in getattr(worker_pool, "_pool", None) or ():
                         tracked.setdefault(proc.pid, proc)
                     dead = [

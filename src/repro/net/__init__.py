@@ -30,30 +30,23 @@ Public surface
     Event-queue execution with adversary-controlled (bounded) delays.
 ``SimulationResult``
     Outcome of a run: per-node decisions, time, metrics.
+
+The re-exports are lazy (:mod:`repro.lazy`): importing ``repro.net.rng`` or
+``repro.net.messages`` never loads the kernel or the schedulers.
 """
 
-from repro.net.messages import Message
-from repro.net.metrics import MetricsCollector, MetricsSummary
-from repro.net.node import Node, NodeContext
-from repro.net.results import SimulationResult
-from repro.net.rng import DeterministicRNG, derive_rng, stable_hash
-from repro.net.kernel import EventKernel
-from repro.net.sync import SynchronousSimulator
-from repro.net.asynchronous import AsynchronousSimulator, DelayPolicy, RandomDelayPolicy
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Message",
-    "MetricsCollector",
-    "MetricsSummary",
-    "Node",
-    "NodeContext",
-    "SimulationResult",
-    "DeterministicRNG",
-    "derive_rng",
-    "stable_hash",
-    "EventKernel",
-    "SynchronousSimulator",
-    "AsynchronousSimulator",
-    "DelayPolicy",
-    "RandomDelayPolicy",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.net.messages": ("Message",),
+        "repro.net.metrics": ("MetricsCollector", "MetricsSummary"),
+        "repro.net.node": ("Node", "NodeContext"),
+        "repro.net.results": ("SimulationResult",),
+        "repro.net.rng": ("DeterministicRNG", "derive_rng", "stable_hash"),
+        "repro.net.kernel": ("EventKernel",),
+        "repro.net.sync": ("SynchronousSimulator",),
+        "repro.net.asynchronous": ("AsynchronousSimulator", "DelayPolicy", "RandomDelayPolicy"),
+    },
+)

@@ -33,11 +33,11 @@ import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
-from repro.net.results import SimulationResult
 from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.experiments.plan import ExperimentSpec
+    from repro.net.results import SimulationResult
 
 #: the global protocol registry; values are ProtocolAdapter *instances*
 PROTOCOLS = Registry("protocol")

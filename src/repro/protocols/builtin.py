@@ -18,17 +18,22 @@ input scenario from the same generator with the same seed, so a cross-protocol
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.core.ba import BAConfig, BAProtocol, BAResult
-from repro.core.config import AERConfig
-from repro.core.scenario import AERScenario
-from repro.faults import injector_for_spec
-from repro.net.asynchronous import DelayPolicy, make_delay_policy
-from repro.net.results import SimulationResult
+from repro.backends import VEC_ADVERSARIES, VEC_MAJORITY_ADVERSARIES
 from repro.protocols.base import ProtocolAdapter, RunResult, register_protocol
 from repro.protocols.scenarios import make_scenario_by_name
-from repro.trace.collector import collector_for_spec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.ba import BAResult
+    from repro.core.config import AERConfig
+    from repro.core.scenario import AERScenario
+    from repro.net.asynchronous import DelayPolicy
+    from repro.net.results import SimulationResult
+
+# Naming, validating, storing or rendering a spec never imports the engine:
+# every engine import below sits in the ``run`` body (or a helper only a run
+# calls), the one place a spec actually executes.
 
 
 def _gstring_extras(result: SimulationResult, scenario: AERScenario) -> Dict[str, object]:
@@ -45,6 +50,8 @@ def _config_and_scenario(spec, p, **config_options) -> Tuple[AERConfig, AERScena
     Every scenario-driven adapter goes through here with the same seed, so a
     cross-protocol comparison runs on identical almost-everywhere states.
     """
+    from repro.core.config import AERConfig
+
     n, seed = spec.n, spec.seed
     t = p["t"] if p["t"] is not None else max(1, n // 6)
     config = AERConfig.for_system(n, sampler_seed=seed, **config_options)
@@ -87,6 +94,8 @@ def _resolve_delay_policy(params: Dict[str, object]) -> Optional[DelayPolicy]:
     name = params.get("delay_policy")
     if not name:
         return None
+    from repro.net.asynchronous import make_delay_policy
+
     policy_params = dict(params.get("delay_params") or {})  # type: ignore[call-overload]
     return make_delay_policy(str(name), **policy_params)
 
@@ -135,8 +144,6 @@ class AERProtocolAdapter(ProtocolAdapter):
                 "delay_policy only applies to mode='async' (sync rounds have no delays)"
             )
         if spec.backend == "vectorized":
-            from repro.vec.engine import VEC_ADVERSARIES
-
             adversary = str(self.resolve_params(spec)["adversary"])
             if adversary not in VEC_ADVERSARIES:
                 raise ValueError(
@@ -153,7 +160,9 @@ class AERProtocolAdapter(ProtocolAdapter):
     def run(self, spec) -> RunResult:
         # Looked up on repro.runner at call time (not imported at module
         # level) so wrappers installed on that module are seen.
+        from repro.faults import injector_for_spec
         from repro.runner import make_adversary, run_aer
+        from repro.trace.collector import collector_for_spec
 
         p = self.resolve_params(spec)
         config, scenario = _config_and_scenario(
@@ -232,7 +241,9 @@ class FullBAAdapter(ProtocolAdapter):
     }
 
     def run(self, spec) -> RunResult:
+        from repro.core.ba import BAConfig, BAProtocol
         from repro.runner import make_adversary
+        from repro.trace.collector import collector_for_spec
 
         p = self.resolve_params(spec)
         config = BAConfig(
@@ -274,6 +285,7 @@ class ComposedBAAdapter(ProtocolAdapter):
 
     def run(self, spec) -> RunResult:
         from repro.baselines.composed_ba import run_composed_ba
+        from repro.trace.collector import collector_for_spec
 
         p = self.resolve_params(spec)
         trace = collector_for_spec(spec)
@@ -332,8 +344,6 @@ class SampleMajorityAdapter(_ScenarioBaselineAdapter):
     def validate(self, spec) -> None:
         super().validate(spec)
         if spec.backend == "vectorized":
-            from repro.vec.majority import VEC_MAJORITY_ADVERSARIES
-
             adversary = str(self.resolve_params(spec)["adversary"])
             if adversary not in VEC_MAJORITY_ADVERSARIES:
                 raise ValueError(
@@ -348,6 +358,7 @@ class SampleMajorityAdapter(_ScenarioBaselineAdapter):
             SampleMajorityConfig,
             run_sample_majority,
         )
+        from repro.trace.collector import collector_for_spec
 
         p = self.resolve_params(spec)
         aer_config, scenario = _config_and_scenario(spec, p)
@@ -394,6 +405,7 @@ class NaiveBroadcastAdapter(_ScenarioBaselineAdapter):
 
     def run(self, spec) -> RunResult:
         from repro.baselines.naive_broadcast import run_naive_broadcast
+        from repro.trace.collector import collector_for_spec
 
         p = self.resolve_params(spec)
         aer_config, scenario = _config_and_scenario(spec, p)
@@ -447,6 +459,7 @@ class SamplerBorderAdapter(ProtocolAdapter):
         import math
         import random as random_module
 
+        from repro.core.config import AERConfig
         from repro.samplers.poll_sampler import PollSampler
         from repro.samplers.properties import worst_family_border_ratio
         from repro.samplers.random_graph import estimate_border_probability

@@ -19,14 +19,13 @@ return an ``AERScenario``.  Register custom ones with
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.ae.protocol import run_ae_stage
-from repro.core.config import AERConfig
-from repro.core.scenario import AERScenario, make_scenario
-from repro.net.messages import SizeModel
-from repro.net.rng import derive_rng
 from repro.registry import Registry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.config import AERConfig
+    from repro.core.scenario import AERScenario
 
 #: named scenario-generator registry
 SCENARIOS = Registry("scenario generator")
@@ -56,6 +55,8 @@ def synthetic_scenario(
     **_ignored,
 ) -> AERScenario:
     """Draw the almost-everywhere state directly from the seed (the default)."""
+    from repro.core.scenario import make_scenario
+
     return make_scenario(
         n,
         config=config,
@@ -84,6 +85,10 @@ def ae_generated_scenario(
     validated: whether the substrate achieved the ``> 1/2`` knowledge
     precondition is itself an experimental outcome.
     """
+    from repro.ae.protocol import run_ae_stage
+    from repro.net.messages import SizeModel
+    from repro.net.rng import derive_rng
+
     if t is None:
         t = max(1, n // 6)
     rng = derive_rng(seed, "scenario-from-ae", n)

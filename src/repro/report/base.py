@@ -241,7 +241,18 @@ class ReportSection:
         return []
 
     def render(self, records: Sequence["ExperimentRecord"]) -> str:
-        """Full Markdown for this section: heading, claim, table, commentary."""
+        """Full Markdown for this section: heading, claim, table, commentary.
+
+        Raises ``ValueError`` naming every record a safety cap cut short
+        (``stopped_by``): a truncated run is not a protocol outcome, and
+        averaging it into a row would report it as one.
+        """
+        truncated = [record for record in records if record.stopped_by]
+        if truncated:
+            raise ValueError(
+                f"report section {self.name!r} cannot aggregate truncated runs: "
+                + ", ".join(f"{r.spec.key} (stopped by {r.stopped_by})" for r in truncated)
+            )
         parts = [f"## {self.title}", ""]
         if self.claim:
             parts += [f"**Paper's claim.** {self.claim}", ""]

@@ -8,7 +8,6 @@ report job regenerates it so the reference provably tracks the code.
 
 from __future__ import annotations
 
-import inspect
 from typing import List, Optional
 
 from repro.report.base import get_report_section, list_report_sections, markdown_table
@@ -16,6 +15,8 @@ from repro.report.base import get_report_section, list_report_sections, markdown
 
 def _first_doc_line(obj: object) -> str:
     """First line of the object's docstring, or an empty string."""
+    import inspect
+
     doc = inspect.getdoc(obj)
     return doc.splitlines()[0].strip() if doc else ""
 

@@ -17,31 +17,27 @@ assumes ("all nodes must share three sampling functions").  The package also
 provides empirical checkers for the sampler properties the analysis depends
 on (no overloaded node, Property 1 and the novel Property 2 of Lemma 2) and
 the random digraph model of Section 4.1 used to validate Property 2.
+
+The re-exports are lazy (:mod:`repro.lazy`): importing ``repro.samplers.base``
+for the size defaults never loads the samplers or the property checkers.
 """
 
-from repro.samplers.base import SamplerSpec
-from repro.samplers.hash_sampler import QuorumSampler
-from repro.samplers.poll_sampler import PollSampler
-from repro.samplers.properties import (
-    border_size,
-    check_no_overload,
-    estimate_minority_fraction,
-    estimate_sampler_deviation,
-    overload_counts,
-    property2_holds,
-)
-from repro.samplers.random_graph import LabelledDigraph, estimate_border_probability
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "SamplerSpec",
-    "QuorumSampler",
-    "PollSampler",
-    "border_size",
-    "check_no_overload",
-    "estimate_minority_fraction",
-    "estimate_sampler_deviation",
-    "overload_counts",
-    "property2_holds",
-    "LabelledDigraph",
-    "estimate_border_probability",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.samplers.base": ("SamplerSpec",),
+        "repro.samplers.hash_sampler": ("QuorumSampler",),
+        "repro.samplers.poll_sampler": ("PollSampler",),
+        "repro.samplers.properties": (
+            "border_size",
+            "check_no_overload",
+            "estimate_minority_fraction",
+            "estimate_sampler_deviation",
+            "overload_counts",
+            "property2_holds",
+        ),
+        "repro.samplers.random_graph": ("LabelledDigraph", "estimate_border_probability"),
+    },
+)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import subprocess
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,6 +56,8 @@ def git_commit() -> str:
     the parent commit, so ``BENCH_kernel.json`` could claim numbers for a
     tree that never existed.  ``"unknown"`` outside a git checkout.
     """
+    import subprocess  # not at module level: a fingerprint override never needs git
+
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],

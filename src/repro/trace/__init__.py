@@ -14,23 +14,20 @@ Tracing is opt-in per experiment spec (``trace="off" | "summary" | "full"``,
 default ``"off"``) and the disabled path is guaranteed free: no collector is
 constructed, every probe site is a ``None`` check, and the golden-seed
 equivalence tests pin byte-identical results.
+
+The re-exports are lazy (:mod:`repro.lazy`): validating a spec's ``trace``
+knob reads :data:`TRACE_MODES` from the probe table without loading the
+collector.
 """
 
-from repro.trace.collector import (
-    TRACE_MODES,
-    TraceCollector,
-    TraceSummary,
-    collector_for_spec,
-)
-from repro.trace.probes import PROBE_POINTS, ProbePoint, get_probe, register_probe
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "TRACE_MODES",
-    "TraceCollector",
-    "TraceSummary",
-    "collector_for_spec",
-    "PROBE_POINTS",
-    "ProbePoint",
-    "get_probe",
-    "register_probe",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.trace.collector": ("TraceCollector", "TraceSummary", "collector_for_spec"),
+        "repro.trace.probes": (
+            "TRACE_MODES", "PROBE_POINTS", "ProbePoint", "get_probe", "register_probe",
+        ),
+    },
+)

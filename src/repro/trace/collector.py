@@ -27,10 +27,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from repro.trace.probes import get_probe
-
-#: the accepted values of the ``trace`` experiment knob
-TRACE_MODES = ("off", "summary", "full")
+from repro.trace.probes import TRACE_MODES, get_probe
 
 #: message kinds accounted to the AER push phase
 PUSH_PHASE_KINDS = frozenset({"push"})

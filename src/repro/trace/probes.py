@@ -49,6 +49,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+#: the accepted values of the ``trace`` experiment knob
+TRACE_MODES = ("off", "summary", "full")
+
 
 @dataclass(frozen=True)
 class ProbePoint:

@@ -31,6 +31,11 @@ Layout
 Verification contract (see ARCHITECTURE.md "engine backends"): exact golden
 equality against the message kernel on the draw-order-compatible small-``n``
 subset, and cross-seed statistical equivalence (CI overlap) at large ``n``.
+
+Unlike ``repro.core`` or ``repro.net``, this package re-exports eagerly: only
+a vectorized run imports it (validating a ``backend="vectorized"`` spec reads
+:mod:`repro.backends` instead), and the benchmark's tracer resolves
+``run_aer_vectorized`` from this namespace.
 """
 
 from repro.vec.engine import DEFAULT_VEC_MEMORY_MB, VEC_ADVERSARIES, run_aer_vectorized

@@ -56,7 +56,7 @@ through a capture context so its own RNG usage is identical.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -64,6 +64,7 @@ import numpy as np
 import repro.adversary  # noqa: F401
 from repro.adversary.base import AdversaryKnowledge
 from repro.adversary.registry import resolve_adversary
+from repro.backends import VEC_ADVERSARIES
 from repro.core.config import AERConfig
 from repro.core.messages import PollMessage, PullMessage, PushMessage
 from repro.core.scenario import AERScenario
@@ -72,18 +73,6 @@ from repro.net.results import SimulationResult
 from repro.net.rng import derive_rng
 from repro.vec.bitpack import BitMatrix
 from repro.vec.tables import VecSamplerTables, tables_for
-
-#: adversary strategies the vectorized backend can replay.  ``cornering`` and
-#: ``cornering_nodelay`` are statistical-equivalence only (see module docs);
-#: the rest are exact.
-VEC_ADVERSARIES: Tuple[str, ...] = (
-    "none",
-    "silent",
-    "push_flood",
-    "quorum_flood",
-    "cornering",
-    "cornering_nodelay",
-)
 
 #: default per-run temporary-memory budget (MB) when ``vec_memory_mb`` is not
 #: given.  Generous enough that n ≤ 10⁵ runs keep their hot tables unpacked

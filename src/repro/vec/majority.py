@@ -20,15 +20,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.backends import VEC_MAJORITY_ADVERSARIES
 from repro.baselines.sample_majority import SampleMajorityConfig
 from repro.core.scenario import AERScenario
 from repro.net.messages import SizeModel
 from repro.net.results import SimulationResult
 from repro.net.rng import derive_rng
 from repro.vec.engine import _summary_from_arrays
-
-#: adversary strategies the vectorized baseline can replay
-VEC_MAJORITY_ADVERSARIES = ("none", "silent")
 
 #: sorts above every real string id, so the middle element of a sorted
 #: vote row is the majority candidate whenever one exists

@@ -16,7 +16,7 @@ import pytest
 
 from repro.experiments.cli import main as cli_main
 from repro.experiments.plan import ExperimentPlan, ExperimentSpec
-from repro.experiments.sweep import ExperimentRecord
+from repro.experiments.sweep import ExperimentRecord, SweepResult
 from repro.analysis.statistics import mean_ci
 from repro.report import (
     REPORT_SECTIONS,
@@ -191,6 +191,31 @@ def test_section_render_golden_snapshot():
         "*Shape assertions: `benchmarks/test_claims.py::test_claim[lemma8]` "
         "(this section's `check`).*\n"
     )
+
+
+def test_render_refuses_to_average_a_truncated_record():
+    """A run a safety cap cut short is named, never averaged into a row."""
+    capped = ExperimentSpec(n=512, mode="async", seed=7, label="lemma8")
+    records = [
+        make_record(),
+        make_record(capped, agreement=False, decided_count=0, stopped_by="max_events"),
+    ]
+    with pytest.raises(ValueError) as raised:
+        LEMMA8.render(records)
+    message = str(raised.value)
+    assert "'lemma8'" in message
+    assert f"{capped.key} (stopped by max_events)" in message
+    assert ExperimentSpec(n=16, seed=0).key not in message  # the complete run is not named
+
+
+def test_cli_report_names_a_truncated_record(monkeypatch, capsys):
+    capped = make_record(ExperimentSpec(n=16, seed=2), stopped_by="max_rounds")
+    monkeypatch.setattr(
+        ReportBuilder, "_run_section",
+        lambda self, section, pool, store: (SweepResult(section.plan(), [capped], 0.0, 1), False),
+    )
+    assert cli_main(["report", "--sections", "lemma8", "-o", "-"]) == 2
+    assert "sync:none:n16:s2 (stopped by max_rounds)" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
