@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""End-to-end smoke test of the distributed sweep executor over real TCP.
+"""End-to-end smoke test of the distributed sweep executor over real HTTP.
 
 Runs a 6-spec plan twice through ``SweepRunner.run`` — once inline, once on
 a :class:`~repro.dist.DistExecutor` (coordinator plus two real ``python -m

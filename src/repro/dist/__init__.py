@@ -6,8 +6,8 @@ the inline loop and the ``multiprocessing`` pool): handed the specs the
 store could not serve, it starts a
 :class:`~repro.dist.coordinator.DistCoordinator` that shards them into
 **spec-keyed work units** — the same content-addressed keys the result
-store uses — and serves them to workers over a small TCP protocol (stdlib
-``socketserver``, newline-delimited JSON frames; no new dependency).  A
+store uses — and serves them to workers as JSON routes on the experiment
+service's stdlib HTTP handler (no new dependency).  A
 worker (``python -m repro dist-worker HOST:PORT``) claims a lease, runs the
 spec through the existing :func:`~repro.experiments.sweep.execute_spec`
 path and streams the finished
@@ -29,9 +29,9 @@ warm plan therefore never reaches this package.  What is pinned here (by
   sees them.
 * **Ack after flush** — a worker's ``complete`` is answered only once the
   sweep path has flushed the record and come back for the next one.
-* **Fingerprint handshake** — a worker running different code than the
-  coordinator is rejected *by name* (both fingerprints in the message)
-  before it can claim anything.
+* **Fingerprint check** — every worker request carries the worker's code
+  fingerprint; one different from the coordinator's is refused *by name*
+  (both fingerprints in the message), so stale code never touches a shard.
 
 :func:`run_distributed_sweep` is the one-call form behind
 ``python -m repro sweep --distributed N``.

@@ -11,7 +11,7 @@ lease is still accepted if nobody else finished the shard first, and a
 The board is pure bookkeeping — no sockets, no records, no store — and
 takes an injectable ``clock``, so every lease race (expiry, re-issue,
 duplicate completion) is testable deterministically without sleeping.  All
-methods are thread-safe; the TCP handler threads of
+methods are thread-safe; the HTTP handler threads of
 :class:`~repro.dist.coordinator.DistCoordinator` call straight into it.
 """
 

@@ -1,15 +1,17 @@
-"""The sweep coordinator: a TCP server issuing spec-keyed shard leases.
+"""The sweep coordinator: an HTTP server issuing spec-keyed shard leases.
 
 A :class:`DistCoordinator` wraps a :class:`~repro.dist.board.ShardBoard` in
-a ``ThreadingTCPServer`` speaking the newline-delimited JSON protocol of
-:mod:`repro.dist.protocol`.  It is given the specs that still need
-*executing* — :class:`~repro.dist.launch.DistExecutor` hands it the pending
-delta of a :meth:`SweepRunner.run <repro.experiments.sweep.SweepRunner.run>`
-— and owns only what is distributed about them:
+the experiment service's HTTP server, answering the routes listed in
+:mod:`repro.dist.protocol` (``repro.service.app.DIST_ROUTES``).  It is
+given the specs that still need *executing* —
+:class:`~repro.dist.launch.DistExecutor` hands it the pending delta of a
+:meth:`SweepRunner.run <repro.experiments.sweep.SweepRunner.run>` — and
+owns only what is distributed about them:
 
-1. :meth:`start` binds the socket (port ``0`` = ephemeral) and worker
-   connections handshake/claim/heartbeat/complete against the board;
-2. a ``complete`` frame is checked (index on the board, record answers that
+1. :meth:`start` binds the socket (port ``0`` = ephemeral) and workers
+   hello/claim/heartbeat/complete against the board, each request refused
+   (403) unless it carries the coordinator's code fingerprint;
+2. a ``complete`` request is checked (index on the board, record answers that
    shard's spec) and accepted first-wins — duplicates are discarded here,
    before anything downstream sees them;
 3. every accepted ``(index, record)`` is handed to the one consumer of
@@ -26,15 +28,18 @@ pending delta, not the plan.
 from __future__ import annotations
 
 import queue
-import socketserver
 import threading
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING,
+)
 
 from repro.dist.board import DEFAULT_LEASE_TIMEOUT, ShardBoard
-from repro.dist.protocol import read_frame, write_frame
 from repro.experiments.plan import ExperimentSpec
 from repro.experiments.sweep import ExperimentRecord
 from repro.store.keys import code_fingerprint, spec_key
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.app import ServiceServer
 
 #: process-local registry of live coordinators (service status endpoint)
 _ACTIVE: Dict[int, "DistCoordinator"] = {}
@@ -48,77 +53,8 @@ def active_coordinators() -> List[Dict[str, object]]:
     return [coordinator.status() for coordinator in coordinators]
 
 
-class _CoordinatorServer(socketserver.ThreadingTCPServer):
-    """One thread per worker connection; daemonic so close() never hangs."""
-
-    allow_reuse_address = True
-    daemon_threads = True
-    coordinator: "DistCoordinator"
-
-
-class _ShardHandler(socketserver.StreamRequestHandler):
-    """Frame dispatch for one connection (see repro.dist.protocol)."""
-
-    def handle(self) -> None:  # noqa: C901 - flat dispatch table
-        coordinator = self.server.coordinator  # type: ignore[attr-defined]
-        welcomed = False
-        while True:
-            try:
-                frame = read_frame(self.rfile)
-            except Exception:  # malformed frame: drop the connection
-                return
-            if frame is None:
-                return
-            kind = frame.get("type")
-            if kind == "status":
-                write_frame(self.wfile, {"type": "status", **coordinator.status()})
-            elif kind == "hello":
-                reply = coordinator.handshake(
-                    str(frame.get("worker", "?")), str(frame.get("fingerprint", ""))
-                )
-                write_frame(self.wfile, reply)
-                if reply["type"] == "reject":
-                    return  # a stale-code worker gets nothing else
-                welcomed = True
-            elif not welcomed:
-                write_frame(
-                    self.wfile,
-                    {
-                        "type": "error",
-                        "reason": f"handshake required before {kind!r} "
-                                  f"(send a hello frame first)",
-                    },
-                )
-            elif kind == "claim":
-                write_frame(
-                    self.wfile, coordinator.claim(str(frame.get("worker", "?")))
-                )
-            elif kind == "heartbeat":
-                alive = coordinator.board.heartbeat(str(frame.get("lease", "")))
-                write_frame(self.wfile, {"type": "ok" if alive else "expired"})
-            elif kind == "complete":
-                try:
-                    accepted = coordinator.complete(
-                        int(frame["index"]),  # type: ignore[arg-type]
-                        frame["record"],  # type: ignore[arg-type]
-                        worker=str(frame.get("worker", "?")),
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    write_frame(
-                        self.wfile,
-                        {"type": "error", "reason": f"bad complete frame: {exc}"},
-                    )
-                else:
-                    write_frame(self.wfile, {"type": "ok", "accepted": accepted})
-            else:
-                write_frame(
-                    self.wfile,
-                    {"type": "error", "reason": f"unknown frame type {kind!r}"},
-                )
-
-
 class DistCoordinator:
-    """Serve a sequence of specs to TCP workers under leases.
+    """Serve a sequence of specs to HTTP workers under leases.
 
     Parameters
     ----------
@@ -146,8 +82,7 @@ class DistCoordinator:
         self.fingerprint = fingerprint or code_fingerprint()
         self.board = ShardBoard(specs, lease_timeout=lease_timeout, clock=clock)
         self._host, self._port = host, port
-        self._server: Optional[_CoordinatorServer] = None
-        self._server_thread: Optional[threading.Thread] = None
+        self._server: Optional["ServiceServer"] = None
         self._workers_seen: Dict[str, int] = {}
         self._lock = threading.Lock()
         #: accepted ``(index, record, flushed-event)`` awaiting the consumer
@@ -160,16 +95,10 @@ class DistCoordinator:
         """Bind the socket and serve claims; returns ``(host, port)``."""
         if self._server is not None:
             return self.address
-        server = _CoordinatorServer((self._host, self._port), _ShardHandler)
-        server.coordinator = self
-        self._server = server
-        self._server_thread = threading.Thread(
-            target=server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="repro-dist-coordinator",
-            daemon=True,
-        )
-        self._server_thread.start()
+        # http.server loads here, not with ``import repro.api``
+        from repro.service.app import DIST_ROUTES, ServiceServer
+
+        self._server = ServiceServer((self._host, self._port), DIST_ROUTES, self).start()
         with _ACTIVE_LOCK:
             _ACTIVE[id(self)] = self
         return self.address
@@ -186,11 +115,7 @@ class DistCoordinator:
             _ACTIVE.pop(id(self), None)
         server, self._server = self._server, None
         if server is not None:
-            server.shutdown()
-            server.server_close()
-        if self._server_thread is not None:
-            self._server_thread.join(timeout=10.0)
-            self._server_thread = None
+            server.close()
 
     def __enter__(self) -> "DistCoordinator":
         self.start()
@@ -200,19 +125,20 @@ class DistCoordinator:
         self.close()
 
     # ------------------------------------------------------------------
-    # frame-level operations (called by handler threads)
+    # request-level operations (called by handler threads)
     # ------------------------------------------------------------------
-    def handshake(self, worker: str, fingerprint: str) -> Dict[str, object]:
-        if fingerprint != self.fingerprint:
-            return {
-                "type": "reject",
-                "reason": (
-                    f"code fingerprint mismatch: worker {worker!r} runs "
-                    f"{fingerprint!r} but the coordinator expects "
-                    f"{self.fingerprint!r} — update the worker's checkout to "
-                    f"the coordinator's code before claiming shards"
-                ),
-            }
+    def refusal(self, worker: str, fingerprint: str) -> Optional[str]:
+        """Why ``worker`` is refused (both fingerprints named), or ``None``."""
+        if fingerprint == self.fingerprint:
+            return None
+        return (
+            f"code fingerprint mismatch: worker {worker!r} runs "
+            f"{fingerprint!r} but the coordinator expects "
+            f"{self.fingerprint!r} — update the worker's checkout to "
+            f"the coordinator's code before claiming shards"
+        )
+
+    def handshake(self, worker: str) -> Dict[str, object]:
         with self._lock:
             self._workers_seen[worker] = self._workers_seen.get(worker, 0) + 1
         return {

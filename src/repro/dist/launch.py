@@ -12,7 +12,7 @@ respawned — the lost lease expires and the shard is re-issued) and yields
 flushing, ``on_record`` and plan order are the caller's.
 
 ``in_process=True`` swaps subprocesses for threads running the same
-:func:`~repro.dist.worker.run_worker` loop over the same TCP socket —
+:func:`~repro.dist.worker.run_worker` loop against the same HTTP port —
 identical protocol traffic, but cheap enough for unit tests and coverage.
 """
 
@@ -50,8 +50,8 @@ def spawn_worker(
     The child inherits our environment with the ``repro`` package's parent
     directory prepended to ``PYTHONPATH`` (so a source checkout works
     without installation) and — when given — the coordinator's fingerprint
-    pinned via ``REPRO_CODE_FINGERPRINT`` so the handshake cannot flap on
-    a dirty working tree.
+    pinned via ``REPRO_CODE_FINGERPRINT`` so the fingerprint check cannot
+    flap on a dirty working tree.
     """
     env = dict(os.environ)
     package_parent = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))

@@ -1,28 +1,28 @@
 """Wire protocol of the distributed sweep executor.
 
-One frame per line: a JSON object terminated by ``\\n``, written over a
-plain TCP stream.  Every exchange is strict request/response, so a
-connection is a sequence of RPCs; the coordinator handles many concurrent
-connections (one thread each, ``ThreadingTCPServer``).
+JSON over HTTP/1.1 keep-alive connections, answered by the experiment
+service's handler (:mod:`repro.service.app`, table ``DIST_ROUTES``), so
+errors are ``{"detail": …}`` bodies after the service's 411/413/422 body
+checks.  Every ``POST`` body names ``worker`` and ``fingerprint``, and a
+fingerprint other than the coordinator's is refused on every route (403,
+naming both), so a stale-code worker never touches a shard.
 
-Frame types (worker → coordinator, with the coordinator's replies):
+Routes (worker → coordinator, with the coordinator's replies):
 
-====================  =====================================================
-``hello``             fingerprint handshake; replied with ``welcome`` (plan
-                      size, lease timeout) or ``reject`` (reason names both
-                      fingerprints) — required before ``claim``/
-                      ``heartbeat``/``complete`` on that connection.
-``claim``             request a shard; replied with ``lease`` (index, spec,
-                      spec_key, lease id, deadline), ``wait`` (everything
-                      is leased; retry_after seconds) or ``drained`` (all
-                      shards done — the worker exits).
-``heartbeat``         extend a lease; replied ``ok`` while the lease is
-                      live, ``expired`` once it lapsed (the shard may have
-                      been re-issued).
-``complete``          deliver a finished record; replied ``ok`` with
-                      ``accepted: false`` for duplicate completions.
-``status``            progress snapshot; needs no handshake (monitoring).
-====================  =====================================================
+=========================  ================================================
+``POST /dist/hello``       replied with ``welcome`` (plan size, lease
+                           timeout); a worker's first request.
+``POST /dist/claim``       request a shard; replied with ``lease`` (index,
+                           spec, spec_key, lease id, deadline), ``wait``
+                           (everything is leased; retry_after seconds) or
+                           ``drained`` (all shards done — the worker exits).
+``POST /dist/heartbeat``   extend ``lease``; replied ``ok`` while it is
+                           live, ``expired`` once it lapsed (the shard may
+                           have been re-issued).
+``POST /dist/complete``    deliver ``record`` for shard ``index``; replied
+                           ``ok`` with ``accepted: false`` for duplicates.
+``GET /dist/status``       progress snapshot; no fingerprint (monitoring).
+=========================  ================================================
 
 Everything here is stdlib-only on purpose — the executor must run anywhere
 the store runs.
@@ -30,6 +30,7 @@ the store runs.
 
 from __future__ import annotations
 
+import http  # the package only: http.client loads with the first CoordinatorClient
 import json
 import os
 import socket
@@ -39,7 +40,7 @@ Address = Union[str, Tuple[str, int]]
 
 
 class ProtocolError(RuntimeError):
-    """A malformed frame, an unexpected reply, or a dropped connection."""
+    """An error answer, an unexpected reply, or a dropped connection."""
 
 
 class WorkerRejectedError(RuntimeError):
@@ -59,37 +60,17 @@ def parse_address(address: Address) -> Tuple[str, int]:
     return host, int(port)
 
 
-def write_frame(wfile, payload: Dict[str, object]) -> None:
-    """Serialize one frame (compact JSON + newline) and flush it."""
-    wfile.write(json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n")
-    wfile.flush()
-
-
-def read_frame(rfile) -> Optional[Dict[str, object]]:
-    """Read one frame; ``None`` on a cleanly closed connection."""
-    line = rfile.readline()
-    if not line:
-        return None
-    try:
-        frame = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"malformed frame {line[:80]!r}: {exc}") from None
-    if not isinstance(frame, dict) or "type" not in frame:
-        raise ProtocolError(f"frame without a type: {frame!r}")
-    return frame
-
-
 def default_worker_id() -> str:
     """``hostname-pid`` — unique enough to tell workers apart in status."""
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
 class CoordinatorClient:
-    """One worker-side connection to a coordinator (strict request/response).
+    """One worker-side keep-alive connection to a coordinator (opened by
+    the first request, reopened after an error answer closed it).
 
-    Cheap to construct: the heartbeat thread opens a fresh client per beat
-    rather than interleaving frames with an in-flight ``claim`` on the main
-    connection.  Use as a context manager or call :meth:`close`.
+    A 403 raises :class:`WorkerRejectedError`, any other error status
+    :class:`ProtocolError`.  Use as a context manager or call :meth:`close`.
     """
 
     def __init__(
@@ -99,6 +80,8 @@ class CoordinatorClient:
         fingerprint: Optional[str] = None,
         timeout: float = 30.0,
     ) -> None:
+        import http.client  # ~20 ms (ssl): workers pay it, ``import repro.api`` does not
+
         self.host, self.port = parse_address(address)
         self.worker = worker or default_worker_id()
         if fingerprint is None:
@@ -106,31 +89,37 @@ class CoordinatorClient:
 
             fingerprint = code_fingerprint()
         self.fingerprint = fingerprint
-        self._sock = socket.create_connection((self.host, self.port), timeout=timeout)
-        self._rfile = self._sock.makefile("rb")
-        self._wfile = self._sock.makefile("wb")
+        self._conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout)
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def _rpc(self, payload: Dict[str, object]) -> Dict[str, object]:
-        write_frame(self._wfile, payload)
-        reply = read_frame(self._rfile)
-        if reply is None:
+    def _request(
+        self, method: str, route: str, body: Optional[bytes] = None
+    ) -> Dict[str, object]:
+        try:
+            self._conn.request(method, f"/dist/{route}", body)
+            response = self._conn.getresponse()
+            reply = json.loads(response.read())
+        except (http.client.HTTPException, ValueError) as exc:
+            self._conn.close()  # the next request starts on a fresh connection
             raise ProtocolError(
-                f"coordinator at {self.host}:{self.port} closed the connection "
-                f"mid-exchange (request type {payload.get('type')!r})"
-            )
-        if reply.get("type") == "error":
-            raise ProtocolError(str(reply.get("reason", "unspecified protocol error")))
+                f"coordinator at {self.host}:{self.port} gave no usable answer to "
+                f"{route!r}: {exc!r}"
+            ) from None
+        if response.status == 403:
+            raise WorkerRejectedError(reply["detail"])
+        if response.status >= 400:
+            raise ProtocolError(reply["detail"])
         return reply
 
+    def _post(self, route: str, **fields: object) -> Dict[str, object]:
+        """A worker request: ``fields`` plus who is asking, with what code."""
+        body = {"worker": self.worker, "fingerprint": self.fingerprint, **fields}
+        return self._request("POST", route, json.dumps(body).encode())
+
     def close(self) -> None:
-        for closer in (self._rfile.close, self._wfile.close, self._sock.close):
-            try:
-                closer()
-            except OSError:  # pragma: no cover - teardown races only
-                pass
+        self._conn.close()
 
     def __enter__(self) -> "CoordinatorClient":
         return self
@@ -142,44 +131,31 @@ class CoordinatorClient:
     # RPCs
     # ------------------------------------------------------------------
     def hello(self) -> Dict[str, object]:
-        """Fingerprint handshake; raises :class:`WorkerRejectedError` on reject."""
-        reply = self._rpc(
-            {"type": "hello", "worker": self.worker, "fingerprint": self.fingerprint}
-        )
-        if reply.get("type") == "reject":
-            raise WorkerRejectedError(str(reply.get("reason", "rejected")))
+        """The first request; raises :class:`WorkerRejectedError` on stale code."""
+        reply = self._post("hello")
         if reply.get("type") != "welcome":
             raise ProtocolError(f"expected welcome, got {reply!r}")
         return reply
 
     def claim(self) -> Dict[str, object]:
         """Ask for a shard: a ``lease``, ``wait`` or ``drained`` reply."""
-        reply = self._rpc({"type": "claim", "worker": self.worker})
+        reply = self._post("claim")
         if reply.get("type") not in ("lease", "wait", "drained"):
             raise ProtocolError(f"unexpected claim reply {reply!r}")
         return reply
 
     def heartbeat(self, lease: str) -> bool:
         """Extend a lease; ``False`` once it expired (shard may be re-issued)."""
-        reply = self._rpc({"type": "heartbeat", "worker": self.worker, "lease": lease})
-        return reply.get("type") == "ok"
+        return self._post("heartbeat", lease=lease).get("type") == "ok"
 
     def complete(self, lease: str, index: int, record: Dict[str, object]) -> bool:
         """Deliver a finished record; ``False`` marks a duplicate completion."""
-        reply = self._rpc(
-            {
-                "type": "complete",
-                "worker": self.worker,
-                "lease": lease,
-                "index": index,
-                "record": record,
-            }
-        )
+        reply = self._post("complete", lease=lease, index=index, record=record)
         return bool(reply.get("accepted"))
 
     def status(self) -> Dict[str, object]:
-        """The coordinator's progress snapshot (no handshake required)."""
-        return self._rpc({"type": "status"})
+        """The coordinator's progress snapshot (no fingerprint required)."""
+        return self._request("GET", "status")
 
 
 def coordinator_status(address: Address, timeout: float = 10.0) -> Dict[str, object]:

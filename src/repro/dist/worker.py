@@ -5,7 +5,7 @@
 worker threads of :func:`~repro.dist.launch.run_distributed_sweep` run for
 tests.  The loop is deliberately dumb:
 
-1. connect and ``hello`` (the coordinator rejects stale code by name);
+1. ``hello`` (the coordinator refuses stale code by name, on every request);
 2. ``claim`` — on ``wait`` sleep and retry, on ``drained`` exit;
 3. execute the spec through the exact same
    :func:`~repro.experiments.sweep.execute_spec` path a local sweep uses
@@ -34,55 +34,23 @@ from repro.experiments.plan import ExperimentSpec
 from repro.experiments.sweep import execute_spec
 
 
-class _LeaseHeartbeat:
-    """Background heartbeats for one lease (fresh connection per beat).
+def _heartbeat(
+    client: CoordinatorClient, lease: str, interval: float, stop: threading.Event
+) -> None:
+    """Extend ``lease`` every ``interval`` seconds until ``stop`` is set.
 
-    A separate connection keeps heartbeats off the main socket, which is
-    idle-blocked inside the spec execution; per-beat connections also make
-    a half-dead coordinator a non-event (the beat just fails and the main
-    loop finds out on ``complete``).
+    ``client`` is a connection of its own (the main one waits inside the
+    spec's execution).  An expired lease or a failed beat ends the beats:
+    the shard may run elsewhere, and the main loop finds out about a dead
+    coordinator on ``complete``.
     """
-
-    def __init__(
-        self,
-        address: Address,
-        worker: str,
-        fingerprint: str,
-        lease: str,
-        interval: float,
-    ) -> None:
-        self._address = address
-        self._worker = worker
-        self._fingerprint = fingerprint
-        self._lease = lease
-        self._interval = max(0.05, interval)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._loop, name=f"repro-dist-heartbeat-{lease}", daemon=True
-        )
-        #: becomes True if the coordinator reported the lease expired
-        self.expired = False
-
-    def start(self) -> "_LeaseHeartbeat":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self._interval):
+    with client:
+        while not stop.wait(interval):
             try:
-                with CoordinatorClient(
-                    self._address, worker=self._worker, fingerprint=self._fingerprint
-                ) as client:
-                    client.hello()
-                    if not client.heartbeat(self._lease):
-                        self.expired = True
-                        return  # re-issued elsewhere; finishing is best-effort now
+                if not client.heartbeat(lease):
+                    return
             except (OSError, ProtocolError):
-                return  # coordinator unreachable; the main loop will notice
+                return
 
 
 def run_worker(
@@ -101,8 +69,8 @@ def run_worker(
     timeout; ``max_claims`` bounds the loop (tests and scale-down).
 
     Raises :class:`~repro.dist.protocol.WorkerRejectedError` when the
-    fingerprint handshake fails — a stale-code worker must never compute
-    records for a coordinator running different code.
+    coordinator refuses this worker's fingerprint — a stale-code worker
+    must never compute records for a coordinator running different code.
     """
     worker = worker_id or default_worker_id()
     client = CoordinatorClient(address, worker=worker, fingerprint=fingerprint)
@@ -125,17 +93,22 @@ def run_worker(
                 continue
             spec = ExperimentSpec.from_dict(reply["spec"])  # type: ignore[arg-type]
             lease = str(reply["lease"])
-            heartbeat = _LeaseHeartbeat(
-                address,
-                worker,
-                client.fingerprint,
-                lease,
-                interval=heartbeat_interval,
-            ).start()
+            beats = CoordinatorClient(
+                address, worker=worker, fingerprint=client.fingerprint
+            )
+            stop = threading.Event()
+            heartbeat = threading.Thread(
+                target=_heartbeat,
+                args=(beats, lease, max(0.05, heartbeat_interval), stop),
+                name=f"repro-dist-heartbeat-{lease}",
+                daemon=True,
+            )
+            heartbeat.start()
             try:
                 record = execute_spec(spec)
             finally:
-                heartbeat.stop()
+                stop.set()
+                heartbeat.join(timeout=5.0)
             executed += 1
             try:
                 client.complete(lease, int(reply["index"]), record.to_dict())

@@ -39,8 +39,8 @@ Subcommands
         python -m repro dist-worker 127.0.0.1:7341
         python -m repro dist-worker HOST:PORT --id w1 --poll 0.2
 
-    The worker handshakes its code fingerprint (mismatches are rejected by
-    name), then claims, executes and streams back shards until the
+    Every request carries the worker's code fingerprint (a mismatch is
+    refused by name); it claims, executes and streams back shards until the
     coordinator drains.
 
 ``store``
@@ -714,6 +714,8 @@ def cmd_store(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    import logging
+
     from repro.service import make_server
     from repro.store import StoreError
 
@@ -722,12 +724,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except (StoreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    logging.basicConfig(level=logging.INFO, format="%(message)s")  # the access log
     stop = threading.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):  # both end in server.close()
         signal.signal(signum, lambda *_: stop.set())
     with server:
         host, port = server.server_address[:2]
-        print(f"serving on http://{host}:{port} (store: {server.manager.store.path})", flush=True)
+        print(f"serving on http://{host}:{port} (store: {server.app.store.path})", flush=True)
         stop.wait()
     return 0
 

@@ -17,7 +17,7 @@ unknown to the store; it owns nothing but execution.  There are three:
   **unordered with explicit chunking** (``imap_unordered``, chunk size 1 by
   default) so one slow spec never pins siblings behind it, with dead-worker
   detection (:class:`WorkerCrashedError`) instead of a hang;
-* :class:`repro.dist.DistExecutor` — a TCP coordinator over the pending
+* :class:`repro.dist.DistExecutor` — an HTTP coordinator over the pending
   specs plus supervised workers (``sweep --distributed N``).
 
 :class:`WorkerPool` is the warm-pool primitive and the one place a

@@ -23,13 +23,17 @@ This endpoint list is the contract (JSON; every error is ``{"detail": …}``):
   sweep coordinator in this process (see :mod:`repro.dist`); each describes
   the pending delta its sweep handed to the dist executor, not the plan.
 
-Route functions are plain ``(manager, path params, query, body) -> (status,
+Route functions are plain ``(app, path params, query, body) -> (status,
 payload)``, :class:`_Handler` is transport only, :func:`make_server` the entry.
+A dist coordinator serves :data:`DIST_ROUTES` (see :mod:`repro.dist.protocol`)
+through the same handler, with itself as ``app``.  Access lines go to the
+``repro.service`` logger at INFO.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import re
 import threading
 import traceback
@@ -37,7 +41,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterator, Optional
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.dist.coordinator import active_coordinators
 from repro.experiments.plan import ExperimentPlan
 from repro.service.jobs import JobManager
 from repro.store import ResultStore, default_store_path
@@ -46,6 +49,7 @@ from repro.store import ResultStore, default_store_path
 MAX_BODY_BYTES = 1 << 20
 #: the only spelling of a count taken from outside (``start``, ``limit``, Content-Length)
 NATURAL = re.compile(r"[0-9]{1,18}")
+LOG = logging.getLogger("repro.service")
 
 
 class HTTPError(Exception):
@@ -127,10 +131,12 @@ def store_records(manager, params, query, body):
 
 
 def dist_coordinators(manager, params, query, body):
+    from repro.dist.coordinator import active_coordinators
+
     return 200, active_coordinators()
 
 
-#: the one route table the handler dispatches through: (method, path regex, route)
+#: the service's route table: (method, path regex, route)
 ROUTES = [
     ("GET", "/healthz", healthz),
     ("POST", "/plans", submit_plan),
@@ -144,16 +150,69 @@ ROUTES = [
 ]
 
 
+def _worker(coordinator, body) -> str:
+    """The requesting worker's name; 403 naming both fingerprints when its
+    code is not the coordinator's, so a stale worker never touches a shard."""
+    if not isinstance(body, dict):
+        raise HTTPError(422, "the request must be a JSON object")
+    worker = str(body.get("worker", "?"))
+    refusal = coordinator.refusal(worker, str(body.get("fingerprint", "")))
+    if refusal:
+        raise HTTPError(403, refusal)
+    return worker
+
+
+def dist_hello(coordinator, params, query, body):
+    return 200, coordinator.handshake(_worker(coordinator, body))
+
+
+def dist_claim(coordinator, params, query, body):
+    return 200, coordinator.claim(_worker(coordinator, body))
+
+
+def dist_heartbeat(coordinator, params, query, body):
+    _worker(coordinator, body)
+    alive = coordinator.board.heartbeat(str(body.get("lease", "")))
+    return 200, {"type": "ok" if alive else "expired"}
+
+
+def dist_complete(coordinator, params, query, body):
+    worker = _worker(coordinator, body)
+    try:
+        accepted = coordinator.complete(int(body["index"]), body["record"], worker=worker)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise HTTPError(422, f"bad complete frame: {exc}") from None
+    return 200, {"type": "ok", "accepted": accepted}
+
+
+def dist_status(coordinator, params, query, body):
+    return 200, {"type": "status", **coordinator.status()}
+
+
+#: a dist coordinator's route table (its app is the coordinator)
+DIST_ROUTES = [
+    ("POST", "/dist/hello", dist_hello),
+    ("POST", "/dist/claim", dist_claim),
+    ("POST", "/dist/heartbeat", dist_heartbeat),
+    ("POST", "/dist/complete", dist_complete),
+    ("GET", "/dist/status", dist_status),
+]
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """Transport only: parse the request, dispatch through ROUTES, write."""
+    """Transport only: parse the request, dispatch through the server's
+    route table, write."""
 
     protocol_version = "HTTP/1.1"  # chunked streaming needs it
+    # headers and body are two writes: with Nagle on, a keep-alive client
+    # waits out its delayed ACK (~40 ms) before every body
+    disable_nagle_algorithm = True
 
     def _answer(self):
         url = urlsplit(self.path)
         allowed = {
             method: (route, match)
-            for method, pattern, route in ROUTES
+            for method, pattern, route in self.server.routes
             if (match := re.fullmatch(pattern, url.path))
         }
         if not allowed:
@@ -162,7 +221,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise HTTPError(405, f"{self.command} is not allowed on {url.path!r}")
         route, match = allowed[self.command]
         body = self._json_body() if self.command == "POST" else None
-        return route(self.server.manager, match.groupdict(), dict(parse_qsl(url.query)), body)
+        return route(self.server.app, match.groupdict(), dict(parse_qsl(url.query)), body)
 
     def _json_body(self):
         length = self.headers.get("Content-Length", "")
@@ -183,15 +242,22 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # the boundary: report it, keep serving
             traceback.print_exc()
             status, payload = 500, {"detail": f"{type(exc).__name__}: {exc}"}
-        try:
-            if isinstance(payload, Iterator):
-                self._write_stream(payload)
-            else:
-                self._write_json(status, payload)
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True  # the client left; its job runs on
+        if isinstance(payload, Iterator):
+            self._write_stream(payload)
+        else:
+            self._write_json(status, payload)
 
     do_GET = do_POST = do_PUT = do_DELETE = _dispatch
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:
+            pass  # the client left mid-request or mid-answer; its job runs on
+
+    def log_message(self, format, *args) -> None:
+        LOG.info("%s - - [%s] %s", self.address_string(), self.log_date_time_string(),
+                 format % args)
 
     def _write_json(self, status: int, payload) -> None:
         data = json.dumps(payload).encode()
@@ -215,11 +281,22 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class ServiceServer(ThreadingHTTPServer):
-    """What :func:`make_server` returns: serving on a daemon thread (handler
-    threads are daemonic too) until :meth:`close` / the end of its ``with``."""
+    """An HTTP server answering ``routes`` for ``app`` (what every route gets
+    first); after :meth:`start` it serves on a daemon thread (handler threads
+    are daemonic too) until :meth:`close` / the end of its ``with``."""
 
-    manager: JobManager
     owned: tuple = ()  # what make_server created for this server, closed with it
+
+    def __init__(self, address, routes, app=None) -> None:
+        super().__init__(address, _Handler)
+        self.routes, self.app = routes, app
+
+    def start(self) -> "ServiceServer":
+        threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.05},  # bounds close()
+            name="repro-http", daemon=True,
+        ).start()
+        return self
 
     def close(self) -> None:
         """Stop serving and release what this server owns (idempotent)."""
@@ -244,7 +321,7 @@ def make_server(
     """
     store = ResultStore(store_path or default_store_path()) if manager is None else None
     try:
-        server = ServiceServer((host, port), _Handler)
+        server = ServiceServer((host, port), ROUTES)
     except OSError:
         if store is not None:
             store.close()
@@ -252,9 +329,5 @@ def make_server(
     if manager is None:
         manager = JobManager(store=store, jobs=jobs)
         server.owned = (manager, store)
-    server.manager = manager
-    threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05},  # bounds close()
-        name="repro-service-http", daemon=True,
-    ).start()
-    return server
+    server.app = manager
+    return server.start()

@@ -1,29 +1,31 @@
-"""Distributed sweep executor: lease board, TCP protocol, end-to-end runs.
+"""Distributed sweep executor: lease board, HTTP routes, end-to-end runs.
 
 The correctness contract of :mod:`repro.dist`, each half pinned here:
 
 * **Lease state machine** — claim/heartbeat/expiry/re-issue/duplicate-
   completion races, driven deterministically through an injectable clock
   (no sleeps) on the pure :class:`~repro.dist.board.ShardBoard` and then
-  again over real TCP with two :class:`~repro.dist.protocol.
+  again over real loopback HTTP with two :class:`~repro.dist.protocol.
   CoordinatorClient` connections against one coordinator.
 * **Exactly-once persistence** — at-least-once execution (an expired
   lease's shard is re-issued) never produces duplicate store rows or
-  duplicate records; a ``complete`` frame for a shard that does not exist
-  or with another spec's record is refused; the ack follows the flush.
+  duplicate records; a ``complete`` request for a shard that does not
+  exist, with another spec's record or with a malformed body is refused;
+  the ack follows the flush.
 * **Byte-identical reassembly** — ``run_distributed_sweep`` (in-process
   workers and real ``dist-worker`` subprocesses) and ``sweep --distributed
   --canonical`` serialise byte-for-byte identically to a serial run of the
   same plan.  (Store/resume serving on the dist executor is pinned by the
   executor-contract matrix in ``tests/test_experiments_sweep.py``.)
-* **Fingerprint handshake** — a worker running different code is rejected
-  by name before it can claim anything.
+* **Fingerprint check** — a worker running different code is refused by
+  name on every route, so it never leases a shard.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import socket
 import subprocess
 import sys
 import threading
@@ -164,8 +166,18 @@ class TestShardBoard:
         assert board.claim("w1").kind == "drained"
 
 
+def _raw(address, request: bytes):
+    """Send ``request`` verbatim to a coordinator, read to EOF (every error
+    answer closes the connection); ``(status, JSON body)``."""
+    with socket.create_connection(address, timeout=30) as sock:
+        sock.sendall(request)
+        answer = b"".join(iter(lambda: sock.recv(65536), b""))
+    head, _, body = answer.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
 # ----------------------------------------------------------------------
-# the TCP protocol against a live coordinator
+# the HTTP routes against a live coordinator
 # ----------------------------------------------------------------------
 class TestCoordinatorTCP:
     def test_lease_race_over_tcp_reassembles_identically(self):
@@ -206,9 +218,9 @@ class TestCoordinatorTCP:
         )
 
     def test_complete_frame_is_validated(self):
-        """A handshaken client that never claimed anything cannot mark a
-        shard done with another spec's record, and an index off the board
-        is an error frame, not a dead handler thread."""
+        """A client that never claimed anything cannot mark a shard done
+        with another spec's record, and an index off the board is an error
+        answer, not a dead handler thread."""
         other = execute_spec(PLAN.specs()[0]).to_dict()
         with DistCoordinator(PLAN.specs()) as coord:
             with CoordinatorClient(coord.address, worker="rogue") as client:
@@ -274,11 +286,45 @@ class TestCoordinatorTCP:
             with pytest.raises(WorkerRejectedError):
                 run_worker(coord.address, worker_id="w", fingerprint="other-fp")
 
-    def test_claim_before_hello_is_a_protocol_error(self):
+    def test_stale_fingerprint_is_refused_on_every_route(self):
+        """Without ``hello``, with a wrong or a missing fingerprint, claim /
+        heartbeat / complete are refused by name and no shard is leased."""
+        record = execute_spec(PLAN.specs()[0]).to_dict()
         with DistCoordinator(PLAN.specs()) as coord:
-            with CoordinatorClient(coord.address, worker="rude") as client:
-                with pytest.raises(ProtocolError, match="handshake required"):
-                    client.claim()
+            with CoordinatorClient(coord.address, worker="rude", fingerprint="other-fp") as client:
+                for call in (
+                    client.claim,
+                    lambda: client.heartbeat("L1"),
+                    lambda: client.complete("L1", 0, record),
+                ):
+                    with pytest.raises(WorkerRejectedError, match="'rude' runs 'other-fp'"):
+                        call()
+            for route in ("claim", "heartbeat", "complete"):
+                body = json.dumps({"worker": "rude", "lease": "L1", "index": 0, "record": record})
+                status, answer = _raw(coord.address, (
+                    f"POST /dist/{route} HTTP/1.1\r\nHost: t\r\n"
+                    f"Content-Length: {len(body)}\r\n\r\n{body}"
+                ).encode())
+                assert status == 403 and "'rude' runs ''" in answer["detail"]
+            assert coord.status()["leased"] == 0 and coord.status()["done"] == 0
+
+    @pytest.mark.parametrize(
+        "headers, body, expected",
+        [
+            ("", b"", 411),
+            # refused on the header alone: the server would block on a read
+            (f"Content-Length: {2 << 20}\r\n", b"", 413),
+            ("Content-Length: 9\r\n", b"{not json", 422),
+            ("Content-Length: 8\r\n", b'["dist"]', 422),
+        ],
+    )
+    def test_complete_body_is_checked(self, headers, body, expected):
+        with DistCoordinator(PLAN.specs()) as coord:
+            request = f"POST /dist/complete HTTP/1.1\r\nHost: t\r\n{headers}\r\n"
+            status, answer = _raw(coord.address, request.encode() + body)
+            assert status == expected and set(answer) == {"detail"}
+            host, port = coord.address
+            assert coordinator_status(f"{host}:{port}")["done"] == 0
 
     def test_status_needs_no_handshake_and_registry_lists_it(self):
         with DistCoordinator(PLAN.specs()) as coord:
@@ -303,13 +349,14 @@ class TestCoordinatorTCP:
 # end-to-end distributed sweeps
 # ----------------------------------------------------------------------
 class TestDistributedSweep:
-    def test_in_process_workers_match_serial_byte_for_byte(self):
+    def test_in_process_workers_match_serial_byte_for_byte(self, capfd):
         serial = SweepRunner(PLAN, jobs=1).run()
         result = run_distributed_sweep(PLAN, workers=2, in_process=True)
         assert json.dumps(result.canonical_dict()) == json.dumps(
             serial.canonical_dict()
         )
         assert result.jobs == 2
+        assert "/dist/" not in capfd.readouterr().err  # no access log lines
 
     def test_worker_subprocesses_match_serial(self, tmp_path):
         serial = SweepRunner(PLAN, jobs=1).run()

@@ -11,6 +11,7 @@ repro serve`` process with a worker pool end to end.
 from __future__ import annotations
 
 import json
+import logging
 import signal
 import socket
 import struct
@@ -18,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+from http.client import HTTPConnection
 
 import pytest
 
@@ -261,6 +263,23 @@ class TestHTTPApp:
         )
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_client_reset_mid_request_is_quiet(self, base, http, capsys):
+        """A client that vanishes while its headers are read (a SIGKILLed dist
+        worker) ends its handler thread without a traceback."""
+        with connect(base) as sock:
+            sock.sendall(b"POST /plans HTTP/1.1\r\nHost: t\r\n")  # the headers never end
+            wait_until(
+                lambda: any("process_request_thread" in t.name for t in threading.enumerate()),
+                "the server to take the connection",
+            )
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        wait_until(
+            lambda: not any("process_request_thread" in t.name for t in threading.enumerate()),
+            "the reset client's handler thread to end",
+        )
+        assert "Traceback" not in capsys.readouterr().err
+        assert http(base + "/healthz")[0] == 200
+
     @pytest.mark.parametrize(
         "method, path, body, expected",
         [
@@ -318,6 +337,26 @@ class TestHTTPApp:
         assert "route exploded" in capsys.readouterr().err  # the traceback is reported
         assert http(base + "/healthz")[0] == 200
 
+    def test_keep_alive_requests_do_not_wait_for_delayed_acks(self, base):
+        """Headers and body are two writes; with Nagle on, each answer would
+        wait out the client's ~40 ms delayed ACK."""
+        host, port = base.removeprefix("http://").split(":")
+        connection = HTTPConnection(host, int(port), timeout=30)
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/jobs")
+                assert connection.getresponse().read() == b"[]"
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f} s"
+
+    def test_access_log_goes_to_the_service_logger(self, base, http, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.service"):
+            assert http(base + "/healthz")[0] == 200
+        assert any('"GET /healthz HTTP/1.1" 200' in r.getMessage() for r in caplog.records)
+
     def test_storeless_service_answers_404_on_the_store_routes(self, http):
         with JobManager(store=None, jobs=1) as mgr, make_server(manager=mgr) as server:
             base = "http://%s:%d" % server.server_address[:2]
@@ -333,7 +372,7 @@ def test_make_server_owns_and_releases_what_it_creates(tmp_path, http):
     with make_server(store_path=str(tmp_path / "owned.sqlite"), jobs=1) as server:
         base = "http://%s:%d" % server.server_address[:2]
         assert http(base + "/store/stats")[1]["records"] == 0
-        owned = server.manager
+        owned = server.app
     server.close()  # idempotent
     with pytest.raises(RuntimeError, match="closed"):
         owned.submit(PLAN)
