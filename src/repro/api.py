@@ -208,11 +208,5 @@ def compare(
         seeds=tuple(seeds),
         **shared,
     )
-    relaxed = ExperimentPlan(
-        ns=(),
-        extra_specs=tuple(
-            get_protocol(spec.protocol).relax_spec(spec) for spec in plan.specs()
-        ),
-    )
-    sweep = run_sweep(relaxed, jobs=jobs, out=out)
+    sweep = run_sweep(plan.relaxed(), jobs=jobs, out=out)
     return sweep, compare_rows(sweep.records)

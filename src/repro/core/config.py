@@ -143,8 +143,8 @@ class AERConfig:
         benchmark repetitions, the trace-overhead guard, back-to-back report
         sections on one grid point) skip rebuilding the quorum/poll tables
         entirely.  The cache is bounded (LRU, capacity
-        ``_SUITE_CACHE_CAPACITY``) and per process; sweep workers prewarm it
-        through :func:`prewarm_samplers`.
+        ``_SUITE_CACHE_CAPACITY``) and per process, so a sweep worker's
+        later specs on the same grid point start warm.
         """
         return _suite_cache.get_or_create(self, lambda config: config.build_samplers())
 
@@ -164,7 +164,3 @@ class AERConfig:
 #: the process-local suite cache behind :meth:`AERConfig.shared_samplers`
 _suite_cache: "LRUCache[AERConfig, SamplerSuite]" = LRUCache(_SUITE_CACHE_CAPACITY)
 
-
-def prewarm_samplers(config: AERConfig) -> SamplerSuite:
-    """Prime the process-local suite cache for ``config`` (worker warm-up)."""
-    return config.shared_samplers()

@@ -51,7 +51,7 @@ def spawn_worker(
     directory prepended to ``PYTHONPATH`` (so a source checkout works
     without installation) and — when given — the coordinator's fingerprint
     pinned via ``REPRO_CODE_FINGERPRINT`` so the fingerprint check cannot
-    flap on a dirty working tree.
+    flap when a source file is edited while the sweep runs.
     """
     env = dict(os.environ)
     package_parent = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))

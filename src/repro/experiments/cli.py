@@ -48,7 +48,7 @@ Subcommands
 
         python -m repro store stats
         python -m repro store prune --keep-current
-        python -m repro store prune --fingerprint abc1234+dirty
+        python -m repro store prune --fingerprint 3f9a61c02b7de845
 
 ``serve``
     The experiment service (stdlib; prints the address it bound, ``--port 0`` works)::
@@ -587,22 +587,12 @@ def cmd_dist_worker(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from repro.protocols import get_protocol
-
     if not args.ns:
         print("error: --ns must name at least one system size", file=sys.stderr)
         return 2
     try:
         plan = _build_plan(args, modes=["sync"], adversaries=[args.adversary])
-        # Shared knobs/params apply to the protocols that take them; the
-        # others run with their defaults instead of aborting the comparison.
-        relaxed = ExperimentPlan(
-            ns=(),
-            extra_specs=tuple(
-                get_protocol(spec.protocol).relax_spec(spec) for spec in plan.specs()
-            ),
-        )
-        result = run_sweep(relaxed, jobs=args.jobs, out=args.out)
+        result = run_sweep(plan.relaxed(), jobs=args.jobs, out=args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -282,6 +282,18 @@ class ExperimentPlan:
         for spec in self.specs():
             spec.validate()
 
+    def relaxed(self) -> "ExperimentPlan":
+        """The same specs, each relaxed to the knobs its protocol accepts.
+
+        The cross-protocol ``compare`` plan: shared knobs and params apply
+        to the protocols that take them, and the others run with their
+        defaults instead of aborting the comparison.
+        """
+        from repro.protocols import get_protocol
+
+        specs = tuple(get_protocol(spec.protocol).relax_spec(spec) for spec in self.specs())
+        return ExperimentPlan(ns=(), extra_specs=specs)
+
     def __len__(self) -> int:
         return (
             len(self.ns)

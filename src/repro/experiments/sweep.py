@@ -14,9 +14,9 @@ unknown to the store; it owns nothing but execution.  There are three:
 
 * :class:`InlineExecutor` — a loop in this process (``jobs=1``);
 * :class:`PoolExecutor` — ``multiprocessing`` workers, dispatched
-  **unordered with explicit chunking** (``imap_unordered``, chunk size 1 by
-  default) so one slow spec never pins siblings behind it, with dead-worker
-  detection (:class:`WorkerCrashedError`) instead of a hang;
+  **unordered, one spec per task** (``imap_unordered`` with chunk size 1) so
+  one slow spec never pins siblings behind it, with dead-worker detection
+  (:class:`WorkerCrashedError`) instead of a hang;
 * :class:`repro.dist.DistExecutor` — an HTTP coordinator over the pending
   specs plus supervised workers (``sweep --distributed N``).
 
@@ -25,7 +25,7 @@ unknown to the store; it owns nothing but execution.  There are three:
 ``SweepRunner.run`` calls, a multi-plan driver (the report builder's
 sections, the service) pays pool spin-up once instead of per plan; without a
 shared pool the pool executor uses a private one and tears it down.  Workers
-are primed by a sampler-table prewarm initializer (see :func:`_worker_init`).
+are forked after the parent has imported the engine, so they start with it.
 Results serialise to the JSON layout of the repo's ``BENCH_*.json`` files.
 """
 
@@ -278,43 +278,6 @@ def _worker_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _worker_init(prewarm: Sequence[tuple]) -> None:
-    """Pool initializer: import the registries and prewarm sampler tables.
-
-    ``prewarm`` holds ``(n, seed, quorum_multiplier, vectorized)`` tuples of
-    the first few distinct AER configurations of the plan; building their
-    suites here primes the process-local suite cache
-    (:meth:`AERConfig.shared_samplers`) — and, for vectorized-backend specs,
-    the process-local array-table provider (:func:`repro.vec.tables.tables_for`)
-    — before the first task arrives, and the imports pay the registry setup
-    cost once per worker instead of inside the first timed spec.
-    """
-    import repro.protocols  # noqa: F401  (registers every adapter)
-    from repro.core.config import AERConfig, prewarm_samplers
-
-    for n, seed, quorum_multiplier, vectorized in prewarm:
-        config = AERConfig.for_system(
-            int(n), sampler_seed=int(seed), quorum_multiplier=float(quorum_multiplier)
-        )
-        prewarm_samplers(config)
-        if vectorized:
-            from repro.vec.tables import prewarm_vec_tables
-
-            prewarm_vec_tables(config)
-
-
-def _prewarm_args(specs: Sequence[ExperimentSpec], limit: int = 4) -> Tuple[tuple, ...]:
-    """Distinct sampler-relevant tuples of the plan's AER-family specs."""
-    seen = []
-    for spec in specs:
-        entry = (spec.n, spec.seed, spec.quorum_multiplier, spec.backend == "vectorized")
-        if entry not in seen:
-            seen.append(entry)
-            if len(seen) >= limit:
-                break
-    return tuple(seen)
-
-
 def _execute_indexed(task: Tuple[int, ExperimentSpec]) -> Tuple[int, ExperimentRecord]:
     """Worker entry point for unordered dispatch: tag the record with its slot."""
     index, spec = task
@@ -345,7 +308,7 @@ class WorkerPool:
         """Current number of worker processes (0 before first use)."""
         return self._size
 
-    def acquire(self, jobs: int, prewarm: Sequence[tuple] = ()):
+    def acquire(self, jobs: int):
         """Return a pool with at least ``min(jobs, self.processes)`` workers."""
         want = jobs if self.processes is None else min(jobs, self.processes)
         want = max(1, want)
@@ -357,11 +320,7 @@ class WorkerPool:
             import repro.ae.protocol  # noqa: F401
             import repro.runner  # noqa: F401
 
-            if any(vectorized for *_, vectorized in prewarm):
-                import repro.vec.engine  # noqa: F401
-            self._pool = _worker_context().Pool(
-                processes=want, initializer=_worker_init, initargs=(tuple(prewarm),)
-            )
+            self._pool = _worker_context().Pool(processes=want)
             self._size = want
         return self._pool
 
@@ -421,12 +380,9 @@ class PoolExecutor:
     without one a private :class:`WorkerPool` is built and torn down.
     """
 
-    def __init__(
-        self, jobs: int, pool: Optional[WorkerPool] = None, chunksize: int = 1
-    ) -> None:
+    def __init__(self, jobs: int, pool: Optional[WorkerPool] = None) -> None:
         self.jobs = jobs
         self._shared = pool
-        self._chunksize = chunksize
 
     def __call__(self, pending: Pending) -> Iterator[Tuple[int, ExperimentRecord]]:
         from multiprocessing import TimeoutError as PoolTimeout
@@ -435,7 +391,10 @@ class PoolExecutor:
             pool, want = WorkerPool(), min(self.jobs, len(pending))
         else:
             pool, want = self._shared, self.jobs
-        worker_pool = pool.acquire(want, _prewarm_args([spec for _, spec in pending]))
+        if any(spec.backend == "vectorized" for _, spec in pending):
+            # before ``acquire`` forks, so new workers inherit it with the engine
+            import repro.vec.engine  # noqa: F401
+        worker_pool = pool.acquire(want)
         self.jobs = min(pool.size, len(pending))
         unfinished = {index: spec.key for index, spec in pending}
         try:
@@ -446,9 +405,7 @@ class PoolExecutor:
             tracked: Dict[int, object] = {}
             for proc in getattr(worker_pool, "_pool", None) or ():
                 tracked.setdefault(proc.pid, proc)
-            iterator = worker_pool.imap_unordered(
-                _execute_indexed, list(pending), chunksize=self._chunksize
-            )
+            iterator = worker_pool.imap_unordered(_execute_indexed, list(pending))
             while unfinished:
                 try:
                     index, record = iterator.next(timeout=0.25)
@@ -489,22 +446,11 @@ class SweepRunner:
         Worker processes; ``None`` picks ``min(cpu_count, len(plan))``, and
         ``1`` runs serially in-process (no pool), which is what tests use for
         determinism of coverage measurements and debuggability.
-    chunksize:
-        Specs per dispatch unit of the pool executor.  The default of
-        1 maximises load balance (one slow spec never holds hostages);
-        raise it only for plans of very many very short specs, where
-        per-task IPC would dominate.
     """
 
-    def __init__(
-        self,
-        plan: ExperimentPlan,
-        jobs: Optional[int] = None,
-        chunksize: int = 1,
-    ) -> None:
+    def __init__(self, plan: ExperimentPlan, jobs: Optional[int] = None) -> None:
         self.plan = plan
         self.jobs = jobs
-        self.chunksize = max(1, chunksize)
 
     def resolve_jobs(self, spec_count: int) -> int:
         if self.jobs is not None:
@@ -579,7 +525,7 @@ class SweepRunner:
                 if (workers == 1 or len(pending) == 1) and pool is None:
                     executor = InlineExecutor()
                 else:
-                    executor = PoolExecutor(workers, pool, self.chunksize)
+                    executor = PoolExecutor(workers, pool)
             with closing(executor(pending)) as fresh:
                 for index, record in fresh:
                     records[index] = record

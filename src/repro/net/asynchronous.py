@@ -50,8 +50,8 @@ draws from the delay policy directly, as in a failure-free run; one that
 does is shown a :class:`SendRecord` per destination and asked for each
 delay, between the same sequence numbers as if the multicast had been sent
 message by message.  Only where per-message *entries* are observable — the
-message log, and the trace events of a run with an adversary — is a
-multicast dispatched one destination at a time.
+trace events of a run with an adversary — is a multicast dispatched one
+destination at a time.
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ class AsynchronousSimulator(EventKernel):
                 self._constant_fast = policy.value
         #: a traced run with an adversary reports one ``message_dispatched``
         #: event per message, and the count is part of the run's record (the
-        #: trace summary), so besides the message log this is the one
-        #: configuration that still un-groups multicasts
+        #: trace summary), so this is the one configuration that still
+        #: un-groups multicasts
         self._trace_each_message = trace is not None and adversary is not None
 
     # ------------------------------------------------------------------
@@ -257,7 +257,7 @@ class AsynchronousSimulator(EventKernel):
         return self._time
 
     def dispatch_send(self, sender: int, dest: int, message: Message) -> None:
-        bits = self.metrics.record_send(sender, dest, message, self._time)
+        bits = self.metrics.record_send(sender, message)
         if self.trace is not None:
             self.trace.on_dispatch(sender, 1, message.kind, bits)
         self._schedule(sender, (dest,), message, bits)
@@ -265,7 +265,7 @@ class AsynchronousSimulator(EventKernel):
     def dispatch_send_many(self, sender: int, dests: Sequence[int], message: Message) -> None:
         if not dests:
             return
-        if self._trace_each_message or self.metrics.message_log_enabled:
+        if self._trace_each_message:
             # Per-message *entries* are observable here: keep their exact
             # interleaving with the entries of whatever the adversary sends
             # while it observes.
@@ -276,7 +276,7 @@ class AsynchronousSimulator(EventKernel):
         # sums, so charging them before the per-destination observations is
         # exact.
         message = self.intern_payload(message)
-        bits = self.metrics.record_send_many(sender, tuple(dests), message, self._time)
+        bits = self.metrics.record_send_many(sender, dests, message)
         if self.trace is not None:
             self.trace.on_dispatch(sender, len(dests), message.kind, bits)
         self._schedule(sender, dests, message, bits)

@@ -171,26 +171,10 @@ class MetricsCollector:
         self._decision_times: Dict[int, float] = {}
         self._rounds: Optional[int] = None
         self._span: Optional[float] = None
-        self._message_log_enabled = False
-        self._message_log: List[tuple] = []
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-    def enable_message_log(self) -> None:
-        """Keep a full (sender, dest, kind, bits, time) log — for tests/debugging only."""
-        self._message_log_enabled = True
-
-    @property
-    def message_log_enabled(self) -> bool:
-        """Whether the per-message log is being kept."""
-        return self._message_log_enabled
-
-    @property
-    def message_log(self) -> List[tuple]:
-        """The full message log (empty unless :meth:`enable_message_log` was called)."""
-        return self._message_log
-
     def bits_of(self, message: Message) -> int:
         """Bit cost of ``message``, memoised (messages are immutable).
 
@@ -219,8 +203,8 @@ class MetricsCollector:
         """Current number of memoised message costs (bounded by the limit)."""
         return len(self._bits_cache)
 
-    def record_send(self, sender: int, dest: int, message: Message, time: float) -> int:
-        """Record ``sender`` putting ``message`` on the wire towards ``dest``.
+    def record_send(self, sender: int, message: Message) -> int:
+        """Record ``sender`` putting ``message`` on the wire towards one node.
 
         Returns the bit cost charged, so the caller can reuse it for the
         matching delivery record.
@@ -230,17 +214,12 @@ class MetricsCollector:
         sent_messages[sender] = sent_messages.get(sender, 0) + 1
         sent_bits = self._sent_bits
         sent_bits[sender] = sent_bits.get(sender, 0) + bits
-        if self._message_log_enabled:
-            self._message_log.append((sender, dest, message.kind, bits, time))
         return bits
 
-    def record_send_many(
-        self, sender: int, dests: Sequence[int], message: Message, time: float
-    ) -> int:
+    def record_send_many(self, sender: int, dests: Sequence[int], message: Message) -> int:
         """Record a multicast of ``message`` to every node in ``dests`` in one step.
 
-        Equivalent to calling :meth:`record_send` once per destination (the
-        message log, when enabled, still receives one entry per destination).
+        Equivalent to calling :meth:`record_send` once per destination.
         Returns the per-message bit cost.
         """
         bits = self.bits_of(message)
@@ -249,16 +228,12 @@ class MetricsCollector:
         sent_messages[sender] = sent_messages.get(sender, 0) + count
         sent_bits = self._sent_bits
         sent_bits[sender] = sent_bits.get(sender, 0) + count * bits
-        if self._message_log_enabled:
-            kind = message.kind
-            self._message_log.extend((sender, dest, kind, bits, time) for dest in dests)
         return bits
 
     def record_sends(self, sender: int, messages: int, bits: int) -> None:
         """Record ``sender`` sending ``messages`` messages of ``bits`` bits in total.
 
-        For multicasts priced ahead of time (a prepared send plan); the
-        message log, which needs the individual messages, is not fed.
+        For multicasts priced ahead of time (a prepared send plan).
         """
         sent_messages = self._sent_messages
         sent_messages[sender] = sent_messages.get(sender, 0) + messages

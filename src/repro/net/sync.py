@@ -90,7 +90,7 @@ class SynchronousSimulator(EventKernel):
         return float(self._round)
 
     def dispatch_send(self, sender: int, dest: int, message: Message) -> None:
-        bits = self.metrics.record_send(sender, dest, message, float(self._round))
+        bits = self.metrics.record_send(sender, message)
         self._outbox.append((sender, (dest,), message, bits))
         if self.trace is not None:
             self.trace.on_dispatch(sender, 1, message.kind, bits)
@@ -100,7 +100,7 @@ class SynchronousSimulator(EventKernel):
             return
         dests = tuple(dests)
         message = self.intern_payload(message)
-        bits = self.metrics.record_send_many(sender, dests, message, float(self._round))
+        bits = self.metrics.record_send_many(sender, dests, message)
         self._outbox.append((sender, dests, message, bits))
         if self.trace is not None:
             self.trace.on_dispatch(sender, len(dests), message.kind, bits)
@@ -114,10 +114,10 @@ class SynchronousSimulator(EventKernel):
         outbox that the loop would have, in the same order.  The prepared
         form is kept by the plan's identity — the entry holds the plan, so
         its id cannot be recycled — and only for a tuple, which nobody can
-        change afterwards.  A trace collector and the message log observe
-        per-record and per-message entries, so with either the loop runs.
+        change afterwards.  A trace collector observes per-record entries,
+        so under one the loop runs.
         """
-        if type(plan) is not tuple or self.trace is not None or self.metrics.message_log_enabled:
+        if type(plan) is not tuple or self.trace is not None:
             super().dispatch_plan(sender, plan)
             return
         prepared = self._prepared_plans.get(id(plan))

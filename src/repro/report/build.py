@@ -113,8 +113,8 @@ class ReportBuilder:
 
         All sections share one :class:`~repro.experiments.sweep.WorkerPool`:
         the pool spins up lazily for the first section that actually needs
-        workers and its warm (sampler-prewarmed) processes are reused by
-        every following section, instead of paying pool startup per plan.
+        workers and its warm processes (sampler caches filled by earlier
+        specs) are reused by every following section, instead of paying pool startup per plan.
         ``jobs=1`` keeps the fully serial in-process path.  They likewise
         share one :class:`~repro.store.ResultStore` when ``store_path`` is
         set, so each spec is looked up and flushed exactly once.

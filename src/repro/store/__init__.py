@@ -8,8 +8,9 @@ A :class:`~repro.store.sqlite_store.ResultStore` persists
   canonicalization guarantees equivalent spellings of one experiment produce
   one key, and the backend/trace fields are part of the JSON, so a
   vectorized run never masquerades as a message-kernel run);
-* ``code_fingerprint`` — the bench provenance helper's git commit with its
-  ``+dirty`` marker, so results measured on different code never collide.
+* ``code_fingerprint`` — a hash of the ``repro`` package's source (plus the
+  Python and numpy versions), so results computed by different code never
+  collide, an uncommitted edit included.
 
 Any sweep or report run against a warm store is *incremental*: records
 already computed are served from SQLite, only the delta executes — see

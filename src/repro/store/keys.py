@@ -9,20 +9,25 @@ The store's keying invariant (pinned by ``tests/test_store.py``):
   ``params='{"a":2,"b":1}'``) therefore produce one key, and every field
   that changes what a run computes (``backend``, ``trace``, scenario knobs)
   is part of the hash.
-* ``code_fingerprint()`` is :func:`git_commit` — the short git commit with a
-  ``+dirty`` marker for uncommitted trees, the one provenance stamp shared
-  with ``python -m repro bench`` and ``report --timings`` — so records
-  measured on different code never serve each other.
-  ``$REPRO_CODE_FINGERPRINT`` overrides it (tests, and deployments without a
-  git checkout).
+* ``code_fingerprint()`` is :func:`code_digest` — a hash of the source of
+  every module of the imported ``repro`` package, plus the Python and numpy
+  versions — so records computed by different code never serve each other,
+  an edited, uncommitted tree included.  ``$REPRO_CODE_FINGERPRINT``
+  overrides it (tests, and deployments that pin one identity).
+  :func:`git_commit` is provenance only (``python -m repro bench``,
+  ``report --timings``).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
-from typing import TYPE_CHECKING, Optional
+import re
+import sys
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.plan import ExperimentPlan, ExperimentSpec
@@ -30,7 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: digest size of the blake2b spec/plan hashes (hex length = 2x)
 _DIGEST_BYTES = 16
 
-_fingerprint_cache: Optional[str] = None
+#: digest size of the code fingerprint (16 hex digits)
+_CODE_DIGEST_BYTES = 8
 
 
 def _canonical_digest(data: object) -> str:
@@ -56,7 +62,7 @@ def git_commit() -> str:
     the parent commit, so ``BENCH_kernel.json`` could claim numbers for a
     tree that never existed.  ``"unknown"`` outside a git checkout.
     """
-    import subprocess  # not at module level: a fingerprint override never needs git
+    import subprocess  # not at module level: only provenance stamps need git
 
     try:
         out = subprocess.run(
@@ -75,17 +81,44 @@ def git_commit() -> str:
     return commit
 
 
-def code_fingerprint(refresh: bool = False) -> str:
+def _numpy_version() -> str:
+    """numpy's version, read from its ``version.py`` without importing numpy."""
+    from importlib.util import find_spec
+
+    spec = find_spec("numpy")
+    if spec is None or spec.origin is None:
+        return "none"
+    try:
+        text = (Path(spec.origin).parent / "version.py").read_text()
+    except OSError:
+        return "unknown"
+    match = re.search(r"""^version\s*=\s*['"]([^'"]+)['"]""", text, re.MULTILINE)
+    return match.group(1) if match else "unknown"
+
+
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """Hash of the code a record is computed by (computed once per process).
+
+    A blake2b digest over the sorted ``(relative path, bytes)`` of every
+    ``*.py`` in the imported ``repro`` package, then Python's major.minor
+    and numpy's version.  Nothing outside the package counts.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.blake2b(digest_size=_CODE_DIGEST_BYTES)
+    for rel, path in sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    runtime = f"python {sys.version_info[0]}.{sys.version_info[1]}\0numpy {_numpy_version()}"
+    digest.update(runtime.encode())
+    return digest.hexdigest()
+
+
+def code_fingerprint() -> str:
     """The code identity records are stamped with.
 
     ``$REPRO_CODE_FINGERPRINT`` wins when set (checked on every call, so
-    tests can flip it); otherwise :func:`git_commit`, cached per process
-    (two subprocess calls are too slow for per-record use).
+    tests can flip it); otherwise :func:`code_digest`.
     """
-    override = os.environ.get("REPRO_CODE_FINGERPRINT")
-    if override:
-        return override
-    global _fingerprint_cache
-    if _fingerprint_cache is None or refresh:
-        _fingerprint_cache = git_commit()
-    return _fingerprint_cache
+    return os.environ.get("REPRO_CODE_FINGERPRINT") or code_digest()

@@ -17,11 +17,11 @@ Layout
 ``tables``
     Array-shaped sampler tables: ``(rows, d)`` member matrices for the
     ``I``/``H`` quorum families and the ``J`` poll rows keyed by
-    ``(node, label)``, built either from the exact Python samplers (small
-    ``n``) or from the batched hash (large ``n``) — both bit-identical to the
-    message backend's draws.  Stored bit-packed with a byte-budgeted
-    unpacked-row LRU (the ``n = 10⁶`` memory contract); a poll row is drawn
-    once per provider and decoded by every later run that launches it.
+    ``(node, label)``, built from the batched hash at every ``n`` —
+    bit-identical to the message backend's draws.  Stored bit-packed with a
+    byte-budgeted unpacked-row LRU (the ``n = 10⁶`` memory contract); a poll
+    row is drawn once per provider and decoded by every later run that
+    launches it.
 ``engine``
     The vectorized AER synchronous round loop, streaming its Fw1/Fw2
     fan-outs under an explicit memory budget (``vec_memory_mb``).
@@ -40,13 +40,12 @@ a vectorized run imports it (validating a ``backend="vectorized"`` spec reads
 
 from repro.vec.engine import DEFAULT_VEC_MEMORY_MB, VEC_ADVERSARIES, run_aer_vectorized
 from repro.vec.majority import run_sample_majority_vectorized
-from repro.vec.tables import VecSamplerTables, prewarm_vec_tables
+from repro.vec.tables import VecSamplerTables
 
 __all__ = [
     "DEFAULT_VEC_MEMORY_MB",
     "VEC_ADVERSARIES",
     "VecSamplerTables",
-    "prewarm_vec_tables",
     "run_aer_vectorized",
     "run_sample_majority_vectorized",
 ]

@@ -3,14 +3,10 @@
 The message kernel asks the samplers scalar questions (``is y in I(s, x)?``)
 millions of times; the vectorized engine instead wants whole tables as
 ``(rows, d)`` integer matrices it can gather from.  :class:`VecSamplerTables`
-provides them, bit-identical to the Python samplers, through two paths:
-
-* **sampler path** (small ``n``): rows are copied straight out of the shared
-  :class:`~repro.core.config.SamplerSuite`, so identity with the message
-  backend is true by construction (and the suite's LRU tables stay warm for
-  any message-backend run of the same config);
-* **hash path** (large ``n``): rows come from :mod:`repro.vec.hashing`,
-  which makes the samplers' own ``hashlib`` draws a table at a time.
+provides them, bit-identical to the Python samplers, at every ``n``: rows
+come from :mod:`repro.vec.hashing`, which makes the samplers' own
+``hashlib`` draws a table at a time (the exact message↔vectorized matrix
+checks the two against each other).
 
 Storage is the ``n = 10⁶`` part of the story (ARCHITECTURE.md "vec memory
 model"): member rows are held **bit-packed** at ``ceil(log2 n)`` bits per id
@@ -45,10 +41,6 @@ from repro.vec.bitpack import bits_for, pack_rows, packed_width, unpack_rows
 # batch_digest_mod is unused here but stays bound on this module: the
 # outside-in bench tracer wraps it under this name.
 from repro.vec.hashing import batch_digest_mod, encode_parts, first_distinct_rows  # noqa: F401
-
-#: below this system size the exact Python samplers are cheaper than spinning
-#: up the batched-hash machinery (both paths produce identical rows)
-NUMPY_MIN_N = 1024
 
 #: process-local provider cache (packed tables are ~100 MB per string at
 #: ``n = 10⁶``; keeping a few providers warm is the point)
@@ -144,13 +136,11 @@ class VecSamplerTables:
     tuples of distinct members — the samplers' canonical representation.
     """
 
-    def __init__(self, config: AERConfig, use_numpy: Optional[bool] = None) -> None:
+    def __init__(self, config: AERConfig) -> None:
         self.config = config
         self.n = config.n
         self.size = min(config.quorum_size, config.n)
         self.bits = bits_for(config.n)
-        self.use_numpy = config.n >= NUMPY_MIN_N if use_numpy is None else use_numpy
-        self._suite = config.shared_samplers()
         self._tables: Dict[Tuple[str, str], _PackedFamilyTable] = {}
         #: byte-budgeted LRU of fully unpacked (family, string) tables
         self._unpacked: "OrderedDict[Tuple[str, str], np.ndarray]" = OrderedDict()
@@ -194,9 +184,6 @@ class VecSamplerTables:
     # ------------------------------------------------------------------
     # quorum families I and H
     # ------------------------------------------------------------------
-    def _sampler(self, family: str):
-        return self._suite.push if family == "I" else self._suite.pull
-
     def _table(self, family: str, s: str) -> _PackedFamilyTable:
         key = (family, s)
         table = self._tables.get(key)
@@ -206,15 +193,9 @@ class VecSamplerTables:
         return table
 
     def _build_rows(self, family: str, s: str, xs: np.ndarray) -> np.ndarray:
-        """Member rows for ``xs`` straight from the samplers/hash (unpacked)."""
-        if self.use_numpy:
-            prefix = encode_parts(self.config.sampler_seed, family, s)
-            return first_distinct_rows(prefix, [xs], self.size, self.n, dtype=np.int32)
-        quorum = self._sampler(family).table(s).quorum
-        rows = np.empty((len(xs), self.size), dtype=np.int64)
-        for i, x in enumerate(xs.tolist()):
-            rows[i] = quorum(int(x))
-        return rows
+        """Member rows for ``xs`` straight from the hash (unpacked)."""
+        prefix = encode_parts(self.config.sampler_seed, family, s)
+        return first_distinct_rows(prefix, [xs], self.size, self.n, dtype=np.int32)
 
     def ensure_rows(self, family: str, s: str, xs: np.ndarray) -> None:
         """Materialise the quorum rows for the nodes in ``xs`` (idempotent)."""
@@ -330,20 +311,12 @@ class VecSamplerTables:
         return out
 
     def _draw_poll_rows(self, xs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """``J(x, r)`` straight from the poll sampler/hash (int32)."""
-        if self.use_numpy:
-            prefix = encode_parts(self.config.sampler_seed, self._suite.poll.name)
-            return first_distinct_rows(
-                prefix, [xs, labels], self.size, self.n, dtype=np.int32
-            )
-        poll_list = self._suite.poll.poll_list
-        rows = np.empty((len(xs), self.size), dtype=np.int32)
-        for i in range(len(xs)):
-            rows[i] = poll_list(int(xs[i]), int(labels[i]))
-        return rows
+        """``J(x, r)`` straight from the hash (int32)."""
+        prefix = encode_parts(self.config.sampler_seed, "J")
+        return first_distinct_rows(prefix, [xs, labels], self.size, self.n, dtype=np.int32)
 
 
-def tables_for(config: AERConfig, use_numpy: Optional[bool] = None) -> VecSamplerTables:
+def tables_for(config: AERConfig) -> VecSamplerTables:
     """The process-local cached table provider for ``config``.
 
     Mirrors :meth:`AERConfig.shared_samplers`: tables are pure functions of
@@ -355,20 +328,9 @@ def tables_for(config: AERConfig, use_numpy: Optional[bool] = None) -> VecSample
         config.quorum_size,
         config.label_space,
         config.sampler_seed,
-        use_numpy,
     )
     cached = _PROVIDER_CACHE.get(key)
     if cached is None:
-        cached = VecSamplerTables(config, use_numpy=use_numpy)
+        cached = VecSamplerTables(config)
         _PROVIDER_CACHE.put(key, cached)
     return cached
-
-
-def prewarm_vec_tables(config: AERConfig) -> VecSamplerTables:
-    """Instantiate (and cache) the vectorized table provider for ``config``.
-
-    Sweep workers call this from their initializer, next to the existing
-    :func:`repro.core.config.prewarm_samplers`, so that per-spec runs in the
-    pool start from a warm provider.
-    """
-    return tables_for(config)

@@ -14,6 +14,7 @@ from repro.core.messages import Fw1Message, PushMessage
 from repro.core.pull import PullEngine
 from repro.core.scenario import build_aer_nodes, make_scenario
 from repro.faults import FaultInjector, FaultSchedule
+from repro.net.kernel import EventKernel
 from repro.net.sync import SynchronousSimulator
 from repro.runner import make_adversary, run_aer
 from repro.trace.collector import TraceCollector
@@ -196,11 +197,27 @@ class SpyNode(AERNode):
         super().on_message(sender, message)
 
 
+def _entries(records):
+    """Grouped ``(sender, dests, message, bits)`` records, one entry per message."""
+    return [
+        (sender, dest, message.kind, bits)
+        for sender, dests, message, bits in records
+        for dest in dests
+    ]
+
+
 def _aer_sync(
     n, seed, adversary="none", *, node_cls=AERNode, rushing=False, wrong="random",
-    log=False, trace=None, faults=None,
+    log=False, loop_plans=False, trace=None, faults=None,
 ):
-    """One sync AER run on ``node_cls`` nodes, built the way ``run_aer`` builds it."""
+    """One sync AER run on ``node_cls`` nodes, built the way ``run_aer`` builds it.
+
+    ``log`` records every message put on the wire as ``sim.dispatch_log``:
+    ``(sender, dest, kind, bits)`` in dispatch order, read from each
+    delivered batch, then from the last outbox, which is never delivered.
+    ``loop_plans`` dispatches every send plan multicast by multicast (the
+    kernel's default loop) instead of as a prepared plan.
+    """
     config = AERConfig.for_system(n)
     scenario = make_scenario(n, config=config, seed=seed, wrong_candidate_mode=wrong)
     samplers = config.shared_samplers()
@@ -214,9 +231,21 @@ def _aer_sync(
         nodes, n=n, adversary=adversary, seed=seed, rushing=rushing,
         size_model=config.size_model(), trace=trace, faults=faults,
     )
-    if log:
-        sim.metrics.enable_message_log()
-    return sim, sim.run()
+    if loop_plans:
+        sim.dispatch_plan = lambda sender, plan: EventKernel.dispatch_plan(sim, sender, plan)
+    if not log:
+        return sim, sim.run()
+    sim.dispatch_log = []
+    deliver_batch = sim.deliver_batch
+
+    def recording_deliver_batch(batch):
+        sim.dispatch_log.extend(_entries(batch))
+        deliver_batch(batch)
+
+    sim.deliver_batch = recording_deliver_batch
+    result = sim.run()
+    sim.dispatch_log.extend(_entries(sim._outbox))
+    return sim, result
 
 
 def _assert_same_result(grouped, per_destination):
@@ -243,15 +272,16 @@ class TestGroupedFw1Delivery:
     @pytest.mark.parametrize("rushing", [False, True])
     @pytest.mark.parametrize("adversary", sorted(ADVERSARIES.names()))
     def test_message_logs_are_identical(self, adversary, rushing, seed):
-        plain_sim, plain = _aer_sync(24, seed, adversary, rushing=rushing)
+        plain_sim, plain = _aer_sync(24, seed, adversary, rushing=rushing, loop_plans=True)
         grouped_sim, grouped = _aer_sync(24, seed, adversary, rushing=rushing, log=True)
         reference_sim, reference = _aer_sync(
-            24, seed, adversary, rushing=rushing, log=True, node_cls=PerDestinationNode
+            24, seed, adversary, rushing=rushing, log=True, loop_plans=True,
+            node_cls=PerDestinationNode,
         )
-        assert grouped_sim.metrics.message_log == reference_sim.metrics.message_log
-        assert len(grouped_sim.metrics.message_log) == grouped.metrics_all.total_messages
+        assert grouped_sim.dispatch_log == reference_sim.dispatch_log
+        assert len(grouped_sim.dispatch_log) == grouped.metrics_all.total_messages
         _assert_same_result(grouped, reference)
-        # the log takes a send plan apart multicast by multicast: the same run
+        # a send plan taken apart multicast by multicast: the same run
         _assert_same_result(plain, grouped)
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -283,11 +313,10 @@ class TestGroupedFw1Delivery:
         assert sim._grouped == {}
         correct = set(result.correct_ids)
         fw1_to_correct = sum(
-            1 for _s, dest, kind, _b, _t in sim.metrics.message_log
-            if kind == "fw1" and dest in correct
+            1 for _s, dest, kind, _b in sim.dispatch_log if kind == "fw1" and dest in correct
         )
         assert SpyNode.fw1_seen == fw1_to_correct > 0
-        _assert_same_result(result, _aer_sync(24, 1, "wrong_answer", log=True)[1])
+        _assert_same_result(result, _aer_sync(24, 1, "wrong_answer")[1])
 
     def test_fault_injector_keeps_per_destination_delivery(self):
         faults = FaultInjector(FaultSchedule(loss_rate=0.1), n=24, seed=1)

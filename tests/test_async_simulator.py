@@ -23,6 +23,7 @@ from repro.net.messages import Message
 from repro.net.node import Node
 from repro.protocols.base import RunResult
 from repro.runner import make_adversary
+from repro.trace.collector import TraceCollector
 
 
 @dataclass(frozen=True)
@@ -250,12 +251,18 @@ def _send_blind_adversaries() -> List[str]:
 SEND_BLIND = _send_blind_adversaries()
 
 
-def _aer_async(n, seed, adversary_name, policy, *, watching=False, log=False, faults=None):
+def _aer_async(
+    n, seed, adversary_name, policy, *, watching=False, log=False, faults=None, trace=None
+):
     """One async AER run; ``watching`` swaps in a subclass with an empty ``observe_send``.
 
     The subclass observes nothing and changes nothing, but it overrides a
     hook, so the scheduler must show it every message and ask it for every
-    delay: the per-destination path, for the very same run.
+    delay: the per-destination path, for the very same run.  ``log``
+    records every message put on the wire as ``sim.dispatch_log``:
+    ``(sender, dest, kind, bits)`` in dispatch order, read where each record
+    is scheduled.  ``trace`` is handed to the simulator; with an adversary it
+    sends every multicast down the per-destination path.
     """
     config = AERConfig.for_system(n)
     scenario = make_scenario(n, config=config, seed=seed)
@@ -273,9 +280,17 @@ def _aer_async(n, seed, adversary_name, policy, *, watching=False, log=False, fa
         delay_policy=make_delay_policy(policy),
         size_model=config.size_model(),
         faults=faults,
+        trace=trace,
     )
     if log:
-        sim.metrics.enable_message_log()
+        sim.dispatch_log = []
+        schedule = sim._schedule
+
+        def recording_schedule(sender, dests, message, bits):
+            sim.dispatch_log.extend((sender, dest, message.kind, bits) for dest in dests)
+            schedule(sender, dests, message, bits)
+
+        sim._schedule = recording_schedule
     return sim, sim.run()
 
 
@@ -307,14 +322,21 @@ class TestGroupedDispatchUnderAdversary:
     def test_message_logs_are_identical(self, adversary, policy, seed):
         grouped_sim, grouped = _aer_async(24, seed, adversary, policy, log=True)
         watched_sim, per_message = _aer_async(24, seed, adversary, policy, watching=True, log=True)
-        assert grouped_sim.metrics.message_log == watched_sim.metrics.message_log
-        assert len(grouped_sim.metrics.message_log) == grouped.metrics_all.total_messages
+        assert grouped_sim.dispatch_log == watched_sim.dispatch_log
+        assert len(grouped_sim.dispatch_log) == grouped.metrics_all.total_messages
         _assert_same_result(grouped, per_message)
 
-    def test_message_log_does_not_change_the_run(self):
-        _, plain = _aer_async(24, 1, "push_flood", "random")
-        _, logged = _aer_async(24, 1, "push_flood", "random", log=True)
-        _assert_same_result(plain, logged)
+    @pytest.mark.parametrize("adversary", ["push_flood", "quorum_flood"])
+    def test_a_traced_run_dispatches_like_the_grouped_run(self, adversary):
+        # the one configuration left that takes a multicast apart
+        grouped_sim, grouped = _aer_async(24, 1, adversary, "random", log=True)
+        trace = TraceCollector("summary")
+        traced_sim, traced = _aer_async(24, 1, adversary, "random", log=True, trace=trace)
+        assert traced_sim._trace_each_message and not grouped_sim._trace_each_message
+        assert traced_sim.dispatch_log == grouped_sim.dispatch_log
+        # one message_dispatched event per message, not per multicast
+        assert trace.summary().events["message_dispatched"] == grouped.metrics_all.total_messages
+        _assert_same_result(grouped, traced)
 
     def test_a_stand_in_without_the_attribute_is_treated_as_watching(self):
         adversary = DelayRecordingAdversary({5}, forced_delay=None)

@@ -48,27 +48,28 @@ class TestGoldenEquality:
 
     @pytest.mark.parametrize("wrong_candidate_mode", ["common_wrong", "random"])
     def test_aer_exact_on_the_hash_path(self, monkeypatch, wrong_candidate_mode):
-        # Every other exact grid runs n < NUMPY_MIN_N, where the engine gathers
-        # rows copied out of the samplers; here it runs over repro.vec.hashing.
+        # Whole records over repro.vec.hashing's rows, including quorums that
+        # are the whole population (n=7: d = n) or most of it (n=12: d = 9),
+        # where first_distinct_rows rejects the most colliding draws.
         import repro.vec.tables as tables
+        from repro.core.config import AERConfig
         from repro.experiments.sweep import execute_spec
         from repro.samplers.tables import LRUCache
 
-        monkeypatch.setattr(tables, "NUMPY_MIN_N", 0)
         monkeypatch.setattr(tables, "_PROVIDER_CACHE", LRUCache(4))
-        for adversary in EXACT_ADVERSARIES:
-            spec = ExperimentSpec(
-                n=64, adversary=adversary, seed=3,
-                wrong_candidate_mode=wrong_candidate_mode,
-            )
-            message = execute_spec(spec).to_dict()
-            vectorized = execute_spec(spec.with_(backend="vectorized")).to_dict()
-            for data in (message, vectorized):
-                data.pop("seconds")
-                data["spec"].pop("backend")
-            assert vectorized == message
-        providers = list(tables._PROVIDER_CACHE._data.values())
-        assert providers and all(p.use_numpy for p in providers)  # rows were hashed
+        assert [AERConfig.for_system(n).quorum_size for n in (7, 12)] == [7, 9]
+        for n in (7, 12, 64):
+            for adversary in EXACT_ADVERSARIES:
+                spec = ExperimentSpec(
+                    n=n, adversary=adversary, seed=3,
+                    wrong_candidate_mode=wrong_candidate_mode,
+                )
+                message = execute_spec(spec).to_dict()
+                vectorized = execute_spec(spec.with_(backend="vectorized")).to_dict()
+                for data in (message, vectorized):
+                    data.pop("seconds")
+                    data["spec"].pop("backend")
+                assert vectorized == message
 
     def test_sample_majority_exact(self):
         spec = {"n": 96, "protocol": "sample_majority", "adversary": "silent", "seed": 0}

@@ -10,10 +10,12 @@ behavior-preserving.  The matrix deliberately covers both scheduler paths of
 the columnar engine: the fast paths nobody observes per message (grouped
 sync inboxes; the async calendar queue with no adversary or a send-blind
 one, ``watches_sends`` false) and the observed ones — the rushing observation
-list, the per-destination ``SendRecord`` observations of ``cornering`` and
-the ``cornering_nodelay`` delay adversary inside one grouped async record,
-and the traced adversary runs, the one place a multicast is still dispatched
-message by message.
+list, and the per-destination ``SendRecord`` observations of ``cornering``
+and the ``cornering_nodelay`` delay adversary inside one grouped async
+record.  The one traced case is sync (``compose:full_ba:sync-traced``).  A
+traced async run with an adversary, the one configuration that still
+dispatches a multicast message by message, is not pinned here;
+``tests/test_trace.py`` checks it against its untraced twin.
 
 If a PR intentionally changes engine behaviour, regenerate the fixture with
 ``scripts/gen_golden.py`` and call the change out explicitly.

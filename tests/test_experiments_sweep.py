@@ -142,8 +142,8 @@ class TestSweepRunner:
         sizes = []
         acquire = WorkerPool.acquire
 
-        def spy(pool, jobs, prewarm=()):
-            worker_pool = acquire(pool, jobs, prewarm)
+        def spy(pool, jobs):
+            worker_pool = acquire(pool, jobs)
             sizes.append(pool.size)
             return worker_pool
 

@@ -178,14 +178,15 @@ class TestCostProfile:
         from repro.core.scenario import build_aer_nodes
         from repro.net.sync import SynchronousSimulator
 
-        nodes = build_aer_nodes(medium_scenario, medium_config, samplers=samplers)
+        from repro.trace.collector import TraceCollector
+
+        trace = TraceCollector("summary")
+        nodes = build_aer_nodes(medium_scenario, medium_config, samplers=samplers, trace=trace)
         sim = SynchronousSimulator(
-            nodes=nodes, n=medium_scenario.n, seed=1, size_model=medium_config.size_model()
+            nodes=nodes, n=medium_scenario.n, seed=1, size_model=medium_config.size_model(),
+            trace=trace,
         )
-        sim.metrics.enable_message_log()
-        sim.run()
-        push_bits = sum(
-            bits for (_, _, kind, bits, _) in sim.metrics.message_log if kind == "push"
-        )
-        total_bits = sum(bits for (_, _, _, bits, _) in sim.metrics.message_log)
-        assert push_bits < 0.05 * total_bits
+        result = sim.run()
+        phase_bits = trace.finalize()["phase_bits"]
+        assert sum(phase_bits.values()) == result.metrics_all.total_bits
+        assert 0 < phase_bits["push"] < 0.05 * result.metrics_all.total_bits

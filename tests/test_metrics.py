@@ -28,12 +28,12 @@ class TestNodeTraffic:
 class TestRecording:
     def test_record_send_returns_bit_cost(self):
         collector = make_collector()
-        bits = collector.record_send(0, 1, PushMessage(candidate="0" * 12), time=0.0)
+        bits = collector.record_send(0, PushMessage(candidate="0" * 12))
         assert bits == PushMessage(candidate="0" * 12).bits(collector.size_model)
 
     def test_send_counts_attributed_to_sender(self):
         collector = make_collector()
-        collector.record_send(2, 3, Message(), time=0.0)
+        collector.record_send(2, Message())
         assert collector.traffic_of(2).sent_messages == 1
         assert collector.traffic_of(3).sent_messages == 0
 
@@ -47,30 +47,29 @@ class TestRecording:
         collector = make_collector()
         assert collector.traffic_of(7).total_bits == 0
 
+    def test_grouped_records_equal_one_record_send_per_destination(self):
+        grouped, single = make_collector(n=5), make_collector(n=5)
+        message = PushMessage(candidate="0" * 12)
+        bits = grouped.record_send_many(2, [0, 1, 3, 4], message)
+        grouped.record_sends(4, 3, 3 * bits)
+        for _ in range(4):
+            assert single.record_send(2, message) == bits
+        for _ in range(3):
+            single.record_send(4, message)
+        assert grouped.summary() == single.summary()
+        assert grouped.traffic_of(2) == single.traffic_of(2)
+
     def test_decision_time_first_call_wins(self):
         collector = make_collector()
         collector.record_decision(1, 3.0)
         collector.record_decision(1, 9.0)
         assert collector.summary().decision_times[1] == 3.0
 
-    def test_message_log_disabled_by_default(self):
-        collector = make_collector()
-        collector.record_send(0, 1, Message(), time=0.0)
-        assert collector.message_log == []
-
-    def test_message_log_enabled(self):
-        collector = make_collector()
-        collector.enable_message_log()
-        collector.record_send(0, 1, Message(), time=2.0)
-        assert len(collector.message_log) == 1
-        sender, dest, kind, bits, time = collector.message_log[0]
-        assert (sender, dest, time) == (0, 1, 2.0)
-
 
 class TestSummary:
     def test_total_bits_counts_each_message_once(self):
         collector = make_collector()
-        bits = collector.record_send(0, 1, Message(), time=0.0)
+        bits = collector.record_send(0, Message())
         collector.record_delivery(1, bits)
         summary = collector.summary()
         assert summary.total_bits == bits
@@ -79,15 +78,15 @@ class TestSummary:
     def test_amortized_is_total_over_n(self):
         collector = make_collector(n=4)
         for _ in range(8):
-            collector.record_send(0, 1, Message(), time=0.0)
+            collector.record_send(0, Message())
         summary = collector.summary()
         assert summary.amortized_bits == pytest.approx(summary.total_bits / 4)
 
     def test_restrict_to_excludes_other_nodes_loads(self):
         collector = make_collector(n=4)
         big = PushMessage(candidate="0" * 100)
-        collector.record_send(3, 0, big, time=0.0)  # node 3 is "Byzantine"
-        collector.record_send(0, 1, Message(), time=0.0)
+        collector.record_send(3, big)  # node 3 is "Byzantine"
+        collector.record_send(0, Message())
         full = collector.summary()
         correct_only = collector.summary(restrict_to=[0, 1, 2])
         assert full.max_node_bits >= 100
@@ -97,7 +96,7 @@ class TestSummary:
 
     def test_per_node_bits_present(self):
         collector = make_collector(n=3)
-        collector.record_send(1, 0, Message(), time=0.0)
+        collector.record_send(1, Message())
         summary = collector.summary()
         assert set(summary.per_node_bits) == {0, 1, 2}
         assert summary.per_node_bits[1] > 0
@@ -105,7 +104,7 @@ class TestSummary:
     def test_load_imbalance_at_least_one_when_uniform(self):
         collector = make_collector(n=4)
         for node in range(4):
-            collector.record_send(node, (node + 1) % 4, Message(), time=0.0)
+            collector.record_send(node, Message())
         summary = collector.summary()
         assert summary.load_imbalance == pytest.approx(1.0)
 
@@ -133,11 +132,11 @@ class TestSummary:
         assert row["rounds"] == 3
         assert all(isinstance(v, (int, float)) for v in row.values())
 
-    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40))
+    @given(st.lists(st.integers(0, 7), max_size=40))
     def test_hypothesis_totals_match_event_count(self, sends):
         collector = make_collector(n=8)
-        for sender, dest in sends:
-            collector.record_send(sender, dest, Message(), time=0.0)
+        for sender in sends:
+            collector.record_send(sender, Message())
         summary = collector.summary()
         assert summary.total_messages == len(sends)
         assert summary.total_bits == len(sends) * Message().bits(collector.size_model)
@@ -151,7 +150,7 @@ class TestBitsCacheEviction:
         # A "millions of distinct messages" flood, scaled down: far more
         # distinct messages than the cache limit, in one streaming pass.
         for i in range(5_000):
-            collector.record_send(0, 1, PushMessage(candidate=format(i, "013b")), time=0.0)
+            collector.record_send(0, PushMessage(candidate=format(i, "013b")))
             assert collector.bits_cache_size <= 64
         assert collector.bits_cache_size == 64
 

@@ -16,8 +16,14 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.experiments.cli import main as cli_main
 from repro.experiments.plan import ExperimentPlan, ExperimentSpec
@@ -82,6 +88,64 @@ class TestKeys:
         assert code_fingerprint() == "test-fp"
         monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "other")
         assert code_fingerprint() == "other"
+
+
+class TestContentFingerprint:
+    """Without the override, the fingerprint is the package's source content.
+
+    Each case edits a temporary copy of the package and asks a fresh
+    interpreter (the fingerprint is cached per process).
+    """
+
+    SWEEP = "sweep --ns 16 --adversaries none --modes sync --seeds 0 --jobs 1 --store {}"
+
+    @pytest.fixture()
+    def tree(self, tmp_path):
+        src = tmp_path / "src"
+        shutil.copytree(
+            Path(repro.__file__).parent, src / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        (src / "notes.py").write_text("# outside the package\n")
+        return src
+
+    def _python(self, src, *args):
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_CODE_FINGERPRINT"}
+        env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        out = subprocess.run(
+            [sys.executable, *args], env=env, cwd=str(src.parent),
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        return out.stdout
+
+    def _fingerprint(self, src):
+        code = "from repro.store.keys import code_fingerprint; print(code_fingerprint())"
+        return self._python(src, "-c", code).strip()
+
+    @staticmethod
+    def _edit(path, old, new):
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+
+    def test_an_engine_edit_changes_it_and_an_outside_edit_does_not(self, tree):
+        before = self._fingerprint(tree)
+        assert len(before) == 16
+        (tree / "notes.py").write_text("# edited, still outside the package\n")
+        assert self._fingerprint(tree) == before
+        self._edit(tree / "repro" / "vec" / "engine.py", '"""', '"""Edited. ')
+        assert self._fingerprint(tree) != before
+
+    def test_a_store_filled_before_an_id_bits_edit_serves_nothing_after_it(self, tree):
+        sweep = ["-m", "repro", *self.SWEEP.format(tree.parent / "s.sqlite").split()]
+        assert "0/1 served from store" in self._python(tree, *sweep)
+        assert "1/1 served from store" in self._python(tree, *sweep)
+        self._edit(
+            tree / "repro" / "net" / "messages.py",
+            "return max(1, math.ceil(math.log2(max(2, self.n))))",
+            "return 1000 + max(1, math.ceil(math.log2(max(2, self.n))))",
+        )
+        assert "0/1 served from store" in self._python(tree, *sweep)
 
 
 # ----------------------------------------------------------------------

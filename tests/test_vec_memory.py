@@ -3,9 +3,9 @@ and the ``vec_memory_mb`` budget contract.
 
 The load-bearing properties:
 
-* packing is lossless — every packed row decodes bit-for-bit to the
-  samplers' draws, on both the sampler path (small ``n``) and the batched
-  hash path (large ``n``);
+* packing is lossless — every packed row, drawn by the batched hash,
+  decodes bit-for-bit to the Python samplers' draws, including where a
+  quorum is the whole population;
 * the budget knob changes *memory only* — an absurdly undersized budget
   must produce byte-identical results to the default.
 """
@@ -101,29 +101,29 @@ def _reference_rows(config, family, s, xs):
     return np.asarray([quorum(int(x)) for x in xs], dtype=np.int64)
 
 
-@pytest.mark.parametrize("use_numpy", [False, True])
-def test_table_rows_match_samplers(use_numpy):
-    # n below NUMPY_MIN_N so both paths are cheap; use_numpy=True forces the
-    # hash path the engine uses at n >= 1024
-    config = AERConfig.for_system(192, sampler_seed=3)
-    tables = VecSamplerTables(config, use_numpy=use_numpy)
-    xs = np.array([0, 1, 17, 191, 90])
+# n=7 and n=12 put the quorum size d at n and 3n/4: the collision-heavy
+# cases of the hash path's first-distinct draw
+@pytest.mark.parametrize("n", [7, 12, 192])
+def test_table_rows_match_samplers(n):
+    config = AERConfig.for_system(n, sampler_seed=3)
+    tables = VecSamplerTables(config)
+    xs = np.array([0, 1, 17, 191, 90]) % n
     for family in ("I", "H"):
         for s in ("alpha", "beta"):
             got = tables.rows(family, s, xs)
             assert (got == _reference_rows(config, family, s, xs)).all()
 
 
-@pytest.mark.parametrize("use_numpy", [False, True])
-def test_poll_rows_match_samplers(use_numpy):
-    config = AERConfig.for_system(192, sampler_seed=3)
-    tables = VecSamplerTables(config, use_numpy=use_numpy)
-    xs = [0, 5, 191, 5]
+@pytest.mark.parametrize("n", [7, 12, 192])
+def test_poll_rows_match_samplers(n):
+    config = AERConfig.for_system(n, sampler_seed=3)
+    tables = VecSamplerTables(config)
+    xs = [0, 5, 191 % n, 5]
     labels = [9, 1, 7, 1]
     poll_list = config.shared_samplers().poll.poll_list
     expected = np.asarray([poll_list(x, r) for x, r in zip(xs, labels)])
     assert (tables.poll_rows(xs, labels) == expected).all()
-    assert (tables.poll_rows([191], [7]) == expected[2:3]).all()  # the engine's scalar call
+    assert (tables.poll_rows([xs[2]], [7]) == expected[2:3]).all()  # the engine's scalar call
 
 
 # ----------------------------------------------------------------------
@@ -148,10 +148,9 @@ def _count_draws(monkeypatch):
 
 
 class TestPollTable:
-    @pytest.mark.parametrize("use_numpy", [False, True])
-    def test_decoded_rows_equal_the_draws(self, monkeypatch, use_numpy):
+    def test_decoded_rows_equal_the_draws(self, monkeypatch):
         config = AERConfig.for_system(192, sampler_seed=5)
-        tables = VecSamplerTables(config, use_numpy=use_numpy)
+        tables = VecSamplerTables(config)
         drawn = _count_draws(monkeypatch)
         xs = np.array([3, 0, 191, 3, 77, 3])
         labels = np.array([8, 1, 400, 8, 36863, 9])
@@ -197,10 +196,9 @@ class TestPollTable:
         assert (tables.poll_rows(xs, labels) == _poll_reference(config, xs, labels)).all()
         assert tables._poll.rows == 0
 
-    @pytest.mark.parametrize("use_numpy", [False, True])
-    def test_pairs_outside_the_key_domain_are_rejected(self, use_numpy):
+    def test_pairs_outside_the_key_domain_are_rejected(self):
         config = AERConfig.for_system(64, sampler_seed=2)
-        tables = VecSamplerTables(config, use_numpy=use_numpy)
+        tables = VecSamplerTables(config)
         # x · label_space + r would collide with (1, 0), (0, space - 1), ...
         for x, label in ((0, config.label_space), (1, -1), (64, 0), (-1, 5)):
             with pytest.raises(ValueError, match="poll pairs must lie in"):
@@ -225,9 +223,9 @@ class TestPollTable:
 def test_rows_identical_across_cache_budgets():
     config = AERConfig.for_system(192, sampler_seed=0)
     xs = np.arange(192)
-    starved = VecSamplerTables(config, use_numpy=True)
+    starved = VecSamplerTables(config)
     starved.set_unpacked_budget(0)  # every gather decodes from packed bytes
-    roomy = VecSamplerTables(config, use_numpy=True)
+    roomy = VecSamplerTables(config)
     roomy.set_unpacked_budget(1 << 30)  # everything promotes to the LRU
     for family, s in (("I", "alpha"), ("H", "alpha")):
         a = starved.rows(family, s, xs)
@@ -239,7 +237,7 @@ def test_rows_identical_across_cache_budgets():
 
 def test_iter_rows_streams_the_full_table():
     config = AERConfig.for_system(192, sampler_seed=1)
-    tables = VecSamplerTables(config, use_numpy=True)
+    tables = VecSamplerTables(config)
     full = tables.full("H", "s")
     chunks = [rows for _, rows in tables.iter_rows("H", "s", 37)]
     assert (np.concatenate(chunks) == full).all()
@@ -247,7 +245,7 @@ def test_iter_rows_streams_the_full_table():
 
 def test_packed_tables_are_smaller_than_int32():
     config = AERConfig.for_system(2048, sampler_seed=0)
-    tables = VecSamplerTables(config, use_numpy=True)
+    tables = VecSamplerTables(config)
     tables.ensure_all("I", "s")
     int32_bytes = config.n * tables.size * 4
     # 11 bits/id at n=2048 vs 32: packed must be well under half the size
@@ -271,7 +269,6 @@ def test_warm_provider_record_equals_cold(monkeypatch):
     drawn = _count_draws(monkeypatch)
     monkeypatch.setattr(vec_tables, "_PROVIDER_CACHE", LRUCache(4))
     cold = record(spec)
-    assert spec.n >= vec_tables.NUMPY_MIN_N  # the hash path
     monkeypatch.setattr(vec_tables, "_PROVIDER_CACHE", LRUCache(4))
     record(spec.with_(adversary="none"))  # same seed: builds the tables this run reuses
     assert sum(drawn) > 0
