@@ -56,7 +56,8 @@ through a capture context so its own RNG usage is identical.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import random
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -70,7 +71,7 @@ from repro.core.messages import PollMessage, PullMessage, PushMessage
 from repro.core.scenario import AERScenario
 from repro.net.metrics import MetricsSummary
 from repro.net.results import SimulationResult
-from repro.net.rng import derive_rng
+from repro.net.rng import absorb, derive_rng, hash_prefix
 from repro.vec.bitpack import BitMatrix
 from repro.vec.tables import VecSamplerTables, tables_for
 
@@ -128,6 +129,57 @@ def _capture_adversary_records(
     adversary.on_start()
     adversary.on_round(0, None)  # non-rushing synchronous turn
     return context.records
+
+
+def draw_labels(
+    seed: int, xs: Iterable[int], draw_count: np.ndarray, label_space: int
+) -> List[int]:
+    """Each node's next private label draw, in order, replayed from its counter.
+
+    Bit-identical to holding every node's ``derive_rng(seed, "node", x)``
+    stream open: one ``random.Random`` is re-seeded with that stream's seed
+    (``stable_hash(seed, "node", x)``), the node's ``draw_count[x]`` earlier
+    draws are discarded (every draw in both backends is exactly one
+    ``randrange``), and the counter advances as it goes, so a node listed
+    twice gets its next two draws.
+    """
+    prefix = hash_prefix(seed, "node")
+    rng = random.Random()
+    labels = []
+    for x in xs:
+        hasher = prefix.copy()
+        absorb(hasher, x)
+        rng.seed(int.from_bytes(hasher.digest(), "big"))
+        done = int(draw_count[x])
+        for _ in range(done):
+            rng.randrange(label_space)
+        draw_count[x] = done + 1
+        labels.append(rng.randrange(label_space))
+    return labels
+
+
+def bincount_rows(
+    ids: np.ndarray, weights: np.ndarray, n: int, mask: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Per-id sums of ``weights[i]`` over every cell ``ids[i, j]`` (where ``mask``).
+
+    One ``bincount`` per block of ``max(1, n // d)`` rows instead of one per
+    column: the block's row weights repeated ``d``-fold never exceed one
+    ``n``-length float64 array, the size of the result itself.  The sums are
+    integer-valued float64 far below 2**53, so they are exact and
+    independent of the summation order.
+    """
+    k, d = ids.shape
+    total = np.zeros(n, dtype=np.float64)
+    step = max(1, n // d)
+    for lo in range(0, k, step):
+        block = ids[lo : lo + step].ravel()
+        repeated = np.repeat(weights[lo : lo + step], d)
+        if mask is not None:
+            keep = mask[lo : lo + step].ravel()
+            block, repeated = block[keep], repeated[keep]
+        total += np.bincount(block, weights=repeated, minlength=n)
+    return total
 
 
 def _summary_from_arrays(
@@ -217,7 +269,10 @@ class _VecRun:
         # (k, d) row-state gathers: ~48 bytes per (row, member) across the
         # simultaneous temporaries of the serve/fw2/answer phases
         self._gather_chunk = max(1024, budget // (4 * 48 * d))
-        # table unpacks: the transient bit matrix is ~(bits + 8) bytes/member
+        # table unpacks: budgeted at ~(bits + 8) bytes/member.  The byte-gather
+        # decode itself leaves only its int32 rows (4 bytes/member; its
+        # accumulator spans a fixed 2¹² rows), so the rest is headroom for the
+        # gathers and block bincounts made on those rows
         self._table_chunk = max(1024, budget // (4 * (tables.bits + 8) * d))
         # a quarter of the budget backs the shared unpacked-table LRU, so hot
         # strings whose full (n, d) table fits stay gather-fast
@@ -268,9 +323,9 @@ class _VecRun:
         self._stage_fw2: List[tuple] = []   # (row_indices, (k, d) occ)
         self._stage_ans: List[np.ndarray] = []  # row_indices, one per answer
 
-        #: per-node private draw counters — the node's ``derive_rng(seed,
-        #: "node", x)`` stream is re-derived and fast-forwarded on demand,
-        #: replacing the old dict of n live ``random.Random`` objects
+        #: per-node private draw counters — :func:`draw_labels` re-seeds the
+        #: node's ``derive_rng(seed, "node", x)`` stream and fast-forwards it
+        #: on demand, replacing the old dict of n live ``random.Random`` objects
         self._draw_count = np.zeros(n, dtype=np.int32)
         #: per-sid push votes at every node, kept from round 0 for round 1
         self._push_votes: List[np.ndarray] = []
@@ -296,24 +351,6 @@ class _VecRun:
 
     def _answer_bits(self, s: str) -> int:
         return self._kind_bits + len(s)
-
-    # ------------------------------------------------------------------
-    # lazy per-node RNG replay
-    # ------------------------------------------------------------------
-    def _draw_label(self, x: int) -> int:
-        """The node's next private label draw, replayed from its counter.
-
-        Bit-identical to holding the node's ``derive_rng`` stream open: the
-        k-th call re-derives the stream and discards the first k-1 draws
-        (every draw in both backends is exactly one ``randrange``).
-        """
-        rng = derive_rng(self.seed, "node", x)
-        space = self.config.label_space
-        done = int(self._draw_count[x])
-        for _ in range(done):
-            rng.randrange(space)
-        self._draw_count[x] = done + 1
-        return rng.randrange(space)
 
     # ------------------------------------------------------------------
     # round 0: on_start of every correct node + the adversary's turn
@@ -394,7 +431,9 @@ class _VecRun:
         # Eager pull: every correct node polls its own candidate.  The label
         # is the node's first private RNG draw, exactly as in the kernel.
         labels = np.asarray(
-            [self._draw_label(x) for x in self.correct.tolist()], dtype=np.int64
+            draw_labels(self.seed, self.correct.tolist(), self._draw_count,
+                        self.config.label_space),
+            dtype=np.int64,
         )
         self._launch_polls(self.correct, self.initial_sid[self.correct], labels, start=0)
 
@@ -500,8 +539,11 @@ class _VecRun:
         live_xs: List[int] = []
         live_sids: List[int] = []
         live_labels: List[int] = []
-        for x, phase, _key, payload in events:
-            label = self._draw_label(x)
+        labels = draw_labels(
+            self.seed, [event[0] for event in events], self._draw_count,
+            self.config.label_space,
+        )
+        for (x, phase, _key, payload), label in zip(events, labels):
             if phase == 0:
                 live_xs.append(x)
                 live_sids.append(payload)
@@ -699,22 +741,14 @@ class _VecRun:
         self.sent_bits += per_server * (fanout * fw1_bits)
         self._dispatched = True
         self._stage_sv.append((rows_idx, counts))
-        # per-target weight: how many server fan-outs reach each poll target.
-        # Accumulated one poll-list column at a time so the weights array is
-        # never expanded d-fold (float64 sums of small integers are exact).
-        targets = self.r_jmem[rows_idx]  # (k, d)
-        counts_f = counts.astype(np.float64)
-        weight = np.zeros(self.n, dtype=np.float64)
-        for j in range(d):
-            weight += np.bincount(targets[:, j], weights=counts_f, minlength=self.n)
+        # per-target weight: how many server fan-outs reach each poll target
+        weight = bincount_rows(self.r_jmem[rows_idx], counts.astype(np.float64), self.n)
         active = np.nonzero(weight)[0]
         delivered = np.zeros(self.n, dtype=np.float64)
         for lo in range(0, len(active), self._table_chunk):
             tchunk = active[lo : lo + self._table_chunk]
             h_rows = self.tables.rows("H", s, tchunk)  # (c, d)
-            wt = weight[tchunk]
-            for j in range(d):
-                delivered += np.bincount(h_rows[:, j], weights=wt, minlength=self.n)
+            delivered += bincount_rows(h_rows, weight[tchunk], self.n)
         # exact: every accumulated value is an integer far below 2**53
         delivered_int = delivered.astype(np.int64)
         self.stage_recv_msgs += delivered_int
@@ -754,7 +788,6 @@ class _VecRun:
         is its target multiplicity across the batch.
         """
         s = self.strings[sid]
-        d = self.size
         n = self.n
         fw2_bits = self._fw2_bits(s)
         # target multiplicity over the whole batch (chunked row gathers)
@@ -770,13 +803,7 @@ class _VecRun:
             h_rows = self.tables.rows("H", s, tchunk)  # (c, d)
             mask = senders_mask[h_rows]
             cnt[tchunk] = mask.sum(axis=1)
-            wt = mult[tchunk].astype(np.float64)
-            for j in range(d):  # column-wise: no d-fold weight expansion
-                kj = mask[:, j]
-                if kj.any():
-                    per_sender += np.bincount(
-                        h_rows[kj, j], weights=wt[kj], minlength=n
-                    )
+            per_sender += bincount_rows(h_rows, mult[tchunk].astype(np.float64), n, mask)
         if not cnt[active].any():
             return  # no believing proxy anywhere: nothing sent, nothing staged
         sender_counts = per_sender.astype(np.int64)  # exact integer values

@@ -272,6 +272,26 @@ def test_lemma8_check_rejects_half_the_nodes_undecided():
         LEMMA8.check(_lemma8_records(decided_count=13))
 
 
+def _scale_records(undecided):
+    """figure1a_scale records: ``undecided[(n, seed)]`` of 30 correct nodes missed."""
+    return [
+        make_record(
+            ExperimentSpec(n=n, seed=seed, backend="vectorized", label="figure1a_scale"),
+            decided_count=30 - missed, correct_count=30,
+        )
+        for (n, seed), missed in undecided.items()
+    ]
+
+
+def test_figure1a_scale_reach_sentence_is_computed_from_the_records():
+    section = get_report_section("figure1a_scale")
+    lines = section.commentary(_scale_records({(1000, 0): 0, (10000, 0): 1, (10000, 1): 2}))
+    assert "Reach: undecided correct nodes 0 of 30 at n=1000, 3 of 60 at n=10000" in "\n".join(lines)
+    lines = section.commentary(_scale_records({(1000, 0): 0, (10000, 0): 0}))
+    assert "Reach: every correct node decided at every n of the grid." in lines
+    assert not any("reference column" in line for line in lines)
+
+
 # ----------------------------------------------------------------------
 # a tiny real section for builder/cache/CLI tests
 # ----------------------------------------------------------------------

@@ -71,6 +71,25 @@ class TestDeriveRng:
         assert "17" in rng.label
 
 
+class TestVecLabelDraws:
+    """The vectorized backend's label draws replay each node's private stream."""
+
+    @pytest.mark.parametrize("space", [96**2, 20_000**2, 10**12, 1 << 16])
+    def test_first_second_and_third_draws(self, space):
+        import numpy as np
+
+        from repro.vec.engine import draw_labels
+
+        seed, nodes = 5, [3, 11, 3, 0, 3, 11]
+        counts = np.zeros(12, dtype=np.int32)
+        streams = {x: derive_rng(seed, "node", x) for x in set(nodes)}
+        expected = [streams[x].randrange(space) for x in nodes]
+        assert draw_labels(seed, nodes, counts, space) == expected
+        assert counts[3] == 3 and counts[11] == 2 and counts[0] == 1
+        # a later batch resumes every stream where the counter left it
+        assert draw_labels(seed, [11], counts, space) == [streams[11].randrange(space)]
+
+
 class TestRandomBitstring:
     def test_length(self):
         rng = derive_rng(1, "bits")

@@ -148,6 +148,46 @@ class TestContentFingerprint:
         assert "0/1 served from store" in self._python(tree, *sweep)
 
 
+class TestNothingCanonicalCarriesTheFingerprint:
+    """The fingerprint keys the store and is stamped nowhere else.
+
+    Keys, records, canonical sweep JSON and a store-served report computed
+    under two different code identities are identical (and name neither),
+    which is why EXPERIMENTS.md and committed sweeps stay byte-identical
+    when the code changes.
+    """
+
+    PLAN = ExperimentPlan(ns=(16,), seeds=(0, 1))
+
+    def _artefacts(self, monkeypatch, tmp_path, fingerprint):
+        from repro.experiments.sweep import SweepRunner
+        from repro.report.build import ReportBuilder
+
+        monkeypatch.setenv("REPRO_CODE_FINGERPRINT", fingerprint)
+        assert code_fingerprint() == fingerprint
+        spec = ExperimentSpec(n=16, seed=0)
+        record = execute_spec(spec).to_dict()
+        del record["seconds"]
+        store_path = str(tmp_path / f"{fingerprint}.sqlite")
+        ReportBuilder(("lemma3",), quick=True, jobs=1, store_path=store_path).build()
+        served = ReportBuilder(("lemma3",), quick=True, jobs=1, store_path=store_path)
+        assert all(built.from_cache for built in served.build_sections())
+        return {
+            "spec_key": spec_key(spec),
+            "plan_key": plan_key(self.PLAN),
+            "record": record,
+            "sweep": SweepRunner(self.PLAN, jobs=1).run().canonical_dict(),
+            "report": served.build(),
+        }
+
+    def test_two_code_identities_give_identical_artefacts(self, monkeypatch, tmp_path):
+        first = self._artefacts(monkeypatch, tmp_path, "fingerprint-one")
+        second = self._artefacts(monkeypatch, tmp_path, "fingerprint-two")
+        assert first == second
+        text = json.dumps(first, sort_keys=True)
+        assert "fingerprint-one" not in text and "fingerprint-two" not in text
+
+
 # ----------------------------------------------------------------------
 # round-trip across every registered protocol
 # ----------------------------------------------------------------------

@@ -30,15 +30,33 @@ from repro.vec.tables import VecSamplerTables
 # ----------------------------------------------------------------------
 # bitpack primitives
 # ----------------------------------------------------------------------
+def bit_plane_unpack(packed, d, bits):
+    """Reference decoder: every value bit as a uint8 plane, one pass per bit."""
+    rows = len(packed)
+    out = np.zeros((rows, d), dtype=np.int64)
+    bit_matrix = np.unpackbits(packed, axis=1, count=d * bits).reshape(rows, d, bits)
+    for j in range(bits):  # most-significant bit first
+        out <<= 1
+        out |= bit_matrix[:, :, j]
+    return out
+
+
 class TestBitpack:
-    @pytest.mark.parametrize("bits", [1, 3, 7, 8, 11, 17, 20])
-    def test_pack_unpack_roundtrip(self, bits):
+    @pytest.mark.parametrize("bits", [1, 2, 3, 7, 8, 11, 15, 17, 20, 24, 25, 26, 31])
+    # (37, 8): d·bits is a multiple of 8, so the last value ends on the last
+    # byte and the byte gathers clip at the row end
+    @pytest.mark.parametrize("rows, d", [(100, 13), (0, 13), (37, 8)])
+    def test_pack_unpack_roundtrip(self, rows, d, bits):
         rng = np.random.default_rng(bits)
-        values = rng.integers(0, 1 << bits, size=(100, 13), dtype=np.int64)
+        values = rng.integers(0, 1 << bits, size=(rows, d), dtype=np.int64)
         packed = pack_rows(values, bits)
-        assert packed.shape == (100, packed_width(13, bits))
-        out = unpack_rows(packed, 13, bits, dtype=np.int64)
+        assert packed.shape == (rows, packed_width(d, bits))
+        out = unpack_rows(packed, d, bits, dtype=np.int64)
         assert (out == values).all()
+        assert (unpack_rows(packed, d, bits) == values).all()  # int32 default
+        # arbitrary bytes, pad bits included, decode like the bit planes do
+        noise = rng.integers(0, 256, size=packed.shape, dtype=np.uint8)
+        assert (unpack_rows(noise, d, bits, np.int64) == bit_plane_unpack(noise, d, bits)).all()
 
     def test_roundtrip_extremes(self):
         bits = 10
@@ -69,6 +87,34 @@ class TestBitpack:
         packed = pack_rows(values, 4)
         assert packed.dtype == np.uint8
         assert (unpack_rows(packed, 4, 4, np.int64) == values).all()
+
+
+class TestBincountRows:
+    """The engine's block ``bincount`` equals the per-column loop it replaced."""
+
+    @staticmethod
+    def per_column(ids, weights, n, mask=None):
+        total = np.zeros(n, dtype=np.float64)
+        for j in range(ids.shape[1]):
+            keep = slice(None) if mask is None else mask[:, j]
+            total += np.bincount(ids[keep, j], weights=weights[keep], minlength=n)
+        return total
+
+    @pytest.mark.parametrize(
+        "n, k, d",
+        [(50, 0, 7), (50, 37, 1), (100, 23, 7), (100, 28, 7), (5, 9, 7), (1000, 500, 41)],
+    )
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_per_column_loop(self, n, k, d, masked):
+        from repro.vec.engine import bincount_rows
+
+        rng = np.random.default_rng(n + k + d)
+        ids = rng.integers(0, n, size=(k, d)).astype(np.int32)
+        weights = rng.integers(0, 1000, size=k).astype(np.float64)
+        mask = rng.random((k, d)) < 0.6 if masked else None
+        got = bincount_rows(ids, weights, n, mask)
+        assert got.shape == (n,)
+        assert (got == self.per_column(ids, weights, n, mask)).all()
 
 
 class TestBitMatrix:
