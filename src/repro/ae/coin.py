@@ -9,7 +9,7 @@ reports of the same value into the majority/plurality report.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional
 
 
 def xor_strings(a: str, b: str) -> str:
@@ -51,10 +51,3 @@ def majority_string(values: Iterable[str], threshold: Optional[int] = None) -> O
         return None
     best_values = sorted(value for value, count in counter.items() if count == best_count)
     return best_values[0]
-
-
-def fraction_agreeing(values: Sequence[str], target: str) -> float:
-    """Fraction of the given values equal to ``target`` (0 for an empty sequence)."""
-    if not values:
-        return 0.0
-    return sum(1 for value in values if value == target) / len(values)

@@ -158,17 +158,3 @@ class CommitteeTree:
         """Index of the leaf committee containing ``node_id``."""
         leaf_rank = min(node_id // self.config.committee_size, self.leaf_count - 1)
         return (self.leaf_count - 1) + leaf_rank
-
-    # ------------------------------------------------------------------
-    # analysis helpers
-    # ------------------------------------------------------------------
-    def bad_committees(self, byzantine_ids) -> List[int]:
-        """Committees in which the corrupt members are not a minority."""
-        byz = set(byzantine_ids)
-        bad = []
-        for index in range(self.total_committees):
-            committee = self.committee(index)
-            corrupt = sum(1 for member in committee.members if member in byz)
-            if corrupt * 2 >= committee.size:
-                bad.append(index)
-        return bad

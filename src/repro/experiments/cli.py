@@ -88,7 +88,10 @@ Subcommands
 
 Protocol-specific parameters are passed as repeated ``--param key=value``
 options; values are parsed as JSON when possible (``--param
-delay_params='{"value": 0.5}'``), else kept as strings.
+delay_params='{"value": 0.5}'``), else kept as strings.  The spec's knobs
+(``--adversary``, ``--mode``, ``--t``, ``--wrong-candidate-mode``, ...) have
+their own options, whose defaults are :class:`ExperimentSpec`'s; ``--param``
+never spells a knob.
 
 Fault-injection knobs (see :mod:`repro.faults`) are passed the same way as
 repeated ``--fault key=value`` options on ``run`` and ``sweep``::
@@ -113,6 +116,7 @@ import os
 import signal
 import sys
 import threading
+from dataclasses import fields
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.experiments import compare_rows, format_table, run_result_row
@@ -144,19 +148,37 @@ def _parse_params(
     return params
 
 
+def _from_args(cls, args: argparse.Namespace, **given):
+    """A spec or plan from the options named after its fields, plus
+    ``--param``/``--fault`` and the ``given`` fields."""
+    options = vars(args)
+    named = {f.name: options[f.name] for f in fields(cls) if f.name in options}
+    return cls(
+        **named,
+        **given,
+        params=_parse_params(args.param),
+        faults=_parse_params(options.get("fault"), option="--fault"),
+    )
+
+
 def _add_shared_spec_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
-        default="message",
+        default=ExperimentSpec.backend,
         choices=["message", "vectorized"],
         help="engine backend: 'message' (per-message kernel, the oracle) or "
              "'vectorized' (whole-round numpy engine; sync, non-rushing, "
              "untraced protocols only)",
     )
     parser.add_argument("--rushing", action="store_true", help="rushing sync adversary")
-    parser.add_argument("--t", type=int, default=None, help="number of Byzantine nodes")
-    parser.add_argument("--knowledge-fraction", type=float, default=0.78)
-    parser.add_argument("--quorum-multiplier", type=float, default=2.0)
+    parser.add_argument("--t", type=int, default=ExperimentSpec.t, help="number of Byzantine nodes")
+    parser.add_argument("--knowledge-fraction", type=float, default=ExperimentSpec.knowledge_fraction)
+    parser.add_argument(
+        "--wrong-candidate-mode",
+        default=ExperimentSpec.wrong_candidate_mode,
+        help="what uninformed correct nodes hold: random | common_wrong | default",
+    )
+    parser.add_argument("--quorum-multiplier", type=float, default=ExperimentSpec.quorum_multiplier)
     parser.add_argument(
         "--param",
         action="append",
@@ -179,7 +201,7 @@ def _add_fault_options(parser: argparse.ArgumentParser) -> None:
 def _add_trace_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
-        default="off",
+        default=ExperimentSpec.trace,
         choices=["off", "summary", "full"],
         help="instrumentation level: summary attaches a TraceSummary to every "
              "record, full additionally streams per-event JSONL (default: off)",
@@ -207,10 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment and print its summary")
     run.add_argument("--n", type=int, required=True, help="system size")
-    run.add_argument("--protocol", default="aer", help="registered protocol name")
-    run.add_argument("--adversary", default="none", help="registered adversary name")
-    run.add_argument("--mode", default="sync", choices=["sync", "async"])
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--protocol", default=ExperimentSpec.protocol, help="registered protocol name")
+    run.add_argument("--adversary", default=ExperimentSpec.adversary, help="registered adversary name")
+    run.add_argument("--mode", default=ExperimentSpec.mode, choices=["sync", "async"])
+    run.add_argument("--seed", type=int, default=ExperimentSpec.seed)
     _add_shared_spec_options(run)
     _add_fault_options(run)
     _add_trace_options(run)
@@ -218,11 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a grid of experiments in parallel")
     sweep.add_argument("--ns", type=_csv_ints, required=True, help="e.g. 32,64,128")
     sweep.add_argument(
-        "--protocols", type=_csv_strs, default=["aer"], help="e.g. aer,composed_ba"
+        "--protocols", type=_csv_strs, default=ExperimentPlan.protocols, help="e.g. aer,composed_ba"
     )
-    sweep.add_argument("--adversaries", type=_csv_strs, default=["none"])
-    sweep.add_argument("--modes", type=_csv_strs, default=["sync"])
-    sweep.add_argument("--seeds", type=_csv_ints, default=[0])
+    sweep.add_argument("--adversaries", type=_csv_strs, default=ExperimentPlan.adversaries)
+    sweep.add_argument("--modes", type=_csv_strs, default=ExperimentPlan.modes)
+    sweep.add_argument("--seeds", type=_csv_ints, default=ExperimentPlan.seeds)
     _add_shared_spec_options(sweep)
     _add_fault_options(sweep)
     _add_trace_options(sweep)
@@ -307,8 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=["aer", "full_ba", "composed_ba", "sample_majority", "naive_broadcast"],
         help="protocol mix to compare (default: all built-ins)",
     )
-    compare.add_argument("--seeds", type=_csv_ints, default=[0])
-    compare.add_argument("--adversary", default="none", help="adversary for protocols that take one")
+    compare.add_argument("--seeds", type=_csv_ints, default=ExperimentPlan.seeds)
+    compare.add_argument(
+        "--adversary", default=ExperimentSpec.adversary, help="adversary for protocols that take one"
+    )
     _add_shared_spec_options(compare)
     compare.add_argument("--jobs", type=int, default=None, help="worker processes")
     compare.add_argument("--out", default=None, help="persist raw records as JSON here")
@@ -442,21 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         _apply_trace_dir(args)
-        spec = ExperimentSpec(
-            n=args.n,
-            protocol=args.protocol,
-            adversary=args.adversary,
-            mode=args.mode,
-            rushing=args.rushing,
-            seed=args.seed,
-            t=args.t,
-            knowledge_fraction=args.knowledge_fraction,
-            quorum_multiplier=args.quorum_multiplier,
-            trace=args.trace,
-            params=_parse_params(args.param),
-            backend=args.backend,
-            faults=_parse_params(args.fault, option="--fault"),
-        )
+        spec = _from_args(ExperimentSpec, args)
         result = spec.run()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -473,24 +483,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_plan(args: argparse.Namespace, modes: List[str], adversaries: List[str]) -> ExperimentPlan:
-    return ExperimentPlan(
-        ns=tuple(args.ns),
-        protocols=tuple(args.protocols),
-        adversaries=tuple(adversaries),
-        modes=tuple(modes),
-        seeds=tuple(args.seeds),
-        rushing=args.rushing,
-        t=args.t,
-        knowledge_fraction=args.knowledge_fraction,
-        quorum_multiplier=args.quorum_multiplier,
-        trace=getattr(args, "trace", "off"),
-        params=_parse_params(args.param),
-        backend=getattr(args, "backend", "message"),
-        faults=_parse_params(getattr(args, "fault", None), option="--fault"),
-    )
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.dist import DistExecutor, DistributedSweepError
     from repro.store import StoreError, resolve_store
@@ -505,7 +497,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     store = None
     try:
         _apply_trace_dir(args)
-        plan = _build_plan(args, modes=args.modes, adversaries=args.adversaries)
+        plan = _from_args(ExperimentPlan, args)
         store = resolve_store(args.store, args.no_store)
         seed_records = None
         if args.resume and os.path.exists(args.resume):
@@ -591,7 +583,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print("error: --ns must name at least one system size", file=sys.stderr)
         return 2
     try:
-        plan = _build_plan(args, modes=["sync"], adversaries=[args.adversary])
+        plan = _from_args(ExperimentPlan, args, adversaries=(args.adversary,))
         result = run_sweep(plan.relaxed(), jobs=args.jobs, out=args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -626,7 +618,7 @@ def cmd_protocols(args: argparse.Namespace) -> int:
         for name in PROTOCOLS.names():
             adapter = get_protocol(name)
             print(f"  {name:16s} {adapter.description}")
-            print(f"  {'':16s} params: {', '.join(sorted(adapter.params))}")
+            print(f"  {'':16s} params: {', '.join(sorted((*adapter.knobs, *adapter.params)))}")
     print(f"adversaries    : {', '.join(ADVERSARIES.names())}")
     print(f"delay policies : {', '.join(DELAY_POLICIES.names())}")
     print(f"scenarios      : {', '.join(SCENARIOS.names())}")

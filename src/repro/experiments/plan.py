@@ -8,10 +8,11 @@ picklable (for multiprocessing workers) and JSON-round-trippable (for
 persisted sweep results).
 
 The ``protocol`` field names an adapter in the protocol registry
-(:mod:`repro.protocols`); the common knob fields (``adversary``, ``mode``,
-``rushing``, ``t``, ...) plus the free-form ``params`` dict are validated
-against that adapter's declared parameter space, so a typo'd or unsupported
-parameter fails loudly before any worker is spawned.
+(:mod:`repro.protocols`); the knob fields (``adversary``, ``mode``,
+``rushing``, ``t``, ...) are validated against the adapter's ``knobs`` and
+the free-form ``params`` dict against its ``params``, so a typo'd or
+unsupported parameter fails loudly before any worker is spawned.  A knob has
+one spelling, its field: a knob name in ``params`` is rejected.
 
 An :class:`ExperimentPlan` is the cartesian grid the sweep subsystem runs:
 ``ns × protocols × adversaries × modes × seeds`` with shared scenario knobs.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Mapping, Optional, Tuple
 
 from repro.faults import FaultSchedule
 from repro.trace.probes import TRACE_MODES
@@ -73,16 +74,35 @@ def _canonical_faults(value) -> str:
     return FaultSchedule.from_dict(value).to_json()
 
 
+def _known_fields(cls, data: Mapping[str, object], what: str) -> Dict[str, object]:
+    """``data`` as a dict, rejecting (by name) keys that are not fields of ``cls``."""
+    known = {f.name for f in fields(cls)}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown experiment {what} key(s): {', '.join(unknown)} "
+            f"(known: {', '.join(sorted(known))})"
+        )
+    return dict(data)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One fully described experiment run of any registered protocol.
 
-    The knob fields (``adversary`` ... ``quorum_multiplier``) are the ``aer``
-    adapter's parameters and are shared by several protocols; ``params`` carries protocol-specific extras (e.g.
-    ``{"strategy": "naive"}`` for ``composed_ba``).  ``label`` is a free-form
-    tag carried through to records (useful to mark series in a benchmark
-    table).
+    The knob fields (:attr:`KNOBS`, ``adversary`` ... ``quorum_multiplier``)
+    are shared by several protocols, each adapter naming the ones it takes;
+    their defaults here are the only ones.  ``params`` carries
+    protocol-specific extras (e.g. ``{"strategy": "naive"}`` for
+    ``composed_ba``).  ``label`` is a free-form tag carried through to
+    records (useful to mark series in a benchmark table).
     """
+
+    #: the fields an adapter may take as knobs (``ProtocolAdapter.knobs``)
+    KNOBS: ClassVar[Tuple[str, ...]] = (
+        "adversary", "mode", "rushing", "t",
+        "knowledge_fraction", "wrong_candidate_mode", "quorum_multiplier",
+    )
 
     n: int
     protocol: str = "aer"
@@ -133,6 +153,12 @@ class ExperimentSpec:
         if self.protocol == "aer":
             return base
         return f"{self.protocol}:{base}"
+
+    def changed_knobs(self) -> Tuple[str, ...]:
+        """The knob fields that differ from their defaults."""
+        return tuple(
+            knob for knob in self.KNOBS if getattr(self, knob) != getattr(ExperimentSpec, knob)
+        )
 
     def params_dict(self) -> Dict[str, object]:
         """The protocol-specific extras as a plain dict."""
@@ -187,15 +213,7 @@ class ExperimentSpec:
 
     @staticmethod
     def from_dict(data: Mapping[str, object]) -> "ExperimentSpec":
-        data = dict(data)
-        known = {f.name for f in fields(ExperimentSpec)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown experiment spec key(s): {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(known))})"
-            )
-        return ExperimentSpec(**data)  # type: ignore[arg-type]
+        return ExperimentSpec(**_known_fields(ExperimentSpec, data, "spec"))  # type: ignore[arg-type]
 
     def with_(self, **changes) -> "ExperimentSpec":
         """Return a copy with the given fields replaced."""
@@ -215,26 +233,26 @@ class ExperimentPlan:
     """
 
     ns: Tuple[int, ...]
-    protocols: Tuple[str, ...] = ("aer",)
-    adversaries: Tuple[str, ...] = ("none",)
-    modes: Tuple[str, ...] = ("sync",)
-    seeds: Tuple[int, ...] = (0,)
-    rushing: bool = False
-    t: Optional[int] = None
-    knowledge_fraction: float = 0.78
-    wrong_candidate_mode: str = "random"
-    quorum_multiplier: float = 2.0
-    label: str = ""
+    protocols: Tuple[str, ...] = (ExperimentSpec.protocol,)
+    adversaries: Tuple[str, ...] = (ExperimentSpec.adversary,)
+    modes: Tuple[str, ...] = (ExperimentSpec.mode,)
+    seeds: Tuple[int, ...] = (ExperimentSpec.seed,)
+    rushing: bool = ExperimentSpec.rushing
+    t: Optional[int] = ExperimentSpec.t
+    knowledge_fraction: float = ExperimentSpec.knowledge_fraction
+    wrong_candidate_mode: str = ExperimentSpec.wrong_candidate_mode
+    quorum_multiplier: float = ExperimentSpec.quorum_multiplier
+    label: str = ExperimentSpec.label
     #: instrumentation level shared by every generated spec (off|summary|full)
-    trace: str = "off"
+    trace: str = ExperimentSpec.trace
     #: protocol-specific extras shared by every generated spec (canonical
     #: JSON text; construct with a plain dict)
-    params: str = "{}"
+    params: str = ExperimentSpec.params
     #: engine backend shared by every generated spec (message|vectorized)
-    backend: str = "message"
+    backend: str = ExperimentSpec.backend
     #: fault schedule shared by every generated spec (canonical JSON text;
     #: construct with a plain dict; ``"{}"`` = no injection)
-    faults: str = "{}"
+    faults: str = ExperimentSpec.faults
     #: explicit extra specs appended after the grid (escape hatch for
     #: irregular sweeps that still want the runner/persistence machinery)
     extra_specs: Tuple[ExperimentSpec, ...] = field(default_factory=tuple)
@@ -250,23 +268,12 @@ class ExperimentPlan:
 
     def specs(self) -> List[ExperimentSpec]:
         """Expand the grid into the ordered list of specs to run."""
+        spec_fields = {f.name for f in fields(ExperimentSpec)}
+        shared = {f.name: getattr(self, f.name) for f in fields(self) if f.name in spec_fields}
         grid = [
             ExperimentSpec(
-                n=n,
-                protocol=protocol,
-                adversary=adversary,
-                mode=mode,
-                rushing=self.rushing and mode == "sync",
-                seed=seed,
-                t=self.t,
-                knowledge_fraction=self.knowledge_fraction,
-                wrong_candidate_mode=self.wrong_candidate_mode,
-                quorum_multiplier=self.quorum_multiplier,
-                label=self.label,
-                trace=self.trace,
-                params=self.params,
-                backend=self.backend,
-                faults=self.faults,
+                **{**shared, "rushing": self.rushing and mode == "sync"},
+                n=n, protocol=protocol, adversary=adversary, mode=mode, seed=seed,
             )
             for n in self.ns
             for protocol in self.protocols
@@ -313,18 +320,6 @@ class ExperimentPlan:
 
     @staticmethod
     def from_dict(data: Mapping[str, object]) -> "ExperimentPlan":
-        data = dict(data)
-        known = {f.name for f in fields(ExperimentPlan)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown experiment plan key(s): {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(known))})"
-            )
-        data["extra_specs"] = tuple(
-            ExperimentSpec.from_dict(spec) for spec in data.get("extra_specs", ())
-        )
-        for name in ("ns", "protocols", "adversaries", "modes", "seeds"):
-            if name in data:
-                data[name] = tuple(data[name])
+        data = _known_fields(ExperimentPlan, data, "plan")
+        data["extra_specs"] = [ExperimentSpec.from_dict(spec) for spec in data.get("extra_specs", ())]
         return ExperimentPlan(**data)  # type: ignore[arg-type]

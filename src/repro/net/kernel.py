@@ -523,9 +523,3 @@ class EventKernel:
             metrics_all=self.metrics.summary(),
             stopped_by=stopped_by,
         )
-
-
-def build_node_ids(n: int, byzantine_ids: Iterable[int]) -> List[int]:
-    """Return the identities of the correct nodes in a system of size ``n``."""
-    byz = set(byzantine_ids)
-    return [i for i in range(n) if i not in byz]

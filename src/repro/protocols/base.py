@@ -16,11 +16,12 @@ Adding a protocol is one class::
     @register_protocol
     class MyProtocol(ProtocolAdapter):
         name = "my_protocol"
-        params = {"t": None, "fanout": 4}
+        knobs = ("t",)
+        params = {"fanout": 4}
 
         def run(self, spec):
             p = self.resolve_params(spec)
-            result = ...  # run it
+            result = ...  # run it with spec.t and p["fanout"]
             return RunResult.from_simulation(self.name, result)
 
 after which ``ExperimentSpec(n=64, protocol="my_protocol")``, the sweep
@@ -245,12 +246,15 @@ class ProtocolAdapter:
         Registry name (also the ``--protocol`` CLI value).
     ``description``
         One-line summary shown by the CLI.
+    ``knobs``
+        The :attr:`ExperimentSpec.KNOBS <repro.experiments.plan.ExperimentSpec.KNOBS>`
+        fields the adapter takes (``adversary``, ``mode``, ``t``, ...); ``run``
+        reads them off the spec.  A knob not named here must stay at its
+        spec default.
     ``params``
-        Mapping of accepted parameter names to their defaults.  A spec may
-        set these either through its first-class knob fields (``adversary``,
-        ``mode``, ``rushing``, ``t``, ...) or through its free-form
-        ``params`` dict; anything not declared here is rejected by
-        :meth:`validate`.
+        Protocol extras (``scenario``, ``max_rounds``, ...) mapped to their
+        defaults; a spec sets them in its ``params`` dict.  A key not declared
+        here, a knob name included, is rejected by :meth:`validate`.
     ``modes``
         Scheduler modes the protocol supports (``"sync"`` and/or ``"async"``).
     ``supports_trace``
@@ -276,23 +280,12 @@ class ProtocolAdapter:
 
     name: str = ""
     description: str = ""
+    knobs: Tuple[str, ...] = ()
     params: Mapping[str, object] = {}
     modes: Tuple[str, ...] = ("sync",)
     supports_trace: bool = False
     supports_backends: Tuple[str, ...] = ("message",)
     supports_faults: bool = False
-
-    #: spec knob fields that route into the protocol parameter space; their
-    #: spec-level defaults, used to detect "was this knob actually set?"
-    _KNOB_DEFAULTS: Dict[str, object] = {
-        "adversary": "none",
-        "mode": "sync",
-        "rushing": False,
-        "t": None,
-        "knowledge_fraction": 0.78,
-        "wrong_candidate_mode": "random",
-        "quorum_multiplier": 2.0,
-    }
 
     # ------------------------------------------------------------------
     # validation and parameter resolution
@@ -300,10 +293,10 @@ class ProtocolAdapter:
     def validate(self, spec: "ExperimentSpec") -> None:
         """Reject specs that set parameters this protocol does not understand.
 
-        A knob field left at its spec-level default is always fine (that is
-        what lets one plan mix protocols with different parameter spaces);
-        a *non-default* knob or any explicit ``params`` entry must be
-        declared in :attr:`params`.
+        A knob field left at its spec default is always fine (that is what
+        lets one plan mix protocols with different parameter spaces); a
+        *non-default* knob must be one of :attr:`knobs`, and every ``params``
+        entry must be declared in :attr:`params`.
         """
         if spec.mode not in self.modes:
             raise ValueError(
@@ -347,27 +340,29 @@ class ProtocolAdapter:
                     "backend='vectorized' does not implement trace probes "
                     f"(got trace={spec.trace!r}); use backend='message' for traced runs"
                 )
-        for knob, default in self._KNOB_DEFAULTS.items():
-            if knob in self.params:
-                continue
-            if getattr(spec, knob) != default:
-                raise ValueError(
-                    f"protocol {self.name!r} does not accept parameter {knob!r} "
-                    f"(accepted: {', '.join(sorted(self.params))})"
-                )
         for key in spec.params_dict():
+            if key in spec.KNOBS:
+                raise ValueError(
+                    f"unknown parameter {key!r} for protocol {self.name!r}: "
+                    f"{key!r} is a spec field; set ExperimentSpec.{key} "
+                    f"(CLI --{key.replace('_', '-')}) instead of params"
+                )
             if key not in self.params:
                 raise ValueError(
                     f"unknown parameter {key!r} for protocol {self.name!r} "
-                    f"(accepted: {', '.join(sorted(self.params))})"
+                    f"(accepted: {', '.join(sorted(self.params)) or 'none'})"
                 )
-        if "t" in self.params:
-            t = self.resolve_params(spec)["t"]
-            if t is not None and not 0 <= t < spec.n:  # type: ignore[operator]
+        for knob in spec.changed_knobs():
+            if knob not in self.knobs:
                 raise ValueError(
-                    f"t must satisfy 0 <= t < n: at least one node stays "
-                    f"correct (got t={t} with n={spec.n})"
+                    f"protocol {self.name!r} does not accept knob {knob!r} "
+                    f"(accepted: {', '.join(sorted(self.knobs)) or 'none'})"
                 )
+        if spec.t is not None and not 0 <= spec.t < spec.n:
+            raise ValueError(
+                f"t must satisfy 0 <= t < n: at least one node stays "
+                f"correct (got t={spec.t} with n={spec.n})"
+            )
 
     def relax_spec(self, spec: "ExperimentSpec") -> "ExperimentSpec":
         """Drop whatever this protocol does not accept back to the defaults.
@@ -376,12 +371,13 @@ class ProtocolAdapter:
         ``adversary="silent"``) across a protocol mix; protocols that do not
         take a given knob or param should run with their defaults rather
         than abort the whole comparison.  Plain ``sweep``/``run`` keep the
-        strict :meth:`validate` behaviour.
+        strict :meth:`validate` behaviour.  A knob spelled as a param is kept,
+        so :meth:`validate` still rejects it.
         """
         changes: Dict[str, object] = {
-            knob: default
-            for knob, default in self._KNOB_DEFAULTS.items()
-            if knob not in self.params and getattr(spec, knob) != default
+            knob: getattr(type(spec), knob)
+            for knob in spec.changed_knobs()
+            if knob not in self.knobs
         }
         if spec.trace != "off" and not self.supports_trace:
             changes["trace"] = "off"
@@ -390,24 +386,17 @@ class ProtocolAdapter:
         if spec.faults != "{}" and not self.supports_faults:
             changes["faults"] = "{}"
         kept_params = {
-            key: value for key, value in spec.params_dict().items() if key in self.params
+            key: value
+            for key, value in spec.params_dict().items()
+            if key in self.params or key in spec.KNOBS
         }
         if kept_params != spec.params_dict():
             changes["params"] = kept_params
         return spec.with_(**changes) if changes else spec
 
     def resolve_params(self, spec: "ExperimentSpec") -> Dict[str, object]:
-        """Merge adapter defaults, spec knob fields and spec extras.
-
-        Precedence (lowest to highest): adapter default, spec knob field,
-        explicit ``spec.params`` entry.
-        """
-        resolved: Dict[str, object] = dict(self.params)
-        for knob in self._KNOB_DEFAULTS:
-            if knob in resolved:
-                resolved[knob] = getattr(spec, knob)
-        resolved.update(spec.params_dict())
-        return resolved
+        """The adapter's extras, overridden by the spec's ``params`` entries."""
+        return {**self.params, **spec.params_dict()}
 
     # ------------------------------------------------------------------
     # execution

@@ -44,7 +44,7 @@ def _gstring_extras(result: SimulationResult, scenario: AERScenario) -> Dict[str
     }
 
 
-def _config_and_scenario(spec, p, **config_options) -> Tuple[AERConfig, AERScenario]:
+def _config_and_scenario(spec, p) -> Tuple[AERConfig, AERScenario]:
     """``n → (config, scenario)``, derived once for AER and the baselines.
 
     Every scenario-driven adapter goes through here with the same seed, so a
@@ -53,18 +53,33 @@ def _config_and_scenario(spec, p, **config_options) -> Tuple[AERConfig, AERScena
     from repro.core.config import AERConfig
 
     n, seed = spec.n, spec.seed
-    t = p["t"] if p["t"] is not None else max(1, n // 6)
-    config = AERConfig.for_system(n, sampler_seed=seed, **config_options)
+    t = spec.t if spec.t is not None else max(1, n // 6)
+    config = AERConfig.for_system(
+        n, sampler_seed=seed, quorum_multiplier=spec.quorum_multiplier
+    )
     scenario = make_scenario_by_name(
         str(p["scenario"]),
         n,
         config,
         seed,
         t=t,
-        knowledge_fraction=p["knowledge_fraction"],
-        wrong_candidate_mode=p["wrong_candidate_mode"],
+        knowledge_fraction=spec.knowledge_fraction,
+        wrong_candidate_mode=spec.wrong_candidate_mode,
     )
     return config, scenario
+
+
+def _validate_scenario(spec, p) -> None:
+    """``from_ae`` draws knowledge from a substrate run: no scenario knob applies."""
+    if p["scenario"] != "from_ae":
+        return
+    for knob in ("knowledge_fraction", "wrong_candidate_mode"):
+        if knob in spec.changed_knobs():
+            raise ValueError(
+                f"scenario='from_ae' generates its own knowledge state and "
+                f"ignores {knob} (got {knob}={getattr(spec, knob)!r}); leave "
+                "it at its default or use scenario='synthetic'"
+            )
 
 
 def _traced(run_result: RunResult, trace) -> RunResult:
@@ -121,14 +136,11 @@ class AERProtocolAdapter(ProtocolAdapter):
     supports_trace = True
     supports_backends = ("message", "vectorized")
     supports_faults = True
+    knobs = (
+        "adversary", "mode", "rushing", "t",
+        "knowledge_fraction", "wrong_candidate_mode", "quorum_multiplier",
+    )
     params = {
-        "adversary": "none",
-        "mode": "sync",
-        "rushing": False,
-        "t": None,
-        "knowledge_fraction": 0.78,
-        "wrong_candidate_mode": "random",
-        "quorum_multiplier": 2.0,
         "scenario": "synthetic",
         "delay_policy": None,
         "delay_params": {},
@@ -139,19 +151,20 @@ class AERProtocolAdapter(ProtocolAdapter):
 
     def validate(self, spec) -> None:
         super().validate(spec)
-        if spec.mode == "sync" and dict(spec.params_dict()).get("delay_policy"):
+        p = self.resolve_params(spec)
+        _validate_scenario(spec, p)
+        if spec.mode == "sync" and p["delay_policy"]:
             raise ValueError(
                 "delay_policy only applies to mode='async' (sync rounds have no delays)"
             )
         if spec.backend == "vectorized":
-            adversary = str(self.resolve_params(spec)["adversary"])
-            if adversary not in VEC_ADVERSARIES:
+            if spec.adversary not in VEC_ADVERSARIES:
                 raise ValueError(
                     f"backend='vectorized' does not support adversary "
-                    f"{adversary!r} (supported: {', '.join(VEC_ADVERSARIES)}); "
+                    f"{spec.adversary!r} (supported: {', '.join(VEC_ADVERSARIES)}); "
                     "use backend='message'"
                 )
-        elif self.resolve_params(spec)["vec_memory_mb"] is not None:
+        elif p["vec_memory_mb"] is not None:
             raise ValueError(
                 "vec_memory_mb only applies to backend='vectorized' (the "
                 "message kernel has no chunked working set to budget)"
@@ -165,9 +178,7 @@ class AERProtocolAdapter(ProtocolAdapter):
         from repro.trace.collector import collector_for_spec
 
         p = self.resolve_params(spec)
-        config, scenario = _config_and_scenario(
-            spec, p, quorum_multiplier=p["quorum_multiplier"]
-        )
+        config, scenario = _config_and_scenario(spec, p)
         if p["answer_budget"] is not None:
             # The Algorithm 3 budget ablation knob; scenario and samplers are
             # unaffected (neither depends on the budget).
@@ -180,7 +191,7 @@ class AERProtocolAdapter(ProtocolAdapter):
             result = run_aer(
                 scenario,
                 config=config,
-                adversary_name=str(p["adversary"]),
+                adversary_name=spec.adversary,
                 seed=spec.seed,
                 max_rounds=int(p["max_rounds"]),  # type: ignore[call-overload]
                 backend="vectorized",
@@ -192,7 +203,7 @@ class AERProtocolAdapter(ProtocolAdapter):
                 self.name, result, _gstring_extras(result, scenario)
             )
         samplers = config.shared_samplers()
-        adversary = make_adversary(str(p["adversary"]), scenario, config, samplers)
+        adversary = make_adversary(spec.adversary, scenario, config, samplers)
         trace = collector_for_spec(spec)
         if trace is not None:
             trace.mark_string("gstring", scenario.gstring)
@@ -201,8 +212,8 @@ class AERProtocolAdapter(ProtocolAdapter):
             scenario,
             config=config,
             adversary=adversary,
-            mode=str(p["mode"]),
-            rushing=bool(p["rushing"]),
+            mode=spec.mode,
+            rushing=spec.rushing,
             seed=spec.seed,
             max_rounds=int(p["max_rounds"]),  # type: ignore[call-overload]
             delay_policy=_resolve_delay_policy(p),
@@ -230,15 +241,8 @@ class FullBAAdapter(ProtocolAdapter):
     description = "full Byzantine Agreement: committee-tree ae-stage composed with AER"
     modes = ("sync", "async")
     supports_trace = True
-    params = {
-        "adversary": "none",
-        "mode": "sync",
-        "rushing": False,
-        "t": None,
-        "quorum_multiplier": 2.0,
-        "ae_committee_multiplier": 2.0,
-        "max_rounds": 64,
-    }
+    knobs = ("adversary", "mode", "rushing", "t", "quorum_multiplier")
+    params = {"ae_committee_multiplier": 2.0, "max_rounds": 64}
 
     def run(self, spec) -> RunResult:
         from repro.core.ba import BAConfig, BAProtocol
@@ -248,18 +252,18 @@ class FullBAAdapter(ProtocolAdapter):
         p = self.resolve_params(spec)
         config = BAConfig(
             n=spec.n,
-            t=p["t"],  # type: ignore[arg-type]
+            t=spec.t,
             seed=spec.seed,
-            aer_mode=str(p["mode"]),
-            rushing=bool(p["rushing"]),
-            quorum_multiplier=float(p["quorum_multiplier"]),  # type: ignore[arg-type]
+            aer_mode=spec.mode,
+            rushing=spec.rushing,
+            quorum_multiplier=float(spec.quorum_multiplier),
             ae_committee_multiplier=float(p["ae_committee_multiplier"]),  # type: ignore[arg-type]
             max_rounds=int(p["max_rounds"]),  # type: ignore[call-overload]
         )
         trace = collector_for_spec(spec)
         result = BAProtocol(
             config,
-            aer_adversary_factory=partial(make_adversary, str(p["adversary"])),
+            aer_adversary_factory=partial(make_adversary, spec.adversary),
             trace=trace,
         ).run()
         extras = {**_ae_extras(result), "aer_rounds": result.everywhere_result.rounds}
@@ -277,11 +281,8 @@ class ComposedBAAdapter(ProtocolAdapter):
     )
     modes = ("sync",)
     supports_trace = True
-    params = {
-        "t": None,
-        "strategy": "sample_majority",
-        "max_rounds": 64,
-    }
+    knobs = ("t",)
+    params = {"strategy": "sample_majority", "max_rounds": 64}
 
     def run(self, spec) -> RunResult:
         from repro.baselines.composed_ba import run_composed_ba
@@ -292,7 +293,7 @@ class ComposedBAAdapter(ProtocolAdapter):
         result = run_composed_ba(
             spec.n,
             strategy=str(p["strategy"]),
-            t=p["t"],  # type: ignore[arg-type]
+            t=spec.t,
             seed=spec.seed,
             max_rounds=int(p["max_rounds"]),  # type: ignore[call-overload]
             trace=trace,
@@ -306,17 +307,15 @@ class _ScenarioBaselineAdapter(ProtocolAdapter):
 
     modes = ("sync",)
     supports_trace = True
-    params = {
-        "adversary": "none",
-        "t": None,
-        "knowledge_fraction": 0.78,
-        "wrong_candidate_mode": "random",
-        "scenario": "synthetic",
-        "max_rounds": 16,
-    }
+    knobs = ("adversary", "t", "knowledge_fraction", "wrong_candidate_mode")
+    params = {"scenario": "synthetic", "max_rounds": 16}
+
+    def validate(self, spec) -> None:
+        super().validate(spec)
+        _validate_scenario(spec, self.resolve_params(spec))
 
     @staticmethod
-    def _adversary(p, scenario: AERScenario, aer_config: AERConfig):
+    def _adversary(spec, scenario: AERScenario, aer_config: AERConfig):
         """Resolve the adversary knob against the baseline's scenario.
 
         The registered strategies are written against AER's message types;
@@ -324,12 +323,13 @@ class _ScenarioBaselineAdapter(ProtocolAdapter):
         while the generic behaviours (silence, noise floods of push/answer
         messages) attack the baseline's vote counting for real.
         """
-        name = str(p["adversary"])
-        if name == "none":
+        if spec.adversary == "none":
             return None
         from repro.runner import make_adversary
 
-        return make_adversary(name, scenario, aer_config, aer_config.shared_samplers())
+        return make_adversary(
+            spec.adversary, scenario, aer_config, aer_config.shared_samplers()
+        )
 
 
 @register_protocol
@@ -344,11 +344,10 @@ class SampleMajorityAdapter(_ScenarioBaselineAdapter):
     def validate(self, spec) -> None:
         super().validate(spec)
         if spec.backend == "vectorized":
-            adversary = str(self.resolve_params(spec)["adversary"])
-            if adversary not in VEC_MAJORITY_ADVERSARIES:
+            if spec.adversary not in VEC_MAJORITY_ADVERSARIES:
                 raise ValueError(
                     f"backend='vectorized' does not support adversary "
-                    f"{adversary!r} for sample_majority "
+                    f"{spec.adversary!r} for sample_majority "
                     f"(supported: {', '.join(VEC_MAJORITY_ADVERSARIES)}); "
                     "use backend='message'"
                 )
@@ -373,7 +372,7 @@ class SampleMajorityAdapter(_ScenarioBaselineAdapter):
             result = run_sample_majority_vectorized(
                 scenario,
                 config=config,
-                adversary_name=str(p["adversary"]),
+                adversary_name=spec.adversary,
                 seed=spec.seed,
                 max_rounds=int(p["max_rounds"]),  # type: ignore[call-overload]
             )
@@ -384,7 +383,7 @@ class SampleMajorityAdapter(_ScenarioBaselineAdapter):
         result = run_sample_majority(
             scenario,
             config=config,
-            adversary=self._adversary(p, scenario, aer_config),
+            adversary=self._adversary(spec, scenario, aer_config),
             seed=spec.seed,
             max_rounds=int(p["max_rounds"]),  # type: ignore[call-overload]
             trace=trace,
@@ -412,7 +411,7 @@ class NaiveBroadcastAdapter(_ScenarioBaselineAdapter):
         trace = collector_for_spec(spec)
         result = run_naive_broadcast(
             scenario,
-            adversary=self._adversary(p, scenario, aer_config),
+            adversary=self._adversary(spec, scenario, aer_config),
             seed=spec.seed,
             max_rounds=int(p["max_rounds"]),  # type: ignore[call-overload]
             trace=trace,
@@ -447,8 +446,8 @@ class SamplerBorderAdapter(ProtocolAdapter):
         "(random digraph model + adversarial search on the concrete sampler)"
     )
     modes = ("sync",)
+    knobs = ("quorum_multiplier",)
     params = {
-        "quorum_multiplier": 2.0,
         "family_size": None,       # None → max(2, n / log2 n), the Lemma 2 regime
         "model_trials": 60,        # Monte-Carlo trials on the random digraph model
         "random_trials": 20,       # uniformly random families on the concrete J
@@ -467,7 +466,7 @@ class SamplerBorderAdapter(ProtocolAdapter):
         p = self.resolve_params(spec)
         n, seed = spec.n, spec.seed
         config = AERConfig.for_system(
-            n, sampler_seed=seed, quorum_multiplier=float(p["quorum_multiplier"])  # type: ignore[arg-type]
+            n, sampler_seed=seed, quorum_multiplier=float(spec.quorum_multiplier)
         )
         sampler = PollSampler(config.sampler_spec())
         family_size = p["family_size"]

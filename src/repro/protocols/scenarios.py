@@ -49,9 +49,9 @@ def synthetic_scenario(
     n: int,
     config: AERConfig,
     seed: int,
-    t: Optional[int] = None,
-    knowledge_fraction: float = 0.78,
-    wrong_candidate_mode: str = "random",
+    t: Optional[int],
+    knowledge_fraction: float,
+    wrong_candidate_mode: str,
     **_ignored,
 ) -> AERScenario:
     """Draw the almost-everywhere state directly from the seed (the default)."""
@@ -73,8 +73,6 @@ def ae_generated_scenario(
     config: AERConfig,
     seed: int,
     t: Optional[int] = None,
-    ae_committee_multiplier: float = 2.0,
-    max_rounds: int = 64,
     **_ignored,
 ) -> AERScenario:
     """Run the committee-tree almost-everywhere substrate and convert its outcome.
@@ -83,7 +81,9 @@ def ae_generated_scenario(
     protocol run on this scenario is the second stage of a real composition
     rather than a synthetic experiment.  The returned scenario is *not*
     validated: whether the substrate achieved the ``> 1/2`` knowledge
-    precondition is itself an experimental outcome.
+    precondition is itself an experimental outcome.  The substrate decides
+    who knows ``gstring`` and what the others hold, so the adapters reject
+    a non-default ``knowledge_fraction`` or ``wrong_candidate_mode`` here.
     """
     from repro.ae.protocol import run_ae_stage
     from repro.net.messages import SizeModel
@@ -99,7 +99,5 @@ def ae_generated_scenario(
         config.string_length,
         seed=seed,
         size_model=SizeModel(n=n),
-        committee_multiplier=ae_committee_multiplier,
-        max_rounds=max_rounds,
     )
     return scenario

@@ -21,8 +21,10 @@ def _first_doc_line(obj: object) -> str:
     return doc.splitlines()[0].strip() if doc else ""
 
 
-def _param_cell(params) -> str:
-    return ", ".join(f"`{name}`" for name in sorted(params)) or "-"
+def _param_cell(adapter) -> str:
+    """The adapter's knobs and extras, one sorted list."""
+    names = sorted((*adapter.knobs, *adapter.params))
+    return ", ".join(f"`{name}`" for name in names) or "-"
 
 
 def render_registries(title: Optional[str] = "Registry reference") -> str:
@@ -58,7 +60,7 @@ def render_registries(title: Optional[str] = "Registry reference") -> str:
                     "backends": ", ".join(
                         f"`{b}`" for b in get_protocol(name).supports_backends
                     ),
-                    "params": _param_cell(get_protocol(name).params),
+                    "params": _param_cell(get_protocol(name)),
                 }
                 for name in PROTOCOLS.names()
             ]

@@ -23,7 +23,7 @@ Monte-Carlo counterpart of the probability computation in Section 4.1.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.samplers.hash_sampler import QuorumSampler
 from repro.samplers.poll_sampler import PollSampler
@@ -50,16 +50,6 @@ def check_no_overload(sampler: QuorumSampler, s: str, factor: float = 4.0) -> bo
     """
     threshold = factor * sampler.quorum_size
     return all(count <= threshold for count in overload_counts(sampler, s).values())
-
-
-def max_overload_ratio(sampler: QuorumSampler, strings: Iterable[str]) -> float:
-    """Return ``max load / d`` over all nodes and all the given strings."""
-    worst = 0.0
-    for s in strings:
-        counts = overload_counts(sampler, s)
-        if counts:
-            worst = max(worst, max(counts.values()) / sampler.quorum_size)
-    return worst
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,15 @@ set of forwarding senders, so the first-hop vote count is a per-row scalar
 rather than per-(row, member) state.
 
 Memory model (ARCHITECTURE.md "vec memory model") — the ``n = 10⁶``
-contract.  Nothing scales worse than ``O(n·d)`` and every super-constant
-temporary is chunked under an explicit byte budget (``vec_memory_mb``):
+contract.  Per distinct pushed string nothing scales worse than ``O(n·d)``,
+and every super-constant temporary is chunked under an explicit byte budget
+(``vec_memory_mb``).  The push phase streams a full ``I(s, ·)`` table for
+every string a correct node holds, so its hashing (and the packed tables
+the provider keeps) grows as ``O(strings · n · d)``: one or two strings
+under ``wrong_candidate_mode="common_wrong"``, but ≈5 % of ``n`` under the
+default ``"random"``, where every uninformed correct node holds its own —
+``O(n² log n)`` in all, which is why the ``n = 10⁶`` runs use
+``common_wrong``:
 
 * member tables are bit-packed (:mod:`repro.vec.bitpack`) and unpacked in
   budget-sized chunks, with a byte-budgeted LRU for hot strings;

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ae.coin import combine_contributions, fraction_agreeing, majority_string, xor_strings
+from repro.ae.coin import combine_contributions, majority_string, xor_strings
 from repro.ae.committees import CommitteeTree
 from repro.ae.config import AEConfig
 from repro.ae.protocol import (
@@ -52,10 +52,6 @@ class TestCoinHelpers:
 
     def test_majority_string_empty(self):
         assert majority_string([]) is None
-
-    def test_fraction_agreeing(self):
-        assert fraction_agreeing(["x", "x", "y"], "x") == pytest.approx(2 / 3)
-        assert fraction_agreeing([], "x") == 0.0
 
     @given(st.text(alphabet="01", min_size=1, max_size=32))
     @settings(max_examples=30, deadline=None)
@@ -111,13 +107,6 @@ class TestCommitteeTree:
     def test_out_of_range_committee_rejected(self, tree):
         with pytest.raises(ValueError):
             tree.committee(tree.total_committees)
-
-    def test_bad_committees_empty_without_corruption(self, tree):
-        assert tree.bad_committees([]) == []
-
-    def test_bad_committees_detects_full_corruption(self, tree):
-        byz = set(tree.root.members)
-        assert 0 in tree.bad_committees(byz)
 
     def test_majority_threshold(self, tree):
         committee = tree.root

@@ -163,6 +163,46 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="'composed_ba' does not accept.*adversary"):
             spec.validate()
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ExperimentSpec(n=64, params={"adversary": "silent"}),
+            ExperimentSpec(n=64, params={"mode": "async"}),
+            ExperimentSpec(n=64, backend="vectorized", params={"mode": "async"}),
+            ExperimentSpec(n=64, rushing=True, params={"mode": "async"}),
+            ExperimentSpec(
+                n=64,
+                mode="async",
+                params={"mode": "sync"},
+                faults={"slow_fraction": 0.2, "slow_factor": 2.0},
+            ),
+        ],
+        ids=["adversary", "mode", "vectorized-async", "rushing-async", "sync-slow-nodes"],
+    )
+    def test_knob_spelled_as_a_param_is_rejected(self, spec):
+        # the spec field is a knob's only spelling: a params entry would run
+        # under the key (and validation) of the field it shadows
+        (knob,) = spec.params_dict()
+        flag = "--" + knob.replace("_", "-")
+        with pytest.raises(ValueError, match=f"'{knob}' is a spec field.*{flag}"):
+            spec.validate()
+
+    @pytest.mark.parametrize("protocol", ["aer", "sample_majority", "naive_broadcast"])
+    @pytest.mark.parametrize(
+        "knob, value", [("knowledge_fraction", 0.95), ("wrong_candidate_mode", "common_wrong")]
+    )
+    def test_from_ae_rejects_the_scenario_knobs_it_ignores(self, protocol, knob, value):
+        base = ExperimentSpec(n=SMALL_N, protocol=protocol, params={"scenario": "from_ae"})
+        base.validate()  # the defaults are fine
+        with pytest.raises(ValueError, match=f"from_ae.*{knob}"):
+            base.with_(**{knob: value}).validate()
+
+    def test_adapters_take_knobs_as_fields_and_extras_as_params(self):
+        for name in list_protocols():
+            adapter = get_protocol(name)
+            assert set(adapter.knobs) <= set(ExperimentSpec.KNOBS), name
+            assert not set(adapter.params) & set(ExperimentSpec.KNOBS), name
+
     def test_unsupported_mode(self):
         spec = ExperimentSpec(n=SMALL_N, protocol="naive_broadcast", mode="async")
         with pytest.raises(ValueError, match="does not support mode 'async'"):
@@ -391,6 +431,25 @@ class TestCLI:
         for protocol in BUILTIN_PROTOCOLS:
             assert protocol in out
         assert "delay policies" in out
+
+    def test_spec_options_default_to_the_spec(self):
+        from repro.experiments.cli import _from_args, build_parser
+
+        def parsed(cls, *argv):
+            return _from_args(cls, build_parser().parse_args(argv))
+
+        assert parsed(ExperimentSpec, "run", "--n", "24") == ExperimentSpec(n=24)
+        assert parsed(ExperimentPlan, "sweep", "--ns", "24") == ExperimentPlan(ns=(24,))
+        assert parsed(
+            ExperimentSpec, "run", "--n", "24", "--wrong-candidate-mode", "common_wrong"
+        ) == ExperimentSpec(n=24, wrong_candidate_mode="common_wrong")
+
+    @pytest.mark.parametrize("command", ["run --n 16", "compare --ns 16 --jobs 1"])
+    def test_param_does_not_spell_a_knob(self, capsys, command):
+        # compare relaxes the params a protocol does not take, but not this
+        code = cli_main([*command.split(), "--param", "mode=async"])
+        assert code == 2
+        assert "--mode" in capsys.readouterr().err
 
     def test_param_requires_key_value(self, capsys):
         code = cli_main([

@@ -15,7 +15,6 @@ from repro.samplers.properties import (
     check_no_overload,
     estimate_minority_fraction,
     estimate_sampler_deviation,
-    max_overload_ratio,
     overload_counts,
     property2_holds,
     worst_family_border_ratio,
@@ -50,10 +49,6 @@ class TestOverload:
 
     def test_overload_detected_with_tiny_factor(self, push_sampler):
         assert not check_no_overload(push_sampler, "s", factor=0.5)
-
-    def test_max_overload_ratio_between_one_and_factor(self, push_sampler):
-        ratio = max_overload_ratio(push_sampler, ["a", "b", "c"])
-        assert 1.0 <= ratio <= 4.0
 
 
 class TestDeviation:

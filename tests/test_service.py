@@ -302,6 +302,7 @@ class TestHTTPApp:
             ("POST", "/plans", "ns=24", 422),
             ("POST", "/plans", {"ns": [24], "bogus": 1}, 422),
             ("POST", "/plans", {"ns": [24], "trace": "bogus"}, 422),
+            ("POST", "/plans", {"ns": [24], "params": {"adversary": "silent"}}, 422),
             ("GET", "/jobs/nope/records?start=-1", None, 422),
             ("GET", "/jobs/nope/records?start=one", None, 422),
             ("GET", "/store/records?limit=-1", None, 422),

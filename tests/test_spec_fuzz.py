@@ -140,7 +140,7 @@ def _invalid_case(rng: random.Random):
     )
     bad_value = rng.choice((-0.5, 1.5, 7.0, "high", True))
     unknown_key = rng.choice(("drop_rate", "crashes", "lossrate", "jitter"))
-    kind = rng.randrange(10)
+    kind = rng.randrange(11)
     if kind == 0:
         data = ExperimentSpec(n=24).to_dict()
         data[unknown_key] = 1
@@ -186,10 +186,15 @@ def _invalid_case(rng: random.Random):
     if kind == 8:
         spec = ExperimentSpec(n=24, backend=rng.choice(("numpy", "gpu")))
         return spec.validate, "backend"
-    spec = ExperimentSpec(
-        n=24, backend="vectorized", faults={"loss_rate": 0.2}
-    )
-    return spec.validate, "vectorized"
+    if kind == 9:
+        spec = ExperimentSpec(
+            n=24, backend="vectorized", faults={"loss_rate": 0.2}
+        )
+        return spec.validate, "vectorized"
+    # a knob spelled as a params entry, even at its default value
+    knob = rng.choice(ExperimentSpec.KNOBS)
+    spec = ExperimentSpec(n=24, params={knob: getattr(ExperimentSpec, knob)})
+    return spec.validate, f"ExperimentSpec.{knob}"
 
 
 def test_invalid_specs_are_rejected_naming_the_offender():

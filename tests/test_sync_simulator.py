@@ -8,7 +8,7 @@ from typing import List, Optional
 import pytest
 
 from repro.faults import FaultInjector, FaultSchedule
-from repro.net.kernel import EventKernel, SendRecord, build_node_ids
+from repro.net.kernel import EventKernel, SendRecord
 from repro.net.messages import Message, SizeModel
 from repro.net.node import Node
 from repro.net.sync import SynchronousSimulator
@@ -188,10 +188,6 @@ class TestValidation:
             sim.now()
         with pytest.raises(NotImplementedError):
             sim.run()
-
-    def test_build_node_ids_excludes_byzantine(self):
-        assert build_node_ids(5, [1, 3]) == [0, 2, 4]
-
 
 class TestAdversaryInteraction:
     def test_messages_to_byzantine_reach_adversary(self):
