@@ -52,7 +52,7 @@ print(json.dumps({
 #: ``None`` budget exercises the default (DEFAULT_VEC_MEMORY_MB).
 N_GUARD = 100_000
 GUARD_CASES = (
-    ("default budget", None, 280.0),
+    ("default budget", None, 215.0),
     ("vec_memory_mb=16", 16.0, 200.0),
 )
 #: exact totals of the n = 10⁵ case — identical under every budget

@@ -21,10 +21,16 @@ Public surface
 ``BAConfig`` / ``BAProtocol`` — the composed Byzantine Agreement protocol.
 
 The re-exports are lazy (:mod:`repro.lazy`): importing ``repro.core.config``
-for a parameter never loads the node state machine or the kernel.
+for a parameter never loads the node state machine or the kernel, and
+validating a spec reads :data:`WRONG_CANDIDATE_MODES` without loading
+:mod:`repro.core.scenario`.
 """
 
 from repro.lazy import lazy_exports
+
+#: what the correct nodes that do not know ``gstring`` hold initially
+#: (``make_scenario``'s ``wrong_candidate_mode``)
+WRONG_CANDIDATE_MODES = ("random", "default", "common_wrong")
 
 __all__, __getattr__ = lazy_exports(
     __name__,

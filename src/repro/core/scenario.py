@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
+from repro.core import WRONG_CANDIDATE_MODES
 from repro.core.aer import AERNode
 from repro.core.config import AERConfig, SamplerSuite
 from repro.net.rng import derive_rng, random_bitstring
@@ -111,6 +112,8 @@ def make_scenario(
     seed:
         Seed for all the random choices above.
     """
+    if wrong_candidate_mode not in WRONG_CANDIDATE_MODES:
+        raise ValueError(f"unknown wrong_candidate_mode {wrong_candidate_mode!r}")
     if config is None:
         config = AERConfig.for_system(n)
     rng = derive_rng(seed, "scenario", n)
@@ -157,10 +160,8 @@ def make_scenario(
             candidates[node_id] = "0" * config.string_length
         elif wrong_candidate_mode == "common_wrong":
             candidates[node_id] = wrong_common
-        elif wrong_candidate_mode == "random":
+        else:  # "random"
             candidates[node_id] = random_bitstring(rng, config.string_length)
-        else:
-            raise ValueError(f"unknown wrong_candidate_mode {wrong_candidate_mode!r}")
 
     scenario = AERScenario(
         n=n, gstring=gstring, byzantine_ids=byz, candidates=candidates

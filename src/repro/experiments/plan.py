@@ -24,6 +24,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, ClassVar, Dict, List, Mapping, Optional, Tuple
 
+from repro.core import WRONG_CANDIDATE_MODES
 from repro.faults import FaultSchedule
 from repro.trace.probes import TRACE_MODES
 
@@ -193,6 +194,15 @@ class ExperimentSpec:
                 f"unknown backend {self.backend!r} "
                 f"(expected 'message' or 'vectorized')"
             )
+        if self.wrong_candidate_mode not in WRONG_CANDIDATE_MODES:
+            raise ValueError(
+                f"unknown wrong_candidate_mode {self.wrong_candidate_mode!r} "
+                f"(expected {', '.join(repr(m) for m in WRONG_CANDIDATE_MODES)})"
+            )
+        if not 0.0 <= self.knowledge_fraction <= 1.0:
+            raise ValueError(f"knowledge_fraction must lie in [0, 1], got {self.knowledge_fraction!r}")
+        if not self.quorum_multiplier > 0:
+            raise ValueError(f"quorum_multiplier must be positive, got {self.quorum_multiplier!r}")
         # Knob names/ranges were checked at construction; the mode-dependent
         # constraints (delay classes are async-only) can only be checked here.
         self.faults_schedule().validate_for_mode(self.mode)
@@ -294,12 +304,23 @@ class ExperimentPlan:
 
         The cross-protocol ``compare`` plan: shared knobs and params apply
         to the protocols that take them, and the others run with their
-        defaults instead of aborting the comparison.
+        defaults instead of aborting the comparison.  A param that no
+        protocol in the plan takes is a typo, not a relaxation: it raises
+        ``ValueError``.
         """
         from repro.protocols import get_protocol
 
-        specs = tuple(get_protocol(spec.protocol).relax_spec(spec) for spec in self.specs())
-        return ExperimentPlan(ns=(), extra_specs=specs)
+        specs = self.specs()
+        adapters = {spec.protocol: get_protocol(spec.protocol) for spec in specs}
+        declared = {key for adapter in adapters.values() for key in adapter.params}
+        # a knob name is left for validate(), which names the knob's own flag
+        unknown = {key for spec in specs for key in spec.params_dict()} - declared - set(ExperimentSpec.KNOBS)
+        if unknown:
+            raise ValueError(
+                f"no protocol in the plan takes parameter(s) {', '.join(map(repr, sorted(unknown)))} "
+                f"(accepted: {', '.join(sorted(declared)) or 'none'})"
+            )
+        return ExperimentPlan(ns=(), extra_specs=tuple(adapters[s.protocol].relax_spec(s) for s in specs))
 
     def __len__(self) -> int:
         return (

@@ -83,7 +83,7 @@ def run_aer(
         scheduler; ``None`` (default) is the zero-cost fault-free path.
     vec_memory_mb:
         Vectorized backend only: byte budget (in MB) for the engine's
-        temporary working set — chunk sizes and the unpacked-table cache
+        temporary working set — gather and table-decode chunk sizes
         scale with it, the result bits never depend on it.  ``None`` uses
         the engine default.
     """

@@ -18,10 +18,9 @@ Layout
     Array-shaped sampler tables: ``(rows, d)`` member matrices for the
     ``I``/``H`` quorum families and the ``J`` poll rows keyed by
     ``(node, label)``, built from the batched hash at every ``n`` —
-    bit-identical to the message backend's draws.  Stored bit-packed with a
-    byte-budgeted unpacked-row LRU (the ``n = 10⁶`` memory contract); a poll
-    row is drawn once per provider and decoded by every later run that
-    launches it.
+    bit-identical to the message backend's draws.  Stored only bit-packed
+    (the ``n = 10⁶`` memory contract) and decoded per gather; a poll row is
+    drawn once per provider and decoded by every later run that launches it.
 ``engine``
     The vectorized AER synchronous round loop, streaming its Fw1/Fw2
     fan-outs under an explicit memory budget (``vec_memory_mb``).

@@ -24,8 +24,9 @@ default ``"random"``, where every uninformed correct node holds its own —
 ``O(n² log n)`` in all, which is why the ``n = 10⁶`` runs use
 ``common_wrong``:
 
-* member tables are bit-packed (:mod:`repro.vec.bitpack`) and unpacked in
-  budget-sized chunks, with a byte-budgeted LRU for hot strings;
+* member tables are bit-packed (:mod:`repro.vec.bitpack`), and that is
+  their only form: every gather decodes its rows from the packed bytes,
+  and a whole-table pass decodes budget-sized chunks;
 * the Fw1/Fw2 fan-outs never materialise ``(rows, d, d)`` gathers: because
   every recipient set ``H(s, t)`` depends only on the target ``t``, both
   hops reduce to per-target weights (``bincount`` over flattened target
@@ -83,8 +84,8 @@ from repro.vec.bitpack import BitMatrix
 from repro.vec.tables import VecSamplerTables, tables_for
 
 #: default per-run temporary-memory budget (MB) when ``vec_memory_mb`` is not
-#: given.  Generous enough that n ≤ 10⁵ runs keep their hot tables unpacked
-#: (the pre-budget behaviour); n = 10⁶ streams chunked unpacks under it.
+#: given.  It sizes the gather and table-decode chunks only; the packed
+#: tables the provider keeps are outside it.
 DEFAULT_VEC_MEMORY_MB = 512.0
 
 
@@ -276,14 +277,11 @@ class _VecRun:
         # (k, d) row-state gathers: ~48 bytes per (row, member) across the
         # simultaneous temporaries of the serve/fw2/answer phases
         self._gather_chunk = max(1024, budget // (4 * 48 * d))
-        # table unpacks: budgeted at ~(bits + 8) bytes/member.  The byte-gather
+        # table decodes: budgeted at ~(bits + 8) bytes/member.  The byte-gather
         # decode itself leaves only its int32 rows (4 bytes/member; its
         # accumulator spans a fixed 2¹² rows), so the rest is headroom for the
         # gathers and block bincounts made on those rows
         self._table_chunk = max(1024, budget // (4 * (tables.bits + 8) * d))
-        # a quarter of the budget backs the shared unpacked-table LRU, so hot
-        # strings whose full (n, d) table fits stay gather-fast
-        tables.set_unpacked_budget(budget // 4)
 
         # ---- population -------------------------------------------------
         self.is_correct = np.zeros(n, dtype=bool)
@@ -312,11 +310,9 @@ class _VecRun:
         # ---- metrics ----------------------------------------------------
         self.sent_msgs = np.zeros(n, dtype=np.int64)
         self.sent_bits = np.zeros(n, dtype=np.int64)
-        self.recv_msgs = np.zeros(n, dtype=np.int64)
         self.recv_bits = np.zeros(n, dtype=np.int64)
         # deliveries staged for the *next* round (discarded if the run ends
         # first, exactly as the kernel never counts undelivered outbox sends)
-        self.stage_recv_msgs = np.zeros(n, dtype=np.int64)
         self.stage_recv_bits = np.zeros(n, dtype=np.int64)
         self._dispatched = False  # any send accepted in the current round
 
@@ -381,13 +377,6 @@ class _VecRun:
             )
         )
 
-    def _stage_poll_pull_recv(self, jmem: np.ndarray, hmem: np.ndarray, s: str) -> None:
-        """Stage next-round deliveries of one poll's Poll and Pull multicasts."""
-        np.add.at(self.stage_recv_msgs, jmem, 1)
-        np.add.at(self.stage_recv_bits, jmem, self._poll_bits(s))
-        np.add.at(self.stage_recv_msgs, hmem, 1)
-        np.add.at(self.stage_recv_bits, hmem, self._pull_bits(s))
-
     def _launch_polls(self, xs: np.ndarray, sids: np.ndarray, labels: np.ndarray, start: int) -> None:
         """Create live rows for polls launched by ``xs`` and account their sends."""
         if len(xs) == 0:
@@ -407,12 +396,8 @@ class _VecRun:
             )
             self.sent_msgs[xs[sel]] += 2 * self.size
             self.sent_bits[xs[sel]] += self.size * (self._poll_bits(s) + self._pull_bits(s))
-            recv = np.bincount(jmem.ravel(), minlength=self.n)
-            self.stage_recv_msgs += recv
-            self.stage_recv_bits += recv * self._poll_bits(s)
-            recv = np.bincount(hmem.ravel(), minlength=self.n)
-            self.stage_recv_msgs += recv
-            self.stage_recv_bits += recv * self._pull_bits(s)
+            self.stage_recv_bits += np.bincount(jmem.ravel(), minlength=self.n) * self._poll_bits(s)
+            self.stage_recv_bits += np.bincount(hmem.ravel(), minlength=self.n) * self._pull_bits(s)
         self._dispatched = True
 
     def _round0(self) -> None:
@@ -431,7 +416,6 @@ class _VecRun:
                 targets_per_sender += np.bincount(rows.ravel(), minlength=n)
             self.sent_msgs[holders] += targets_per_sender[holders]
             self.sent_bits[holders] += targets_per_sender[holders] * push_bits
-            self.stage_recv_msgs += votes
             self.stage_recv_bits += votes * push_bits
             self._push_votes.append(votes)
 
@@ -473,7 +457,6 @@ class _VecRun:
                 )
             self.sent_msgs[byz_id] += 1
             self.sent_bits[byz_id] += bits
-            self.stage_recv_msgs[dest] += 1
             self.stage_recv_bits[dest] += bits
         self._dispatched = True
 
@@ -577,7 +560,9 @@ class _VecRun:
         hmem = np.asarray(suite.pull.quorum(candidate, x), dtype=np.int64)
         self.sent_msgs[x] += 2 * self.size
         self.sent_bits[x] += self.size * (self._poll_bits(candidate) + self._pull_bits(candidate))
-        self._stage_poll_pull_recv(jmem, hmem, candidate)
+        # next-round deliveries of the poll's Poll and Pull multicasts
+        np.add.at(self.stage_recv_bits, jmem, self._poll_bits(candidate))
+        np.add.at(self.stage_recv_bits, hmem, self._pull_bits(candidate))
         self._dispatched = True
 
     def _finalize_rows(self) -> None:
@@ -647,9 +632,7 @@ class _VecRun:
     def _advance(self, rnd: int) -> None:
         self._dispatched = False
         # -- phase A: deliver everything staged during the previous round --
-        self.recv_msgs += self.stage_recv_msgs
         self.recv_bits += self.stage_recv_bits
-        self.stage_recv_msgs.fill(0)
         self.stage_recv_bits.fill(0)
         if rnd == 1:
             self._round1_acceptances()
@@ -757,9 +740,7 @@ class _VecRun:
             h_rows = self.tables.rows("H", s, tchunk)  # (c, d)
             delivered += bincount_rows(h_rows, weight[tchunk], self.n)
         # exact: every accumulated value is an integer far below 2**53
-        delivered_int = delivered.astype(np.int64)
-        self.stage_recv_msgs += delivered_int
-        self.stage_recv_bits += delivered_int * fw1_bits
+        self.stage_recv_bits += delivered.astype(np.int64) * fw1_bits
 
     def _phase_fw2(self, rnd: int, new_deciders: np.ndarray) -> None:
         """Second-hop forwards: crossing rows fan Fw2 votes out to poll targets.
@@ -827,7 +808,6 @@ class _VecRun:
             recv = np.bincount(
                 targets.ravel(), weights=occ.ravel(), minlength=n
             ).astype(np.int64)
-            self.stage_recv_msgs += recv
             self.stage_recv_bits += recv * fw2_bits
 
     def _phase_answers(self, rnd: int) -> None:
@@ -897,7 +877,6 @@ class _VecRun:
         self.r_answered.set_true(grows, gcols)
         self.sent_msgs += np.bincount(answerers, minlength=self.n)
         origins = self.r_origin[grows]
-        self.stage_recv_msgs += np.bincount(origins, minlength=self.n)
         row_sids = self.r_sid[grows]
         for sid in np.unique(row_sids):
             mask = row_sids == sid
@@ -957,7 +936,7 @@ def run_aer_vectorized(
     :data:`VEC_ADVERSARIES`; any other combination raises ``ValueError``.
 
     ``memory_mb`` bounds the engine's temporary working set (the
-    ``vec_memory_mb`` spec knob): chunk sizes and the unpacked-table cache
+    ``vec_memory_mb`` spec knob): gather and table-decode chunk sizes
     scale with it, the result bits never depend on it.  ``None`` uses
     :data:`DEFAULT_VEC_MEMORY_MB`.
     """

@@ -108,7 +108,6 @@ def run_sample_majority_vectorized(
 
     sent_msgs = np.zeros(n, dtype=np.int64)
     sent_bits = np.zeros(n, dtype=np.int64)
-    recv_msgs = np.zeros(n, dtype=np.int64)
     recv_bits = np.zeros(n, dtype=np.int64)
     decision_times: Dict[int, float] = {}
     decisions: Dict[int, str] = {}
@@ -124,7 +123,6 @@ def run_sample_majority_vectorized(
         # round 1: queries delivered, correct targets dispatch answers
         rnd = 1
         q_counts = np.bincount(S.ravel(), minlength=n)
-        recv_msgs += q_counts
         recv_bits += q_counts * kind_bits
         budget = config.reply_budget
         if (q_counts[correct] > budget).any():
@@ -140,7 +138,6 @@ def run_sample_majority_vectorized(
         # round 2: answers delivered, queriers tally and decide
         rnd = 2
         peer_bits = np.where(answered, ans_bits_arr[S], 0)
-        recv_msgs[correct] += answered.sum(axis=1)
         recv_bits[correct] += peer_bits.sum(axis=1)
         votes = np.where(answered, cand_sid[S], _NO_VOTE)
         votes.sort(axis=1)

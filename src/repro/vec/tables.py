@@ -11,11 +11,9 @@ checks the two against each other).
 Storage is the ``n = 10⁶`` part of the story (ARCHITECTURE.md "vec memory
 model"): member rows are held **bit-packed** at ``ceil(log2 n)`` bits per id
 (:mod:`repro.vec.bitpack`), ~3× smaller than the int64 rows the engine used
-to keep, and unpacked on demand into int32 gather rows.  A byte-budgeted LRU
-caches fully unpacked tables for hot strings — at ``n = 10⁵`` the whole
-``H`` table fits the default budget and gathers stay as fast as the old
-materialised tables, while at ``n = 10⁶`` the same code streams chunked
-unpacks instead of holding 160 MB per string.
+to keep, and that is their only form: every gather decodes the rows it
+asks for into int32, and a whole-table pass streams chunked decodes, so
+no ``(n, d)`` int32 matrix is kept between calls.
 
 Poll rows (``J``) are a packed table too, but a sparse one: ``J(x, r)`` is
 keyed by the pair, and a run only ever draws the labels its nodes' RNG
@@ -30,7 +28,6 @@ repetitions and sweep workers reuse the expensive full tables, mirroring
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,10 +42,6 @@ from repro.vec.hashing import batch_digest_mod, encode_parts, first_distinct_row
 #: process-local provider cache (packed tables are ~100 MB per string at
 #: ``n = 10⁶``; keeping a few providers warm is the point)
 _PROVIDER_CACHE: LRUCache = LRUCache(4)
-
-#: default byte budget of the unpacked-table LRU (the engine overrides it
-#: from its per-run ``vec_memory_mb`` contract)
-DEFAULT_UNPACKED_CACHE_BYTES = 64 << 20
 
 #: table rows materialised per build/stream chunk — bounds the transient
 #: int64 row block and uint8 bit planes of the batched-hash build to a few
@@ -142,44 +135,10 @@ class VecSamplerTables:
         self.size = min(config.quorum_size, config.n)
         self.bits = bits_for(config.n)
         self._tables: Dict[Tuple[str, str], _PackedFamilyTable] = {}
-        #: byte-budgeted LRU of fully unpacked (family, string) tables
-        self._unpacked: "OrderedDict[Tuple[str, str], np.ndarray]" = OrderedDict()
-        self._unpacked_bytes = 0
-        self.unpacked_budget = DEFAULT_UNPACKED_CACHE_BYTES
         #: None when ``x · label_space + r`` would not fit an int64 key
         self._poll: Optional[_PackedPollTable] = None
         if self.n * config.label_space <= np.iinfo(np.int64).max:
             self._poll = _PackedPollTable(_POLL_ROWS_PER_NODE * self.n, self.size, self.bits)
-
-    # ------------------------------------------------------------------
-    # unpacked-table LRU
-    # ------------------------------------------------------------------
-    def set_unpacked_budget(self, budget_bytes: int) -> None:
-        """Re-bound the unpacked-table cache (the engine's memory contract)."""
-        self.unpacked_budget = max(0, int(budget_bytes))
-        self._evict_unpacked()
-
-    def _evict_unpacked(self) -> None:
-        while self._unpacked and self._unpacked_bytes > self.unpacked_budget:
-            _, evicted = self._unpacked.popitem(last=False)
-            self._unpacked_bytes -= evicted.nbytes
-
-    def _cached_unpacked(self, key: Tuple[str, str]) -> Optional[np.ndarray]:
-        cached = self._unpacked.get(key)
-        if cached is not None:
-            self._unpacked.move_to_end(key)
-        return cached
-
-    def _maybe_promote(self, key: Tuple[str, str], table: _PackedFamilyTable) -> Optional[np.ndarray]:
-        """Unpack a fully built table into the LRU when it fits the budget."""
-        full_bytes = self.n * self.size * 4
-        if full_bytes > self.unpacked_budget or not table.built.all():
-            return None
-        full = unpack_rows(table.packed, self.size, self.bits)
-        self._unpacked[key] = full
-        self._unpacked_bytes += full.nbytes
-        self._evict_unpacked()
-        return full
 
     # ------------------------------------------------------------------
     # quorum families I and H
@@ -218,51 +177,28 @@ class VecSamplerTables:
 
     def rows(self, family: str, s: str, xs: np.ndarray) -> np.ndarray:
         """Member rows for the nodes in ``xs`` as an ``(len(xs), d)`` matrix."""
-        key = (family, s)
         idx = np.asarray(xs, dtype=np.int64)
-        cached = self._cached_unpacked(key)
-        if cached is not None:
-            return cached[idx]
         self.ensure_rows(family, s, idx)
-        table = self._tables[key]
-        promoted = self._maybe_promote(key, table)
-        if promoted is not None:
-            return promoted[idx]
-        return unpack_rows(table.packed[idx], self.size, self.bits)
+        return unpack_rows(self._tables[(family, s)].packed[idx], self.size, self.bits)
 
     def iter_rows(
         self, family: str, s: str, chunk_rows: int
     ) -> Iterator[Tuple[int, np.ndarray]]:
         """Stream the complete table as ``(start, (k, d) rows)`` chunks.
 
-        Builds every row first (packed), then unpacks ``chunk_rows`` at a
-        time — the full unpacked matrix never exists unless it already sits
-        in the LRU.
+        Builds every row first (packed), then decodes ``chunk_rows`` at a
+        time — the full int32 matrix never exists.
         """
         self.ensure_all(family, s)
-        key = (family, s)
-        cached = self._cached_unpacked(key)
-        if cached is None:
-            cached = self._maybe_promote(key, self._tables[key])
+        packed = self._tables[(family, s)].packed
         step = max(1, int(chunk_rows))
         for start in range(0, self.n, step):
-            stop = min(self.n, start + step)
-            if cached is not None:
-                yield start, cached[start:stop]
-            else:
-                packed = self._tables[key].packed[start:stop]
-                yield start, unpack_rows(packed, self.size, self.bits)
+            yield start, unpack_rows(packed[start : start + step], self.size, self.bits)
 
     def full(self, family: str, s: str) -> np.ndarray:
-        """The complete ``(n, d)`` member matrix for one string (unpacked)."""
+        """The complete ``(n, d)`` member matrix for one string (decoded)."""
         self.ensure_all(family, s)
-        key = (family, s)
-        cached = self._cached_unpacked(key)
-        if cached is None:
-            cached = self._maybe_promote(key, self._tables[key])
-        if cached is not None:
-            return cached
-        return unpack_rows(self._tables[key].packed, self.size, self.bits)
+        return unpack_rows(self._tables[(family, s)].packed, self.size, self.bits)
 
     def packed_nbytes(self) -> int:
         """Bytes of the packed member and poll tables (tests/instrumentation)."""

@@ -31,6 +31,15 @@ from repro.registry import Registry
 SMALL_N = 24
 SEED = 3
 
+#: (knob, bad value, the error validate() raises)
+BAD_KNOB_VALUES = [
+    ("wrong_candidate_mode", "bogus", "unknown wrong_candidate_mode 'bogus'"),
+    ("knowledge_fraction", -0.2, r"knowledge_fraction must lie in \[0, 1\], got -0.2"),
+    ("knowledge_fraction", 1.5, r"knowledge_fraction must lie in \[0, 1\], got 1.5"),
+    ("quorum_multiplier", -1.0, "quorum_multiplier must be positive, got -1.0"),
+    ("quorum_multiplier", 0.0, "quorum_multiplier must be positive, got 0.0"),
+]
+
 BUILTIN_PROTOCOLS = ("aer", "full_ba", "composed_ba", "sample_majority", "naive_broadcast")
 
 
@@ -186,6 +195,12 @@ class TestSpecValidation:
         flag = "--" + knob.replace("_", "-")
         with pytest.raises(ValueError, match=f"'{knob}' is a spec field.*{flag}"):
             spec.validate()
+
+    @pytest.mark.parametrize("knob, value, message", BAD_KNOB_VALUES)
+    def test_knob_values_are_checked_at_validate(self, knob, value, message):
+        # a bad value fails here, not in a sweep worker or halfway through a run
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(n=SMALL_N, **{knob: value}).validate()
 
     @pytest.mark.parametrize("protocol", ["aer", "sample_majority", "naive_broadcast"])
     @pytest.mark.parametrize(
@@ -411,6 +426,14 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "aer" in out and "composed_ba" in out
 
+    def test_compare_rejects_a_param_no_protocol_takes(self, capsys):
+        code = cli_main([
+            "compare", "--ns", "16", "--protocols", "aer,composed_ba",
+            "--param", "strateggy=naive", "--jobs", "1",
+        ])
+        assert code == 2
+        assert "no protocol in the plan takes parameter(s) 'strateggy'" in capsys.readouterr().err
+
     def test_compare_prints_cross_protocol_table(self, capsys):
         code = cli_main([
             "compare", "--ns", str(SMALL_N),
@@ -489,6 +512,12 @@ class TestApiFacade:
         assert [row["protocol"] for row in rows] == [
             "sample_majority", "naive_broadcast"
         ]
+
+    def test_relaxed_plan_keeps_knob_names_for_validate(self):
+        plan = ExperimentPlan(ns=(SMALL_N,), protocols=("aer", "composed_ba"), params={"mode": "async"})
+        for spec in plan.relaxed().specs():
+            with pytest.raises(ValueError, match="'mode' is a spec field"):
+                spec.validate()
 
     def test_compare_relaxes_heterogeneous_mix(self):
         # shared adversary + a shared protocol param, over a mix where only

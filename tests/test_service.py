@@ -216,6 +216,15 @@ class TestHTTPApp:
         assert http(base + "/store/records?fingerprint=other-fp") == (200, [])
         assert http(base + "/dist/coordinators") == (200, [])
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("wrong_candidate_mode", "bogus"), ("knowledge_fraction", -0.2), ("quorum_multiplier", -1.0)],
+    )
+    def test_plan_with_a_bad_knob_value_is_refused(self, base, http, knob, value):
+        status, refused = http(base + "/plans", {"ns": [24], knob: value})
+        assert status == 422 and knob in refused["detail"]
+        assert http(base + "/jobs") == (200, [])
+
     def test_stream_resume_is_the_tail_of_the_full_stream(self, base, http):
         _, submitted = http(base + "/plans", PLAN.to_dict())
         records = f"{base}/jobs/{submitted['job_id']}/records"

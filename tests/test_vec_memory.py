@@ -266,21 +266,6 @@ class TestPollTable:
         assert tables.packed_nbytes() == tables._poll.packed.nbytes > 0
 
 
-def test_rows_identical_across_cache_budgets():
-    config = AERConfig.for_system(192, sampler_seed=0)
-    xs = np.arange(192)
-    starved = VecSamplerTables(config)
-    starved.set_unpacked_budget(0)  # every gather decodes from packed bytes
-    roomy = VecSamplerTables(config)
-    roomy.set_unpacked_budget(1 << 30)  # everything promotes to the LRU
-    for family, s in (("I", "alpha"), ("H", "alpha")):
-        a = starved.rows(family, s, xs)
-        b = roomy.rows(family, s, xs)
-        assert (a == b).all()
-    assert not starved._unpacked  # the starved provider cached nothing
-    assert roomy._unpacked  # the roomy one promoted
-
-
 def test_iter_rows_streams_the_full_table():
     config = AERConfig.for_system(192, sampler_seed=1)
     tables = VecSamplerTables(config)
@@ -301,27 +286,28 @@ def test_packed_tables_are_smaller_than_int32():
 # ----------------------------------------------------------------------
 # the provider cache: warmth changes time, never results
 # ----------------------------------------------------------------------
+def _record(spec):
+    """The spec's record as a dict, without its wall-clock ``seconds``."""
+    data = execute_spec(spec).to_dict()
+    data.pop("seconds")
+    return data
+
+
 def test_warm_provider_record_equals_cold(monkeypatch):
     spec = ExperimentSpec(
         n=1536, adversary="quorum_flood", seed=4, backend="vectorized",
         wrong_candidate_mode="common_wrong",
     )
-
-    def record(spec):
-        data = execute_spec(spec).to_dict()
-        data.pop("seconds")
-        return data
-
     drawn = _count_draws(monkeypatch)
     monkeypatch.setattr(vec_tables, "_PROVIDER_CACHE", LRUCache(4))
-    cold = record(spec)
+    cold = _record(spec)
     monkeypatch.setattr(vec_tables, "_PROVIDER_CACHE", LRUCache(4))
-    record(spec.with_(adversary="none"))  # same seed: builds the tables this run reuses
+    _record(spec.with_(adversary="none"))  # same seed: builds the tables this run reuses
     assert sum(drawn) > 0
     drawn.clear()
-    assert record(spec) == cold
-    record(spec.with_(params={"vec_memory_mb": 1}))  # empties the unpacked-table LRU
-    assert record(spec) == cold
+    assert _record(spec) == cold
+    _record(spec.with_(params={"vec_memory_mb": 1}))  # minimal chunks on the same provider
+    assert _record(spec) == cold
     assert drawn == []  # every warm run decoded its poll rows, none was re-hashed
 
 
@@ -345,26 +331,22 @@ def test_vectorized_cornering_is_pinned():
 # ----------------------------------------------------------------------
 # the vec_memory_mb contract: budget changes memory, never results
 # ----------------------------------------------------------------------
-def _fingerprint(result):
-    metrics = result.metrics_all
-    return (
-        result.rounds,
-        int(metrics.total_messages),
-        int(metrics.total_bits),
-        tuple(sorted(result.decisions.items())) if hasattr(result, "decisions") else None,
-    )
-
-
-def test_undersized_budget_is_byte_identical():
-    # 1 MB forces minimal chunks, a starved unpacked cache and maximal
-    # streaming — and must still reproduce the default run exactly
+@pytest.mark.parametrize(
+    "n, wrong_candidate_mode",
+    # "random" gives ~5 % of the nodes their own string, so the push phase
+    # streams 59 packed I tables, each in two 1 MB chunks
+    [(2048, "common_wrong"), (1100, "random")],
+)
+def test_undersized_budget_is_byte_identical(n, wrong_candidate_mode):
+    # 1 MB forces minimal chunks and maximal streaming — and must still
+    # reproduce the default run's whole record exactly
     spec = ExperimentSpec(
-        n=2048, adversary="push_flood", seed=0, backend="vectorized",
-        wrong_candidate_mode="common_wrong",
+        n=n, adversary="push_flood", seed=0, backend="vectorized",
+        wrong_candidate_mode=wrong_candidate_mode,
     )
-    default = spec.run().raw
-    starved = spec.with_(params={"vec_memory_mb": 1}).run().raw
-    assert _fingerprint(default) == _fingerprint(starved)
+    default, starved = _record(spec), _record(spec.with_(params={"vec_memory_mb": 1}))
+    assert default.pop("spec") != starved.pop("spec")  # vec_memory_mb only
+    assert default == starved
 
 
 def test_vec_memory_mb_rejected_on_message_backend(small_scenario, small_config):
