@@ -4,7 +4,8 @@ The ``n = 10⁶`` scaling work (bit-packed tables, streamed Fw1/Fw2
 accumulation, the ``vec_memory_mb`` budget) is only durable if CI pins it.
 This guard runs the ``sync:none:n100000:s0:vec`` case cold — one fresh
 subprocess per measurement, so ``ru_maxrss`` is the honest per-case
-high-water mark — at the default memory budget *and* at a deliberately
+high-water mark (the larger of the case's process and its largest forked
+table-hashing child) — at the default memory budget *and* at a deliberately
 tight ``vec_memory_mb=16``, and fails when either peak RSS exceeds its
 pinned reference by more than the tolerance (default 20%).
 
@@ -42,7 +43,10 @@ start = time.perf_counter()
 result = spec.run()
 print(json.dumps({
     "wall_s": time.perf_counter() - start,
-    "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    "rss_mb": max(
+        resource.getrusage(who).ru_maxrss
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    ) / 1024.0,
     "msgs": int(result.total_messages),
     "bits": int(result.total_bits),
 }))
