@@ -17,9 +17,10 @@ the medians (change / base), the pairs the change won, and whether that
 amounts to a gain by the rule of §8: at least nine tenths of the pairs won
 (ties count for neither side) and medians further apart than the base's own
 quartiles.  The results are also written as one all-workloads result file
-per pair and side (``<tmp>/base/pair-NN.json``, ``<tmp>/change/pair-NN.json``)
-and handed to ``bench/run.py --compare``, whose bounds verdict and exit
-status end the run.
+per pair and side (``base/pair-NN.json``, ``change/pair-NN.json``) into a
+temporary directory and handed to ``bench/run.py --compare``, whose bounds
+verdict and exit status end the run; the directory is removed afterwards,
+also on an error or an interrupt.
 
 This script only *calls* the benchmark; it defines no workload and no metric.
 One pair of one workload takes about ``run_seconds`` + 10 s per side.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -119,37 +121,40 @@ def main(argv=None) -> int:
         return 2
 
     out = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    for side in SIDES:
-        (out / side).mkdir()
-    runs: Dict[str, Dict[str, List[dict]]] = {side: {w: [] for w in workloads} for side in SIDES}
-    for pair in range(args.pairs):
-        seed = args.seed_base + pair
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for workload in workloads:
-            command = [
-                *manifest["command"], "--workload", workload, "--seed", str(seed),
-                "--seconds", str(manifest["run_seconds"]), "--trace", "0",
-            ]
-            for side in order:
-                result = run_once(checkouts[side], command)
-                runs[side][workload].append(result)
-                print(f"pair {pair} seed {seed} {workload} {side}: " + "  ".join(
-                    f"{name} {entry['value']:.4g}" for name, entry in result["metrics"].items()
-                ) + f"  failed {result['failed']}/{result['attempted']}", file=sys.stderr)
+    try:
         for side in SIDES:
-            # the all-workloads result format, which is what --compare reads
-            results = {"workloads": {w: {"untraced": runs[side][w][pair]} for w in workloads}}
-            (out / side / f"pair-{pair:02d}.json").write_text(
-                json.dumps(results, indent=1), encoding="utf-8"
-            )
+            (out / side).mkdir()
+        runs: Dict[str, Dict[str, List[dict]]] = {side: {w: [] for w in workloads} for side in SIDES}
+        for pair in range(args.pairs):
+            seed = args.seed_base + pair
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for workload in workloads:
+                command = [
+                    *manifest["command"], "--workload", workload, "--seed", str(seed),
+                    "--seconds", str(manifest["run_seconds"]), "--trace", "0",
+                ]
+                for side in order:
+                    result = run_once(checkouts[side], command)
+                    runs[side][workload].append(result)
+                    print(f"pair {pair} seed {seed} {workload} {side}: " + "  ".join(
+                        f"{name} {entry['value']:.4g}" for name, entry in result["metrics"].items()
+                    ) + f"  failed {result['failed']}/{result['attempted']}", file=sys.stderr)
+            for side in SIDES:
+                # the all-workloads result format, which is what --compare reads
+                results = {"workloads": {w: {"untraced": runs[side][w][pair]} for w in workloads}}
+                (out / side / f"pair-{pair:02d}.json").write_text(
+                    json.dumps(results, indent=1), encoding="utf-8"
+                )
 
-    summarize(manifest, workloads, runs)
-    print(f"\nresult files: {out}\n", flush=True)  # ahead of the child's own output
-    compare = subprocess.run(
-        [*manifest["command"], "--compare", str(out / "base"), str(out / "change")],
-        cwd=ROOT, check=False,
-    )
-    return compare.returncode
+        summarize(manifest, workloads, runs)
+        print(flush=True)  # ahead of the child's own output
+        compare = subprocess.run(
+            [*manifest["command"], "--compare", str(out / "base"), str(out / "change")],
+            cwd=ROOT, check=False,
+        )
+        return compare.returncode
+    finally:
+        shutil.rmtree(out, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.ae.config import AEConfig
-from repro.net.rng import stable_hash
+from repro.net.rng import first_distinct, hash_prefix
 
 
 @dataclass(frozen=True)
@@ -124,16 +124,9 @@ class CommitteeTree:
             if not members:  # can only happen when n < leaf_count * k with tiny n
                 members = (n - 1,)
         else:
-            members_list: List[int] = []
-            seen = set()
-            counter = 0
-            while len(members_list) < min(k, n):
-                candidate = stable_hash(self.config.seed, "ae-committee", index, counter) % n
-                counter += 1
-                if candidate not in seen:
-                    seen.add(candidate)
-                    members_list.append(candidate)
-            members = tuple(sorted(members_list))
+            members = first_distinct(
+                hash_prefix(self.config.seed, "ae-committee", index), min(k, n), n
+            )
 
         committee = Committee(index=index, members=members, depth=self.depth(index))
         self._committees[index] = committee

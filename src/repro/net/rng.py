@@ -10,14 +10,15 @@ communicating.  Both needs are met here:
   seed, so that a whole experiment is a pure function of that seed.
 * :func:`stable_hash` is a keyed, platform-independent hash used to realise
   the shared samplers as deterministic functions (Python's built-in ``hash``
-  is salted per process and therefore unsuitable).
+  is salted per process and therefore unsuitable); :func:`first_distinct`
+  is the one member draw every sampler and committee makes from it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable
+from typing import Tuple
 
 
 class DeterministicRNG(random.Random):
@@ -36,16 +37,30 @@ class DeterministicRNG(random.Random):
         return f"DeterministicRNG(label={self.label!r})"
 
 
+def _encode(part: object) -> bytes:
+    """One part's canonical encoding: 4 big-endian length bytes, then its UTF-8 ``repr``."""
+    encoded = repr(part).encode("utf-8")
+    return len(encoded).to_bytes(4, "big") + encoded
+
+
 def absorb(hasher, part: object) -> None:
     """Absorb one part into ``hasher`` using the canonical length-prefixed encoding.
 
     This is *the* encoding of :func:`stable_hash`; every incremental user
-    (e.g. the samplers' prefix hashers) must go through it so the digests
-    stay bit-identical.
+    (e.g. the samplers' prefix hashers) must go through it, or through
+    :func:`encode_parts` and :func:`first_distinct`, which share its
+    :func:`_encode` body, so the digests stay bit-identical.
     """
-    encoded = repr(part).encode("utf-8")
-    hasher.update(len(encoded).to_bytes(4, "big"))
-    hasher.update(encoded)
+    hasher.update(_encode(part))
+
+
+def encode_parts(*parts: object) -> bytes:
+    """The bytes :func:`absorb` feeds a hasher for ``parts``, one after another.
+
+    :func:`hash_prefix` hashes them; the vectorized tables hash whole rows
+    from them.
+    """
+    return b"".join(map(_encode, parts))
 
 
 def hash_prefix(*parts: object):
@@ -56,18 +71,28 @@ def hash_prefix(*parts: object):
     samplers use this to avoid re-hashing their constant key prefix
     (seed, family name, string) for every single draw.
     """
-    hasher = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        absorb(hasher, part)
-    return hasher
+    return hashlib.blake2b(encode_parts(*parts), digest_size=16)
 
 
-def _digest(parts: Iterable[object]) -> bytes:
-    """Return a 16-byte blake2b digest of the canonical encoding of ``parts``."""
-    hasher = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        absorb(hasher, part)
-    return hasher.digest()
+def first_distinct(hasher, size: int, n: int) -> Tuple[int, ...]:
+    """The first ``size`` distinct draws mod ``n`` of a keyed row, sorted.
+
+    ``hasher`` has the row's key absorbed (:func:`hash_prefix`); draw ``c``
+    absorbs the counter ``c`` into a copy of it, so it is
+    ``stable_hash(*key, c) % n``, and counters ``0, 1, ...`` are drawn until
+    ``size`` values are distinct (``size <= n``).  This is the one member
+    draw of the samplers ``I``, ``H`` and ``J`` (Lemmas 1 and 2) and of the
+    AE committees; :mod:`repro.vec.hashing` makes the same draws a table at
+    a time and falls back to this for its rare unresolved rows.
+    """
+    seen = set()
+    counter = 0
+    while len(seen) < size:
+        draw = hasher.copy()
+        draw.update(_encode(counter))  # absorb(draw, counter), one call less per draw
+        seen.add(int.from_bytes(draw.digest(), "big") % n)
+        counter += 1
+    return tuple(sorted(seen))
 
 
 def stable_hash(*parts: object) -> int:
@@ -78,7 +103,7 @@ def stable_hash(*parts: object) -> int:
     hash differently).  The function is the basis of the shared sampler
     constructions in :mod:`repro.samplers`.
     """
-    return int.from_bytes(_digest(parts), "big")
+    return int.from_bytes(hash_prefix(*parts).digest(), "big")
 
 
 def derive_rng(master_seed: int, *scope: object) -> DeterministicRNG:

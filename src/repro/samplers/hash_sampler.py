@@ -5,10 +5,12 @@ Lemma 1 (from [KLST11]) asserts the existence of a ``(θ, δ)``-sampler
 overloaded.  We realise it constructively with a keyed hash: the quorum of
 the pair ``(s, x)`` is the multiset-free set of ``d`` nodes obtained by
 hashing ``(seed, name, s, x, counter)`` until ``d`` distinct nodes have been
-produced.  Because the hash behaves like a random function, the construction
-is a uniformly random ``d``-subset for every input pair — which is exactly
-the probabilistic object whose existence (with the required properties) the
-lemma proves.  The empirical property checkers in
+produced (:func:`repro.net.rng.first_distinct`, the one member draw that
+``J``, the AE committees and the vectorized tables of
+:mod:`repro.vec.hashing` make too).  Because the hash behaves like a random
+function, the construction is a uniformly random ``d``-subset for every
+input pair — which is exactly the probabilistic object whose existence (with
+the required properties) the lemma proves.  The empirical property checkers in
 :mod:`repro.samplers.properties` verify, for the sizes used in the
 experiments, that no node is overloaded and that the deviation bound holds.
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.net.rng import absorb, hash_prefix
+from repro.net.rng import absorb, first_distinct, hash_prefix
 from repro.samplers.base import SamplerSpec
 from repro.samplers.tables import LRUCache, QuorumTable
 
@@ -103,20 +105,9 @@ class QuorumSampler:
         n = self.n
 
         def compute(x: int) -> Tuple[int, ...]:
-            x_prefix = prefix.copy()
-            absorb(x_prefix, x)
-            members = []
-            seen = set()
-            counter = 0
-            while len(members) < quorum_size:
-                hasher = x_prefix.copy()
-                absorb(hasher, counter)
-                candidate = int.from_bytes(hasher.digest(), "big") % n
-                counter += 1
-                if candidate not in seen:
-                    seen.add(candidate)
-                    members.append(candidate)
-            return tuple(sorted(members))
+            hasher = prefix.copy()
+            absorb(hasher, x)
+            return first_distinct(hasher, quorum_size, n)
 
         return compute
 
@@ -139,9 +130,6 @@ class QuorumSampler:
         """Smallest count that constitutes "more than half" of quorum ``(s, x)``."""
         return self.table(s).threshold(x)
 
-    #: alias used by the protocol layer; same O(1) precomputed lookup
-    threshold = majority_threshold
-
     # ------------------------------------------------------------------
     # inverse direction
     # ------------------------------------------------------------------
@@ -155,14 +143,6 @@ class QuorumSampler:
         calls are O(1).
         """
         return self.table(s).inverse_of(y)
-
-    def load_of(self, s: str, y: int) -> int:
-        """Number of quorums (over all ``x``) for string ``s`` that contain ``y``.
-
-        A node is *overloaded* (Definition in Section 2.2) for constant ``a``
-        when this exceeds ``a · d``; Lemma 1 requires that no node is.
-        """
-        return len(self.inverse(s, y))
 
     # ------------------------------------------------------------------
     # cache introspection (diagnostics and eviction tests)

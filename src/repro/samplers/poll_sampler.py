@@ -17,6 +17,9 @@ bound of Lemma 6).  Section 4.1 of the paper proves that a uniformly random
 digraph satisfies it with probability ``1 - o(n² 2^{-n})``; our keyed-hash
 construction is such a random digraph, and
 :func:`repro.samplers.properties.property2_holds` checks concrete instances.
+``J(x, r)`` is the sorted first ``d`` distinct draws of ``(seed, name, x, r,
+counter)``, made by :func:`repro.net.rng.first_distinct` — the member draw
+of ``I``, ``H``, the AE committees and :mod:`repro.vec.hashing` as well.
 
 Hot-path note: each ``(x, r)`` pair resolves to a cached
 :class:`~repro.samplers.tables.PollEntry` holding the sorted tuple, a
@@ -27,10 +30,9 @@ LRU (incremental eviction, never a full clear).
 
 from __future__ import annotations
 
-import random
 from typing import Tuple
 
-from repro.net.rng import absorb, hash_prefix
+from repro.net.rng import absorb, first_distinct, hash_prefix
 from repro.samplers.base import SamplerSpec
 from repro.samplers.tables import LRUCache, PollEntry
 
@@ -62,10 +64,6 @@ class PollSampler:
         # yields digests bit-identical to stable_hash(seed, name, x, r, counter).
         self._prefix = hash_prefix(spec.seed, name)
 
-    def random_label(self, rng: random.Random) -> int:
-        """Draw a fresh uniformly random label ``r ∈ R`` from a private RNG."""
-        return rng.randrange(self.label_space)
-
     # ------------------------------------------------------------------
     # entry access (the hot-path API)
     # ------------------------------------------------------------------
@@ -84,22 +82,10 @@ class PollSampler:
             return entry
         if not 0 <= r < self.label_space:
             raise ValueError(f"label {r} outside the label space [0, {self.label_space})")
-        pair_prefix = self._prefix.copy()
-        absorb(pair_prefix, x)
-        absorb(pair_prefix, r)
-        members = []
-        seen = set()
-        counter = 0
-        n = self.n
-        while len(members) < self.list_size:
-            hasher = pair_prefix.copy()
-            absorb(hasher, counter)
-            candidate = int.from_bytes(hasher.digest(), "big") % n
-            counter += 1
-            if candidate not in seen:
-                seen.add(candidate)
-                members.append(candidate)
-        entry = PollEntry(tuple(sorted(members)))
+        hasher = self._prefix.copy()
+        absorb(hasher, x)
+        absorb(hasher, r)
+        entry = PollEntry(first_distinct(hasher, self.list_size, self.n))
         self._entries.put(key, entry)
         self._hot_x, self._hot_r, self._hot_entry = x, r, entry
         return entry
@@ -119,9 +105,6 @@ class PollSampler:
         if x == self._hot_x and r == self._hot_r:
             return self._hot_entry.threshold
         return self.entry(x, r).threshold
-
-    #: alias used by the protocol layer; same O(1) precomputed lookup
-    threshold = majority_threshold
 
     # ------------------------------------------------------------------
     # cache introspection (diagnostics and eviction tests)

@@ -86,10 +86,6 @@ class LRUCache(Generic[K, V]):
         self.put(key, value)
         return value
 
-    def keys(self):
-        """Current keys, coldest first (for tests and diagnostics)."""
-        return list(self._data.keys())
-
 
 class QuorumTable:
     """All quorum facts about one string ``s``, filled lazily per node.

@@ -1,17 +1,21 @@
-"""Batched sampler draws, bit-identical to :func:`repro.net.rng.stable_hash`.
+"""Batched sampler draws, bit-identical to :func:`repro.net.rng.first_distinct`.
 
-The samplers draw quorum members as ``stable_hash(seed, name, s, x, counter)
-% n`` — a 16-byte blake2b digest over length-prefixed ``repr`` encodings.
-This module makes those draws for whole tables at once with the very calls
-the samplers make: one ``hashlib.blake2b`` per row over the key prefix and
-the row's parts, copied and finished once per counter (the
-:func:`repro.net.rng.hash_prefix` idiom).  Bit-identity with the message
+Every sampler draws its members through :func:`repro.net.rng.first_distinct`:
+counter ``c`` of a row keyed ``(seed, name, *parts)`` is ``stable_hash(seed,
+name, *parts, c) % n`` — a 16-byte blake2b digest over the length-prefixed
+``repr`` encoding of :func:`repro.net.rng.encode_parts` — and the row's
+members are its first ``d`` distinct draws, sorted.  This module makes
+those draws for whole tables at once with the very calls the samplers make:
+one ``hashlib.blake2b`` per row over the key prefix and the row's parts,
+copied and finished once per counter, and a row the batched draws leave
+short is handed to ``first_distinct`` itself.  Bit-identity with the message
 kernel — the guarantee the whole vectorized backend inherits — therefore
 holds by construction; only the ``% n`` reduction and the first-distinct
 selection are numpy.  That loop costs ~0.4 µs per draw, a third of what
 blake2b rounds written as numpy lane arithmetic cost, so there is no
 vectorized compression here to keep in step with RFC 7693.
-``tests/test_vec_hashing.py`` checks the draws against the Python samplers.
+``tests/test_vec_hashing.py`` checks the draws against ``first_distinct``
+and the Python samplers.
 
 A large :func:`first_distinct_rows` call hashes on every usable CPU: its
 rows are cut into contiguous blocks of at least :data:`MIN_BLOCK_ROWS`, one
@@ -40,19 +44,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.net.rng import encode_parts, first_distinct
+
 #: fewest rows a forked block hashes; below ~4 096 rows the fork and the
 #: copy back cost more than the block's share of the hashing saves
 MIN_BLOCK_ROWS = 1 << 12
-
-
-def encode_parts(*parts: object) -> bytes:
-    """The canonical length-prefixed encoding of :func:`repro.net.rng.absorb`."""
-    out = bytearray()
-    for part in parts:
-        encoded = repr(part).encode("utf-8")
-        out += len(encoded).to_bytes(4, "big")
-        out += encoded
-    return bytes(out)
 
 
 def batch_digest_mod(
@@ -65,11 +61,11 @@ def batch_digest_mod(
     """``stable_hash(*prefix_parts, c0[i], c1[i], ...) % n`` for every row ``i``.
 
     ``prefix`` is the already-encoded constant part list (via
-    :func:`encode_parts`); ``columns`` are equal-length integer arrays, each
-    absorbed as one further part per row.  With ``draws`` every row is
-    hashed once and finished with ``counter = first .. first + draws - 1``
-    as the last part, and the result is the ``(rows, draws)`` matrix of
-    those draws.
+    :func:`repro.net.rng.encode_parts`); ``columns`` are equal-length
+    integer arrays, each absorbed as one further part per row.  With
+    ``draws`` every row is hashed once and finished with ``counter = first
+    .. first + draws - 1`` as the last part, and the result is the ``(rows,
+    draws)`` matrix of those draws.
     """
     # without draws the one empty suffix finishes each row's own digest
     suffixes = [b""] if draws is None else [encode_parts(c) for c in range(first, first + draws)]
@@ -87,25 +83,6 @@ def batch_digest_mod(
     lo = (words[:, 1] % np.uint64(n)).astype(np.int64)
     values = (hi * ((1 << 64) % n) + lo) % n
     return values if draws is None else values.reshape(-1, draws)
-
-
-def _py_first_distinct(prefix: bytes, parts: Sequence[int], size: int, n: int) -> List[int]:
-    """The samplers' counter loop for one row, drawing until ``size`` are distinct."""
-    base = hashlib.blake2b(digest_size=16)
-    base.update(prefix)
-    base.update(encode_parts(*parts))
-    members: List[int] = []
-    seen = set()
-    counter = 0
-    while len(members) < size:
-        hasher = base.copy()
-        hasher.update(encode_parts(counter))
-        candidate = int.from_bytes(hasher.digest(), "big") % n
-        counter += 1
-        if candidate not in seen:
-            seen.add(candidate)
-            members.append(candidate)
-    return sorted(members)
 
 
 def _select_first_distinct(values: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -140,7 +117,8 @@ def _fill_rows(
 
     Every row hashes ``size`` counters; only a row with a repeat among them
     hashes up to ``extra_draws`` more, and a row still short of ``size``
-    distinct draws after those runs the samplers' own loop.
+    distinct draws after those is drawn by
+    :func:`repro.net.rng.first_distinct`.
     """
     rows = len(columns[0])
     # chunk so the list of digests (~64 bytes per draw as Python objects)
@@ -161,7 +139,8 @@ def _fill_rows(
             block[redo[resolved]] = picked
             redo = redo[~resolved]
         for i in redo:
-            block[i] = _py_first_distinct(prefix, [int(c[i]) for c in chunk], size, n)
+            row = encode_parts(*(int(c[i]) for c in chunk))
+            block[i] = first_distinct(hashlib.blake2b(prefix + row, digest_size=16), size, n)
 
 
 def _blocks(rows: int) -> List[Tuple[int, int]]:
@@ -251,8 +230,8 @@ def first_distinct_rows(
     representation).  ``size`` counters are hashed per row, and up to
     ``extra_draws`` more for a row with a repeat among them; the rare row
     with more hash collisions than that is resolved by
-    :func:`_py_first_distinct`.  Large calls hash their row blocks in
-    forked children (see the module docstring).
+    :func:`repro.net.rng.first_distinct`.  Large calls hash their row
+    blocks in forked children (see the module docstring).
     """
     columns = [np.asarray(c, dtype=np.int64) for c in columns]
     rows = len(columns[0])

@@ -33,11 +33,12 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import AERConfig
+from repro.net.rng import encode_parts
 from repro.samplers.tables import LRUCache
 from repro.vec.bitpack import bits_for, pack_rows, packed_width, unpack_rows
 # batch_digest_mod is unused here but stays bound on this module: the
 # outside-in bench tracer wraps it under this name.
-from repro.vec.hashing import batch_digest_mod, encode_parts, first_distinct_rows  # noqa: F401
+from repro.vec.hashing import batch_digest_mod, first_distinct_rows  # noqa: F401
 
 #: process-local provider cache (packed tables are ~100 MB per string at
 #: ``n = 10⁶``; keeping a few providers warm is the point)

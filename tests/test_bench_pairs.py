@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,9 @@ args = sys.argv[1:]
 here = pathlib.Path.cwd()
 if args[0] == "--compare":
     print("compare", *(sorted(p.name for p in pathlib.Path(d).iterdir()) for d in args[1:]))
+    saved = [json.loads(p.read_text())["workloads"]["alpha"]["untraced"]["metrics"]["wall_s"]
+             for p in sorted(pathlib.Path(args[2]).iterdir())]
+    print("saved change wall_s", [entry["value"] for entry in saved])
     sys.exit(3)
 seed = int(args[args.index("--seed") + 1])
 workload = args[args.index("--workload") + 1]
@@ -82,10 +86,7 @@ def test_pairs_alternate_share_a_seed_and_end_in_compare(pairs, capfd):
     assert "failed/attempted base 0/15, change 0/15" in out
     assert "compare ['pair-00.json', 'pair-01.json', 'pair-02.json'] " \
            "['pair-00.json', 'pair-01.json', 'pair-02.json']" in out
-    results = Path(next(line for line in out.splitlines() if line.startswith("result files: "))
-                   .split(": ", 1)[1])
-    saved = json.loads((results / "change" / "pair-01.json").read_text())
-    assert saved["workloads"]["alpha"]["untraced"]["metrics"]["wall_s"]["value"] == 7.5
+    assert "saved change wall_s [7.0, 7.5, 8.0]" in out
 
 
 def test_default_is_every_workload_of_the_manifest(pairs):
@@ -114,3 +115,16 @@ def test_a_run_that_prints_no_result_stops_the_script(pairs):
     (tmp / "base" / "bench" / "run.py").write_text("import sys; sys.exit('boom')")
     with pytest.raises(SystemExit, match="printed no result"):
         module.main([str(tmp / "base"), "--workload", "alpha", "--pairs", "1"])
+
+
+def test_no_result_directory_is_left_behind(pairs, monkeypatch):
+    module, tmp = pairs
+    scratch = tmp / "tmpdir"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    assert module.main([str(tmp / "base"), "--workload", "alpha", "--pairs", "2"]) == 3
+    assert not list(scratch.glob("bench-pairs-*"))
+    (tmp / "base" / "bench" / "run.py").write_text("import sys; sys.exit('boom')")
+    with pytest.raises(SystemExit, match="printed no result"):
+        module.main([str(tmp / "base"), "--workload", "alpha", "--pairs", "1"])
+    assert not list(scratch.glob("bench-pairs-*"))

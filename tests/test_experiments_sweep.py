@@ -215,6 +215,10 @@ class TestExecutorContract:
             )
             assert store.stats()["records"] == len(self.PLAN)  # one row per spec
         assert result.canonical_dict() == reference.canonical_dict()
+        # canonical_dict zeroes seconds; a served record keeps its original one
+        assert [result.records[i].to_dict() for i in served] == [
+            reference.records[i].to_dict() for i in served
+        ]
         assert result.served_from_store == len(served)
         assert result.served_from_resume == len(set(seeded) - set(stored))
         # served records first (plan order), then each fresh index once

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.net.rng import DeterministicRNG, derive_rng, random_bitstring, stable_hash
+from repro.net.rng import (
+    DeterministicRNG,
+    derive_rng,
+    encode_parts,
+    first_distinct,
+    hash_prefix,
+    random_bitstring,
+    stable_hash,
+)
 
 
 class TestStableHash:
@@ -42,6 +51,39 @@ class TestStableHash:
         assert stable_hash(a, b) == stable_hash(a, b)
         if a != b:
             assert stable_hash(a, b) != stable_hash(b, a)
+
+
+class TestEncodeParts:
+    def test_matches_stable_hash_encoding(self):
+        # encode_parts must be the same length-prefixed repr encoding that
+        # stable_hash absorbs — checked indirectly via a digest round-trip.
+        hasher = hashlib.blake2b(digest_size=16)
+        hasher.update(encode_parts(11, "name", 3))
+        assert int.from_bytes(hasher.digest(), "big") == stable_hash(11, "name", 3)
+
+
+#: sampler-shaped keys: a seed, a family name, then string and integer parts
+keys = st.tuples(
+    st.integers(0, 10**6),
+    st.sampled_from(["I", "H", "J", "ae-committee"]),
+    st.lists(st.one_of(st.text("01", max_size=40), st.integers(0, 10**9)), max_size=3),
+).map(lambda key: (key[0], key[1], *key[2]))
+
+
+class TestFirstDistinct:
+    @given(keys, st.integers(1, 12), st.one_of(st.integers(0, 4), st.integers(0, 10**6)))
+    @settings(max_examples=80, deadline=None)
+    def test_is_the_sorted_first_distinct_stable_hash_draws(self, key, size, slack):
+        # the reference is the committees' former loop, written out
+        n = size + slack
+        members, seen, counter = [], set(), 0
+        while len(members) < size:
+            candidate = stable_hash(*key, counter) % n
+            counter += 1
+            if candidate not in seen:
+                seen.add(candidate)
+                members.append(candidate)
+        assert first_distinct(hash_prefix(*key), size, n) == tuple(sorted(members))
 
 
 class TestDeriveRng:

@@ -135,7 +135,6 @@ class TestPollSamplerEntries:
         assert all(self.sampler.contains(1, 2, member) for member in members)
         outsider = next(i for i in range(SPEC.n) if i not in members)
         assert not self.sampler.contains(1, 2, outsider)
-        assert self.sampler.threshold(1, 2) == self.sampler.majority_threshold(1, 2)
 
     def test_hot_memo_alternation(self):
         a = self.sampler.poll_list(0, 1)

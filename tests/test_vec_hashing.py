@@ -14,6 +14,7 @@ is unsafe).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import threading
 import time
@@ -23,14 +24,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import AERConfig
-from repro.net.rng import stable_hash
+from repro.net.rng import encode_parts, first_distinct, stable_hash
 from repro.vec import hashing
-from repro.vec.hashing import (
-    MIN_BLOCK_ROWS,
-    batch_digest_mod,
-    encode_parts,
-    first_distinct_rows,
-)
+from repro.vec.hashing import MIN_BLOCK_ROWS, batch_digest_mod, first_distinct_rows
+
+
+def row_draw(prefix, row, size, n):
+    """``first_distinct`` over one row keyed by the encoded ``prefix`` and ``row``."""
+    return first_distinct(hashlib.blake2b(prefix + encode_parts(*row), digest_size=16), size, n)
 
 
 class TestBatchDigestMod:
@@ -165,7 +166,7 @@ def test_two_stage_draws_match_drawing_every_counter(
 ):
     # Reference: hash all size + extra_draws counters of every row, then
     # select.  The rows it resolves get the same members from the
-    # two-stage draws; the rest get the samplers' own loop.
+    # two-stage draws; the rest get first_distinct.
     n = size + slack
     prefix = encode_parts(*prefix_parts)
     rows = [row[:width] for row in table]
@@ -175,12 +176,12 @@ def test_two_stage_draws_match_drawing_every_counter(
     got = first_distinct_rows(prefix, columns, size, n, extra_draws=extra_draws)
     assert got[resolved].tolist() == picked.tolist()
     for row, members in zip(np.array(rows)[~resolved].tolist(), got[~resolved].tolist()):
-        assert members == hashing._py_first_distinct(prefix, row, size, n)
+        assert tuple(members) == row_draw(prefix, row, size, n)
 
 
 def test_only_rows_with_a_repeat_hash_extra_counters(monkeypatch):
     # d counters per row, extra_draws more only for a row repeating a draw
-    # among its first d, and the samplers' loop only for rows that the
+    # among its first d, and first_distinct only for rows that the
     # d + extra_draws counters leave short
     n, size, extra_draws = 211, 9, 4
     prefix = encode_parts(42, "H", "1010")
@@ -191,7 +192,7 @@ def test_only_rows_with_a_repeat_hash_extra_counters(monkeypatch):
         batch_digest_mod(prefix, [xs], n, size + extra_draws), size
     )
     hashed, fallbacks = [], []
-    real_digest, real_fallback = hashing.batch_digest_mod, hashing._py_first_distinct
+    real_digest, real_fallback = hashing.batch_digest_mod, hashing.first_distinct
 
     def digest(prefix, columns, n, draws=None, first=0):
         hashed.append(len(columns[0]) * draws)
@@ -202,7 +203,7 @@ def test_only_rows_with_a_repeat_hash_extra_counters(monkeypatch):
         return real_fallback(*args)
 
     monkeypatch.setattr(hashing, "batch_digest_mod", digest)
-    monkeypatch.setattr(hashing, "_py_first_distinct", fallback)
+    monkeypatch.setattr(hashing, "first_distinct", fallback)
     first_distinct_rows(prefix, [xs], size, n, extra_draws=extra_draws)
     assert 0 < repeats < len(xs)
     assert sum(hashed) == len(xs) * size + repeats * extra_draws
@@ -282,12 +283,12 @@ class TestForkedBlocks:
 
     def test_fallback_rows_in_children_match_serial(self, monkeypatch):
         # n = size + 1: nearly every row collides, so with no extra draws
-        # the children resolve theirs with the samplers' own loop
+        # the children resolve theirs with first_distinct
         args = (encode_parts(0, "J"), [np.arange(FORKED_ROWS)], 4, 5)
         forked = self._forked(monkeypatch, *args, extra_draws=0)
         assert np.array_equal(forked, self._serial(monkeypatch, *args, extra_draws=0))
         tail = FORKED_ROWS - 1
-        assert forked[tail].tolist() == hashing._py_first_distinct(args[0], [tail], 4, 5)
+        assert tuple(forked[tail].tolist()) == row_draw(args[0], [tail], 4, 5)
 
     def test_small_call_stays_serial(self, monkeypatch):
         _cpus(monkeypatch, 8)
@@ -361,13 +362,3 @@ class TestForkedBlocks:
         assert time.monotonic() - start < 30
         assert len(pids) == 2 and all(_reaped(pid) for pid in pids)
 
-
-class TestEncodeParts:
-    def test_matches_stable_hash_encoding(self):
-        # encode_parts must be the same length-prefixed repr encoding that
-        # stable_hash absorbs — checked indirectly via a digest round-trip.
-        import hashlib
-
-        hasher = hashlib.blake2b(digest_size=16)
-        hasher.update(encode_parts(11, "name", 3))
-        assert int.from_bytes(hasher.digest(), "big") == stable_hash(11, "name", 3)
