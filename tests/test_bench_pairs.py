@@ -117,14 +117,23 @@ def test_a_run_that_prints_no_result_stops_the_script(pairs):
         module.main([str(tmp / "base"), "--workload", "alpha", "--pairs", "1"])
 
 
-def test_no_result_directory_is_left_behind(pairs, monkeypatch):
-    module, tmp = pairs
-    scratch = tmp / "tmpdir"
+@pytest.fixture
+def system_tmp(tmp_path, monkeypatch):
+    scratch = tmp_path / "tmpdir"
     scratch.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    return scratch
+
+
+def test_no_result_directory_is_left_after_a_run(pairs, system_tmp):
+    module, tmp = pairs
     assert module.main([str(tmp / "base"), "--workload", "alpha", "--pairs", "2"]) == 3
-    assert not list(scratch.glob("bench-pairs-*"))
+    assert not list(system_tmp.glob("bench-pairs-*"))
+
+
+def test_no_result_directory_is_left_after_a_failed_run(pairs, system_tmp):
+    module, tmp = pairs
     (tmp / "base" / "bench" / "run.py").write_text("import sys; sys.exit('boom')")
     with pytest.raises(SystemExit, match="printed no result"):
         module.main([str(tmp / "base"), "--workload", "alpha", "--pairs", "1"])
-    assert not list(scratch.glob("bench-pairs-*"))
+    assert not list(system_tmp.glob("bench-pairs-*"))

@@ -85,6 +85,17 @@ class TestFirstDistinct:
                 members.append(candidate)
         assert first_distinct(hash_prefix(*key), size, n) == tuple(sorted(members))
 
+    @given(keys, st.integers(1, 40))
+    @settings(max_examples=30, deadline=None)
+    def test_size_n_draws_every_value(self, key, n):
+        assert first_distinct(hash_prefix(*key), n, n) == tuple(range(n))
+
+    def test_leaves_the_keyed_hasher_unchanged(self):
+        hasher = hash_prefix(7, "I", "0110")
+        before = hasher.digest()
+        first_distinct(hasher, 5, 9)
+        assert hasher.digest() == before
+
 
 class TestDeriveRng:
     def test_same_scope_same_stream(self):

@@ -294,13 +294,54 @@ def _writer_proc(path: str, base_seed: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# sweep integration without a store (the store paths are cells of
-# test_experiments_sweep.py::TestExecutorContract)
+# sweep integration: the zero-re-run contract
 # ----------------------------------------------------------------------
 PLAN = ExperimentPlan(ns=(24,), adversaries=("none", "silent"), seeds=(3,))
 
 
 class TestSweepIntegration:
+    def test_second_identical_sweep_executes_zero_protocol_runs(self, store):
+        first = SweepRunner(PLAN, jobs=1).run(store=store)
+        assert first.served_from_store == 0
+        executed_before = RUN_COUNTER["executed"]
+        second = SweepRunner(PLAN, jobs=1).run(store=store)
+        assert RUN_COUNTER["executed"] == executed_before  # zero protocol runs
+        assert second.served_from_store == len(second.records) == 2
+        # plan-order output is byte-identical, original measurements included
+        assert json.dumps([r.to_dict() for r in first.records]) == json.dumps(
+            [r.to_dict() for r in second.records]
+        )
+
+    def test_partial_store_runs_only_the_delta(self, store):
+        SweepRunner(ExperimentPlan(ns=(24,), seeds=(3,)), jobs=1).run(store=store)
+        grown = ExperimentPlan(ns=(24,), seeds=(3, 4))
+        executed_before = RUN_COUNTER["executed"]
+        result = SweepRunner(grown, jobs=1).run(store=store)
+        assert RUN_COUNTER["executed"] == executed_before + 1  # only seed 4
+        assert result.served_from_store == 1
+        assert [r.spec.seed for r in result.records] == [3, 4]  # plan order kept
+
+    def test_store_with_worker_pool_serves_and_flushes(self, store):
+        first = SweepRunner(PLAN, jobs=2).run(store=store)
+        assert first.served_from_store == 0
+        assert store.stats()["records"] == 2  # pooled records flushed too
+        second = SweepRunner(PLAN, jobs=2).run(store=store)
+        assert second.served_from_store == 2
+        for a, b in zip(first.records, second.records):
+            assert a.spec == b.spec and a.total_bits == b.total_bits
+
+    def test_on_record_fires_for_hits_and_fresh_runs(self, store):
+        events = []
+        SweepRunner(PLAN, jobs=1).run(
+            store=store, on_record=lambda i, r, served: events.append((i, served))
+        )
+        assert events == [(0, False), (1, False)]
+        events.clear()
+        SweepRunner(PLAN, jobs=1).run(
+            store=store, on_record=lambda i, r, served: events.append((i, served))
+        )
+        assert events == [(0, True), (1, True)]
+
     def test_seed_records_resume_without_a_store(self):
         complete = SweepRunner(PLAN, jobs=1).run()
         seeds = {spec_key(r.spec): r for r in complete.records[:1]}
