@@ -21,6 +21,10 @@ Layout
     bit-identical to the message backend's draws.  Stored only bit-packed
     (the ``n = 10⁶`` memory contract) and decoded per gather; a poll row is
     drawn once per provider and decoded by every later run that launches it.
+``labels``
+    The nodes' private label draws (``randrange`` on their ``derive_rng``
+    streams), replayed a batch at a time by re-running CPython's Mersenne
+    Twister seeding as uint32 array passes.
 ``engine``
     The vectorized AER synchronous round loop, streaming its Fw1/Fw2
     fan-outs under an explicit memory budget (``vec_memory_mb``).

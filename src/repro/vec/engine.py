@@ -31,8 +31,12 @@ default ``"random"``, where every uninformed correct node holds its own —
   every recipient set ``H(s, t)`` depends only on the target ``t``, both
   hops reduce to per-target weights (``bincount`` over flattened target
   indices) gathered once per *unique* active target;
-* per-node RNG streams are replayed lazily from a draw counter instead of
-  holding ``n`` ``random.Random`` objects (the old dominant term);
+* per-node RNG streams are replayed from a draw counter instead of holding
+  ``n`` ``random.Random`` objects (the old dominant term): a round's label
+  draws re-run CPython's Mersenne Twister seeding for the whole batch as
+  uint32 array passes (:mod:`repro.vec.labels`), keeping ``O(attempts)``
+  words per node in budget-sized node chunks, and only a small batch or a
+  rare row re-seeds one ``random.Random`` per node;
 * poll-row state is int32/bit-packed and built in batch blocks, not one
   Python array per row; pull-quorum rows are never duplicated into the row
   state — they stay bit-packed in the tables and are re-gathered per serve
@@ -64,8 +68,7 @@ through a capture context so its own RNG usage is identical.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -79,8 +82,9 @@ from repro.core.messages import PollMessage, PullMessage, PushMessage
 from repro.core.scenario import AERScenario
 from repro.net.metrics import MetricsSummary
 from repro.net.results import SimulationResult
-from repro.net.rng import absorb, derive_rng, hash_prefix
+from repro.net.rng import derive_rng
 from repro.vec.bitpack import BitMatrix
+from repro.vec.labels import draw_labels
 from repro.vec.tables import VecSamplerTables, tables_for
 
 #: default per-run temporary-memory budget (MB) when ``vec_memory_mb`` is not
@@ -137,33 +141,6 @@ def _capture_adversary_records(
     adversary.on_start()
     adversary.on_round(0, None)  # non-rushing synchronous turn
     return context.records
-
-
-def draw_labels(
-    seed: int, xs: Iterable[int], draw_count: np.ndarray, label_space: int
-) -> List[int]:
-    """Each node's next private label draw, in order, replayed from its counter.
-
-    Bit-identical to holding every node's ``derive_rng(seed, "node", x)``
-    stream open: one ``random.Random`` is re-seeded with that stream's seed
-    (``stable_hash(seed, "node", x)``), the node's ``draw_count[x]`` earlier
-    draws are discarded (every draw in both backends is exactly one
-    ``randrange``), and the counter advances as it goes, so a node listed
-    twice gets its next two draws.
-    """
-    prefix = hash_prefix(seed, "node")
-    rng = random.Random()
-    labels = []
-    for x in xs:
-        hasher = prefix.copy()
-        absorb(hasher, x)
-        rng.seed(int.from_bytes(hasher.digest(), "big"))
-        done = int(draw_count[x])
-        for _ in range(done):
-            rng.randrange(label_space)
-        draw_count[x] = done + 1
-        labels.append(rng.randrange(label_space))
-    return labels
 
 
 def bincount_rows(
@@ -282,6 +259,8 @@ class _VecRun:
         # accumulator spans a fixed 2¹² rows), so the rest is headroom for the
         # gathers and block bincounts made on those rows
         self._table_chunk = max(1024, budget // (4 * (tables.bits + 8) * d))
+        # label replays: draw_labels sizes its node chunks from the bytes
+        self._label_budget = budget
 
         # ---- population -------------------------------------------------
         self.is_correct = np.zeros(n, dtype=bool)
@@ -326,9 +305,9 @@ class _VecRun:
         self._stage_fw2: List[tuple] = []   # (row_indices, (k, d) occ)
         self._stage_ans: List[np.ndarray] = []  # row_indices, one per answer
 
-        #: per-node private draw counters — :func:`draw_labels` re-seeds the
-        #: node's ``derive_rng(seed, "node", x)`` stream and fast-forwards it
-        #: on demand, replacing the old dict of n live ``random.Random`` objects
+        #: per-node private draw counters — :func:`draw_labels` replays draw
+        #: number ``_draw_count[x]`` of node ``x``'s ``derive_rng(seed, "node",
+        #: x)`` stream, replacing the old dict of n live ``random.Random`` objects
         self._draw_count = np.zeros(n, dtype=np.int32)
         #: per-sid push votes at every node, kept from round 0 for round 1
         self._push_votes: List[np.ndarray] = []
@@ -423,7 +402,7 @@ class _VecRun:
         # is the node's first private RNG draw, exactly as in the kernel.
         labels = np.asarray(
             draw_labels(self.seed, self.correct.tolist(), self._draw_count,
-                        self.config.label_space),
+                        self.config.label_space, self._label_budget),
             dtype=np.int64,
         )
         self._launch_polls(self.correct, self.initial_sid[self.correct], labels, start=0)
@@ -531,7 +510,7 @@ class _VecRun:
         live_labels: List[int] = []
         labels = draw_labels(
             self.seed, [event[0] for event in events], self._draw_count,
-            self.config.label_space,
+            self.config.label_space, self._label_budget,
         )
         for (x, phase, _key, payload), label in zip(events, labels):
             if phase == 0:

@@ -71,6 +71,43 @@ class TestGoldenEquality:
                     data["spec"].pop("backend")
                 assert vectorized == message
 
+    @pytest.mark.parametrize(
+        "n, adversary, wrong_candidate_mode",
+        [
+            (48, "none", "common_wrong"),
+            (48, "quorum_flood", "common_wrong"),
+            (64, "push_flood", "common_wrong"),
+            (64, "none", "random"),
+            (96, "silent", "common_wrong"),
+        ],
+    )
+    def test_aer_exact_on_the_label_replay(self, monkeypatch, n, adversary, wrong_candidate_mode):
+        # Whole records with every label batch (round 0 and round 1) drawn by
+        # repro.vec.labels' numpy replay, which only batches of MIN_BATCH
+        # nodes or more take otherwise.
+        import repro.vec.labels as labels
+        from repro.experiments.sweep import execute_spec
+
+        calls = []
+        kernel = labels.first_outputs
+
+        def spy(keys, count):
+            calls.append(keys.shape[1])
+            return kernel(keys, count)
+
+        monkeypatch.setattr(labels, "MIN_BATCH", 1)
+        monkeypatch.setattr(labels, "first_outputs", spy)
+        spec = ExperimentSpec(
+            n=n, adversary=adversary, seed=5, wrong_candidate_mode=wrong_candidate_mode
+        )
+        message = execute_spec(spec).to_dict()
+        vectorized = execute_spec(spec.with_(backend="vectorized")).to_dict()
+        for data in (message, vectorized):
+            data.pop("seconds")
+            data["spec"].pop("backend")
+        assert vectorized == message
+        assert len(calls) >= 2  # round 0's batch and round 1's
+
     def test_sample_majority_exact(self):
         spec = {"n": 96, "protocol": "sample_majority", "adversary": "silent", "seed": 0}
         message = ExperimentSpec(**spec).run()

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.rng import (
     DeterministicRNG,
+    absorb,
     derive_rng,
     encode_parts,
     first_distinct,
@@ -141,6 +144,143 @@ class TestVecLabelDraws:
         assert counts[3] == 3 and counts[11] == 2 and counts[0] == 1
         # a later batch resumes every stream where the counter left it
         assert draw_labels(seed, [11], counts, space) == [streams[11].randrange(space)]
+
+
+#: around the replay's word boundaries (k = 32, 33, 64, 65 bits) and the
+#: backends' own spaces (n² at n = 96 and 20 000)
+LABEL_SPACES = [
+    2, 16, 2**32 - 1, 2**32, 2**32 + 1, 96**2, 20_000**2, 10**12,
+    2**64 - 1, 2**64, 2**64 + 1,
+]
+
+
+@contextlib.contextmanager
+def forced_replay():
+    """Every ``draw_labels`` batch takes the numpy replay; yields its kernel calls."""
+    import repro.vec.labels as labels
+
+    calls = []
+    kernel = labels.first_outputs
+
+    def spy(keys, count):
+        calls.append(keys.shape[1])
+        return kernel(keys, count)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(labels, "MIN_BATCH", 1)
+        patch.setattr(labels, "first_outputs", spy)
+        yield calls
+
+
+def stream_draws(seed, nodes, prior, space):
+    """What each node's open ``derive_rng`` stream draws next, after ``prior``."""
+    streams = {}
+    for x in sorted(set(nodes)):
+        streams[x] = derive_rng(seed, "node", x)
+        for _ in range(prior[x]):
+            streams[x].randrange(space)
+    return [streams[x].randrange(space) for x in nodes]
+
+
+class _TopWordZeroed:
+    """A node-key hasher whose digest loses its top word for even node ids."""
+
+    def __init__(self, hasher, short=False):
+        self.hasher, self.short = hasher, short
+
+    def copy(self):
+        return _TopWordZeroed(self.hasher.copy(), self.short)
+
+    def update(self, data):
+        self.hasher.update(data)
+        self.short = data[-1] % 2 == 0  # the id's last ASCII digit
+
+    def digest(self):
+        digest = self.hasher.digest()
+        return bytes(4) + digest[4:] if self.short else digest
+
+
+class TestLabelReplay:
+    """The numpy replay of ``draw_labels`` against the real ``random.Random`` streams."""
+
+    @pytest.mark.parametrize(
+        "key", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**96, 2**128 - 1]
+    )
+    def test_kernel_outputs_are_getrandbits_32(self, key):
+        from repro.vec.labels import first_outputs
+
+        length = max(1, -(-key.bit_length() // 32))  # the words Random.seed keys on
+        words = np.array([[(key >> 32 * w) & 0xFFFFFFFF] for w in range(length)], dtype=np.uint32)
+        rng = random.Random(key)
+        assert first_outputs(words, 227)[:, 0].tolist() == [rng.getrandbits(32) for _ in range(227)]
+
+    @given(st.lists(st.integers(2**96, 2**128 - 1), min_size=1, max_size=8), st.integers(1, 227))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_columns_are_independent_generators(self, keys, count):
+        from repro.vec.labels import first_outputs
+
+        words = np.array([[(k >> 32 * w) & 0xFFFFFFFF for k in keys] for w in range(4)], dtype=np.uint32)
+        out = first_outputs(words, count)
+        for column, key in enumerate(keys):
+            rng = random.Random(key)
+            assert out[:, column].tolist() == [rng.getrandbits(32) for _ in range(count)]
+
+    @pytest.mark.parametrize("space", LABEL_SPACES)
+    @given(
+        st.integers(0, 10**6),
+        st.lists(st.integers(0, 40), min_size=1, max_size=60),
+        st.lists(st.integers(0, 10), min_size=41, max_size=41),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_matches_the_node_streams(self, space, seed, nodes, prior):
+        from repro.vec.labels import draw_labels
+
+        counts = np.array(prior, dtype=np.int32)
+        expected = stream_draws(seed, nodes, prior, space)
+        with forced_replay() as calls:
+            assert draw_labels(seed, nodes, counts, space) == expected
+        assert counts.tolist() == [p + nodes.count(x) for x, p in enumerate(prior)]
+        assert bool(calls) == (space.bit_length() <= 64)
+
+    def test_draws_past_the_computed_words_take_the_node_loop(self):
+        from repro.vec.labels import draw_labels
+
+        nodes, prior = [0, 1, 2, 1], [0, 300, 2]
+        counts = np.array(prior, dtype=np.int32)
+        with forced_replay() as calls:
+            assert draw_labels(4, nodes, counts, 2) == stream_draws(4, nodes, prior, 2)
+        assert calls
+
+    def test_keys_under_four_words_take_the_node_loop(self, monkeypatch):
+        import repro.vec.labels as labels
+
+        monkeypatch.setattr(labels, "hash_prefix", lambda *parts: _TopWordZeroed(hash_prefix(*parts)))
+        nodes, space = list(range(40)) + [2, 3], 20_000**2
+
+        def key(x):
+            hasher = _TopWordZeroed(hash_prefix(9, "node")).copy()
+            absorb(hasher, x)
+            return int.from_bytes(hasher.digest(), "big")
+
+        assert key(2) < 2**96 <= key(3)
+        streams = {x: random.Random(key(x)) for x in set(nodes)}
+        expected = [streams[x].randrange(space) for x in nodes]
+        with forced_replay() as calls:
+            assert labels.draw_labels(9, nodes, np.zeros(40, dtype=np.int32), space) == expected
+        assert calls
+
+    def test_one_chunk_and_many_chunks_draw_the_same_labels(self):
+        from repro.vec.labels import draw_labels
+
+        nodes = list(range(3000)) + list(range(0, 3000, 7))
+        results = []
+        with forced_replay() as calls:
+            for budget in (None, 1):
+                counts = np.zeros(3000, dtype=np.int32)
+                results.append((draw_labels(2, nodes, counts, 20_000**2, budget), counts.tolist()))
+        assert results[0] == results[1]
+        assert calls[0] == 3000 and len(calls) > 2  # one chunk, then many
+        assert results[0][0][:5] == stream_draws(2, range(5), [0] * 5, 20_000**2)
 
 
 class TestRandomBitstring:
