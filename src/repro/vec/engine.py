@@ -29,8 +29,12 @@ default ``"random"``, where every uninformed correct node holds its own —
   and a whole-table pass decodes budget-sized chunks;
 * the Fw1/Fw2 fan-outs never materialise ``(rows, d, d)`` gathers: because
   every recipient set ``H(s, t)`` depends only on the target ``t``, both
-  hops reduce to per-target weights (``bincount`` over flattened target
-  indices) gathered once per *unique* active target;
+  hops reduce to per-target weights (scatter-adds over flattened target
+  indices) gathered once per *unique* active target — for the serves, once
+  per string and round, however many chunks the rows take;
+* a chunk loop does ``O(chunk)`` work per chunk (:func:`scatter_add` into
+  ``n``-length accumulators, applied once per phase), so a smaller budget
+  means more, smaller chunks, not more total work;
 * per-node RNG streams are replayed from a draw counter instead of holding
   ``n`` ``random.Random`` objects (the old dominant term): a round's label
   draws re-run CPython's Mersenne Twister seeding for the whole batch as
@@ -143,28 +147,43 @@ def _capture_adversary_records(
     return context.records
 
 
-def bincount_rows(
-    ids: np.ndarray, weights: np.ndarray, n: int, mask: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Per-id sums of ``weights[i]`` over every cell ``ids[i, j]`` (where ``mask``).
+def scatter_add(out: np.ndarray, ids: np.ndarray, weights) -> None:
+    """``out[ids] += weights`` (one scalar or one weight per id), repeats summed.
 
-    One ``bincount`` per block of ``max(1, n // d)`` rows instead of one per
-    column: the block's row weights repeated ``d``-fold never exceed one
-    ``n``-length float64 array, the size of the result itself.  The sums are
-    integer-valued float64 far below 2**53, so they are exact and
-    independent of the summation order.
+    The work is ``O(len(ids))``, never ``O(len(out))``, so a chunk loop that
+    adds into an ``n``-length accumulator costs what its chunk costs:
+    ``np.add.at`` for ids few against ``len(out)``, one ``bincount`` —
+    faster per id — once they are at least half as many.  Every value is an
+    integer far below 2**53, so both are exact.
+    """
+    if 2 * len(ids) < len(out):
+        # weights of another dtype would send add.at down numpy's slow path
+        np.add.at(out, ids, np.asarray(weights, dtype=out.dtype))
+    elif np.ndim(weights) == 0:
+        out += np.bincount(ids, minlength=len(out)) * weights
+    else:
+        out += np.bincount(ids, weights, minlength=len(out)).astype(out.dtype, copy=False)
+
+
+def bincount_rows(
+    ids: np.ndarray, weights: np.ndarray, out: np.ndarray, mask: Optional[np.ndarray] = None
+) -> None:
+    """Add ``weights[i]`` to ``out`` at every cell ``ids[i, j]`` (where ``mask``).
+
+    One :func:`scatter_add` per block of ``max(1, len(out) // d)`` rows
+    instead of one ``bincount`` per column: the block's row weights repeated
+    ``d``-fold never exceed one ``len(out)``-length array, and a few rows
+    cost a few rows, not a pass over ``out``.
     """
     k, d = ids.shape
-    total = np.zeros(n, dtype=np.float64)
-    step = max(1, n // d)
+    step = max(1, len(out) // d)
     for lo in range(0, k, step):
         block = ids[lo : lo + step].ravel()
         repeated = np.repeat(weights[lo : lo + step], d)
         if mask is not None:
             keep = mask[lo : lo + step].ravel()
             block, repeated = block[keep], repeated[keep]
-        total += np.bincount(block, weights=repeated, minlength=n)
-    return total
+        scatter_add(out, block, repeated)
 
 
 def _summary_from_arrays(
@@ -375,8 +394,8 @@ class _VecRun:
             )
             self.sent_msgs[xs[sel]] += 2 * self.size
             self.sent_bits[xs[sel]] += self.size * (self._poll_bits(s) + self._pull_bits(s))
-            self.stage_recv_bits += np.bincount(jmem.ravel(), minlength=self.n) * self._poll_bits(s)
-            self.stage_recv_bits += np.bincount(hmem.ravel(), minlength=self.n) * self._pull_bits(s)
+            scatter_add(self.stage_recv_bits, jmem.ravel(), self._poll_bits(s))
+            scatter_add(self.stage_recv_bits, hmem.ravel(), self._pull_bits(s))
         self._dispatched = True
 
     def _round0(self) -> None:
@@ -392,7 +411,7 @@ class _VecRun:
             targets_per_sender = np.zeros(n, dtype=np.int64)
             for start, rows in self.tables.iter_rows("I", s, self._table_chunk):
                 votes[start : start + len(rows)] = holders[rows].sum(axis=1)
-                targets_per_sender += np.bincount(rows.ravel(), minlength=n)
+                scatter_add(targets_per_sender, rows.ravel(), 1)
             self.sent_msgs[holders] += targets_per_sender[holders]
             self.sent_bits[holders] += targets_per_sender[holders] * push_bits
             self.stage_recv_bits += votes * push_bits
@@ -623,7 +642,7 @@ class _VecRun:
             self.r_fw2[rows_idx] += occ
         self._stage_fw2 = []
         for rows_idx in self._stage_ans:
-            self.r_ans += np.bincount(rows_idx, minlength=self.rows)
+            scatter_add(self.r_ans, rows_idx, 1)
         self._stage_ans = []
         newly_crossed = (self.r_crossed == -1) & (self.r_sv >= self.thr)
         self.r_crossed[newly_crossed] = rnd
@@ -661,6 +680,15 @@ class _VecRun:
         and otherwise the round it later decides ``s``.  Each server of a
         row dispatches the full first-hop fan-out: d Fw1 multicasts of d
         copies each.
+
+        Rows are gathered in budget-sized chunks (``H(s, origin)`` decoded
+        per chunk), but a chunk only adds to two per-string sums — the
+        serves each proxy dispatches and the server fan-outs that reach
+        each poll target — taken over every chunk of both windows, the
+        arrivals (served by believers) and the flush (served by this
+        round's late deciders).  :meth:`_emit_serves` then decodes each
+        active target's ``H(s, t)`` once per string and round, whatever the
+        budget.
         """
         arrivals = self.r_start == rnd - 1
         flush = self.r_start <= rnd - 2
@@ -668,6 +696,8 @@ class _VecRun:
             s = self.strings[int(sid)]
             bel = self._bel(sid)
             late = new_deciders & (self.dec_sid == sid) & (self.initial_sid != sid)
+            per_server = np.zeros(self.n, dtype=np.int64)
+            weight = np.zeros(self.n, dtype=np.float64)
             for window, servers_mask in ((arrivals, bel), (flush, late)):
                 if not servers_mask.any():
                     continue
@@ -682,42 +712,35 @@ class _VecRun:
                     active = counts > 0
                     if not active.any():
                         continue
-                    self._emit_serves(int(sid), rchunk[active], counts[active],
-                                      hmem[active], member_mask[active])
+                    rows_idx, counts = rchunk[active], counts[active]
+                    scatter_add(per_server, hmem[member_mask], 1)
+                    self._stage_sv.append((rows_idx, counts))
+                    bincount_rows(self.r_jmem[rows_idx], counts.astype(np.float64), weight)
+            if per_server.any():
+                self._emit_serves(int(sid), per_server, weight)
 
-    def _emit_serves(
-        self,
-        sid: int,
-        rows_idx: np.ndarray,
-        counts: np.ndarray,
-        hmem: np.ndarray,
-        member_mask: np.ndarray,
-    ) -> None:
-        """Account one batch of pull serves and stage their Fw1 deliveries.
+    def _emit_serves(self, sid: int, per_server: np.ndarray, weight: np.ndarray) -> None:
+        """Account one string's pull serves of a round and stage their Fw1 deliveries.
 
-        The Fw1 fan-out is streamed per *target*: every member of ``H(s,
-        t)`` receives one copy per server of every row that polls ``t``, so
-        the delivered counts are a gather over the unique active targets
-        with per-target weights — no ``(rows, d, d)`` staging matrix.
+        ``per_server[y]`` counts the rows proxy ``y`` serves, ``weight[t]``
+        the server fan-outs that reach poll target ``t``, both summed over
+        the round's chunks and windows.  The Fw1 fan-out is streamed per
+        *target*: every member of ``H(s, t)`` receives ``weight[t]``
+        copies, so the delivered counts are one gather over the unique
+        active targets, decoded once, in table-budget chunks — no ``(rows,
+        d, d)`` staging matrix.
         """
         s = self.strings[sid]
-        d = self.size
         fw1_bits = self._fw1_bits(s)
-        fanout = d * d
-        servers = hmem[member_mask]  # flat array of serving node ids
-        per_server = np.bincount(servers, minlength=self.n)
+        fanout = self.size * self.size
         self.sent_msgs += per_server * fanout
         self.sent_bits += per_server * (fanout * fw1_bits)
         self._dispatched = True
-        self._stage_sv.append((rows_idx, counts))
-        # per-target weight: how many server fan-outs reach each poll target
-        weight = bincount_rows(self.r_jmem[rows_idx], counts.astype(np.float64), self.n)
         active = np.nonzero(weight)[0]
         delivered = np.zeros(self.n, dtype=np.float64)
         for lo in range(0, len(active), self._table_chunk):
             tchunk = active[lo : lo + self._table_chunk]
-            h_rows = self.tables.rows("H", s, tchunk)  # (c, d)
-            delivered += bincount_rows(h_rows, weight[tchunk], self.n)
+            bincount_rows(self.tables.rows("H", s, tchunk), weight[tchunk], delivered)
         # exact: every accumulated value is an integer far below 2**53
         self.stage_recv_bits += delivered.astype(np.int64) * fw1_bits
 
@@ -761,7 +784,7 @@ class _VecRun:
         mult = np.zeros(n, dtype=np.int64)
         for lo in range(0, len(rows_idx), self._gather_chunk):
             chunk_rows = rows_idx[lo : lo + self._gather_chunk]
-            mult += np.bincount(self.r_jmem[chunk_rows].ravel(), minlength=n)
+            scatter_add(mult, self.r_jmem[chunk_rows].ravel(), 1)
         active = np.nonzero(mult)[0]
         cnt = np.zeros(n, dtype=np.int32)       # believing members of H(s, t)
         per_sender = np.zeros(n, dtype=np.float64)
@@ -770,13 +793,14 @@ class _VecRun:
             h_rows = self.tables.rows("H", s, tchunk)  # (c, d)
             mask = senders_mask[h_rows]
             cnt[tchunk] = mask.sum(axis=1)
-            per_sender += bincount_rows(h_rows, mult[tchunk].astype(np.float64), n, mask)
+            bincount_rows(h_rows, mult[tchunk].astype(np.float64), per_sender, mask)
         if not cnt[active].any():
             return  # no believing proxy anywhere: nothing sent, nothing staged
         sender_counts = per_sender.astype(np.int64)  # exact integer values
         self.sent_msgs += sender_counts
         self.sent_bits += sender_counts * fw2_bits
         self._dispatched = True
+        recv = np.zeros(n, dtype=np.int64)
         for lo in range(0, len(rows_idx), self._gather_chunk):
             chunk_rows = rows_idx[lo : lo + self._gather_chunk]
             targets = self.r_jmem[chunk_rows]  # (k, d)
@@ -784,10 +808,8 @@ class _VecRun:
             if not occ.any():
                 continue
             self._stage_fw2.append((chunk_rows, occ))
-            recv = np.bincount(
-                targets.ravel(), weights=occ.ravel(), minlength=n
-            ).astype(np.int64)
-            self.stage_recv_bits += recv * fw2_bits
+            scatter_add(recv, targets.ravel(), occ.ravel())
+        self.stage_recv_bits += recv * fw2_bits
 
     def _phase_answers(self, rnd: int) -> None:
         """Polled nodes whose Fw2 tally crossed the threshold answer their poll.
@@ -854,14 +876,14 @@ class _VecRun:
             gcols = gcols[keep]
             answerers = answerers[keep]
         self.r_answered.set_true(grows, gcols)
-        self.sent_msgs += np.bincount(answerers, minlength=self.n)
+        scatter_add(self.sent_msgs, answerers, 1)
         origins = self.r_origin[grows]
         row_sids = self.r_sid[grows]
         for sid in np.unique(row_sids):
             mask = row_sids == sid
             bits = int(self._ans_bits_by_sid[sid])
-            self.sent_bits += np.bincount(answerers[mask], minlength=self.n) * bits
-            self.stage_recv_bits += np.bincount(origins[mask], minlength=self.n) * bits
+            scatter_add(self.sent_bits, answerers[mask], bits)
+            scatter_add(self.stage_recv_bits, origins[mask], bits)
         self._stage_ans.append(grows)
         self._dispatched = True
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.rng import (
+    _CACHED_COUNTERS,
     DeterministicRNG,
     absorb,
     derive_rng,
@@ -92,6 +93,18 @@ class TestFirstDistinct:
     @settings(max_examples=30, deadline=None)
     def test_size_n_draws_every_value(self, key, n):
         assert first_distinct(hash_prefix(*key), n, n) == tuple(range(n))
+
+    @pytest.mark.parametrize("size", [290, 300])
+    def test_draws_past_the_encoded_counters(self, size):
+        # ~1 000 (290 of 300) and ~1 900 (all 300) counters: far past the
+        # pre-encoded ones, and the 290 kept depend on every draw's value
+        key, n = (5, "H", "0110", 9), 300
+        members, counter = set(), 0
+        while len(members) < size:
+            members.add(stable_hash(*key, counter) % n)
+            counter += 1
+        assert counter > 2 * _CACHED_COUNTERS
+        assert first_distinct(hash_prefix(*key), size, n) == tuple(sorted(members))
 
     def test_leaves_the_keyed_hasher_unchanged(self):
         hasher = hash_prefix(7, "I", "0110")

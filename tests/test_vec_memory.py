@@ -105,16 +105,38 @@ class TestBincountRows:
         [(50, 0, 7), (50, 37, 1), (100, 23, 7), (100, 28, 7), (5, 9, 7), (1000, 500, 41)],
     )
     @pytest.mark.parametrize("masked", [False, True])
-    def test_matches_per_column_loop(self, n, k, d, masked):
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_matches_per_column_loop(self, n, k, d, masked, dtype):
         from repro.vec.engine import bincount_rows
 
         rng = np.random.default_rng(n + k + d)
         ids = rng.integers(0, n, size=(k, d)).astype(np.int32)
-        weights = rng.integers(0, 1000, size=k).astype(np.float64)
+        weights = rng.integers(0, 1000, size=k).astype(dtype)
         mask = rng.random((k, d)) < 0.6 if masked else None
-        got = bincount_rows(ids, weights, n, mask)
-        assert got.shape == (n,)
-        assert (got == self.per_column(ids, weights, n, mask)).all()
+        before = rng.integers(0, 1000, size=n).astype(dtype)
+        out = before.copy()
+        bincount_rows(ids, weights, out, mask)  # adds into out
+        assert out.dtype == dtype
+        assert (out == before + self.per_column(ids, weights, n, mask)).all()
+
+
+class TestScatterAdd:
+    """``scatter_add`` equals ``np.add.at`` on both of its paths."""
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 49, 50, 51, 400])  # 2·m vs len(out) = 100
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_matches_add_at(self, m, scalar):
+        from repro.vec.engine import scatter_add
+
+        rng = np.random.default_rng(m)
+        ids = rng.integers(0, 100, size=m).astype(np.int32)
+        weights = 3 if scalar else rng.integers(0, 1000, size=m)
+        out = rng.integers(0, 1000, size=100)
+        expected = out.copy()
+        np.add.at(expected, ids, weights)
+        scatter_add(out, ids, weights)
+        assert out.dtype == np.int64
+        assert (out == expected).all()
 
 
 class TestBitMatrix:
@@ -337,16 +359,69 @@ def test_vectorized_cornering_is_pinned():
     # streams 59 packed I tables, each in two 1 MB chunks
     [(2048, "common_wrong"), (1100, "random")],
 )
-def test_undersized_budget_is_byte_identical(n, wrong_candidate_mode):
+# quorum_flood forces acceptances of a string no correct node holds: dead polls
+@pytest.mark.parametrize("adversary", ["push_flood", "quorum_flood"])
+def test_undersized_budget_is_byte_identical(n, wrong_candidate_mode, adversary):
     # 1 MB forces minimal chunks and maximal streaming — and must still
     # reproduce the default run's whole record exactly
     spec = ExperimentSpec(
-        n=n, adversary="push_flood", seed=0, backend="vectorized",
+        n=n, adversary=adversary, seed=0, backend="vectorized",
         wrong_candidate_mode=wrong_candidate_mode,
     )
     default, starved = _record(spec), _record(spec.with_(params={"vec_memory_mb": 1}))
     assert default.pop("spec") != starved.pop("spec")  # vec_memory_mb only
     assert default == starved
+
+
+def test_undersized_budget_serves_both_windows_in_several_chunks(monkeypatch):
+    # the case above whose per-string serve sums span chunks in both
+    # windows: arrivals (rows launched the round before, rounds 1-2) and
+    # the flush by late deciders (from the first decisions, round 5)
+    from repro.vec.engine import _VecRun
+
+    chunks = {}  # (round, sid, window) -> gather chunks with a server
+    serves = _VecRun._phase_serves
+
+    def spy(run, rnd, new_deciders):
+        staged = len(run._stage_sv)
+        serves(run, rnd, new_deciders)
+        for rows, _counts in run._stage_sv[staged:]:
+            window = "arrivals" if run.r_start[rows[0]] == rnd - 1 else "flush"
+            key = (rnd, int(run.r_sid[rows[0]]), window)
+            chunks[key] = chunks.get(key, 0) + 1
+
+    monkeypatch.setattr(_VecRun, "_phase_serves", spy)
+    ExperimentSpec(
+        n=2048, adversary="quorum_flood", seed=0, backend="vectorized",
+        wrong_candidate_mode="common_wrong", params={"vec_memory_mb": 1},
+    ).run()
+    for window in ("arrivals", "flush"):
+        assert max(k for (_r, _s, w), k in chunks.items() if w == window) >= 2
+
+
+@pytest.mark.parametrize("adversary", ["push_flood", "quorum_flood"])
+def test_budget_does_not_multiply_pull_quorum_decodes(monkeypatch, adversary):
+    # the serve phase sums every chunk before it decodes the poll targets'
+    # H rows, so a starved budget decodes exactly the default run's rows
+    decoded = []
+    rows = VecSamplerTables.rows
+
+    def counting(tables, family, s, xs):
+        if family == "H":
+            decoded.append(len(xs))
+        return rows(tables, family, s, xs)
+
+    monkeypatch.setattr(VecSamplerTables, "rows", counting)
+    spec = ExperimentSpec(
+        n=2048, adversary=adversary, seed=0, backend="vectorized",
+        wrong_candidate_mode="common_wrong",
+    )
+    spec.run()
+    default = sum(decoded)
+    decoded.clear()
+    spec.with_(params={"vec_memory_mb": 1}).run()
+    assert default > 0
+    assert sum(decoded) == default
 
 
 def test_vec_memory_mb_rejected_on_message_backend(small_scenario, small_config):
