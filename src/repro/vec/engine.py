@@ -811,6 +811,25 @@ class _VecRun:
             scatter_add(recv, targets.ravel(), occ.ravel())
         self.stage_recv_bits += recv * fw2_bits
 
+    def _answer_cells(self, rchunk: np.ndarray, bel: np.ndarray) -> Optional[tuple]:
+        """``(rows, cols)`` of the cells of ``rchunk`` that may answer now, or ``None``.
+
+        A call per chunk, so the chunk's ``(k, d)`` temporaries are freed
+        when it returns rather than held through the rest of the phase.
+        """
+        tallied = self.r_fw2[rchunk] >= self.thr
+        if not tallied.any():
+            return None  # e.g. rounds 1-2: the first Fw2 votes land in round 3
+        rr, cc = np.nonzero(
+            tallied
+            & self.r_polled.rows_bool(rchunk)
+            & ~self.r_answered.rows_bool(rchunk)
+            & bel[self.r_jmem[rchunk]]
+        )
+        if len(rr) == 0:
+            return None
+        return rchunk[rr].astype(np.int32), cc.astype(np.int16)
+
     def _phase_answers(self, rnd: int) -> None:
         """Polled nodes whose Fw2 tally crossed the threshold answer their poll.
 
@@ -826,17 +845,10 @@ class _VecRun:
             bel = self._bel(sid)
             rsel = np.nonzero((self.r_sid == sid) & (self.r_start <= rnd - 1))[0]
             for lo in range(0, len(rsel), self._gather_chunk):
-                rchunk = rsel[lo : lo + self._gather_chunk]
-                cond = (
-                    (self.r_fw2[rchunk] >= self.thr)
-                    & self.r_polled.rows_bool(rchunk)
-                    & ~self.r_answered.rows_bool(rchunk)
-                    & bel[self.r_jmem[rchunk]]
-                )
-                rr, cc = np.nonzero(cond)
-                if len(rr):
-                    grows_parts.append(rchunk[rr].astype(np.int32))
-                    gcols_parts.append(cc.astype(np.int16))
+                cells = self._answer_cells(rsel[lo : lo + self._gather_chunk], bel)
+                if cells is not None:
+                    grows_parts.append(cells[0])
+                    gcols_parts.append(cells[1])
         if not grows_parts:
             return
         grows = np.concatenate(grows_parts)
