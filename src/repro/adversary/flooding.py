@@ -18,7 +18,10 @@ traffic; what it *can* try is to inflate candidate lists:
   string), and pushes exactly those.  This is the "seize control of several
   Input Quorums" scenario from the paper's introduction, and it is why AER is
   *not* load-balanced: the victims end up verifying many strings.  Lemma 4's
-  claim is that the *total* damage remains ``O(n)`` strings.
+  claim is that the *total* damage remains ``O(n)`` strings.  Most strings
+  tried fail, so the search rejects a string as soon as ``d - d//2``
+  distinct correct members of its quorum have been drawn (the rest cannot
+  be a majority) and draws full quorums only for the strings it keeps.
 """
 
 from __future__ import annotations
@@ -101,7 +104,14 @@ class QuorumTargetedFloodAdversary(Adversary):
         return self.rng.sample(correct, count)
 
     def _find_forcible_strings(self, victim: int) -> List[Tuple[str, List[int]]]:
-        """Search random strings whose push quorum at ``victim`` has a corrupt majority."""
+        """Search random strings whose push quorum at ``victim`` has a corrupt majority.
+
+        Most candidates fail, so each is first put through
+        :meth:`_corrupt_majority`, which reads only a prefix of the quorum's
+        member draws; only the survivors are drawn in full (and cached) by
+        ``sampler.quorum``.  The strings tried, and so the adversary's RNG
+        state, are those of testing every full quorum.
+        """
         assert self.knowledge is not None
         config = self.knowledge.config
         sampler = self.knowledge.samplers.push
@@ -110,11 +120,36 @@ class QuorumTargetedFloodAdversary(Adversary):
             if len(found) >= self.max_forced_per_victim:
                 break
             candidate = random_bitstring(self.rng, config.string_length)
-            quorum = sampler.quorum(candidate, victim)
-            controlled = [member for member in quorum if member in self.byzantine_ids]
-            if len(controlled) > len(quorum) // 2:
-                found.append((candidate, controlled))
+            if self._corrupt_majority(sampler, candidate, victim):
+                quorum = sampler.quorum(candidate, victim)
+                found.append((candidate, [m for m in quorum if m in self.byzantine_ids]))
         return found
+
+    def _corrupt_majority(self, sampler, candidate: str, victim: int) -> bool:
+        """Whether more than half of ``I(candidate, victim)`` is byzantine.
+
+        The quorum is the first ``d`` distinct member draws, so the test
+        follows the draws in counter order and stops once either side has
+        its share: ``d//2 + 1`` distinct byzantine members make a corrupt
+        majority, and ``d - d//2`` distinct correct ones leave at most
+        ``d//2`` members to control, so no majority is possible.  One of
+        the two is reached by the ``d``-th distinct draw.
+        """
+        size = sampler.quorum_size
+        half = size // 2
+        byzantine = self.byzantine_ids
+        seen = set()
+        correct = 0
+        draws = sampler.member_draws(candidate, victim)
+        while len(seen) - correct <= half:
+            member = next(draws)
+            if member not in seen:
+                seen.add(member)
+                if member not in byzantine:
+                    correct += 1
+                    if correct == size - half:
+                        return False
+        return True
 
     def on_start(self) -> None:
         if self.knowledge is None:

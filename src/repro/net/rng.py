@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Tuple
+from typing import Iterator, Tuple
 
 
 class DeterministicRNG(random.Random):
@@ -102,6 +102,23 @@ def first_distinct(hasher, size: int, n: int) -> Tuple[int, ...]:
     return tuple(sorted(seen))
 
 
+def keyed_draws(hasher, n: int) -> Iterator[int]:
+    """Draws ``0, 1, 2, ...`` of a keyed row, mod ``n``, repeats included.
+
+    Draw ``c`` is ``stable_hash(*key, c) % n``, the sequence
+    :func:`first_distinct` keeps the first ``size`` distinct values of (it
+    inlines the same loop: a generator step would add ~7 % to every table
+    build).  A caller that decides from a prefix of the row, such as the
+    Lemma 4 adversary's majority test, stops drawing when it has decided.
+    """
+    counter = 0
+    while True:
+        draw = hasher.copy()
+        draw.update(_COUNTER_PARTS[counter] if counter < _CACHED_COUNTERS else _encode(counter))
+        yield int.from_bytes(draw.digest(), "big") % n
+        counter += 1
+
+
 def stable_hash(*parts: object) -> int:
     """Return a deterministic, platform-independent 128-bit hash of ``parts``.
 
@@ -126,6 +143,21 @@ def derive_rng(master_seed: int, *scope: object) -> DeterministicRNG:
     return DeterministicRNG(stable_hash(master_seed, *scope), label=label)
 
 
+#: byte -> ``"1"`` below 128, ``"0"`` from 128: a 32-bit word's top byte
+#: decides whether ``random()`` built on it is below 0.5
+_HALF_BIT = bytes(b"1"[0] if byte < 128 else b"0"[0] for byte in range(256))
+
+
 def random_bitstring(rng: random.Random, length: int) -> str:
-    """Return a uniformly random bit string (e.g. ``"011010"``) of ``length`` bits."""
-    return "".join("1" if rng.random() < 0.5 else "0" for _ in range(length))
+    """Return a uniformly random bit string (e.g. ``"011010"``) of ``length`` bits.
+
+    Bit ``i`` is ``"1"`` iff ``rng.random() < 0.5``, taken from one
+    ``getrandbits(64 * length)`` call.  ``random()`` combines two 32-bit
+    words as ``((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53``, which is below 0.5
+    iff ``w0 < 2**31``; ``getrandbits`` lays its words out least significant
+    first, so word ``2i`` has its top byte at byte ``8i + 3`` of the
+    little-endian bytes.  Both consume the same words, so the generator ends
+    in the same state as after ``length`` ``random()`` calls.
+    """
+    words = rng.getrandbits(64 * length).to_bytes(8 * length, "little")
+    return words[3::8].translate(_HALF_BIT).decode("ascii")

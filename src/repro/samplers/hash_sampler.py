@@ -27,9 +27,9 @@ lookups, instead of recomputing (or even re-scanning) quorum tuples.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
-from repro.net.rng import absorb, first_distinct, hash_prefix
+from repro.net.rng import absorb, first_distinct, hash_prefix, keyed_draws
 from repro.samplers.base import SamplerSpec
 from repro.samplers.tables import LRUCache, QuorumTable
 
@@ -121,6 +121,15 @@ class QuorumSampler:
         identical on every node evaluating it (shared sampler assumption).
         """
         return self.table(s).quorum(x)
+
+    def member_draws(self, s: str, x: int) -> Iterator[int]:
+        """The draws ``quorum(s, x)`` is made of, in counter order, repeats included.
+
+        The quorum is the sorted set of the first ``quorum_size`` distinct
+        values.  A caller that decides from a prefix of them (the Lemma 4
+        adversary's majority test) stops early and caches no table.
+        """
+        return keyed_draws(hash_prefix(self.spec.seed, self.name, s, x), self.n)
 
     def contains(self, s: str, x: int, member: int) -> bool:
         """Whether ``member`` belongs to the quorum of ``(s, x)`` — O(1)."""

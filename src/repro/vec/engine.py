@@ -420,8 +420,8 @@ class _VecRun:
         # Eager pull: every correct node polls its own candidate.  The label
         # is the node's first private RNG draw, exactly as in the kernel.
         labels = np.asarray(
-            draw_labels(self.seed, self.correct.tolist(), self._draw_count,
-                        self.config.label_space, self._label_budget),
+            draw_labels(self.seed, self.correct, self._draw_count,
+                        self.config.label_space, self._label_budget, self.tables.labels),
             dtype=np.int64,
         )
         self._launch_polls(self.correct, self.initial_sid[self.correct], labels, start=0)
@@ -529,7 +529,7 @@ class _VecRun:
         live_labels: List[int] = []
         labels = draw_labels(
             self.seed, [event[0] for event in events], self._draw_count,
-            self.config.label_space, self._label_budget,
+            self.config.label_space, self._label_budget, self.tables.labels,
         )
         for (x, phase, _key, payload), label in zip(events, labels):
             if phase == 0:

@@ -4,8 +4,9 @@ Every correct node draws its poll labels from its private stream
 ``derive_rng(seed, "node", x)`` (Section 2.1), a ``random.Random`` seeded
 with ``stable_hash(seed, "node", x)``, one ``randrange(label_space)`` per
 launched poll.  :func:`draw_labels` replays those draws from a per-node
-draw counter.  A large batch replays CPython's Mersenne Twister (Matsumoto
-& Nishimura, ACM TOMACS 1998) as uint32 array passes across all its nodes:
+draw counter.  A large batch of ``(node, draw index)`` pairs replays
+CPython's Mersenne Twister (Matsumoto & Nishimura, ACM TOMACS 1998) as
+uint32 array passes across all its nodes:
 
 * ``Random.seed(key)`` runs ``init_by_array`` on ``key``'s little-endian
   32-bit words over the fixed state ``init_genrand(19650218)``: two
@@ -20,9 +21,13 @@ draw counter.  A large batch replays CPython's Mersenne Twister (Matsumoto
   word ``>> (64 - k)`` as the high bits) and retries while the value is
   ``>= space``, so a node's ``i``-th draw is its ``i``-th accepted attempt.
 
+A node's draw ``i`` is a pure function of ``(seed, x, i)`` and the label
+space, so the table provider keeps the draws of its last seed
+(:class:`KeptLabels`) and a later run at that seed replays none of them.
+
 The per-node loop (re-seed one ``random.Random``, discard the earlier
 draws, draw) is the fallback for what the replay does not cover: batches
-under :data:`MIN_BATCH` nodes, label spaces over 64 bits, keys shorter than
+under :data:`MIN_BATCH` pairs, label spaces over 64 bits, keys shorter than
 four words (``stable_hash < 2**96``, about one node in 2³²) and draws whose
 index or rejections run past the attempts computed.  It is the
 definition ``tests/test_rng.py`` checks the replay against.
@@ -31,11 +36,15 @@ definition ``tests/test_rng.py`` checks the replay against.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.net.rng import absorb, hash_prefix
+
+#: draw indexes a :class:`KeptLabels` keeps: round 0's draw and round 1's
+#: first acceptance, all but a handful of a run's draws
+KEPT_DRAWS = 2
 
 #: batches smaller than this take the per-node loop: the replay's ~9 000
 #: array passes cost ~8 ms whatever the batch, the loop ~9 µs per node, and
@@ -156,12 +165,62 @@ def _draw(rng: random.Random, prefix, x: int, index: int, label_space: int) -> i
     return rng.randrange(label_space)
 
 
+class KeptLabels:
+    """Labels already drawn, by ``(node, draw index)``, for one seed at a time.
+
+    A node's draw ``i`` depends only on ``(seed, x, i)`` and the label space,
+    so a table provider keeps what its runs drew and :func:`draw_labels`
+    replays only the pairs it does not have.  Draw indexes below
+    :data:`KEPT_DRAWS` are kept, each as ``label + 1`` (0: not drawn yet) in
+    an ``n``-entry array: 4 bytes per node while labels fit 32 bits
+    (``n² < 2³²``), 8 above that (8 MB per draw index at ``n = 10⁶``), none
+    for label spaces over ``2⁶⁴ - 1``.  The arrays are made with the
+    provider, ahead of any run's temporaries, and zeroed when a run draws
+    at another seed, so a provider shared across node seeds keeps the last.
+    """
+
+    def __init__(self, n: int, label_space: int) -> None:
+        self.label_space = label_space
+        self._seed: Optional[int] = None
+        self._levels: List[np.ndarray] = []
+        if label_space < 1 << 64:
+            dtype = np.uint32 if label_space < 1 << 32 else np.uint64
+            self._levels = [np.zeros(n, dtype=dtype) for _ in range(KEPT_DRAWS)]
+
+    def find(self, seed: int, label_space: int, nodes: np.ndarray, index: np.ndarray):
+        """``(labels, known)`` for every ``(node, index)`` pair; ``None`` if none is kept."""
+        if seed != self._seed or label_space != self.label_space:
+            return None
+        labels = np.zeros(len(nodes), dtype=np.uint64)
+        for level, row in enumerate(self._levels):
+            at = np.nonzero(index == level)[0]
+            labels[at] = row[nodes[at]]
+        known = labels > 0
+        labels -= known
+        return labels, known
+
+    def keep(self, seed: int, label_space: int, nodes: np.ndarray, index: np.ndarray,
+             labels: List[int]) -> None:
+        """Keep the drawn ``labels`` of the ``(node, index)`` pairs."""
+        if label_space != self.label_space or not self._levels or len(nodes) == 0:
+            return
+        if seed != self._seed:
+            self._seed = seed
+            for level in self._levels:
+                level.fill(0)
+        values = np.asarray(labels, dtype=np.uint64) + np.uint64(1)
+        for level, row in enumerate(self._levels):
+            at = np.nonzero(index == level)[0]
+            row[nodes[at]] = values[at]
+
+
 def draw_labels(
     seed: int,
-    xs: Iterable[int],
+    xs: Sequence[int],
     draw_count: np.ndarray,
     label_space: int,
     budget_bytes: Optional[int] = None,
+    kept: Optional[KeptLabels] = None,
 ) -> List[int]:
     """Each node's next private label draw, in order, replayed from its counter.
 
@@ -169,30 +228,57 @@ def draw_labels(
     stream open: node ``x``'s label is draw number ``draw_count[x]`` of that
     stream (every draw in both backends is exactly one ``randrange``), and
     the counter advances as it goes, so a node listed twice gets its next
-    two draws.  A batch of at least :data:`MIN_BATCH` nodes is replayed in
-    numpy (module docstring), its temporaries cut into node chunks of at
-    most ``budget_bytes`` (one chunk of any size when ``None``).
+    two draws.  Pairs ``kept`` already holds are read from it; the others
+    are replayed and kept.  A replay of at least :data:`MIN_BATCH` pairs
+    runs in numpy (module docstring), its temporaries cut into node chunks
+    of at most ``budget_bytes`` (one chunk of any size when ``None``).
     """
-    xs = list(xs)
-    prefix = hash_prefix(seed, "node")
-    rng = random.Random()
-    bits = label_space.bit_length()
-    if len(xs) < MIN_BATCH or label_space < 1 or bits > 64:
-        labels = []
-        for x in xs:
-            index = int(draw_count[x])
-            draw_count[x] = index + 1
-            labels.append(_draw(rng, prefix, x, index, label_space))
-        return labels
-
     nodes = np.asarray(xs, dtype=np.int64)
     unique, inverse, counts = np.unique(nodes, return_inverse=True, return_counts=True)
-    # occurrences grouped by node, in batch order within a node
+    # a node's occurrences take its next draws in batch order
     order = np.argsort(inverse, kind="stable")
     rank = np.empty(len(nodes), dtype=np.int64)
     rank[order] = np.arange(len(nodes)) - np.repeat(np.cumsum(counts) - counts, counts)
     index = draw_count[nodes].astype(np.int64) + rank
     draw_count[unique] += counts.astype(draw_count.dtype)
+
+    found = None if kept is None else kept.find(seed, label_space, nodes, index)
+    if found is None:
+        drawn = _replay(seed, nodes, index, label_space, budget_bytes)
+        if kept is not None:
+            kept.keep(seed, label_space, nodes, index, drawn)
+        return drawn
+    labels, known = found
+    if known.all():
+        return labels.tolist()
+    todo = np.nonzero(~known)[0]
+    drawn = _replay(seed, nodes[todo], index[todo], label_space, budget_bytes)
+    kept.keep(seed, label_space, nodes[todo], index[todo], drawn)
+    result = labels.tolist()
+    for i, label in zip(todo.tolist(), drawn):
+        result[i] = label
+    return result
+
+
+def _replay(
+    seed: int,
+    nodes: np.ndarray,
+    index: np.ndarray,
+    label_space: int,
+    budget_bytes: Optional[int],
+) -> List[int]:
+    """Draw ``index[i]`` of node ``nodes[i]``'s stream, for every ``i``."""
+    prefix = hash_prefix(seed, "node")
+    rng = random.Random()
+    bits = label_space.bit_length()
+    if len(nodes) < MIN_BATCH or label_space < 1 or bits > 64:
+        return [
+            _draw(rng, prefix, x, i, label_space)
+            for x, i in zip(nodes.tolist(), index.tolist())
+        ]
+
+    unique, inverse = np.unique(nodes, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")  # occurrences grouped by node
 
     # Random.seed keys: the digest's big-endian words, least significant first
     digests = b"".join([_node_key(prefix, x) for x in unique.tolist()])
@@ -236,5 +322,5 @@ def draw_labels(
 
     result = labels.tolist()
     for i in np.nonzero(~resolved)[0].tolist():
-        result[i] = _draw(rng, prefix, xs[i], int(index[i]), label_space)
+        result[i] = _draw(rng, prefix, int(nodes[i]), int(index[i]), label_space)
     return result

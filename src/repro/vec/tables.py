@@ -19,7 +19,9 @@ Poll rows (``J``) are a packed table too, but a sparse one: ``J(x, r)`` is
 keyed by the pair, and a run only ever draws the labels its nodes' RNG
 streams produce.  Each distinct pair is hashed once per provider, stored
 bit-packed next to a sorted key index, and decoded on every later launch,
-so a second run at the same ``(n, seed)`` hashes no poll row at all.
+so a second run at the same ``(n, seed)`` hashes no poll row at all.  The
+labels those launches poll with are kept too (:class:`KeptLabels`), so
+that run replays no node's private draws either.
 
 Providers are cached per process (keyed by the sampler parameters) so bench
 repetitions and sweep workers reuse the expensive full tables, mirroring
@@ -39,6 +41,7 @@ from repro.vec.bitpack import bits_for, pack_rows, packed_width, unpack_rows
 # batch_digest_mod is unused here but stays bound on this module: the
 # outside-in bench tracer wraps it under this name.
 from repro.vec.hashing import batch_digest_mod, first_distinct_rows  # noqa: F401
+from repro.vec.labels import KeptLabels
 
 #: process-local provider cache (packed tables are ~100 MB per string at
 #: ``n = 10⁶``; keeping a few providers warm is the point)
@@ -140,6 +143,8 @@ class VecSamplerTables:
         self._poll: Optional[_PackedPollTable] = None
         if self.n * config.label_space <= np.iinfo(np.int64).max:
             self._poll = _PackedPollTable(_POLL_ROWS_PER_NODE * self.n, self.size, self.bits)
+        #: the nodes' private label draws of the last run's seed
+        self.labels = KeptLabels(self.n, config.label_space)
 
     # ------------------------------------------------------------------
     # quorum families I and H

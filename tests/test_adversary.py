@@ -250,3 +250,88 @@ class TestStrategyBehaviour:
         assert result.agreement_value() == small_scenario_module.gstring
         budgets = adversary._budget_left
         assert all(left >= 0 for left in budgets.values())
+
+
+class _Recorder:
+    """The adversary-facing context of one round-0 turn: it keeps every send."""
+
+    def __init__(self, n, byzantine_ids, seed):
+        from repro.net.rng import derive_rng
+
+        self.n = n
+        self.rng = derive_rng(seed, "adversary")
+        self.byzantine_ids = byzantine_ids
+        self.records = []
+
+    def now(self):
+        return 0.0
+
+    def send_as(self, byz_id, dest, message):
+        assert byz_id in self.byzantine_ids
+        self.records.append((byz_id, dest, message.candidate))
+
+
+class _FullQuorumSearch(QuorumTargetedFloodAdversary):
+    """The search as it was before the early reject: every candidate's full quorum."""
+
+    def _find_forcible_strings(self, victim):
+        config = self.knowledge.config
+        sampler = self.knowledge.samplers.push
+        found = []
+        for _ in range(self.strings_tried_per_victim):
+            if len(found) >= self.max_forced_per_victim:
+                break
+            candidate = "".join(
+                "1" if self.rng.random() < 0.5 else "0" for _ in range(config.string_length)
+            )
+            quorum = sampler.quorum(candidate, victim)
+            controlled = [member for member in quorum if member in self.byzantine_ids]
+            if len(controlled) > len(quorum) // 2:
+                found.append((candidate, controlled))
+        return found
+
+
+class TestQuorumFloodSearch:
+    """The early-rejecting Lemma 4 search against the full-quorum search it replaced."""
+
+    @staticmethod
+    def _turn(cls, scenario, config, seed):
+        knowledge = AdversaryKnowledge(
+            config=config, samplers=config.build_samplers(), scenario=scenario
+        )
+        adversary = cls(scenario.byzantine_ids, knowledge)
+        context = _Recorder(scenario.n, adversary.byzantine_ids, seed)
+        adversary.bind(context)
+        adversary.on_start()
+        return adversary.forced, context.records, context.rng.getstate()
+
+    def _check(self, scenario, config, seed):
+        got = self._turn(QuorumTargetedFloodAdversary, scenario, config, seed)
+        assert got == self._turn(_FullQuorumSearch, scenario, config, seed)
+        return got[0]
+
+    @pytest.mark.parametrize("n", [24, 48, 128, 1024])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_turn_as_the_full_quorum_search(self, n, seed):
+        from repro.core.config import AERConfig
+        from repro.core.scenario import make_scenario
+
+        config = AERConfig.for_system(n, sampler_seed=seed)
+        scenario = make_scenario(n, config=config, t=n // 6, knowledge_fraction=0.78, seed=seed)
+        self._check(scenario, config, seed)
+
+    @pytest.mark.parametrize("n, seed", [(24, 3), (48, 4), (128, 5)])
+    def test_same_turn_when_corrupt_majorities_are_common(self, n, seed):
+        from repro.core.config import AERConfig
+        from repro.core.scenario import make_scenario
+
+        # 40 % byzantine: many quorums have a corrupt majority, so victims
+        # reach max_forced_per_victim before their 200 tries run out
+        config = AERConfig.for_system(n, sampler_seed=seed)
+        scenario = make_scenario(
+            n, config=config, byzantine_ids=[x for x in range(n) if x % 5 < 2],
+            knowledge_fraction=0.51, seed=seed,
+        )
+        forced = self._check(scenario, config, seed)
+        assert any(len(strings) == 8 for strings in forced.values())
+        assert all(0 < len(strings) for strings in forced.values())

@@ -84,9 +84,12 @@ class TestGoldenEquality:
     def test_aer_exact_on_the_label_replay(self, monkeypatch, n, adversary, wrong_candidate_mode):
         # Whole records with every label batch (round 0 and round 1) drawn by
         # repro.vec.labels' numpy replay, which only batches of MIN_BATCH
-        # nodes or more take otherwise.
+        # nodes or more take otherwise.  A fresh provider cache: a provider
+        # an earlier case left at this (n, seed) would hand out kept labels.
         import repro.vec.labels as labels
+        import repro.vec.tables as vec_tables
         from repro.experiments.sweep import execute_spec
+        from repro.samplers.tables import LRUCache
 
         calls = []
         kernel = labels.first_outputs
@@ -97,6 +100,7 @@ class TestGoldenEquality:
 
         monkeypatch.setattr(labels, "MIN_BATCH", 1)
         monkeypatch.setattr(labels, "first_outputs", spy)
+        monkeypatch.setattr(vec_tables, "_PROVIDER_CACHE", LRUCache(4))
         spec = ExperimentSpec(
             n=n, adversary=adversary, seed=5, wrong_candidate_mode=wrong_candidate_mode
         )

@@ -101,6 +101,20 @@ def test_validating_a_vectorized_spec_loads_no_numpy(tmp_path):
     assert loaded == "[]"
 
 
+def test_a_message_backend_quorum_flood_run_loads_no_numpy(tmp_path):
+    # the Lemma 4 adversary's string search draws its quorum members with
+    # hashlib; the message path must stay numpy-free
+    done = _python(
+        "import sys\n"
+        "from repro.experiments.plan import ExperimentSpec\n"
+        "result = ExperimentSpec(n=32, adversary='quorum_flood', seed=1).run()\n"
+        "print(result.agreement, 'repro.adversary.flooding' in sys.modules,\n"
+        "      sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')))\n",
+        cwd=tmp_path,
+    )
+    assert done.stdout.split() == ["True", "True", "[]"]
+
+
 def test_the_vectorized_engines_read_their_adversaries_from_one_place():
     from repro import backends
     from repro.vec import engine, majority

@@ -18,6 +18,7 @@ from repro.net.rng import (
     encode_parts,
     first_distinct,
     hash_prefix,
+    keyed_draws,
     random_bitstring,
     stable_hash,
 )
@@ -111,6 +112,25 @@ class TestFirstDistinct:
         before = hasher.digest()
         first_distinct(hasher, 5, 9)
         assert hasher.digest() == before
+
+
+class TestKeyedDraws:
+    def test_are_the_stable_hash_draws_past_the_encoded_counters(self):
+        key, n = (3, "I", "1001", 4), 1000
+        draws = keyed_draws(hash_prefix(*key), n)
+        got = [next(draws) for _ in range(_CACHED_COUNTERS + 20)]
+        assert got == [stable_hash(*key, c) % n for c in range(_CACHED_COUNTERS + 20)]
+
+    @given(keys, st.integers(1, 12), st.integers(0, 50))
+    @settings(max_examples=40, deadline=None)
+    def test_first_distinct_keeps_their_first_distinct_values(self, key, size, slack):
+        n = size + slack
+        seen = set()
+        for value in keyed_draws(hash_prefix(*key), n):
+            seen.add(value)
+            if len(seen) == size:
+                break
+        assert first_distinct(hash_prefix(*key), size, n) == tuple(sorted(seen))
 
 
 class TestDeriveRng:
@@ -325,3 +345,17 @@ class TestRandomBitstring:
         bits = random_bitstring(random.Random(seed), length)
         assert len(bits) == length
         assert set(bits) <= {"0", "1"}
+
+    @given(
+        st.integers(min_value=0, max_value=300),
+        st.integers(),
+        st.sampled_from([random.Random, lambda seed: DeterministicRNG(seed, "bits")]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_is_the_per_bit_random_loop(self, length, seed, make):
+        # one getrandbits call against one random() call per bit: the same
+        # string, and the generator left in the same state
+        rng, reference = make(seed), make(seed)
+        expected = "".join("1" if reference.random() < 0.5 else "0" for _ in range(length))
+        assert random_bitstring(rng, length) == expected
+        assert rng.getstate() == reference.getstate()

@@ -333,6 +333,80 @@ def test_warm_provider_record_equals_cold(monkeypatch):
     assert drawn == []  # every warm run decoded its poll rows, none was re-hashed
 
 
+def _count_replays(monkeypatch):
+    """Record the label replays: node keys hashed and numpy kernel columns."""
+    import repro.vec.labels as labels
+
+    replays = []
+    node_key, kernel = labels._node_key, labels.first_outputs
+
+    def key_spy(prefix, x):
+        replays.append(("key", x))
+        return node_key(prefix, x)
+
+    def kernel_spy(keys, count):
+        replays.append(("kernel", keys.shape[1]))
+        return kernel(keys, count)
+
+    monkeypatch.setattr(labels, "_node_key", key_spy)
+    monkeypatch.setattr(labels, "first_outputs", kernel_spy)
+    return replays
+
+
+class TestKeptLabels:
+    """The provider keeps each node's label draws; later runs replay none."""
+
+    def test_a_second_run_at_the_same_seed_replays_no_label(self, monkeypatch):
+        # n = 2560: round 0's 2134 correct nodes take the numpy replay
+        monkeypatch.setattr(vec_tables, "_PROVIDER_CACHE", LRUCache(4))
+        replays = _count_replays(monkeypatch)
+        spec = ExperimentSpec(
+            n=2560, adversary="quorum_flood", seed=6, backend="vectorized",
+            wrong_candidate_mode="common_wrong",
+        )
+        first = _record(spec)
+        assert ("kernel", 2134) in replays
+        replays.clear()
+        assert _record(spec) == first
+        assert replays == []
+
+    def test_a_provider_shared_across_node_seeds_draws_each_seeds_labels(self, monkeypatch):
+        from repro.core.scenario import make_scenario
+
+        n = 1024
+        config = AERConfig.for_system(n)
+        scenario = make_scenario(n, config=config, t=n // 6, knowledge_fraction=0.78, seed=0)
+
+        def run(seed):
+            return run_aer(scenario, config=config, adversary_name="none", seed=seed,
+                           backend="vectorized")
+
+        fresh = {}
+        for seed in (1, 2):
+            monkeypatch.setattr(vec_tables, "_PROVIDER_CACHE", LRUCache(4))
+            fresh[seed] = run(seed)
+        assert fresh[1] != fresh[2]
+        monkeypatch.setattr(vec_tables, "_PROVIDER_CACHE", LRUCache(4))
+        shared = [run(seed) for seed in (1, 2, 1)]
+        assert shared == [fresh[1], fresh[2], fresh[1]]
+
+    def test_a_budget_bound_run_after_a_default_run_is_byte_identical(self, monkeypatch):
+        spec = ExperimentSpec(
+            n=1024, adversary="push_flood", seed=3, backend="vectorized",
+            wrong_candidate_mode="common_wrong",
+        )
+        starved = spec.with_(params={"vec_memory_mb": 1})
+        monkeypatch.setattr(vec_tables, "_PROVIDER_CACHE", LRUCache(4))
+        cold = _record(starved)
+        monkeypatch.setattr(vec_tables, "_PROVIDER_CACHE", LRUCache(4))
+        default = _record(spec)
+        replays = _count_replays(monkeypatch)
+        assert _record(starved) == cold
+        assert replays == []
+        assert default.pop("spec") != cold.pop("spec")
+        assert default == cold
+
+
 def test_vectorized_cornering_is_pinned():
     # the cornering pull requests draw their poll rows in one batch; these
     # are the per-key draws' totals (statistical-only against the kernel)
