@@ -38,7 +38,7 @@ def main() -> None:
         protocols=PROTOCOLS,
         adversaries=("silent",),
         seeds=(args.seed,),
-        t=None,  # every adapter defaults to t = n // 6
+        t=None,  # ExperimentSpec.byzantine_count: max(1, n // 6)
         knowledge_fraction=0.78,
     )
     sweep = api.SweepRunner(plan, jobs=args.jobs).run()

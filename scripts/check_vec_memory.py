@@ -12,8 +12,13 @@ pinned reference by more than the tolerance (default 20%).
 The references were recorded on the machine that records the committed
 BENCH baselines; RSS is far more stable across hosts than wall-clock (it
 is dominated by numpy array footprints, not CPU speed), so the guard is
-meaningful on shared runners too.  Message/bit totals are asserted
-exactly — the budget knob must never change results, only memory.  Each
+meaningful on shared runners too.  The child runs with glibc's
+``MALLOC_MMAP_THRESHOLD_`` pinned at 128 KiB (:data:`CHILD_ENV`): every
+array of that size or more then gets its own mapping, returned on free, so
+the peak tracks live arrays rather than where the heap happened to place
+long-lived small blocks (a few MB either way otherwise).  Message/bit
+totals are asserted exactly — the budget knob must never change results,
+only memory.  Each
 line also reports the case's wall-clock seconds, for the record only:
 nothing is gated on them.
 
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -65,6 +71,10 @@ EXPECTED_BITS = 430_025_526_439
 
 N_LARGE = 1_000_000
 
+#: the child's environment on top of ours: a fixed glibc mmap threshold, so
+#: heap placement of small long-lived blocks does not move the peak
+CHILD_ENV = {"MALLOC_MMAP_THRESHOLD_": "131072"}
+
 
 def _spec(n: int, vec_memory_mb) -> ExperimentSpec:
     params = {} if vec_memory_mb is None else {"vec_memory_mb": vec_memory_mb}
@@ -79,6 +89,7 @@ def _run_cold(spec: ExperimentSpec, timeout: int = 3600) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps(spec.to_dict())],
         capture_output=True, text=True, timeout=timeout, check=False,
+        env={**os.environ, **CHILD_ENV},
     )
     if proc.returncode != 0:
         raise RuntimeError(f"child failed for {spec.key}:\n{proc.stderr}")

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.statistics import distributions_equivalent, mean_ci
+from repro.backends import BACKENDS
 from repro.experiments.plan import ExperimentSpec
 
 #: metrics whose cross-seed distributions the statistical check compares
@@ -142,9 +143,9 @@ def check_statistical(
     for n in ns:
         samples: Dict[str, Dict[str, List[float]]] = {
             backend: {metric: [] for metric in metrics}
-            for backend in ("message", "vectorized")
+            for backend in BACKENDS
         }
-        for backend in ("message", "vectorized"):
+        for backend in BACKENDS:
             for seed in seeds:
                 values = _metric_values(_run(n, adversary, seed, backend, wrong_candidate_mode))
                 for metric in metrics:

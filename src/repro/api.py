@@ -200,7 +200,7 @@ def compare(
     call compares a heterogeneous mix.  The returned rows aggregate across
     seeds per ``(n, protocol)`` — the Figure-1-style comparison.
     """
-    adversary = shared.pop("adversary", "none")
+    adversary = shared.pop("adversary", ExperimentSpec.adversary)
     plan = ExperimentPlan(
         ns=tuple(ns),
         protocols=tuple(protocols),

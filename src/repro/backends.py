@@ -1,4 +1,4 @@
-"""What the vectorized backend supports, importable without numpy or the engine.
+"""The engine backends and what the vectorized one supports, without numpy.
 
 Validating a ``backend="vectorized"`` spec needs these names but must not
 load what they describe: a spec is validated by everything that names,
@@ -10,6 +10,9 @@ their tuples from here, so each is defined once.
 from __future__ import annotations
 
 from typing import Tuple
+
+#: engine backends: the per-message kernel (:mod:`repro.net`) and :mod:`repro.vec`
+BACKENDS: Tuple[str, ...] = ("message", "vectorized")
 
 #: adversary strategies the vectorized AER engine (:mod:`repro.vec.engine`)
 #: can replay.  ``cornering`` and ``cornering_nodelay`` are

@@ -15,8 +15,6 @@ baseline everywhere stages of this package:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.ae.protocol import run_ae_stage
 from repro.baselines.naive_broadcast import run_naive_broadcast
 from repro.baselines.sample_majority import SampleMajorityConfig, run_sample_majority
@@ -29,7 +27,8 @@ from repro.net.rng import derive_rng
 def run_composed_ba(
     n: int,
     strategy: str = "sample_majority",
-    t: Optional[int] = None,
+    *,
+    t: int,
     seed: int = 0,
     max_rounds: int = 64,
     trace=None,
@@ -39,10 +38,10 @@ def run_composed_ba(
     The committee structure and string length are chosen exactly as
     :class:`repro.core.ba.BAProtocol` chooses them (both call
     :func:`~repro.ae.protocol.run_ae_stage`), so the Figure 1b rows are an
-    apples-to-apples comparison.
+    apples-to-apples comparison.  ``t``, the number of corrupted nodes, has
+    no default here: the ``composed_ba`` adapter passes
+    ``ExperimentSpec.byzantine_count``.
     """
-    if t is None:
-        t = n // 6
     rng = derive_rng(seed, "composed-ba", n, strategy)
     byzantine_ids = frozenset(rng.sample(range(n), t))
 

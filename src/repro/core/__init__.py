@@ -22,15 +22,30 @@ Public surface
 
 The re-exports are lazy (:mod:`repro.lazy`): importing ``repro.core.config``
 for a parameter never loads the node state machine or the kernel, and
-validating a spec reads :data:`WRONG_CANDIDATE_MODES` without loading
-:mod:`repro.core.scenario`.
+validating a spec reads :data:`WRONG_CANDIDATE_MODES` and
+:func:`knowledgeable_count` without loading :mod:`repro.core.scenario`.
 """
+
+import math
 
 from repro.lazy import lazy_exports
 
 #: what the correct nodes that do not know ``gstring`` hold initially
 #: (``make_scenario``'s ``wrong_candidate_mode``)
 WRONG_CANDIDATE_MODES = ("random", "default", "common_wrong")
+
+
+def knowledgeable_count(n: int, t: int, knowledge_fraction: float) -> int:
+    """How many correct nodes ``make_scenario`` makes know ``gstring``: more than
+    ``knowledge_fraction · n`` and than ``n / 2``; ``ValueError`` if over ``n − t``."""
+    target = max(math.floor(knowledge_fraction * n) + 1, n // 2 + 1)
+    if target > n - t:
+        raise ValueError(
+            f"cannot make {target} of {n - t} correct nodes knowledgeable (n={n}, t={t}, "
+            f"knowledge_fraction={knowledge_fraction}); lower t or knowledge_fraction"
+        )
+    return target
+
 
 __all__, __getattr__ = lazy_exports(
     __name__,

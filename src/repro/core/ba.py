@@ -32,25 +32,21 @@ class BAConfig:
     """Parameters of the composed protocol.
 
     ``ae_committee_multiplier`` / ``quorum_multiplier`` feed the sub-protocol
-    configurations; ``t`` is the number of corrupted nodes (``⌊n/6⌋`` by
-    default — see the note on finite-``n`` constants on
+    configurations; ``t`` is the number of corrupted nodes.  It has no
+    default here: the ``full_ba`` adapter passes ``ExperimentSpec.byzantine_count``
+    (see the note on finite-``n`` constants on
     :class:`repro.protocols.builtin.AERProtocolAdapter` and EXPERIMENTS.md;
     the bound tolerated asymptotically is ``(1/3 − ε)n``).
     """
 
     n: int
-    t: Optional[int] = None
+    t: int
     seed: int = 0
     aer_mode: str = "sync"          #: ``"sync"`` or ``"async"`` for the AER stage
     rushing: bool = False           #: rushing adversary in the synchronous AER stage
     quorum_multiplier: float = 2.0
     ae_committee_multiplier: float = 2.0
     max_rounds: int = 64
-
-    @property
-    def byzantine_count(self) -> int:
-        """Number of corrupted nodes."""
-        return self.t if self.t is not None else self.n // 6
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,7 @@ class BAProtocol:
         rng = derive_rng(config.seed, "ba", config.n)
         if byzantine_ids is None:
             self.byzantine_ids = frozenset(
-                rng.sample(range(config.n), config.byzantine_count)
+                rng.sample(range(config.n), config.t)
             )
         else:
             self.byzantine_ids = frozenset(byzantine_ids)

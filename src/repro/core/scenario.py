@@ -12,11 +12,10 @@ by :func:`make_scenario`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
-from repro.core import WRONG_CANDIDATE_MODES
+from repro.core import WRONG_CANDIDATE_MODES, knowledgeable_count
 from repro.core.aer import AERNode
 from repro.core.config import AERConfig, SamplerSuite
 from repro.net.rng import derive_rng, random_bitstring
@@ -75,14 +74,19 @@ class AERScenario:
 def make_scenario(
     n: int,
     config: Optional[AERConfig] = None,
-    t: Optional[int] = None,
-    knowledge_fraction: float = 0.56,
-    wrong_candidate_mode: str = "random",
+    *,
+    t: Optional[int],
+    knowledge_fraction: float,
+    wrong_candidate_mode: str,
     byzantine_ids: Optional[Sequence[int]] = None,
     gstring: Optional[str] = None,
     seed: int = 0,
 ) -> AERScenario:
     """Synthesise an almost-everywhere state for a system of ``n`` nodes.
+
+    The scenario knobs ``t``, ``knowledge_fraction`` and
+    ``wrong_candidate_mode`` have no default here; ``ExperimentSpec`` holds
+    their only defaults.
 
     Parameters
     ----------
@@ -90,14 +94,13 @@ def make_scenario(
         Protocol configuration (used for the string length); defaults to
         :meth:`AERConfig.for_system`.
     t:
-        Number of Byzantine nodes; defaults to ``⌊n/4⌋`` (well inside the
-        ``t < (1/3 − ε)n`` bound so the precondition is satisfiable even at
-        small ``n``).  When ``byzantine_ids`` is given and ``t`` is omitted,
-        ``t`` is derived from the explicit corrupt set; giving both with
+        Number of Byzantine nodes.  ``None`` only beside an explicit
+        ``byzantine_ids``, whose size it then is; giving both with
         mismatching sizes is an error.
     knowledge_fraction:
-        Fraction of *all* nodes that are correct and start with ``gstring``;
-        must exceed 1/2.
+        More than this fraction of *all* nodes (and more than half) are
+        correct and start with ``gstring``
+        (:func:`repro.core.knowledgeable_count`).
     wrong_candidate_mode:
         What the remaining correct nodes hold initially — ``"random"`` (each
         a fresh random string), ``"default"`` (all the all-zeros string) or
@@ -118,38 +121,25 @@ def make_scenario(
         config = AERConfig.for_system(n)
     rng = derive_rng(seed, "scenario", n)
 
-    if byzantine_ids is None:
-        if t is None:
-            t = n // 4
-        if t >= n:
-            raise ValueError("t must be smaller than n")
-        byz = frozenset(rng.sample(range(n), t))
-    else:
-        byz = frozenset(byzantine_ids)
-        if t is None:
-            # An explicit corrupt set fully determines t; deriving it here
-            # (instead of silently defaulting to n // 4) keeps the size checks
-            # below honest.
-            t = len(byz)
-        elif len(byz) != t:
+    if byzantine_ids is not None:
+        byzantine_ids = frozenset(byzantine_ids)
+        if t not in (None, len(byzantine_ids)):
             raise ValueError(
-                f"explicit byzantine_ids ({len(byz)} nodes) conflict with explicit t={t}"
+                f"explicit byzantine_ids ({len(byzantine_ids)} nodes) conflict with explicit t={t}"
             )
-        if t >= n:
-            raise ValueError("t must be smaller than n")
+        t = len(byzantine_ids)
+    elif t is None:
+        raise ValueError("give t or an explicit byzantine_ids")
+    if t >= n:
+        raise ValueError("t must be smaller than n")
+    byz = frozenset(rng.sample(range(n), t)) if byzantine_ids is None else byzantine_ids
     correct = [i for i in range(n) if i not in byz]
 
     if gstring is None:
         gstring = random_bitstring(rng, config.string_length)
 
-    knowledgeable_target = int(math.floor(knowledge_fraction * n)) + 1
-    knowledgeable_target = max(knowledgeable_target, n // 2 + 1)
-    if knowledgeable_target > len(correct):
-        raise ValueError(
-            f"cannot make {knowledgeable_target} of {len(correct)} correct nodes "
-            "knowledgeable; lower t or the knowledge fraction"
-        )
-    knowledgeable = set(rng.sample(correct, knowledgeable_target))
+    target = knowledgeable_count(n, len(byz), knowledge_fraction)
+    knowledgeable = set(rng.sample(correct, target))
 
     wrong_common = random_bitstring(rng, config.string_length)
     candidates: Dict[int, str] = {}

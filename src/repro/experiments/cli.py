@@ -120,8 +120,10 @@ from dataclasses import fields
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.experiments import compare_rows, format_table, run_result_row
+from repro.backends import BACKENDS
 from repro.experiments.plan import ExperimentPlan, ExperimentSpec
 from repro.experiments.sweep import SweepResult, SweepRunner, run_sweep
+from repro.trace.probes import TRACE_MODES
 
 
 def _csv_ints(text: str) -> List[int]:
@@ -165,7 +167,7 @@ def _add_shared_spec_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         default=ExperimentSpec.backend,
-        choices=["message", "vectorized"],
+        choices=BACKENDS,
         help="engine backend: 'message' (per-message kernel, the oracle) or "
              "'vectorized' (whole-round numpy engine; sync, non-rushing, "
              "untraced protocols only)",
@@ -202,7 +204,7 @@ def _add_trace_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
         default=ExperimentSpec.trace,
-        choices=["off", "summary", "full"],
+        choices=TRACE_MODES,
         help="instrumentation level: summary attaches a TraceSummary to every "
              "record, full additionally streams per-event JSONL (default: off)",
     )

@@ -24,6 +24,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, ClassVar, Dict, List, Mapping, Optional, Tuple
 
+from repro.backends import BACKENDS
 from repro.core import WRONG_CANDIDATE_MODES
 from repro.faults import FaultSchedule
 from repro.trace.probes import TRACE_MODES
@@ -155,6 +156,11 @@ class ExperimentSpec:
             return base
         return f"{self.protocol}:{base}"
 
+    @property
+    def byzantine_count(self) -> int:
+        """``t``, or ``max(1, ⌊n/6⌋)`` if unset: the one ``t`` rule, which every adapter passes down."""
+        return self.t if self.t is not None else max(1, self.n // 6)
+
     def changed_knobs(self) -> Tuple[str, ...]:
         """The knob fields that differ from their defaults."""
         return tuple(
@@ -189,10 +195,10 @@ class ExperimentSpec:
                 f"unknown trace mode {self.trace!r} "
                 f"(expected {', '.join(repr(m) for m in TRACE_MODES)})"
             )
-        if self.backend not in ("message", "vectorized"):
+        if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r} "
-                f"(expected 'message' or 'vectorized')"
+                f"(expected {', '.join(repr(b) for b in BACKENDS)})"
             )
         if self.wrong_candidate_mode not in WRONG_CANDIDATE_MODES:
             raise ValueError(

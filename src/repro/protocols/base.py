@@ -358,10 +358,10 @@ class ProtocolAdapter:
                     f"protocol {self.name!r} does not accept knob {knob!r} "
                     f"(accepted: {', '.join(sorted(self.knobs)) or 'none'})"
                 )
-        if spec.t is not None and not 0 <= spec.t < spec.n:
+        if "t" in self.knobs and not 0 <= spec.byzantine_count < spec.n:
             raise ValueError(
                 f"t must satisfy 0 <= t < n: at least one node stays "
-                f"correct (got t={spec.t} with n={spec.n})"
+                f"correct (got t={spec.byzantine_count} with n={spec.n})"
             )
 
     def relax_spec(self, spec: "ExperimentSpec") -> "ExperimentSpec":

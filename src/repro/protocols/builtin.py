@@ -21,6 +21,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.backends import VEC_ADVERSARIES, VEC_MAJORITY_ADVERSARIES
+from repro.core import knowledgeable_count
 from repro.protocols.base import ProtocolAdapter, RunResult, register_protocol
 from repro.protocols.scenarios import make_scenario_by_name
 
@@ -52,34 +53,29 @@ def _config_and_scenario(spec, p) -> Tuple[AERConfig, AERScenario]:
     """
     from repro.core.config import AERConfig
 
-    n, seed = spec.n, spec.seed
-    t = spec.t if spec.t is not None else max(1, n // 6)
     config = AERConfig.for_system(
-        n, sampler_seed=seed, quorum_multiplier=spec.quorum_multiplier
+        spec.n, sampler_seed=spec.seed, quorum_multiplier=spec.quorum_multiplier
     )
     scenario = make_scenario_by_name(
-        str(p["scenario"]),
-        n,
-        config,
-        seed,
-        t=t,
-        knowledge_fraction=spec.knowledge_fraction,
-        wrong_candidate_mode=spec.wrong_candidate_mode,
+        str(p["scenario"]), spec.n, config, spec.seed, t=spec.byzantine_count,
+        knowledge_fraction=spec.knowledge_fraction, wrong_candidate_mode=spec.wrong_candidate_mode,
     )
     return config, scenario
 
 
 def _validate_scenario(spec, p) -> None:
-    """``from_ae`` draws knowledge from a substrate run: no scenario knob applies."""
-    if p["scenario"] != "from_ae":
-        return
-    for knob in ("knowledge_fraction", "wrong_candidate_mode"):
-        if knob in spec.changed_knobs():
-            raise ValueError(
-                f"scenario='from_ae' generates its own knowledge state and "
-                f"ignores {knob} (got {knob}={getattr(spec, knob)!r}); leave "
-                "it at its default or use scenario='synthetic'"
-            )
+    """A synthetic scenario must be feasible; ``from_ae`` draws knowledge
+    from a substrate run, so no scenario knob applies to it."""
+    if p["scenario"] == "synthetic":
+        knowledgeable_count(spec.n, spec.byzantine_count, spec.knowledge_fraction)
+    elif p["scenario"] == "from_ae":
+        for knob in ("knowledge_fraction", "wrong_candidate_mode"):
+            if knob in spec.changed_knobs():
+                raise ValueError(
+                    f"scenario='from_ae' generates its own knowledge state and "
+                    f"ignores {knob} (got {knob}={getattr(spec, knob)!r}); leave "
+                    "it at its default or use scenario='synthetic'"
+                )
 
 
 def _traced(run_result: RunResult, trace) -> RunResult:
@@ -119,11 +115,12 @@ def _resolve_delay_policy(params: Dict[str, object]) -> Optional[DelayPolicy]:
 class AERProtocolAdapter(ProtocolAdapter):
     """The paper's AER protocol on a named scenario generator.
 
-    The defaults (``t = n/6`` corrupted nodes, 78% of all nodes correct and
-    knowledgeable — i.e. essentially all correct nodes, which the paper's
-    "all but a 1/4 fraction of the correct nodes know gstring" formulation
-    allows) satisfy the protocol's assumptions with a comfortable margin at
-    the laptop-scale ``n`` used in the experiments.  The asymptotic bound
+    The spec's defaults (``t = max(1, ⌊n/6⌋)`` corrupted nodes, 78% of all
+    nodes correct and knowledgeable — i.e. essentially all correct nodes,
+    which the paper's "all but a 1/4 fraction of the correct nodes know
+    gstring" formulation allows) satisfy the protocol's assumptions with a
+    comfortable margin at the laptop-scale ``n`` used in the experiments.
+    No lower layer has defaults of its own.  The asymptotic bound
     ``t < (1/3 − ε)n`` with knowledge barely above ``n/2`` requires quorums
     of ``c log n`` nodes for a much larger constant ``c`` than is practical
     at small ``n``; the stress benchmarks sweep these margins explicitly and
@@ -252,7 +249,7 @@ class FullBAAdapter(ProtocolAdapter):
         p = self.resolve_params(spec)
         config = BAConfig(
             n=spec.n,
-            t=spec.t,
+            t=spec.byzantine_count,
             seed=spec.seed,
             aer_mode=spec.mode,
             rushing=spec.rushing,
@@ -293,7 +290,7 @@ class ComposedBAAdapter(ProtocolAdapter):
         result = run_composed_ba(
             spec.n,
             strategy=str(p["strategy"]),
-            t=spec.t,
+            t=spec.byzantine_count,
             seed=spec.seed,
             max_rounds=int(p["max_rounds"]),  # type: ignore[call-overload]
             trace=trace,

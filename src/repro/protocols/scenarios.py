@@ -13,13 +13,15 @@ consume an :class:`~repro.core.scenario.AERScenario`.  The registry makes the
   one.
 
 A generator is called as ``generator(n, config, seed, **kwargs)`` and must
-return an ``AERScenario``.  Register custom ones with
+return an ``AERScenario``; the adapters pass the spec's ``t``
+(``ExperimentSpec.byzantine_count``), ``knowledge_fraction`` and
+``wrong_candidate_mode`` as keywords.  Register custom ones with
 :func:`register_scenario`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.registry import Registry
 
@@ -46,24 +48,14 @@ def make_scenario_by_name(
 
 @register_scenario("synthetic")
 def synthetic_scenario(
-    n: int,
-    config: AERConfig,
-    seed: int,
-    t: Optional[int],
-    knowledge_fraction: float,
-    wrong_candidate_mode: str,
-    **_ignored,
+    n: int, config: AERConfig, seed: int, *, t: int, knowledge_fraction: float, wrong_candidate_mode: str
 ) -> AERScenario:
     """Draw the almost-everywhere state directly from the seed (the default)."""
     from repro.core.scenario import make_scenario
 
     return make_scenario(
-        n,
-        config=config,
-        t=t,
-        knowledge_fraction=knowledge_fraction,
-        wrong_candidate_mode=wrong_candidate_mode,
-        seed=seed,
+        n, config, t=t, knowledge_fraction=knowledge_fraction,
+        wrong_candidate_mode=wrong_candidate_mode, seed=seed,
     )
 
 
@@ -72,7 +64,7 @@ def ae_generated_scenario(
     n: int,
     config: AERConfig,
     seed: int,
-    t: Optional[int] = None,
+    t: int,
     **_ignored,
 ) -> AERScenario:
     """Run the committee-tree almost-everywhere substrate and convert its outcome.
@@ -89,8 +81,6 @@ def ae_generated_scenario(
     from repro.net.messages import SizeModel
     from repro.net.rng import derive_rng
 
-    if t is None:
-        t = max(1, n // 6)
     rng = derive_rng(seed, "scenario-from-ae", n)
     byzantine_ids = frozenset(rng.sample(range(n), t))
     _, scenario = run_ae_stage(

@@ -35,6 +35,7 @@ def small_scenario(small_config):
         config=small_config,
         t=SMALL_N // 6,
         knowledge_fraction=0.78,
+        wrong_candidate_mode="random",
         seed=11,
     )
 
@@ -59,6 +60,7 @@ def medium_scenario(medium_config):
         config=medium_config,
         t=MEDIUM_N // 6,
         knowledge_fraction=0.78,
+        wrong_candidate_mode="random",
         seed=7,
     )
 
@@ -72,7 +74,8 @@ def direct_aer_run():
     def run(n, adversary="none", mode="sync", seed=0):
         config = AERConfig.for_system(n, sampler_seed=seed)
         scenario = make_scenario(
-            n, config=config, t=max(1, n // 6), knowledge_fraction=0.78, seed=seed
+            n, config=config, t=max(1, n // 6), knowledge_fraction=0.78,
+            wrong_candidate_mode="random", seed=seed,
         )
         return run_aer(
             scenario, config=config, adversary_name=adversary, mode=mode, seed=seed

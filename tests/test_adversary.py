@@ -44,7 +44,10 @@ def small_config_module():
 def small_scenario_module(small_config_module):
     from repro.core.scenario import make_scenario
 
-    return make_scenario(32, config=small_config_module, t=5, knowledge_fraction=0.78, seed=11)
+    return make_scenario(
+        32, config=small_config_module, t=5, knowledge_fraction=0.78,
+        wrong_candidate_mode="random", seed=11,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -317,7 +320,10 @@ class TestQuorumFloodSearch:
         from repro.core.scenario import make_scenario
 
         config = AERConfig.for_system(n, sampler_seed=seed)
-        scenario = make_scenario(n, config=config, t=n // 6, knowledge_fraction=0.78, seed=seed)
+        scenario = make_scenario(
+            n, config=config, t=n // 6, knowledge_fraction=0.78,
+            wrong_candidate_mode="random", seed=seed,
+        )
         self._check(scenario, config, seed)
 
     @pytest.mark.parametrize("n, seed", [(24, 3), (48, 4), (128, 5)])
@@ -329,8 +335,8 @@ class TestQuorumFloodSearch:
         # reach max_forced_per_victim before their 200 tries run out
         config = AERConfig.for_system(n, sampler_seed=seed)
         scenario = make_scenario(
-            n, config=config, byzantine_ids=[x for x in range(n) if x % 5 < 2],
-            knowledge_fraction=0.51, seed=seed,
+            n, config=config, t=None, byzantine_ids=[x for x in range(n) if x % 5 < 2],
+            knowledge_fraction=0.51, wrong_candidate_mode="random", seed=seed,
         )
         forced = self._check(scenario, config, seed)
         assert any(len(strings) == 8 for strings in forced.values())

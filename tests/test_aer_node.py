@@ -125,7 +125,10 @@ class TestEndToEnd:
 
     def test_push_triggers_candidate_acceptance(self, small_config):
         samplers = small_config.build_samplers()
-        scenario = make_scenario(small_config.n, config=small_config, t=4, knowledge_fraction=0.8, seed=13)
+        scenario = make_scenario(
+            small_config.n, config=small_config, t=4, knowledge_fraction=0.8,
+            wrong_candidate_mode="random", seed=13,
+        )
         nodes = build_aer_nodes(scenario, small_config, samplers=samplers)
         target = nodes[0]
         quorum = samplers.push.quorum("forced-string", target.node_id)
@@ -219,7 +222,9 @@ def _aer_sync(
     kernel's default loop) instead of as a prepared plan.
     """
     config = AERConfig.for_system(n)
-    scenario = make_scenario(n, config=config, seed=seed, wrong_candidate_mode=wrong)
+    scenario = make_scenario(
+        n, config=config, t=n // 4, knowledge_fraction=0.56, wrong_candidate_mode=wrong, seed=seed
+    )
     samplers = config.shared_samplers()
     if not isinstance(adversary, Adversary):
         adversary = make_adversary(adversary, scenario, config, samplers)
@@ -345,7 +350,9 @@ class TestGroupedFw1Delivery:
             real_on_fw1(self, sender, message)
 
         config = AERConfig.for_system(40)
-        scenario = make_scenario(40, config=config, seed=2)
+        scenario = make_scenario(
+            40, config=config, t=10, knowledge_fraction=0.56, wrong_candidate_mode="random", seed=2
+        )
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(PullEngine, "on_fw1", on_fw1)  # nodes bind it at construction
             sim, result = _aer_sync(40, 2, Recorder(scenario.byzantine_ids), node_cls=node_cls)

@@ -238,7 +238,9 @@ class TestAdversaryScheduling:
 def _send_blind_adversaries() -> List[str]:
     """Registered adversaries that override neither ``observe_send`` nor ``delay_for``."""
     config = AERConfig.for_system(24)
-    scenario = make_scenario(24, config=config, seed=0)
+    scenario = make_scenario(
+        24, config=config, t=6, knowledge_fraction=0.56, wrong_candidate_mode="random", seed=0
+    )
     samplers = config.shared_samplers()
     adversaries = {
         name: make_adversary(name, scenario, config, samplers) for name in ADVERSARIES.names()
@@ -265,7 +267,10 @@ def _aer_async(
     sends every multicast down the per-destination path.
     """
     config = AERConfig.for_system(n)
-    scenario = make_scenario(n, config=config, seed=seed)
+    scenario = make_scenario(
+        n, config=config, t=n // 4, knowledge_fraction=0.56, wrong_candidate_mode="random",
+        seed=seed,
+    )
     samplers = config.shared_samplers()
     adversary = make_adversary(adversary_name, scenario, config, samplers)
     if watching:
@@ -383,7 +388,9 @@ class TestStoppedBy:
     def _aer(self, **caps):
         n = 32
         config = AERConfig.for_system(n)
-        scenario = make_scenario(n, config=config, seed=2)
+        scenario = make_scenario(
+            n, config=config, t=8, knowledge_fraction=0.56, wrong_candidate_mode="random", seed=2
+        )
         nodes = build_aer_nodes(scenario, config)
         sim = AsynchronousSimulator(nodes, n=n, seed=2, size_model=config.size_model(), **caps)
         return sim.run()

@@ -11,18 +11,33 @@ from repro.core.ba import BAConfig, BAProtocol
 from repro.experiments.plan import ExperimentSpec
 
 
-class TestBAConfig:
-    def test_default_byzantine_count(self):
-        assert BAConfig(n=60).byzantine_count == 10
+class TestOneTRule:
+    """``ExperimentSpec.byzantine_count`` is the only ``t`` default: every
+    protocol corrupts ``max(1, ⌊n/6⌋)`` nodes when ``t`` is unset."""
 
-    def test_explicit_t(self):
-        assert BAConfig(n=60, t=7).byzantine_count == 7
+    @pytest.mark.parametrize("n", [5, 6, 60])
+    @pytest.mark.parametrize(
+        "protocol", ["aer", "full_ba", "composed_ba", "naive_broadcast", "sample_majority"]
+    )
+    def test_unset_t_corrupts_the_spec_count(self, protocol, n):
+        spec = ExperimentSpec(n=n, protocol=protocol)
+        assert spec.byzantine_count == max(1, n // 6)
+        assert spec.run().correct_count == n - max(1, n // 6)
+
+    def test_explicit_t_wins(self):
+        assert ExperimentSpec(n=60, t=7).byzantine_count == 7
+        assert ExperimentSpec(n=60, t=0).byzantine_count == 0
+
+    def test_lower_layers_take_t_as_given(self):
+        result = BAProtocol(BAConfig(n=60, t=7, seed=1)).run()
+        assert len(result.scenario.byzantine_ids) == 7
+        assert len(run_composed_ba(60, t=7, seed=1).scenario.byzantine_ids) == 7
 
 
 class TestBAProtocol:
     @pytest.fixture(scope="class")
     def ba_result(self):
-        return BAProtocol(BAConfig(n=64, seed=3)).run()
+        return BAProtocol(BAConfig(n=64, t=10, seed=3)).run()
 
     def test_agreement_reached(self, ba_result):
         assert ba_result.agreement_reached
@@ -61,22 +76,22 @@ class TestBAProtocol:
 
     def test_explicit_byzantine_ids_respected(self):
         byz = frozenset(range(8))
-        result = BAProtocol(BAConfig(n=64, seed=4), byzantine_ids=byz).run()
+        result = BAProtocol(BAConfig(n=64, t=10, seed=4), byzantine_ids=byz).run()
         assert set(result.scenario.byzantine_ids) == set(byz)
         assert not set(result.everywhere_result.decisions) & byz
 
     def test_async_aer_stage(self):
-        result = BAProtocol(BAConfig(n=48, seed=6, aer_mode="async")).run()
+        result = BAProtocol(BAConfig(n=48, t=8, seed=6, aer_mode="async")).run()
         assert result.everywhere_result.span is not None
         assert result.agreement_reached
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
-            BAProtocol(BAConfig(n=32, seed=1, aer_mode="warp")).run()
+            BAProtocol(BAConfig(n=32, t=5, seed=1, aer_mode="warp")).run()
 
     def test_determinism(self):
-        a = BAProtocol(BAConfig(n=48, seed=9)).run()
-        b = BAProtocol(BAConfig(n=48, seed=9)).run()
+        a = BAProtocol(BAConfig(n=48, t=8, seed=9)).run()
+        b = BAProtocol(BAConfig(n=48, t=8, seed=9)).run()
         assert a.gstring == b.gstring
         assert a.everywhere_result.metrics == b.everywhere_result.metrics
 
@@ -134,22 +149,22 @@ class TestNaiveBroadcastBaseline:
 
 class TestComposedBA:
     def test_sample_majority_composition(self):
-        result = run_composed_ba(64, strategy="sample_majority", seed=2)
+        result = run_composed_ba(64, strategy="sample_majority", t=10, seed=2)
         assert result.agreement_reached
         assert result.ae_result.rounds + result.everywhere_result.rounds >= 2
         assert result.everywhere_result.metrics.amortized_bits > 0
 
     def test_naive_composition(self):
-        result = run_composed_ba(64, strategy="naive", seed=2)
+        result = run_composed_ba(64, strategy="naive", t=10, seed=2)
         assert result.agreement_reached
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            run_composed_ba(32, strategy="bogus", seed=0)
+            run_composed_ba(32, strategy="bogus", t=5, seed=0)
 
     def test_naive_costs_more_than_sampled_at_scale(self):
-        sampled = run_composed_ba(96, strategy="sample_majority", seed=3)
-        naive = run_composed_ba(96, strategy="naive", seed=3)
+        sampled = run_composed_ba(96, strategy="sample_majority", t=16, seed=3)
+        naive = run_composed_ba(96, strategy="naive", t=16, seed=3)
         assert naive.everywhere_result.metrics.total_bits > (
             sampled.everywhere_result.metrics.total_bits
         ) * 0.8  # naive is at least in the same ballpark or worse

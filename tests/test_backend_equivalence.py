@@ -131,7 +131,10 @@ class TestGoldenEquality:
 
         n = 48
         config = AERConfig.for_system(n)
-        scenario = make_scenario(n, config=config, t=max(1, n // 6), seed=0)
+        scenario = make_scenario(
+            n, config=config, t=n // 6, knowledge_fraction=0.56,
+            wrong_candidate_mode="random", seed=0,
+        )
         with pytest.raises(ValueError, match="synchronous only"):
             run_aer(scenario, config=config, mode="async", backend="vectorized")
         with pytest.raises(ValueError, match="rushing"):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import knowledgeable_count
 from repro.core.config import AERConfig
 from repro.core.scenario import AERScenario, build_aer_nodes, make_scenario
 
@@ -65,63 +67,76 @@ class TestAERConfig:
         assert a.push.quorum("s", 0) != b.push.quorum("s", 0)
 
 
+#: the knobs every ``make_scenario`` call states (the spec's defaults)
+SPEC_KNOBS = dict(knowledge_fraction=0.78, wrong_candidate_mode="random")
+
+
 class TestMakeScenario:
     def test_partition_is_complete(self):
-        scenario = make_scenario(60, seed=0)
+        scenario = make_scenario(60, t=10, **SPEC_KNOBS, seed=0)
         assert len(scenario.correct_ids) + len(scenario.byzantine_ids) == 60
 
-    def test_default_byzantine_count(self):
-        scenario = make_scenario(60, seed=0)
-        assert len(scenario.byzantine_ids) == 15  # n // 4 default
+    def test_scenario_knobs_have_no_default(self):
+        parameters = inspect.signature(make_scenario).parameters
+        for knob in ("t", "knowledge_fraction", "wrong_candidate_mode"):
+            assert parameters[knob].default is inspect.Parameter.empty, knob
+        with pytest.raises(ValueError, match="give t or an explicit byzantine_ids"):
+            make_scenario(60, t=None, **SPEC_KNOBS, seed=0)
 
     def test_explicit_t(self):
-        scenario = make_scenario(60, t=6, seed=0)
+        scenario = make_scenario(60, t=6, **SPEC_KNOBS, seed=0)
         assert len(scenario.byzantine_ids) == 6
 
     def test_knowledge_fraction_met(self):
-        scenario = make_scenario(64, t=10, knowledge_fraction=0.7, seed=1)
+        scenario = make_scenario(
+            64, t=10, knowledge_fraction=0.7, wrong_candidate_mode="random", seed=1
+        )
         assert scenario.knowledge_fraction_of_all > 0.5
         assert len(scenario.knowledgeable_ids) >= int(0.7 * 64)
 
     def test_gstring_length_matches_config(self):
         config = AERConfig.for_system(64)
-        scenario = make_scenario(64, config=config, seed=2)
+        scenario = make_scenario(64, config=config, t=10, **SPEC_KNOBS, seed=2)
         assert len(scenario.gstring) == config.string_length
 
     def test_explicit_gstring_used(self):
         gstring = "1" * AERConfig.for_system(32).string_length
-        scenario = make_scenario(32, gstring=gstring, seed=3)
+        scenario = make_scenario(32, t=5, **SPEC_KNOBS, gstring=gstring, seed=3)
         assert scenario.gstring == gstring
 
     def test_explicit_byzantine_ids(self):
-        scenario = make_scenario(32, t=4, byzantine_ids=[0, 1, 2, 3], seed=0)
+        scenario = make_scenario(32, t=4, **SPEC_KNOBS, byzantine_ids=[0, 1, 2, 3], seed=0)
         assert scenario.byzantine_ids == frozenset({0, 1, 2, 3})
         assert 0 not in scenario.candidates
 
     def test_byzantine_ids_without_t_derives_t(self):
-        # t must come from the explicit corrupt set, not the n // 4 default
-        scenario = make_scenario(32, byzantine_ids=[1, 2, 3], seed=0)
+        # t comes from the explicit corrupt set
+        scenario = make_scenario(32, t=None, **SPEC_KNOBS, byzantine_ids=[1, 2, 3], seed=0)
         assert scenario.byzantine_ids == frozenset({1, 2, 3})
         assert len(scenario.correct_ids) == 29
 
     def test_byzantine_ids_conflicting_t_rejected(self):
         with pytest.raises(ValueError, match="conflict"):
-            make_scenario(32, t=5, byzantine_ids=[0, 1, 2], seed=0)
+            make_scenario(32, t=5, **SPEC_KNOBS, byzantine_ids=[0, 1, 2], seed=0)
 
     def test_byzantine_ids_conflicting_with_default_sized_t_rejected(self):
         # t == n // 4 used to slip through an escape hatch in the check
         with pytest.raises(ValueError, match="conflict"):
-            make_scenario(32, t=8, byzantine_ids=[0, 1, 2], seed=0)
+            make_scenario(32, t=8, **SPEC_KNOBS, byzantine_ids=[0, 1, 2], seed=0)
 
     def test_wrong_candidate_default_mode(self):
-        scenario = make_scenario(64, wrong_candidate_mode="default", seed=4)
+        scenario = make_scenario(
+            64, t=10, knowledge_fraction=0.78, wrong_candidate_mode="default", seed=4
+        )
         non_knowing = [
             s for i, s in scenario.candidates.items() if s != scenario.gstring
         ]
         assert all(set(s) == {"0"} for s in non_knowing)
 
     def test_wrong_candidate_common_mode(self):
-        scenario = make_scenario(64, wrong_candidate_mode="common_wrong", seed=4)
+        scenario = make_scenario(
+            64, t=10, knowledge_fraction=0.78, wrong_candidate_mode="common_wrong", seed=4
+        )
         non_knowing = {
             s for s in scenario.candidates.values() if s != scenario.gstring
         }
@@ -134,33 +149,73 @@ class TestMakeScenario:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            make_scenario(32, wrong_candidate_mode="bogus", seed=0)
+            make_scenario(
+                32, t=5, knowledge_fraction=0.78, wrong_candidate_mode="bogus", seed=0
+            )
 
     def test_t_too_large_rejected(self):
         with pytest.raises(ValueError):
-            make_scenario(32, t=32, seed=0)
+            make_scenario(32, t=32, **SPEC_KNOBS, seed=0)
 
     def test_impossible_knowledge_rejected(self):
         # half the nodes are Byzantine: a >1/2 knowledgeable fraction is impossible
-        with pytest.raises(ValueError):
-            make_scenario(32, t=16, knowledge_fraction=0.9, seed=0)
+        with pytest.raises(ValueError, match="cannot make 29 of 16 correct nodes"):
+            make_scenario(32, t=16, knowledge_fraction=0.9, wrong_candidate_mode="random", seed=0)
 
     def test_deterministic_given_seed(self):
-        a = make_scenario(48, seed=7)
-        b = make_scenario(48, seed=7)
+        a = make_scenario(48, t=8, **SPEC_KNOBS, seed=7)
+        b = make_scenario(48, t=8, **SPEC_KNOBS, seed=7)
         assert a.gstring == b.gstring
         assert a.byzantine_ids == b.byzantine_ids
         assert a.candidates == b.candidates
 
     def test_different_seeds_differ(self):
-        assert make_scenario(48, seed=1).gstring != make_scenario(48, seed=2).gstring
+        one, two = (make_scenario(48, t=8, **SPEC_KNOBS, seed=seed) for seed in (1, 2))
+        assert one.gstring != two.gstring
 
     @given(st.integers(min_value=24, max_value=96), st.integers(min_value=0, max_value=5))
     @settings(max_examples=15, deadline=None)
     def test_hypothesis_validation_always_passes_for_defaults(self, n, seed):
-        scenario = make_scenario(n, t=n // 6, knowledge_fraction=0.7, seed=seed)
+        scenario = make_scenario(
+            n, t=n // 6, knowledge_fraction=0.7, wrong_candidate_mode="random", seed=seed
+        )
         scenario.validate()  # must not raise
         assert scenario.knowledge_fraction_of_all > 0.5
+
+
+class TestKnowledgeableCount:
+    """The feasibility arithmetic ``make_scenario`` and ``ExperimentSpec.validate`` share."""
+
+    @pytest.mark.parametrize(
+        "n, t, kf, target",
+        [(64, 10, 0.78, 50), (64, 10, 0.5, 33), (5, 1, 0.78, 4), (32, 0, 0.0, 17)],
+    )
+    def test_target(self, n, t, kf, target):
+        assert knowledgeable_count(n, t, kf) == target
+
+    def test_infeasible_names_the_knobs(self):
+        with pytest.raises(ValueError, match="cannot make 61 of 54 correct nodes") as err:
+            knowledgeable_count(64, 10, 0.95)
+        assert "knowledge_fraction=0.95" in str(err.value)
+
+    @given(
+        st.integers(min_value=2, max_value=400),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_make_scenario(self, n, kf, seed):
+        t = max(1, n // 6)
+        try:
+            target = knowledgeable_count(n, t, kf)
+        except ValueError:
+            with pytest.raises(ValueError, match="cannot make"):
+                make_scenario(n, t=t, knowledge_fraction=kf, wrong_candidate_mode="random", seed=seed)
+        else:
+            scenario = make_scenario(
+                n, t=t, knowledge_fraction=kf, wrong_candidate_mode="random", seed=seed
+            )
+            assert len(scenario.knowledgeable_ids) == target
 
 
 class TestScenarioValidation:

@@ -36,6 +36,11 @@ BAD_KNOB_VALUES = [
     ("wrong_candidate_mode", "bogus", "unknown wrong_candidate_mode 'bogus'"),
     ("knowledge_fraction", -0.2, r"knowledge_fraction must lie in \[0, 1\], got -0.2"),
     ("knowledge_fraction", 1.5, r"knowledge_fraction must lie in \[0, 1\], got 1.5"),
+    # in range but infeasible: t = 4 of 24 leaves 20 correct nodes for a target of 23
+    (
+        "knowledge_fraction", 0.95,
+        r"cannot make 23 of 20 correct nodes knowledgeable \(n=24, t=4, knowledge_fraction=0.95\)",
+    ),
     ("quorum_multiplier", -1.0, "quorum_multiplier must be positive, got -1.0"),
     ("quorum_multiplier", 0.0, "quorum_multiplier must be positive, got 0.0"),
 ]
@@ -237,6 +242,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="0 <= t < n"):
             spec.validate()
 
+    @pytest.mark.parametrize("protocol", BUILTIN_PROTOCOLS)
+    def test_unset_t_at_n1_leaves_nobody_correct(self, protocol):
+        # ExperimentSpec.byzantine_count corrupts at least one node
+        with pytest.raises(ValueError, match=r"0 <= t < n.*\(got t=1 with n=1\)"):
+            ExperimentSpec(n=1, protocol=protocol).validate()
+
     def test_from_dict_rejects_unknown_spec_key(self):
         with pytest.raises(ValueError, match="unknown experiment spec key.*bogus_key"):
             ExperimentSpec.from_dict({"n": SMALL_N, "bogus_key": 1})
@@ -330,7 +341,7 @@ class TestDelayAndScenarioRegistries:
         from repro.protocols import make_scenario_by_name
 
         config = AERConfig.for_system(48)
-        scenario = make_scenario_by_name("from_ae", 48, config, seed=1)
+        scenario = make_scenario_by_name("from_ae", 48, config, seed=1, t=8)
         assert scenario.n == 48
         assert len(scenario.gstring) == config.string_length
         # AER runs on the generated almost-everywhere state

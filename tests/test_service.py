@@ -218,7 +218,12 @@ class TestHTTPApp:
 
     @pytest.mark.parametrize(
         "knob, value",
-        [("wrong_candidate_mode", "bogus"), ("knowledge_fraction", -0.2), ("quorum_multiplier", -1.0)],
+        [
+            ("wrong_candidate_mode", "bogus"),
+            ("knowledge_fraction", -0.2),
+            ("knowledge_fraction", 0.95),  # in range, but 23 of 20 correct nodes at n=24
+            ("quorum_multiplier", -1.0),
+        ],
     )
     def test_plan_with_a_bad_knob_value_is_refused(self, base, http, knob, value):
         status, refused = http(base + "/plans", {"ns": [24], knob: value})

@@ -67,6 +67,14 @@ def _random_faults(rng: random.Random, mode: str) -> dict:
     return faults
 
 
+def _feasible_kf_bound(n: int) -> float:
+    """The largest knowledge fraction a synthetic scenario can meet at ``n``
+    with the default ``t``: more than ``kf · n`` of the ``n − t`` correct
+    nodes must know ``gstring``, so ``⌊kf · n⌋ ≤ n − t − 1``."""
+    t = ExperimentSpec(n=n).byzantine_count
+    return (n - t - 1) / n
+
+
 def _random_valid_spec(rng: random.Random) -> ExperimentSpec:
     mode = rng.choice(("sync", "async"))
     params: dict = {}
@@ -76,13 +84,15 @@ def _random_valid_spec(rng: random.Random) -> ExperimentSpec:
         params["max_rounds"] = rng.randrange(8, 64)
     faults = _random_faults(rng, mode)
     spelling = rng.random()
+    n = rng.randrange(8, 256)
     return ExperimentSpec(
-        n=rng.randrange(8, 256),
+        n=n,
         adversary=rng.choice(ADVERSARIES),
         mode=mode,
         rushing=(mode == "sync" and rng.random() < 0.2),
         seed=rng.randrange(0, 1000),
-        knowledge_fraction=round(rng.uniform(0.7, 0.95), 3),
+        # rounding to 3 places moves kf · n by < 0.13 at n < 256: still feasible
+        knowledge_fraction=round(rng.uniform(0.7, min(0.95, _feasible_kf_bound(n))), 3),
         quorum_multiplier=round(rng.uniform(1.5, 3.0), 2),
         trace=rng.choice(TRACE_MODES),
         label=rng.choice(("", "fuzz", "series-a")),
@@ -118,6 +128,19 @@ def test_valid_specs_round_trip_canonically():
 
         # the spec is actually runnable as described
         spec.validate()
+
+
+def test_infeasible_knowledge_fractions_are_rejected_at_validate():
+    # just above the bound: too few correct nodes to reach the target, which
+    # validate() must say before any run (the spec itself constructs fine)
+    rng = random.Random(FUZZ_SEED + 3)
+    for case in range(100):
+        n = rng.randrange(8, 256)
+        kf = rng.uniform(_feasible_kf_bound(n) + 1.01 / n, 1.0)
+        spec = ExperimentSpec(n=n, knowledge_fraction=kf)
+        with pytest.raises(ValueError, match="cannot make") as err:
+            spec.validate()
+        assert "knowledge_fraction" in str(err.value), f"case {case}: {spec!r}"
 
 
 def test_equal_meaning_spellings_are_equal_objects():

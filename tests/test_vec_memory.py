@@ -375,7 +375,10 @@ class TestKeptLabels:
 
         n = 1024
         config = AERConfig.for_system(n)
-        scenario = make_scenario(n, config=config, t=n // 6, knowledge_fraction=0.78, seed=0)
+        scenario = make_scenario(
+            n, config=config, t=n // 6, knowledge_fraction=0.78,
+            wrong_candidate_mode="random", seed=0,
+        )
 
         def run(seed):
             return run_aer(scenario, config=config, adversary_name="none", seed=seed,
