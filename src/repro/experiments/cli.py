@@ -120,7 +120,7 @@ from dataclasses import fields
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.experiments import compare_rows, format_table, run_result_row
-from repro.backends import BACKENDS
+from repro.backends import BACKENDS, MODES
 from repro.experiments.plan import ExperimentPlan, ExperimentSpec
 from repro.experiments.sweep import SweepResult, SweepRunner, run_sweep
 from repro.trace.probes import TRACE_MODES
@@ -230,16 +230,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one experiment and print its summary")
+    run.set_defaults(handler=cmd_run)
     run.add_argument("--n", type=int, required=True, help="system size")
     run.add_argument("--protocol", default=ExperimentSpec.protocol, help="registered protocol name")
     run.add_argument("--adversary", default=ExperimentSpec.adversary, help="registered adversary name")
-    run.add_argument("--mode", default=ExperimentSpec.mode, choices=["sync", "async"])
+    run.add_argument("--mode", default=ExperimentSpec.mode, choices=MODES)
     run.add_argument("--seed", type=int, default=ExperimentSpec.seed)
     _add_shared_spec_options(run)
     _add_fault_options(run)
     _add_trace_options(run)
 
     sweep = sub.add_parser("sweep", help="run a grid of experiments in parallel")
+    sweep.set_defaults(handler=cmd_sweep)
     sweep.add_argument("--ns", type=_csv_ints, required=True, help="e.g. 32,64,128")
     sweep.add_argument(
         "--protocols", type=_csv_strs, default=ExperimentPlan.protocols, help="e.g. aer,composed_ba"
@@ -304,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dist-worker",
         help="one worker of the distributed sweep executor (see repro.dist)",
     )
+    dist_worker.set_defaults(handler=cmd_dist_worker)
     dist_worker.add_argument(
         "address", metavar="HOST:PORT", help="the coordinator to claim shards from"
     )
@@ -324,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare",
         help="Figure-1-style cross-protocol comparison on shared sizes and seeds",
     )
+    compare.set_defaults(handler=cmd_compare)
     compare.add_argument("--ns", type=_csv_ints, required=True, help="e.g. 32,64")
     compare.add_argument(
         "--protocols",
@@ -342,11 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     protocols = sub.add_parser(
         "protocols", help="list registered protocols, adversaries, policies, scenarios"
     )
+    protocols.set_defaults(handler=cmd_protocols)
     protocols.add_argument("--verbose", action="store_true", help="include descriptions")
 
     report = sub.add_parser(
         "report", help="run the report sections and generate EXPERIMENTS.md"
     )
+    report.set_defaults(handler=cmd_report)
     report.add_argument(
         "--sections",
         type=_csv_strs,
@@ -381,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     registries = sub.add_parser(
         "registries", help="render the auto-generated registry reference"
     )
+    registries.set_defaults(handler=cmd_registries)
     registries.add_argument(
         "-o", "--out", default="REGISTRIES.md",
         help="output path ('-' prints to stdout; default: REGISTRIES.md)",
@@ -389,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     store = sub.add_parser(
         "store", help="inspect or garbage-collect the content-addressed result store"
     )
+    store.set_defaults(handler=cmd_store)
     store_sub = store.add_subparsers(dest="store_command", required=True)
     store_stats = store_sub.add_parser("stats", help="record counts by fingerprint/protocol")
     store_stats.add_argument(
@@ -413,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run the experiment service (stdlib HTTP; prints the address it bound)"
     )
+    serve.set_defaults(handler=cmd_serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8000, help="0 picks an ephemeral port")
     serve.add_argument(
@@ -426,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="run the repo benchmark (BENCHMARK.json) and print its end-to-end table"
     )
+    bench.set_defaults(handler=cmd_bench)
     bench.add_argument("--out", default="BENCH_kernel.json", help="the trajectory file")
     bench.add_argument(
         "--update", action="store_true",
@@ -443,6 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the vectorized backend against the message kernel "
              "(bit-exact at small n, cross-seed CI overlap at large n)",
     )
+    equivalence.set_defaults(handler=cmd_equivalence)
     equivalence.add_argument(
         "--mode", default="exact", choices=["exact", "statistical"],
         help="'exact' demands identical results per seed; 'statistical' "
@@ -788,29 +799,7 @@ def cmd_equivalence(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    if args.command == "dist-worker":
-        return cmd_dist_worker(args)
-    if args.command == "compare":
-        return cmd_compare(args)
-    if args.command == "protocols":
-        return cmd_protocols(args)
-    if args.command == "report":
-        return cmd_report(args)
-    if args.command == "registries":
-        return cmd_registries(args)
-    if args.command == "store":
-        return cmd_store(args)
-    if args.command == "serve":
-        return cmd_serve(args)
-    if args.command == "bench":
-        return cmd_bench(args)
-    if args.command == "equivalence":
-        return cmd_equivalence(args)
-    return 2  # pragma: no cover - argparse enforces the choices
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,7 +24,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, ClassVar, Dict, List, Mapping, Optional, Tuple
 
-from repro.backends import BACKENDS
+from repro.backends import check_backend
 from repro.core import WRONG_CANDIDATE_MODES
 from repro.faults import FaultSchedule
 from repro.trace.probes import TRACE_MODES
@@ -183,8 +183,7 @@ class ExperimentSpec:
         """Raise ``ValueError`` if this spec cannot be run as described."""
         from repro.protocols import get_protocol
 
-        if self.mode not in ("sync", "async"):
-            raise ValueError(f"unknown mode {self.mode!r} (expected 'sync' or 'async')")
+        check_backend(self.backend, mode=self.mode)
         if self.rushing and self.mode == "async":
             raise ValueError(
                 "rushing=True is only meaningful under mode='sync'; the "
@@ -194,11 +193,6 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown trace mode {self.trace!r} "
                 f"(expected {', '.join(repr(m) for m in TRACE_MODES)})"
-            )
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r} "
-                f"(expected {', '.join(repr(b) for b in BACKENDS)})"
             )
         if self.wrong_candidate_mode not in WRONG_CANDIDATE_MODES:
             raise ValueError(

@@ -34,6 +34,7 @@ import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
+from repro.backends import check_backend
 from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -313,34 +314,13 @@ class ProtocolAdapter:
                 f"protocol {self.name!r} does not support backend "
                 f"{spec.backend!r} (supported: {', '.join(self.supports_backends)})"
             )
-        if spec.faults != "{}":
-            if not self.supports_faults:
-                raise ValueError(
-                    f"protocol {self.name!r} does not support fault injection "
-                    f"(got faults={spec.faults}; only an empty schedule is accepted)"
-                )
-            if spec.backend == "vectorized":
-                raise ValueError(
-                    "backend='vectorized' does not implement fault injection; "
-                    "use backend='message' for faulted runs"
-                )
-        if spec.backend == "vectorized":
-            if spec.mode != "sync":
-                raise ValueError(
-                    "backend='vectorized' is synchronous only "
-                    f"(got mode={spec.mode!r}); use backend='message' for async runs"
-                )
-            if spec.rushing:
-                raise ValueError(
-                    "backend='vectorized' does not implement a rushing adversary; "
-                    "use backend='message' for rushing runs"
-                )
-            if spec.trace != "off":
-                raise ValueError(
-                    "backend='vectorized' does not implement trace probes "
-                    f"(got trace={spec.trace!r}); use backend='message' for traced runs"
-                )
-        for key in spec.params_dict():
+        if spec.faults != "{}" and not self.supports_faults:
+            raise ValueError(
+                f"protocol {self.name!r} does not support fault injection "
+                f"(got faults={spec.faults}; only an empty schedule is accepted)"
+            )
+        params = spec.params_dict()
+        for key in params:
             if key in spec.KNOBS:
                 raise ValueError(
                     f"unknown parameter {key!r} for protocol {self.name!r}: "
@@ -352,6 +332,11 @@ class ProtocolAdapter:
                     f"unknown parameter {key!r} for protocol {self.name!r} "
                     f"(accepted: {', '.join(sorted(self.params)) or 'none'})"
                 )
+        check_backend(
+            spec.backend, mode=spec.mode, rushing=spec.rushing,
+            traced=spec.trace != "off", faulted=spec.faults != "{}",
+            vec_memory_mb=params.get("vec_memory_mb"),  # declared by vectorized adapters
+        )
         for knob in spec.changed_knobs():
             if knob not in self.knobs:
                 raise ValueError(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.backends import VEC_ADVERSARIES, VEC_MAJORITY_ADVERSARIES
+from repro.backends import MODES, VEC_ADVERSARIES, VEC_MAJORITY_ADVERSARIES
 from repro.core import knowledgeable_count
 from repro.protocols.base import ProtocolAdapter, RunResult, register_protocol
 from repro.protocols.scenarios import make_scenario_by_name
@@ -129,7 +129,7 @@ class AERProtocolAdapter(ProtocolAdapter):
 
     name = "aer"
     description = "AER almost-everywhere-to-everywhere agreement (the paper's Section 3)"
-    modes = ("sync", "async")
+    modes = MODES
     supports_trace = True
     supports_backends = ("message", "vectorized")
     supports_faults = True
@@ -154,17 +154,11 @@ class AERProtocolAdapter(ProtocolAdapter):
             raise ValueError(
                 "delay_policy only applies to mode='async' (sync rounds have no delays)"
             )
-        if spec.backend == "vectorized":
-            if spec.adversary not in VEC_ADVERSARIES:
-                raise ValueError(
-                    f"backend='vectorized' does not support adversary "
-                    f"{spec.adversary!r} (supported: {', '.join(VEC_ADVERSARIES)}); "
-                    "use backend='message'"
-                )
-        elif p["vec_memory_mb"] is not None:
+        if spec.backend == "vectorized" and spec.adversary not in VEC_ADVERSARIES:
             raise ValueError(
-                "vec_memory_mb only applies to backend='vectorized' (the "
-                "message kernel has no chunked working set to budget)"
+                f"backend='vectorized' does not support adversary "
+                f"{spec.adversary!r} (supported: {', '.join(VEC_ADVERSARIES)}); "
+                "use backend='message'"
             )
 
     def run(self, spec) -> RunResult:
@@ -236,7 +230,7 @@ class FullBAAdapter(ProtocolAdapter):
 
     name = "full_ba"
     description = "full Byzantine Agreement: committee-tree ae-stage composed with AER"
-    modes = ("sync", "async")
+    modes = MODES
     supports_trace = True
     knobs = ("adversary", "mode", "rushing", "t", "quorum_multiplier")
     params = {"ae_committee_multiplier": 2.0, "max_rounds": 64}

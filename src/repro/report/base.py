@@ -2,11 +2,11 @@
 
 A :class:`ReportSection` turns one claim of the paper into a measured,
 rendered piece of EXPERIMENTS.md: it declares the
-:class:`~repro.experiments.plan.ExperimentPlan` it needs (a ``--quick`` and a
-``--full`` variant), a *per-record* row builder, how rows aggregate across
-seeds, and the paper-vs-measured commentary.  Sections register through the
-same :class:`~repro.registry.Registry` mechanism as protocols, adversaries,
-delay policies and scenario generators::
+:class:`~repro.experiments.plan.ExperimentPlan` it needs (``plan_for`` of
+its ``quick_grid`` or ``full_grid``), a *per-record* row builder, how rows
+aggregate across seeds, and the paper-vs-measured commentary.  Sections
+register through the same :class:`~repro.registry.Registry` mechanism as
+protocols, adversaries, delay policies and scenario generators::
 
     from repro.report import ReportSection, register_report_section
 
@@ -15,9 +15,11 @@ delay policies and scenario generators::
         name = "my_claim"
         title = "Theorem 12 — my claim"
         claim = "the paper says X"
+        quick_grid = dict(ns=(32, 64), seeds=(0, 1, 2))
+        full_grid = dict(ns=(32, 64, 128), seeds=(0, 1, 2, 3, 4))
 
-        def plan(self, quick=True):
-            return ExperimentPlan(ns=(32, 64), seeds=(0, 1, 2), ...)
+        def plan_for(self, ns, seeds):
+            return ExperimentPlan(ns=ns, seeds=seeds, ...)
 
         def record_row(self, record):
             return {"n": record.spec.n, "seed": record.spec.seed, ...}
@@ -153,31 +155,38 @@ class ReportSection:
     ``order``
         Sort key for document order (registry names alone would interleave
         ``lemma10`` before ``lemma6``).
-    ``check_grid``
-        Keyword arguments of the section's ``plan_for`` naming the grid the
-        thresholds of :meth:`check` were calibrated on; ``None`` (the
-        default) means the quick grid.
+    ``quick_grid`` / ``full_grid`` / ``check_grid``
+        Keyword arguments of the section's :meth:`plan_for` naming the
+        ``--quick`` grid, the ``--full`` grid and the grid the thresholds of
+        :meth:`check` were calibrated on; ``None`` means the quick grid.
     """
 
     name: str = ""
     title: str = ""
     claim: str = ""
     order: int = 100
+    quick_grid: Mapping[str, object] = {}
+    full_grid: Optional[Mapping[str, object]] = None
     check_grid: Optional[Mapping[str, object]] = None
 
     # ------------------------------------------------------------------
     # the experiment grid
     # ------------------------------------------------------------------
-    def plan(self, quick: bool = True) -> "ExperimentPlan":
-        """The grid this section needs (small/CI-sized when ``quick``)."""
+    def plan_for(self, **grid: object) -> "ExperimentPlan":
+        """The plan of one grid, given as keyword arguments."""
         raise NotImplementedError
+
+    def plan(self, quick: bool = True) -> "ExperimentPlan":
+        """The grid this section needs (see :attr:`quick_grid`, :attr:`full_grid`)."""
+        grid = self.quick_grid if quick or self.full_grid is None else self.full_grid
+        return self.plan_for(**grid)
 
     @property
     def check_plan(self) -> "ExperimentPlan":
         """The grid :meth:`check` runs on (see :attr:`check_grid`)."""
         if self.check_grid is None:
             return self.plan(quick=True)
-        return self.plan_for(**self.check_grid)  # type: ignore[attr-defined]
+        return self.plan_for(**self.check_grid)
 
     # ------------------------------------------------------------------
     # rows: one builder, two tables

@@ -1,7 +1,7 @@
 """Built-in report sections: Figures 1a/1b, Lemmas 3-10, Property 2, ablations.
 
 Each section is the single home of one claim of the paper: the claim text,
-the experiment grids that measure it (``--quick`` and ``--full`` variants),
+the experiment grids that measure it (``quick_grid`` and ``full_grid``),
 the row-building code, the commentary, and — in ``check`` — the shape
 assertions (who wins, how quantities grow; never absolute numbers) together
 with the ``check_grid`` their thresholds were calibrated on.  Callers fetch
@@ -139,10 +139,9 @@ class Figure1aSection(ReportSection):
         "aer-async": ("AER", "async (cornering)"),
     }
 
-    @staticmethod
-    def specs(
-        sync_ns: Sequence[int], async_ns: Sequence[int], seeds: Sequence[int]
-    ) -> Tuple[ExperimentSpec, ...]:
+    def plan_for(
+        self, sync_ns: Sequence[int], async_ns: Sequence[int], seeds: Sequence[int]
+    ) -> ExperimentPlan:
         """The irregular Figure-1a grid as explicit specs (n-major, seed-minor)."""
         specs: List[ExperimentSpec] = []
         for n in sync_ns:
@@ -163,21 +162,13 @@ class Figure1aSection(ReportSection):
                         n=n, adversary="cornering", mode="async", seed=seed, label="aer-async"
                     )
                 )
-        return tuple(specs)
+        return ExperimentPlan(ns=(), extra_specs=tuple(specs))
 
-    def plan_for(
-        self, sync_ns: Sequence[int], async_ns: Sequence[int], seeds: Sequence[int]
-    ) -> ExperimentPlan:
-        return ExperimentPlan(ns=(), extra_specs=self.specs(sync_ns, async_ns, seeds))
-
-    def plan(self, quick: bool = True) -> ExperimentPlan:
-        # Doubling sizes on purpose: quorum sizes step with ⌈log₂ n⌉, so a
-        # grid with same-⌈log⌉ sizes (e.g. 48 and 64) exaggerates the fitted
-        # growth exponents the commentary quotes.
-        if quick:
-            return self.plan_for((32, 64, 128), (32, 64), seeds=(0, 1, 2))
-        return self.plan_for((32, 64, 128, 192), (32, 64, 96), seeds=(0, 1, 2, 3, 4))
-
+    # Doubling sizes on purpose: quorum sizes step with ⌈log₂ n⌉, so a
+    # grid with same-⌈log⌉ sizes (e.g. 48 and 64) exaggerates the fitted
+    # growth exponents the commentary quotes.
+    quick_grid = dict(sync_ns=(32, 64, 128), async_ns=(32, 64), seeds=(0, 1, 2))
+    full_grid = dict(sync_ns=(32, 64, 128, 192), async_ns=(32, 64, 96), seeds=(0, 1, 2, 3, 4))
     check_grid = dict(sync_ns=(32, 64, 128), async_ns=(32, 64), seeds=(2,))
 
     def check(self, records: Sequence[ExperimentRecord]) -> None:
@@ -276,17 +267,13 @@ class Figure1aScaleSection(ReportSection):
             backend="vectorized",
         )
 
-    def plan(self, quick: bool = True) -> ExperimentPlan:
-        # Decade-spaced sizes: the growth fit needs leverage in log n, not
-        # sample count.  Quick keeps the committed EXPERIMENTS.md plan at
-        # n ≤ 10⁵ (~1 min on one core); the full document extends the fit to
-        # n = 10⁶, the memory-budgeted engine's headline case (tens of
-        # minutes, a few GB peak RSS under the default vec_memory_mb).
-        if quick:
-            return self.plan_for((1_000, 10_000, 100_000), seeds=(0,))
-        return self.plan_for(
-            (1_000, 4_096, 10_000, 100_000, 1_000_000), seeds=(0, 1)
-        )
+    # Decade-spaced sizes: the growth fit needs leverage in log n, not
+    # sample count.  Quick keeps the committed EXPERIMENTS.md plan at
+    # n ≤ 10⁵ (~1 min on one core); the full document extends the fit to
+    # n = 10⁶, the memory-budgeted engine's headline case (tens of
+    # minutes, a few GB peak RSS under the default vec_memory_mb).
+    quick_grid = dict(ns=(1_000, 10_000, 100_000), seeds=(0,))
+    full_grid = dict(ns=(1_000, 4_096, 10_000, 100_000, 1_000_000), seeds=(0, 1))
 
     def record_row(self, record: ExperimentRecord) -> Dict[str, object]:
         n = record.spec.n
@@ -358,8 +345,7 @@ class Figure1bSection(ReportSection):
         "naive": "ae + all-to-all broadcast",
     }
 
-    @staticmethod
-    def specs(ns: Sequence[int], seeds: Sequence[int]) -> Tuple[ExperimentSpec, ...]:
+    def plan_for(self, ns: Sequence[int], seeds: Sequence[int]) -> ExperimentPlan:
         specs: List[ExperimentSpec] = []
         for n in ns:
             for seed in seeds:
@@ -382,16 +368,10 @@ class Figure1bSection(ReportSection):
                         params={"strategy": "naive"},
                     )
                 )
-        return tuple(specs)
+        return ExperimentPlan(ns=(), extra_specs=tuple(specs))
 
-    def plan_for(self, ns: Sequence[int], seeds: Sequence[int]) -> ExperimentPlan:
-        return ExperimentPlan(ns=(), extra_specs=self.specs(ns, seeds))
-
-    def plan(self, quick: bool = True) -> ExperimentPlan:
-        if quick:
-            return self.plan_for((48, 96, 144), seeds=(0, 1, 2))
-        return self.plan_for((48, 96, 144, 192), seeds=(0, 1, 2, 3, 4))
-
+    quick_grid = dict(ns=(48, 96, 144), seeds=(0, 1, 2))
+    full_grid = dict(ns=(48, 96, 144, 192), seeds=(0, 1, 2, 3, 4))
     check_grid = dict(ns=(48, 96, 144), seeds=(5,))
 
     def check(self, records: Sequence[ExperimentRecord]) -> None:
@@ -479,10 +459,8 @@ class Lemma3Section(ReportSection):
             trace="summary",
         )
 
-    def plan(self, quick: bool = True) -> ExperimentPlan:
-        if quick:
-            return self.plan_for((32, 64, 128), seeds=(3,))
-        return self.plan_for((32, 64, 128, 192), seeds=(3, 4, 5))
+    quick_grid = dict(ns=(32, 64, 128), seeds=(3,))
+    full_grid = dict(ns=(32, 64, 128, 192), seeds=(3, 4, 5))
 
     def check(self, records: Sequence[ExperimentRecord]) -> None:
         for row in (self.record_row(r) for r in records):
@@ -568,10 +546,8 @@ class Lemma4Section(ReportSection):
             trace="summary",
         )
 
-    def plan(self, quick: bool = True) -> ExperimentPlan:
-        if quick:
-            return self.plan_for((32, 64, 128), seeds=(4,))
-        return self.plan_for((32, 64, 128, 192), seeds=(4, 5, 6))
+    quick_grid = dict(ns=(32, 64, 128), seeds=(4,))
+    full_grid = dict(ns=(32, 64, 128, 192), seeds=(4, 5, 6))
 
     def check(self, records: Sequence[ExperimentRecord]) -> None:
         rows = [self.record_row(r) for r in records]
@@ -642,10 +618,8 @@ class Lemma5Section(ReportSection):
             trace="summary",
         )
 
-    def plan(self, quick: bool = True) -> ExperimentPlan:
-        if quick:
-            return self.plan_for(64, seeds=tuple(range(8)))
-        return self.plan_for(64, seeds=tuple(range(12)))
+    quick_grid = dict(n=64, seeds=tuple(range(8)))
+    full_grid = dict(n=64, seeds=tuple(range(12)))
 
     def check(self, records: Sequence[ExperimentRecord]) -> None:
         # every correct node reached in (almost) every trial; node-level reach ≈ 1
@@ -717,11 +691,8 @@ class Lemma6Section(ReportSection):
             params={"delay_policy": "constant", "delay_params": {"value": 1.0}},
         )
 
-    def plan(self, quick: bool = True) -> ExperimentPlan:
-        if quick:
-            return self.plan_for((24, 32, 48), seeds=(0, 1, 2))
-        return self.plan_for((32, 64, 96), seeds=(0, 1, 2, 3, 4))
-
+    quick_grid = dict(ns=(24, 32, 48), seeds=(0, 1, 2))
+    full_grid = dict(ns=(32, 64, 96), seeds=(0, 1, 2, 3, 4))
     check_grid = dict(ns=(32, 64, 96), seeds=(6,))
 
     def check(self, records: Sequence[ExperimentRecord]) -> None:
@@ -783,11 +754,8 @@ class Lemma7Section(ReportSection):
             label="lemma7",
         )
 
-    def plan(self, quick: bool = True) -> ExperimentPlan:
-        if quick:
-            return self.plan_for(48, seeds=tuple(range(6)))
-        return self.plan_for(64, seeds=tuple(range(10)))
-
+    quick_grid = dict(n=48, seeds=tuple(range(6)))
+    full_grid = dict(n=64, seeds=tuple(range(10)))
     check_grid = dict(n=64, seeds=tuple(range(8)))
 
     def check(self, records: Sequence[ExperimentRecord]) -> None:
@@ -871,11 +839,8 @@ class Lemma8Section(ReportSection):
             label="lemma8",
         )
 
-    def plan(self, quick: bool = True) -> ExperimentPlan:
-        if quick:
-            return self.plan_for((32, 48, 64, 96), seeds=(0, 1, 2))
-        return self.plan_for((32, 64, 128, 192), seeds=(0, 1, 2, 3, 4))
-
+    quick_grid = dict(ns=(32, 48, 64, 96), seeds=(0, 1, 2))
+    full_grid = dict(ns=(32, 64, 128, 192), seeds=(0, 1, 2, 3, 4))
     check_grid = dict(ns=(32, 64, 128, 192), seeds=(7,))
 
     def check(self, records: Sequence[ExperimentRecord]) -> None:
@@ -947,11 +912,8 @@ class Lemma10Section(ReportSection):
             label="lemma10",
         )
 
-    def plan(self, quick: bool = True) -> ExperimentPlan:
-        if quick:
-            return self.plan_for((32, 48, 64), seeds=(0, 1, 2))
-        return self.plan_for((32, 64, 96), seeds=(0, 1, 2, 3, 4))
-
+    quick_grid = dict(ns=(32, 48, 64), seeds=(0, 1, 2))
+    full_grid = dict(ns=(32, 64, 96), seeds=(0, 1, 2, 3, 4))
     check_grid = dict(ns=(32, 64, 96), seeds=(8,))
 
     def check(self, records: Sequence[ExperimentRecord]) -> None:
@@ -1037,10 +999,8 @@ class AdversaryMatrixSection(ReportSection):
             label="adversary_matrix",
         )
 
-    def plan(self, quick: bool = True) -> ExperimentPlan:
-        if quick:
-            return self.plan_for(32, seeds=(0, 1))
-        return self.plan_for(64, seeds=(0, 1, 2))
+    quick_grid = dict(n=32, seeds=(0, 1))
+    full_grid = dict(n=64, seeds=(0, 1, 2))
 
     def record_row(self, record: ExperimentRecord) -> Dict[str, object]:
         spec = record.spec
@@ -1126,10 +1086,8 @@ class DegradedNetworksSection(ReportSection):
                 )
         return ExperimentPlan(ns=(), extra_specs=tuple(specs))
 
-    def plan(self, quick: bool = True) -> ExperimentPlan:
-        if quick:
-            return self.plan_for(32, seeds=(0, 1))
-        return self.plan_for(64, seeds=(0, 1, 2))
+    quick_grid = dict(n=32, seeds=(0, 1))
+    full_grid = dict(n=64, seeds=(0, 1, 2))
 
     def check(self, records: Sequence[ExperimentRecord]) -> None:
         rows = [self.record_row(r) for r in records]
@@ -1249,10 +1207,8 @@ class Property2Section(ReportSection):
             label="property2",
         )
 
-    def plan(self, quick: bool = True) -> ExperimentPlan:
-        if quick:
-            return self.plan_for((64, 128), seeds=(9,))
-        return self.plan_for((64, 128, 192), seeds=(9, 10, 11))
+    quick_grid = dict(ns=(64, 128), seeds=(9,))
+    full_grid = dict(ns=(64, 128, 192), seeds=(9, 10, 11))
 
     def check(self, records: Sequence[ExperimentRecord]) -> None:
         for record in records:
@@ -1352,10 +1308,8 @@ class AblationFiltersSection(ReportSection):
         )
         return ExperimentPlan(ns=(), extra_specs=specs)
 
-    def plan(self, quick: bool = True) -> ExperimentPlan:
-        if quick:
-            return self.plan_for(64, seeds=(10,))
-        return self.plan_for(64, seeds=(10, 11, 12))
+    quick_grid = dict(n=64, seeds=(10,))
+    full_grid = dict(n=64, seeds=(10, 11, 12))
 
     def check(self, records: Sequence[ExperimentRecord]) -> None:
         by_regime = {row["regime"]: row for row in map(self.record_row, records)}
@@ -1444,10 +1398,8 @@ class AblationQuorumSection(ReportSection):
         )
         return ExperimentPlan(ns=(), extra_specs=specs)
 
-    def plan(self, quick: bool = True) -> ExperimentPlan:
-        if quick:
-            return self.plan_for(64, seeds=(0, 1, 2))
-        return self.plan_for(64, seeds=(0, 1, 2, 3, 4))
+    quick_grid = dict(n=64, seeds=(0, 1, 2))
+    full_grid = dict(n=64, seeds=(0, 1, 2, 3, 4))
 
     def check(self, records: Sequence[ExperimentRecord]) -> None:
         rows = [self.record_row(r) for r in records]
@@ -1545,10 +1497,8 @@ class AblationSchedulerSection(ReportSection):
         )
         return ExperimentPlan(ns=(), extra_specs=specs)
 
-    def plan(self, quick: bool = True) -> ExperimentPlan:
-        if quick:
-            return self.plan_for(64, seeds=(12,))
-        return self.plan_for(64, seeds=(12, 13, 14))
+    quick_grid = dict(n=64, seeds=(12,))
+    full_grid = dict(n=64, seeds=(12, 13, 14))
 
     def check(self, records: Sequence[ExperimentRecord]) -> None:
         rows = [self.record_row(r) for r in records]

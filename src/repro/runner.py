@@ -18,6 +18,7 @@ from typing import Optional
 import repro.adversary  # noqa: F401
 from repro.adversary.base import Adversary, AdversaryKnowledge
 from repro.adversary.registry import resolve_adversary
+from repro.backends import check_backend
 from repro.core.config import AERConfig, SamplerSuite
 from repro.core.scenario import AERScenario, build_aer_nodes
 from repro.net.asynchronous import AsynchronousSimulator, DelayPolicy
@@ -87,22 +88,15 @@ def run_aer(
         scale with it, the result bits never depend on it.  ``None`` uses
         the engine default.
     """
+    check_backend(
+        backend, mode=mode, rushing=rushing, traced=trace is not None,
+        faulted=faults is not None, vec_memory_mb=vec_memory_mb,
+    )
     if config is None:
         config = AERConfig.for_system(scenario.n)
     if backend == "vectorized":
         from repro.vec.engine import run_aer_vectorized
 
-        if faults is not None:
-            raise ValueError(
-                "backend='vectorized' does not implement fault injection; "
-                "use backend='message' for faulted runs"
-            )
-        if mode != "sync":
-            raise ValueError("backend='vectorized' is synchronous only")
-        if rushing:
-            raise ValueError("backend='vectorized' does not implement rushing")
-        if trace is not None:
-            raise ValueError("backend='vectorized' does not implement tracing")
         if adversary is not None:
             raise ValueError(
                 "backend='vectorized' resolves adversaries by name; pass "
@@ -115,13 +109,6 @@ def run_aer(
             seed=seed,
             max_rounds=max_rounds,
             memory_mb=vec_memory_mb,
-        )
-    if backend != "message":
-        raise ValueError(f"unknown backend {backend!r} (expected 'message' or 'vectorized')")
-    if vec_memory_mb is not None:
-        raise ValueError(
-            "vec_memory_mb only applies to backend='vectorized'; the message "
-            "kernel has no chunked working set to budget"
         )
     if samplers is None:
         samplers = config.shared_samplers()
@@ -145,7 +132,7 @@ def run_aer(
             trace=trace,
             faults=faults,
         )
-    elif mode == "async":
+    else:
         simulator = AsynchronousSimulator(
             nodes=nodes,
             n=scenario.n,
@@ -156,8 +143,6 @@ def run_aer(
             trace=trace,
             faults=faults,
         )
-    else:
-        raise ValueError(f"unknown mode {mode!r} (expected 'sync' or 'async')")
     try:
         return simulator.run()
     finally:

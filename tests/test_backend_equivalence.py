@@ -146,6 +146,18 @@ class TestGoldenEquality:
         with pytest.raises(ValueError, match="unknown backend"):
             run_aer(small_scenario, config=small_config, backend="warp")
 
+    def test_runner_unknown_mode_fails_before_building_nodes(
+        self, small_scenario, small_config, monkeypatch
+    ):
+        import repro.runner
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built the population for an unknown mode")
+
+        monkeypatch.setattr(repro.runner, "build_aer_nodes", no_build)
+        with pytest.raises(ValueError, match="unknown mode 'warp'"):
+            repro.runner.run_aer(small_scenario, config=small_config, mode="warp")
+
 
 class TestBackendSpecPlumbing:
     def test_default_backend_is_message(self):

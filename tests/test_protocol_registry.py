@@ -33,6 +33,7 @@ SEED = 3
 
 #: (knob, bad value, the error validate() raises)
 BAD_KNOB_VALUES = [
+    ("mode", "warp", "unknown mode 'warp'"),
     ("wrong_candidate_mode", "bogus", "unknown wrong_candidate_mode 'bogus'"),
     ("knowledge_fraction", -0.2, r"knowledge_fraction must lie in \[0, 1\], got -0.2"),
     ("knowledge_fraction", 1.5, r"knowledge_fraction must lie in \[0, 1\], got 1.5"),

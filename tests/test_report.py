@@ -8,6 +8,7 @@ a real tiny sweep run twice — the contract the CI freshness job
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import subprocess
 from pathlib import Path
@@ -29,6 +30,7 @@ from repro.report import (
     register_report_section,
     render_registries,
 )
+from repro.store.keys import spec_key
 
 LEMMA7 = get_report_section("lemma7")
 LEMMA8 = get_report_section("lemma8")
@@ -109,6 +111,58 @@ def test_duplicate_registration_rejected():
 def test_builder_rejects_unknown_section():
     with pytest.raises(ValueError, match="unknown report section"):
         ReportBuilder(sections=["figure1a", "nope"])
+
+
+# ----------------------------------------------------------------------
+# section grids: every quick, full and check plan pinned by its specs
+# ----------------------------------------------------------------------
+#: section -> spec_key digests of its (quick, full, check) plans; a grid
+#: edit that changes which specs a plan expands to changes its digest
+PLAN_DIGESTS = {
+    "figure1a": ("beae1188717c0ef3", "d607b5fb65fa84f3", "2cdc16612321cce0"),
+    "figure1a_scale": ("0bd97d81528d9c9c", "7da4adde31be2788", "0bd97d81528d9c9c"),
+    "figure1b": ("23aee86e8993fff8", "3b81740ca4ed3007", "8713e132c57cb1b2"),
+    "lemma3": ("dba1ed59a1bca4a1", "c924e958aa833dd2", "dba1ed59a1bca4a1"),
+    "lemma4": ("da4d0dfdd69a0655", "3df69c2748d4fded", "da4d0dfdd69a0655"),
+    "lemma5": ("5bd1836338fdf428", "4c32fe5fd8dc60dc", "5bd1836338fdf428"),
+    "lemma6": ("9a02b74690e18bda", "0174591aa5e8b5ad", "9287a66149664e4f"),
+    "lemma7": ("822abdec801ec7ac", "a392d353b8217f12", "ffaa02f1993cc26c"),
+    "lemma8": ("df97329429dd4766", "51ee61b1f7e858d4", "561ac11f6139fbed"),
+    "lemma10": ("87a187599d0ff6be", "c0a6e8e3b3fb613c", "c0fcafcdda2168fd"),
+    "property2": ("db233757fd5879fd", "cea7cf277e16749d", "db233757fd5879fd"),
+    "adversary_matrix": ("002294b12064d56f", "335b47b0b335bb73", "002294b12064d56f"),
+    "degraded_networks": ("9986061dd070b573", "8ec9ca31e619aeac", "9986061dd070b573"),
+    "ablation_filters": ("aa8e8696cc5d5d80", "092a0d6f35dc1559", "aa8e8696cc5d5d80"),
+    "ablation_quorum": ("86ebd28d483b1d8f", "3cd7ad192cfc3c24", "86ebd28d483b1d8f"),
+    "ablation_scheduler": ("ed059cd2d223fb07", "61507eba0f177a2e", "ed059cd2d223fb07"),
+}
+
+
+def plan_digest(plan: ExperimentPlan) -> str:
+    digest = hashlib.blake2b(digest_size=8)
+    for spec in plan.specs():
+        digest.update(spec_key(spec).encode())
+    return digest.hexdigest()
+
+
+def test_plan_digests_cover_every_builtin_section():
+    assert sorted(PLAN_DIGESTS) == sorted(list_report_sections())
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_DIGESTS))
+def test_section_plans_are_pinned_and_valid(name):
+    section = get_report_section(name)
+    plans = (section.plan(quick=True), section.plan(quick=False), section.check_plan)
+    for plan in plans:
+        plan.validate()
+    assert tuple(plan_digest(plan) for plan in plans) == PLAN_DIGESTS[name]
+
+
+def test_builtin_sections_declare_grids_not_plan():
+    for name in list_report_sections():
+        cls = type(get_report_section(name))
+        assert "plan" not in vars(cls), f"{cls.__name__} overrides plan(); set quick_grid/full_grid"
+        assert cls.quick_grid, f"{cls.__name__} declares no quick_grid"
 
 
 # ----------------------------------------------------------------------
@@ -307,8 +361,10 @@ def tiny_section():
         ci_columns = ("rounds",)
         rate_columns = ("agreement",)
 
-        def plan(self, quick: bool = True) -> ExperimentPlan:
-            return ExperimentPlan(ns=(24,), seeds=(0, 1), label="tiny")
+        quick_grid = dict(ns=(24,), seeds=(0, 1))
+
+        def plan_for(self, ns, seeds):
+            return ExperimentPlan(ns=ns, seeds=seeds, label="tiny")
 
         def record_row(self, record):
             return {
