@@ -46,7 +46,11 @@ def format_table(rows: Sequence[Mapping[str, object]], title: Optional[str] = No
 
 
 def run_result_row(result: "RunResult", **extra: object) -> Dict[str, object]:
-    """Condense a normalized :class:`~repro.protocols.base.RunResult` into one row."""
+    """Condense a normalized :class:`~repro.protocols.base.RunResult` into one row.
+
+    The one row builder: a sweep record (a ``RunResult`` too) adds its spec
+    columns and seconds in :meth:`~repro.experiments.sweep.ExperimentRecord.row`.
+    """
     row: Dict[str, object] = {
         "protocol": result.protocol,
         "n": result.n,

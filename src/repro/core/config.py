@@ -153,8 +153,11 @@ class AERConfig:
         return SizeModel(n=self.n, label_space=self.label_space)
 
     def max_byzantine(self) -> int:
-        """Largest number of corrupted nodes tolerated: ``t < (1/3 − ε)·n``."""
-        return max(0, int(math.floor((1 / 3 - self.epsilon) * self.n)) - 0)
+        """Largest number of corrupted nodes tolerated: ``t < (1/3 − ε)·n``.
+
+        Strictly below the bound, also where it is a whole number.
+        """
+        return max(0, math.ceil((1 / 3 - self.epsilon) * self.n) - 1)
 
     def with_(self, **changes) -> "AERConfig":
         """Return a copy with the given fields replaced (ablation helper)."""

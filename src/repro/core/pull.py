@@ -233,7 +233,7 @@ class PullEngine:
         if sender in answers:
             return  # each poll-list member is counted at most once
         answers.add(sender)
-        if len(answers) >= poll_entry.threshold:
+        if len(answers) >= self.poll_sampler.threshold:
             self.owner.decide(candidate)
 
     # ------------------------------------------------------------------

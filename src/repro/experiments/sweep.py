@@ -35,7 +35,7 @@ import json
 import os
 import time
 from contextlib import closing
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -48,7 +48,9 @@ from typing import (
     Tuple,
 )
 
+from repro.analysis.experiments import run_result_row
 from repro.experiments.plan import ExperimentPlan, ExperimentSpec
+from repro.protocols.base import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.store import ResultStore
@@ -71,56 +73,23 @@ class WorkerCrashedError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """The persisted outcome of one executed spec.
+@dataclass(frozen=True, kw_only=True)
+class ExperimentRecord(RunResult):
+    """The persisted outcome of one executed spec: its normalized
+    :class:`~repro.protocols.base.RunResult` plus the spec and the
+    wall-clock seconds.
 
-    Everything a benchmark table or a cross-PR trajectory needs, flattened to
-    JSON-friendly scalars: the spec itself, wall-clock seconds, decision
-    outcome and the paper's metrics.  The metric columns come from the
-    normalized :class:`~repro.protocols.base.RunResult`, so records of
-    *different protocols* share one schema (and one JSON file).
+    ``protocol`` and ``n`` are the spec's and ``raw`` is always ``None``, so
+    records of *different protocols* share one schema (and one JSON file).
     """
 
     spec: ExperimentSpec
     seconds: float
-    agreement: bool
-    decided_count: int
-    correct_count: int
-    rounds: Optional[float]
-    span: Optional[float]
-    max_decision_time: Optional[float]
-    total_messages: int
-    total_bits: int
-    amortized_bits: float
-    max_node_bits: int
-    median_node_bits: float
-    load_imbalance: float
-    #: protocol-specific scalars (e.g. knowledge_after_ae for compositions)
-    extras: Dict[str, object] = field(default_factory=dict)
-    #: condensed TraceSummary dict when the spec asked for tracing (None
-    #: otherwise); rides through SweepResult JSONs unchanged
-    trace: Optional[Dict[str, object]] = None
-    #: the safety cap that cut the run short (``RunResult.stopped_by``);
-    #: ``None`` — and absent from :meth:`to_dict` — when no cap fired
-    stopped_by: Optional[str] = None
-
-    @property
-    def protocol(self) -> str:
-        """The protocol this record was produced by."""
-        return self.spec.protocol
-
-    @property
-    def decided_fraction(self) -> float:
-        """Fraction of correct nodes that decided."""
-        if not self.correct_count:
-            return 0.0
-        return self.decided_count / self.correct_count
 
     def row(self) -> Dict[str, object]:
-        """One flat table row (for ``format_table`` and benchmark reports)."""
+        """One flat table row: the spec's columns after ``protocol`` and ``n``."""
         spec = self.spec
-        return {
+        row: Dict[str, object] = {
             "protocol": spec.protocol,
             "n": spec.n,
             "adversary": spec.adversary,
@@ -128,30 +97,23 @@ class ExperimentRecord:
             + ("-rushing" if spec.rushing else "")
             + ("+vec" if spec.backend != "message" else ""),
             "seed": spec.seed,
-            "decided": f"{self.decided_count}/{self.correct_count}",
-            "agreement": (
-                f"truncated ({self.stopped_by})" if self.stopped_by else int(self.agreement)
-            ),
-            "rounds": self.rounds if self.rounds is not None else "-",
-            "span": round(self.span, 2) if self.span is not None else "-",
-            "amortized_bits": round(self.amortized_bits, 1),
-            "max_node_bits": self.max_node_bits,
-            "load_imbalance": round(self.load_imbalance, 2),
-            "seconds": round(self.seconds, 3),
         }
+        # ``protocol`` and ``n`` keep their places; the outcome columns follow
+        row.update(run_result_row(self, seconds=round(self.seconds, 3)))
+        return row
 
     def to_dict(self) -> Dict[str, object]:
-        data = asdict(self)
-        data["spec"] = self.spec.to_dict()
-        if self.stopped_by is None:
-            del data["stopped_by"]
-        return data
+        """``spec``, ``seconds``, then the outcome columns (``protocol`` and
+        ``n`` appear only inside ``spec``)."""
+        outcome = super().to_dict()
+        for key in ("protocol", "n", "spec", "seconds"):
+            del outcome[key]
+        return {"spec": self.spec.to_dict(), "seconds": self.seconds, **outcome}
 
-    @staticmethod
-    def from_dict(data: Dict[str, object]) -> "ExperimentRecord":
-        data = dict(data)
-        data["spec"] = ExperimentSpec.from_dict(data["spec"])  # type: ignore[arg-type]
-        return ExperimentRecord(**data)  # type: ignore[arg-type]
+    @classmethod
+    def from_dict(cls, data: Mapping[str, object]) -> "ExperimentRecord":
+        spec = ExperimentSpec.from_dict(data["spec"])  # type: ignore[arg-type]
+        return super().from_dict({**data, "spec": spec, "protocol": spec.protocol, "n": spec.n})
 
 
 def execute_spec(spec: ExperimentSpec) -> ExperimentRecord:
@@ -161,23 +123,9 @@ def execute_spec(spec: ExperimentSpec) -> ExperimentRecord:
     result = spec.run()
     seconds = time.perf_counter() - start
     return ExperimentRecord(
+        **{**vars(result), "protocol": spec.protocol, "n": spec.n, "raw": None},
         spec=spec,
         seconds=seconds,
-        agreement=result.agreement,
-        decided_count=result.decided_count,
-        correct_count=result.correct_count,
-        rounds=result.rounds,
-        span=result.span,
-        max_decision_time=result.max_decision_time,
-        total_messages=result.total_messages,
-        total_bits=result.total_bits,
-        amortized_bits=result.amortized_bits,
-        max_node_bits=result.max_node_bits,
-        median_node_bits=result.median_node_bits,
-        load_imbalance=result.load_imbalance,
-        extras=dict(result.extras),
-        trace=result.trace,
-        stopped_by=result.stopped_by,
     )
 
 

@@ -30,7 +30,6 @@ runner and the ``python -m repro {run,sweep,compare}`` CLI all work with it.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
@@ -148,10 +147,11 @@ class RunResult:
         """Copy of this result carrying the given condensed trace block."""
         return replace(self, trace=trace)
 
-    @staticmethod
-    def from_dict(data: Mapping[str, object]) -> "RunResult":
-        known = {f.name for f in fields(RunResult)}
-        return RunResult(**{k: v for k, v in data.items() if k in known})  # type: ignore[arg-type]
+    @classmethod
+    def from_dict(cls, data: Mapping[str, object]) -> "RunResult":
+        """Rebuild from :meth:`to_dict` output, ignoring keys that are not fields."""
+        known = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in data.items() if k in known})  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # builders from the native result types
@@ -194,14 +194,17 @@ class RunResult:
         """Normalize a multi-stage composition (e.g. ae-stage + everywhere-stage).
 
         Totals are summed across stages; per-node loads are added node-wise
-        (both stages run on the same identities) before taking the max and
-        median; agreement and decisions are those of the *final* stage, and
-        ``stopped_by`` names the first stage cap that fired.
+        (both stages run on the same identities) and handed to
+        :meth:`MetricsSummary.from_loads
+        <repro.net.metrics.MetricsSummary.from_loads>` for the max, median
+        and imbalance; agreement and decisions are those of the *final*
+        stage, and ``stopped_by`` names the first stage cap that fired.
         """
+        from repro.net.metrics import MetricsSummary  # loaded with the engine that ran the stages
+
         if not stages:
             raise ValueError("a composed run needs at least one stage")
         final = stages[-1]
-        n = final.n
         rounds = 0.0
         for stage in stages:
             rounds += (
@@ -213,25 +216,30 @@ class RunResult:
         for stage in stages:
             for node_id, bits in stage.metrics.per_node_bits.items():
                 combined[node_id] = combined.get(node_id, 0) + bits
-        loads = sorted(combined.values())
-        max_node_bits = loads[-1] if loads else 0
-        median_node_bits = float(statistics.median(loads)) if loads else 0.0
-        total_bits = sum(stage.metrics_all.total_bits for stage in stages)
+        loads = MetricsSummary.from_loads(
+            n=final.n,
+            total_messages=sum(s.metrics_all.total_messages for s in stages),
+            total_bits=sum(s.metrics_all.total_bits for s in stages),
+            per_node_bits=combined,
+            decision_times=final.metrics.decision_times,
+            rounds=None,
+            span=final.span,
+        )
         return RunResult(
             protocol=protocol,
-            n=n,
+            n=final.n,
             agreement=final.agreement_reached,
             decided_count=len(final.decisions),
             correct_count=len(final.correct_ids),
             rounds=rounds,
             span=final.span,
-            max_decision_time=final.metrics.max_decision_time,
-            total_messages=sum(s.metrics_all.total_messages for s in stages),
-            total_bits=total_bits,
-            amortized_bits=total_bits / n,
-            max_node_bits=max_node_bits,
-            median_node_bits=median_node_bits,
-            load_imbalance=max_node_bits / max(1.0, median_node_bits),
+            max_decision_time=loads.max_decision_time,
+            total_messages=loads.total_messages,
+            total_bits=loads.total_bits,
+            amortized_bits=loads.amortized_bits,
+            max_node_bits=loads.max_node_bits,
+            median_node_bits=float(loads.median_node_bits),
+            load_imbalance=loads.load_imbalance,
             extras=dict(extras or {}),
             stopped_by=next((s.truncated for s in stages if s.truncated), None),
             raw=raw,

@@ -22,9 +22,10 @@ counter)``, made by :func:`repro.net.rng.first_distinct` — the member draw
 of ``I``, ``H``, the AE committees and :mod:`repro.vec.hashing` as well.
 
 Hot-path note: each ``(x, r)`` pair resolves to a cached
-:class:`~repro.samplers.tables.PollEntry` holding the sorted tuple, a
-``frozenset`` membership view and the majority threshold, so the protocol
-layer's ``contains``/``threshold`` checks are O(1).  The cache is a bounded
+:class:`~repro.samplers.tables.PollEntry` holding the sorted tuple and a
+``frozenset`` membership view, and every list shares the sampler's one
+majority :attr:`~PollSampler.threshold`, so the protocol layer's
+``contains``/``threshold`` checks are O(1).  The cache is a bounded
 LRU (incremental eviction, never a full clear).
 """
 
@@ -53,6 +54,8 @@ class PollSampler:
         self.name = name
         self.n = spec.n
         self.list_size = min(spec.quorum_size, spec.n)
+        #: "more than half" of every poll list (all have ``list_size`` members)
+        self.threshold = self.list_size // 2 + 1
         self.label_space = spec.label_space
         self._entries: LRUCache[Tuple[int, int], PollEntry] = LRUCache(max_cached_entries)
         # One-slot memo for the most recently requested (x, r) pair; delivery
@@ -71,7 +74,7 @@ class PollSampler:
         """Return the (cached) precomputed entry for ``J(x, r)``.
 
         Protocol code performing several lookups for the same pair should
-        fetch the entry once and query ``member_set``/``threshold`` directly.
+        fetch the entry once and query ``member_set`` directly.
         """
         if x == self._hot_x and r == self._hot_r:
             return self._hot_entry
@@ -102,9 +105,7 @@ class PollSampler:
 
     def majority_threshold(self, x: int, r: int) -> int:
         """Smallest count that constitutes "more than half" of ``J(x, r)``."""
-        if x == self._hot_x and r == self._hot_r:
-            return self._hot_entry.threshold
-        return self.entry(x, r).threshold
+        return self.threshold
 
     # ------------------------------------------------------------------
     # cache introspection (diagnostics and eviction tests)

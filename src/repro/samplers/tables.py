@@ -9,7 +9,8 @@ shared answer:
 * :class:`QuorumTable` — the per-*string* view of a quorum sampler.  For a
   fixed string ``s`` it materialises, per node ``x``, the quorum as both a
   sorted tuple (the canonical public representation) and a ``frozenset`` (for
-  O(1) membership), together with the majority threshold; the inverse table
+  O(1) membership); every quorum has the same size, so one majority threshold
+  serves the whole table; the inverse table
   ``y → {x : y ∈ quorum(s, x)}`` is built in the same single pass over all
   nodes the first time any inverse lookup is made.
 * :class:`LRUCache` — a small bounded least-recently-used mapping used to
@@ -101,14 +102,15 @@ class QuorumTable:
     one-pass build anyway.
     """
 
-    __slots__ = ("n", "_compute", "_tuples", "_sets", "_thresholds", "_inverse")
+    __slots__ = ("n", "_compute", "_tuples", "_sets", "_threshold", "_inverse")
 
     def __init__(self, n: int, compute: Callable[[int], Tuple[int, ...]]) -> None:
         self.n = n
         self._compute = compute
         self._tuples: Dict[int, Tuple[int, ...]] = {}
         self._sets: Dict[int, frozenset] = {}
-        self._thresholds: Dict[int, int] = {}
+        #: ``size // 2 + 1`` of the table's quorums, known from the first fill
+        self._threshold = 0
         self._inverse: Optional[Dict[int, Tuple[int, ...]]] = None
 
     # ------------------------------------------------------------------
@@ -139,17 +141,15 @@ class QuorumTable:
 
     def threshold(self, x: int) -> int:
         """Smallest count constituting "more than half" of the quorum of ``x``."""
-        threshold = self._thresholds.get(x)
-        if threshold is None:
+        if not self._threshold:
             self._fill(x)
-            threshold = self._thresholds[x]
-        return threshold
+        return self._threshold
 
     def _fill(self, x: int) -> Tuple[int, ...]:
         members = self._compute(x)
         self._tuples[x] = members
         self._sets[x] = frozenset(members)
-        self._thresholds[x] = len(members) // 2 + 1
+        self._threshold = len(members) // 2 + 1
         return members
 
     # ------------------------------------------------------------------
@@ -185,11 +185,15 @@ class QuorumTable:
 
 
 class PollEntry:
-    """Precomputed facts about one poll list ``J(x, r)``."""
+    """Precomputed facts about one poll list ``J(x, r)``.
 
-    __slots__ = ("members", "member_set", "threshold")
+    Every poll list has the sampler's ``list_size`` members, so the majority
+    threshold is the sampler's (:attr:`PollSampler.threshold
+    <repro.samplers.poll_sampler.PollSampler.threshold>`), not the entry's.
+    """
+
+    __slots__ = ("members", "member_set")
 
     def __init__(self, members: Tuple[int, ...]) -> None:
         self.members = members
         self.member_set = frozenset(members)
-        self.threshold = len(members) // 2 + 1

@@ -82,7 +82,14 @@ from repro.adversary.base import AdversaryKnowledge
 from repro.adversary.registry import resolve_adversary
 from repro.backends import VEC_ADVERSARIES
 from repro.core.config import AERConfig
-from repro.core.messages import PollMessage, PullMessage, PushMessage
+from repro.core.messages import (
+    AnswerMessage,
+    Fw1Message,
+    Fw2Message,
+    PollMessage,
+    PullMessage,
+    PushMessage,
+)
 from repro.core.scenario import AERScenario
 from repro.net.metrics import MetricsSummary
 from repro.net.results import SimulationResult
@@ -257,10 +264,8 @@ class _VecRun:
         self.n = n
         self.size = min(config.quorum_size, n)
         self.thr = self.size // 2 + 1
-        size_model = config.size_model()
-        self._id_bits = size_model.id_bits
-        self._label_bits = size_model.label_bits
-        self._kind_bits = size_model.kind_bits
+        #: prices every message kind through its class's own ``bits``
+        self.size_model = config.size_model()
 
         # ---- memory budget ----------------------------------------------
         # All super-constant temporaries are chunked under this budget; the
@@ -334,26 +339,6 @@ class _VecRun:
         self._adv_pushes: Dict[tuple, List[tuple]] = {}
 
     # ------------------------------------------------------------------
-    # bit costs (mirror repro.core.messages exactly)
-    # ------------------------------------------------------------------
-    def _push_bits(self, s: str) -> int:
-        return self._kind_bits + len(s)
-
-    def _poll_bits(self, s: str) -> int:
-        return self._kind_bits + len(s) + self._label_bits
-
-    _pull_bits = _poll_bits
-
-    def _fw1_bits(self, s: str) -> int:
-        return self._kind_bits + 2 * self._id_bits + len(s) + self._label_bits
-
-    def _fw2_bits(self, s: str) -> int:
-        return self._kind_bits + self._id_bits + len(s) + self._label_bits
-
-    def _answer_bits(self, s: str) -> int:
-        return self._kind_bits + len(s)
-
-    # ------------------------------------------------------------------
     # round 0: on_start of every correct node + the adversary's turn
     # ------------------------------------------------------------------
     def _make_row(
@@ -392,10 +377,13 @@ class _VecRun:
             self._batches.append(
                 _RowBatch(xs[sel].astype(np.int32), int(sid), start, jmem, None)
             )
+            # a label costs its fixed width whatever its value
+            poll_bits = PollMessage(s, 0).bits(self.size_model)
+            pull_bits = PullMessage(s, 0).bits(self.size_model)
             self.sent_msgs[xs[sel]] += 2 * self.size
-            self.sent_bits[xs[sel]] += self.size * (self._poll_bits(s) + self._pull_bits(s))
-            scatter_add(self.stage_recv_bits, jmem.ravel(), self._poll_bits(s))
-            scatter_add(self.stage_recv_bits, hmem.ravel(), self._pull_bits(s))
+            self.sent_bits[xs[sel]] += self.size * (poll_bits + pull_bits)
+            scatter_add(self.stage_recv_bits, jmem.ravel(), poll_bits)
+            scatter_add(self.stage_recv_bits, hmem.ravel(), pull_bits)
         self._dispatched = True
 
     def _round0(self) -> None:
@@ -406,7 +394,7 @@ class _VecRun:
         # (n, d) matrix is never resident.
         for sid, s in enumerate(self.strings):
             holders = self.holders[sid]
-            push_bits = self._push_bits(s)
+            push_bits = PushMessage(s).bits(self.size_model)
             votes = np.zeros(n, dtype=np.int64)
             targets_per_sender = np.zeros(n, dtype=np.int64)
             for start, rows in self.tables.iter_rows("I", s, self._table_chunk):
@@ -440,19 +428,17 @@ class _VecRun:
         pull_keys: Dict[tuple, None] = {}  # insertion-ordered set
         for idx, (byz_id, dest, message) in enumerate(records):
             if isinstance(message, PushMessage):
-                bits = self._push_bits(message.candidate)
                 key = (dest, message.candidate)
                 self._adv_pushes.setdefault(key, []).append((idx, byz_id))
             elif isinstance(message, PollMessage):
-                bits = self._poll_bits(message.candidate)
                 poll_marks.setdefault((byz_id, message.label, message.candidate), []).append(dest)
             elif isinstance(message, PullMessage):
-                bits = self._pull_bits(message.candidate)
                 pull_keys[(byz_id, message.label, message.candidate)] = None
             else:  # pragma: no cover - no built-in strategy sends other kinds
                 raise NotImplementedError(
                     f"vectorized backend cannot replay {type(message).__name__}"
                 )
+            bits = message.bits(self.size_model)
             self.sent_msgs[byz_id] += 1
             self.sent_bits[byz_id] += bits
             self.stage_recv_bits[dest] += bits
@@ -556,11 +542,13 @@ class _VecRun:
         suite = self.config.shared_samplers()
         jmem = np.asarray(suite.poll.poll_list(x, label), dtype=np.int64)
         hmem = np.asarray(suite.pull.quorum(candidate, x), dtype=np.int64)
+        poll_bits = PollMessage(candidate, label).bits(self.size_model)
+        pull_bits = PullMessage(candidate, label).bits(self.size_model)
         self.sent_msgs[x] += 2 * self.size
-        self.sent_bits[x] += self.size * (self._poll_bits(candidate) + self._pull_bits(candidate))
+        self.sent_bits[x] += self.size * (poll_bits + pull_bits)
         # next-round deliveries of the poll's Poll and Pull multicasts
-        np.add.at(self.stage_recv_bits, jmem, self._poll_bits(candidate))
-        np.add.at(self.stage_recv_bits, hmem, self._pull_bits(candidate))
+        np.add.at(self.stage_recv_bits, jmem, poll_bits)
+        np.add.at(self.stage_recv_bits, hmem, pull_bits)
         self._dispatched = True
 
     def _finalize_rows(self) -> None:
@@ -593,7 +581,7 @@ class _VecRun:
         self.r_ans = np.zeros(rows, dtype=np.int64)
         #: answer bit cost per sid, for the mixed-sid answer phase
         self._ans_bits_by_sid = np.asarray(
-            [self._answer_bits(s) for s in self.strings], dtype=np.int64
+            [AnswerMessage(s).bits(self.size_model) for s in self.strings], dtype=np.int64
         )
 
     # ------------------------------------------------------------------
@@ -731,7 +719,7 @@ class _VecRun:
         d, d)`` staging matrix.
         """
         s = self.strings[sid]
-        fw1_bits = self._fw1_bits(s)
+        fw1_bits = Fw1Message(0, s, 0, 0).bits(self.size_model)  # ids, label: fixed widths
         fanout = self.size * self.size
         self.sent_msgs += per_server * fanout
         self.sent_bits += per_server * (fanout * fw1_bits)
@@ -779,7 +767,7 @@ class _VecRun:
         """
         s = self.strings[sid]
         n = self.n
-        fw2_bits = self._fw2_bits(s)
+        fw2_bits = Fw2Message(0, s, 0).bits(self.size_model)  # id, label: fixed widths
         # target multiplicity over the whole batch (chunked row gathers)
         mult = np.zeros(n, dtype=np.int64)
         for lo in range(0, len(rows_idx), self._gather_chunk):

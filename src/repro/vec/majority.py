@@ -21,7 +21,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.backends import VEC_MAJORITY_ADVERSARIES
-from repro.baselines.sample_majority import SampleMajorityConfig
+from repro.baselines.sample_majority import QueryMessage, SampleMajorityConfig
+from repro.core.messages import AnswerMessage
 from repro.core.scenario import AERScenario
 from repro.net.messages import SizeModel
 from repro.net.results import SimulationResult
@@ -79,7 +80,8 @@ def run_sample_majority_vectorized(
             scenario.n, string_length=len(scenario.gstring)
         )
     n = scenario.n
-    kind_bits = SizeModel(n=n).kind_bits
+    size_model = SizeModel(n=n)
+    query_bits = QueryMessage().bits(size_model)
     correct = np.asarray(scenario.correct_ids, dtype=np.int64)
     c = len(correct)
     is_correct = np.zeros(n, dtype=bool)
@@ -89,14 +91,15 @@ def run_sample_majority_vectorized(
     sid_of: Dict[str, int] = {}
     strings = []
     cand_sid = np.full(n, -1, dtype=np.int64)
-    ans_bits_arr = np.zeros(n, dtype=np.int64)
     for x in scenario.correct_ids:
         s = scenario.candidates[x]
         sid = sid_of.setdefault(s, len(strings))
         if sid == len(strings):
             strings.append(s)
         cand_sid[x] = sid
-        ans_bits_arr[x] = kind_bits + len(s)
+    sid_bits = np.asarray([AnswerMessage(s).bits(size_model) for s in strings], dtype=np.int64)
+    ans_bits_arr = np.zeros(n, dtype=np.int64)
+    ans_bits_arr[correct] = sid_bits[cand_sid[correct]]
 
     # round 0: replay every node's sample draw exactly
     k = min(config.sample_size, n - 1) if n > 1 else 0
@@ -115,7 +118,7 @@ def run_sample_majority_vectorized(
     queries_dispatched = c > 0 and k > 0
     if queries_dispatched:
         sent_msgs[correct] += k
-        sent_bits[correct] += k * kind_bits
+        sent_bits[correct] += k * query_bits
 
     rnd = 0
     answers_dispatched = False
@@ -123,7 +126,7 @@ def run_sample_majority_vectorized(
         # round 1: queries delivered, correct targets dispatch answers
         rnd = 1
         q_counts = np.bincount(S.ravel(), minlength=n)
-        recv_bits += q_counts * kind_bits
+        recv_bits += q_counts * query_bits
         budget = config.reply_budget
         if (q_counts[correct] > budget).any():
             answered = _exact_reply_order(S, is_correct, budget)

@@ -34,9 +34,13 @@ class TestAERConfig:
         assert changed.n == config.n
         assert config.answer_budget != 99  # original untouched (frozen)
 
-    def test_max_byzantine_below_third(self):
-        config = AERConfig.for_system(90)
-        assert config.max_byzantine() < 30
+    @pytest.mark.parametrize("n", [12, 90, 120])
+    def test_max_byzantine_below_third(self, n):
+        # n = 12 and 120 put the bound (1/3 − ε)·n on a whole number
+        config = AERConfig.for_system(n)
+        t = config.max_byzantine()
+        bound = (1 / 3 - config.epsilon) * n
+        assert t < bound <= t + 1
 
     def test_sampler_spec_matches_config(self):
         config = AERConfig.for_system(64, sampler_seed=9)

@@ -158,6 +158,72 @@ class TestProtocolRoundTrips:
             PROTOCOLS.unregister("echo_test")
 
 
+#: the persisted record layout (API: sweep files, store rows, dist frames)
+RECORD_KEYS = [
+    "spec", "seconds", "agreement", "decided_count", "correct_count", "rounds",
+    "span", "max_decision_time", "total_messages", "total_bits", "amortized_bits",
+    "max_node_bits", "median_node_bits", "load_imbalance", "extras", "trace",
+]
+
+#: a canonical-sweep record in the persisted layout: saved sweeps, store rows
+#: and dist frames in this layout must load and re-serialise unchanged
+LITERAL_RECORD = (
+    '{"spec": {"n": 24, "protocol": "full_ba", "adversary": "none", "mode": "sync", '
+    '"rushing": false, "seed": 1, "t": null, "knowledge_fraction": 0.78, '
+    '"wrong_candidate_mode": "random", "quorum_multiplier": 2.0, "label": "", '
+    '"trace": "off", "params": {}, "backend": "message", "faults": {}}, '
+    '"seconds": 0.0, "agreement": true, "decided_count": 20, "correct_count": 20, '
+    '"rounds": 10.0, "span": null, "max_decision_time": 4.0, "total_messages": 26164, '
+    '"total_bits": 1142936, "amortized_bits": 47622.333333333336, '
+    '"max_node_bits": 150562, "median_node_bits": 99987.0, '
+    '"load_imbalance": 1.5058157560482863, "extras": {"knowledge_after_ae": 0.8333, '
+    '"decided_gstring": 1.0, "ae_rounds": 6, "aer_rounds": 4}, "trace": null}'
+)
+
+
+class TestRecordSchema:
+    """An ExperimentRecord is a RunResult; its JSON layout is unchanged."""
+
+    @pytest.mark.parametrize("protocol", BUILTIN_PROTOCOLS)
+    def test_record_keys_and_order(self, protocol):
+        record = execute_spec(ExperimentSpec(n=SMALL_N, protocol=protocol, seed=SEED))
+        assert list(record.to_dict()) == RECORD_KEYS
+        assert (record.protocol, record.n, record.raw) == (protocol, SMALL_N, None)
+
+    def test_capped_record_appends_stopped_by(self):
+        spec = ExperimentSpec(n=SMALL_N, seed=SEED, params={"max_rounds": 2})
+        assert list(execute_spec(spec).to_dict()) == RECORD_KEYS + ["stopped_by"]
+
+    @pytest.mark.parametrize("stopped_by", [None, "max_rounds"])
+    def test_literal_record_round_trips_byte_for_byte(self, stopped_by):
+        data = json.loads(LITERAL_RECORD)
+        if stopped_by is not None:
+            data["stopped_by"] = stopped_by
+        text = json.dumps(data)
+        record = ExperimentRecord.from_dict(json.loads(text))
+        assert (record.protocol, record.n, record.stopped_by) == ("full_ba", 24, stopped_by)
+        assert json.dumps(record.to_dict()) == text
+
+    def test_from_stages_defers_to_from_loads(self):
+        from repro.net.metrics import MetricsSummary
+
+        result = api.run_experiment("full_ba", n=SMALL_N, seed=SEED)
+        stages = (result.raw.ae_result, result.raw.everywhere_result)
+        summed = {}
+        for stage in stages:
+            for node, bits in stage.metrics.per_node_bits.items():
+                summed[node] = summed.get(node, 0) + bits
+        loads = MetricsSummary.from_loads(
+            SMALL_N, 0, sum(s.metrics_all.total_bits for s in stages), summed, {}, None, None
+        )
+        assert result.total_bits == loads.total_bits
+        assert result.amortized_bits == loads.amortized_bits
+        assert result.max_node_bits == loads.max_node_bits
+        assert result.median_node_bits == loads.median_node_bits
+        assert isinstance(result.median_node_bits, float)
+        assert result.load_imbalance == loads.load_imbalance
+
+
 class TestSpecValidation:
     def test_unknown_protocol(self):
         with pytest.raises(ValueError, match="unknown protocol 'bogus'"):

@@ -41,6 +41,8 @@ def make_record(spec: ExperimentSpec = None, **overrides) -> ExperimentRecord:
     base = dict(
         spec=spec,
         seconds=0.123,  # wall-clock: must never leak into report rows
+        protocol=spec.protocol,
+        n=spec.n,
         agreement=True,
         decided_count=13,
         correct_count=13,

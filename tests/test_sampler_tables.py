@@ -128,7 +128,7 @@ class TestPollSamplerEntries:
         entry = self.sampler.entry(3, 17)
         assert entry.members == self.sampler.poll_list(3, 17)
         assert entry.member_set == frozenset(entry.members)
-        assert entry.threshold == len(entry.members) // 2 + 1
+        assert self.sampler.majority_threshold(3, 17) == len(entry.members) // 2 + 1
 
     def test_contains_and_threshold_consistency(self):
         members = self.sampler.poll_list(1, 2)
@@ -159,4 +159,4 @@ class TestPollEntry:
         entry = PollEntry((1, 2, 3))
         assert entry.members == (1, 2, 3)
         assert entry.member_set == frozenset((1, 2, 3))
-        assert entry.threshold == 2
+        assert not hasattr(entry, "threshold")  # one threshold per sampler
