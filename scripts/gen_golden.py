@@ -82,6 +82,17 @@ COMPOSITION_MATRIX = [
 ]
 
 
+#: baseline cases: the Figure-1 comparators on their own, untraced, pinned on
+#: the full normalized record like the composition cases.  Keys start with
+#: ``baseline:``; the entry carries its ``"spec"`` dict and ``"result"``.
+BASELINE_MATRIX = [
+    (f"baseline:{protocol}:sync:{adversary}:n24:s1",
+     dict(n=24, protocol=protocol, adversary=adversary, seed=1))
+    for protocol in ("naive_broadcast", "sample_majority")
+    for adversary in ("none", "silent")
+]
+
+
 def case_key(mode: str, rushing: bool, adversary: str, n: int, seed: int) -> str:
     return f"{mode}{'-rushing' if rushing else ''}:{adversary}:n{n}:s{seed}"
 
@@ -142,6 +153,9 @@ def main(out_path: str) -> None:
     )
     golden.update(
         {key: run_composition_case(kwargs) for key, kwargs in COMPOSITION_MATRIX}
+    )
+    golden.update(
+        {key: run_composition_case(kwargs) for key, kwargs in BASELINE_MATRIX}
     )
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)

@@ -18,7 +18,7 @@ The tree provides two things to the protocol in :mod:`repro.ae.protocol`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.ae.config import AEConfig
 from repro.net.rng import first_distinct, hash_prefix
@@ -69,7 +69,6 @@ class CommitteeTree:
         # shape: internal nodes are every index < leaf_count - 1.
         self.total_committees = 2 * self.leaf_count - 1
         self._committees: Dict[int, Committee] = {}
-        self._memberships: Optional[Dict[int, List[int]]] = None
 
     # ------------------------------------------------------------------
     # structure
@@ -136,18 +135,3 @@ class CommitteeTree:
     def root(self) -> Committee:
         """The root committee — the one that generates the random string."""
         return self.committee(0)
-
-    def memberships_of(self, node_id: int) -> List[int]:
-        """Indices of all committees the node belongs to (at most a handful)."""
-        if self._memberships is None:
-            table: Dict[int, List[int]] = {i: [] for i in range(self.config.n)}
-            for index in range(self.total_committees):
-                for member in self.committee(index).members:
-                    table[member].append(index)
-            self._memberships = table
-        return self._memberships.get(node_id, [])
-
-    def leaf_of(self, node_id: int) -> int:
-        """Index of the leaf committee containing ``node_id``."""
-        leaf_rank = min(node_id // self.config.committee_size, self.leaf_count - 1)
-        return (self.leaf_count - 1) + leaf_rank

@@ -33,10 +33,11 @@ class NaiveBroadcastNode(Node):
 
     def on_start(self) -> None:
         """Broadcast the candidate to every other node (and count the own vote)."""
-        message = PushMessage(candidate=self.initial_candidate)
-        for peer in range(self.n):
-            if peer != self.node_id:
-                self.send(peer, message)
+        me = self.node_id
+        self.send_many(
+            [peer for peer in range(self.n) if peer != me],
+            PushMessage(candidate=self.initial_candidate),
+        )
         self._record_vote(self.node_id, self.initial_candidate)
 
     def on_message(self, sender: int, message: Message) -> None:

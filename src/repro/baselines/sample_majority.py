@@ -88,6 +88,8 @@ class SampleMajorityNode(Node):
         self._replies: Dict[str, Set[int]] = {}
         self._queried: Set[int] = set()
         self._replies_sent = 0
+        #: the one reply this node ever sends, built once
+        self._answer = AnswerMessage(candidate=initial_candidate)
 
     def on_start(self) -> None:
         """Query a fresh uniformly random sample of peers."""
@@ -95,9 +97,7 @@ class SampleMajorityNode(Node):
         sample_size = min(self.config.sample_size, len(population))
         sample = self.context.rng.sample(population, sample_size)
         self._queried = set(sample)
-        query = QueryMessage()
-        for peer in sample:
-            self.send(peer, query)
+        self.send_many(sample, QueryMessage())
 
     def on_message(self, sender: int, message: Message) -> None:
         if isinstance(message, QueryMessage):
@@ -105,7 +105,7 @@ class SampleMajorityNode(Node):
                 self._replies_sent += 1
                 if self.trace is not None:
                     self.trace.poll_answered(self.node_id, sender)
-                self.send(sender, AnswerMessage(candidate=self.initial_candidate))
+                self.send(sender, self._answer)
             elif self.trace is not None:
                 # The per-node reply budget (the baseline's flood filter) bit.
                 self.trace.budget_exhausted(self.node_id)

@@ -216,7 +216,8 @@ class ExperimentSpec:
         return get_protocol(self.protocol).run(self)
 
     def to_dict(self) -> Dict[str, object]:
-        data = asdict(self)
+        """JSON-safe dict in field order, ``params`` and ``faults`` parsed."""
+        data = {name: getattr(self, name) for name in _SPEC_FIELDS}
         data["params"] = self.params_dict()
         data["faults"] = self.faults_dict()
         return data
@@ -228,6 +229,10 @@ class ExperimentSpec:
     def with_(self, **changes) -> "ExperimentSpec":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
+
+
+#: every field of :class:`ExperimentSpec`, in order (all of them scalars)
+_SPEC_FIELDS = tuple(f.name for f in fields(ExperimentSpec))
 
 
 @dataclass(frozen=True)

@@ -106,8 +106,7 @@ class ExperimentRecord(RunResult):
         """``spec``, ``seconds``, then the outcome columns (``protocol`` and
         ``n`` appear only inside ``spec``)."""
         outcome = super().to_dict()
-        for key in ("protocol", "n", "spec", "seconds"):
-            del outcome[key]
+        del outcome["protocol"], outcome["n"]
         return {"spec": self.spec.to_dict(), "seconds": self.seconds, **outcome}
 
     @classmethod

@@ -175,10 +175,10 @@ class AdversaryContext:
 class _NodeContext:
     """Concrete :class:`~repro.net.node.NodeContext` bound to one correct node."""
 
-    def __init__(self, kernel: "EventKernel", node_id: int, rng: DeterministicRNG) -> None:
+    def __init__(self, kernel: "EventKernel", node_id: int) -> None:
         self._kernel = kernel
         self._node_id = node_id
-        self._rng = rng
+        self._rng: Optional[DeterministicRNG] = None
 
     @property
     def node_id(self) -> int:
@@ -190,7 +190,17 @@ class _NodeContext:
 
     @property
     def rng(self) -> DeterministicRNG:
-        return self._rng
+        """The node's private ``derive_rng(seed, "node", node_id)`` stream.
+
+        Derived on first use, not when the kernel is built: a stream is a
+        pure function of its scope, so the draws are the same either way,
+        and a node that never draws (the all-to-all broadcast) costs no
+        seeding.
+        """
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = derive_rng(self._kernel.seed, "node", self._node_id)
+        return rng
 
     def now(self) -> float:
         return self._kernel.now()
@@ -288,8 +298,7 @@ class EventKernel:
         self._undecided_count = len(self.correct_ids)
 
         for node_id, node in self.nodes.items():
-            rng = derive_rng(seed, "node", node_id)
-            node.bind(_NodeContext(self, node_id, rng))
+            node.bind(_NodeContext(self, node_id))
         if adversary is not None:
             adversary.bind(AdversaryContext(self, derive_rng(seed, "adversary")))
         # Columnar delivery state: handlers and node objects in id-indexed

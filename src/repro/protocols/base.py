@@ -30,7 +30,9 @@ runner and the ``python -m repro {run,sweep,compare}`` CLI all work with it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from copy import deepcopy
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from repro.backends import check_backend
@@ -136,11 +138,17 @@ class RunResult:
         return self.decided_count / self.correct_count
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe dict (drops :attr:`raw`, and :attr:`stopped_by` unless a cap fired)."""
-        data = asdict(self)
-        data.pop("raw", None)
-        if self.stopped_by is None:
-            del data["stopped_by"]
+        """JSON-safe dict of this class's fields, in field order.
+
+        :attr:`raw` is never read, :attr:`stopped_by` appears only if a cap
+        fired, and ``extras`` and ``trace`` are copies, so mutating the dict
+        never reaches the result.  A subclass adds its own fields.
+        """
+        data = {name: getattr(self, name) for name in _SCALAR_FIELDS}
+        data["extras"] = deepcopy(self.extras)
+        data["trace"] = deepcopy(self.trace)
+        if self.stopped_by is not None:
+            data["stopped_by"] = self.stopped_by
         return data
 
     def with_trace(self, trace: Optional[Dict[str, object]]) -> "RunResult":
@@ -150,7 +158,7 @@ class RunResult:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "RunResult":
         """Rebuild from :meth:`to_dict` output, ignoring keys that are not fields."""
-        known = {f.name for f in fields(cls)}
+        known = _field_names(cls)
         return cls(**{k: v for k, v in data.items() if k in known})  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
@@ -244,6 +252,19 @@ class RunResult:
             stopped_by=next((s.truncated for s in stages if s.truncated), None),
             raw=raw,
         )
+
+
+#: the fields :meth:`RunResult.to_dict` copies as they are, in field order
+_SCALAR_FIELDS = tuple(
+    f.name for f in fields(RunResult)
+    if f.name not in ("extras", "trace", "stopped_by", "raw")
+)
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls) -> frozenset:
+    """The field names of the dataclass ``cls``, computed once per class."""
+    return frozenset(f.name for f in fields(cls))
 
 
 class ProtocolAdapter:

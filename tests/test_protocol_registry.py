@@ -9,6 +9,7 @@ flow, the CLI subcommands, and the ``repro.api`` facade.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -165,6 +166,16 @@ RECORD_KEYS = [
     "max_node_bits", "median_node_bits", "load_imbalance", "extras", "trace",
 ]
 
+#: ``RunResult.to_dict()``'s keys, in order (``stopped_by`` only when a cap fired)
+RUN_RESULT_KEYS = ["protocol", "n"] + RECORD_KEYS[2:]
+
+#: ``ExperimentSpec.to_dict()``'s keys, in field order
+SPEC_KEYS = [
+    "n", "protocol", "adversary", "mode", "rushing", "seed", "t", "knowledge_fraction",
+    "wrong_candidate_mode", "quorum_multiplier", "label", "trace", "params", "backend",
+    "faults",
+]
+
 #: a canonical-sweep record in the persisted layout: saved sweeps, store rows
 #: and dist frames in this layout must load and re-serialise unchanged
 LITERAL_RECORD = (
@@ -203,6 +214,39 @@ class TestRecordSchema:
         record = ExperimentRecord.from_dict(json.loads(text))
         assert (record.protocol, record.n, record.stopped_by) == ("full_ba", 24, stopped_by)
         assert json.dumps(record.to_dict()) == text
+
+    def test_run_result_keys_and_order(self):
+        result = api.run_experiment("full_ba", n=SMALL_N, seed=SEED)
+        assert list(result.to_dict()) == RUN_RESULT_KEYS
+        capped = replace(result, stopped_by="max_rounds")
+        assert list(capped.to_dict()) == RUN_RESULT_KEYS + ["stopped_by"]
+
+    def test_spec_keys_and_order(self):
+        assert list(ExperimentSpec(n=SMALL_N).to_dict()) == SPEC_KEYS
+
+    def test_to_dict_never_reads_raw(self):
+        class Untouchable:
+            def __deepcopy__(self, memo):
+                raise AssertionError("raw was deep-copied")
+
+            def __getattr__(self, name):
+                raise AssertionError(f"raw.{name} was read")
+
+        result = api.run_experiment("full_ba", n=SMALL_N, seed=SEED)
+        wire = replace(result, raw=Untouchable()).to_dict()
+        assert wire == result.to_dict() and "raw" not in wire
+
+    def test_to_dict_copies_extras_and_trace(self):
+        spec = ExperimentSpec(n=SMALL_N, protocol="full_ba", seed=SEED, trace="summary")
+        record = execute_spec(spec)
+        before = json.dumps(record.to_dict())
+        wire = record.to_dict()
+        wire["extras"]["ae_rounds"] = -1
+        wire["extras"]["added"] = True
+        wire["trace"]["events"].clear()
+        wire["trace"]["mode"] = "mutated"
+        assert json.dumps(record.to_dict()) == before
+        assert "added" not in record.extras and record.trace["events"]
 
     def test_from_stages_defers_to_from_loads(self):
         from repro.net.metrics import MetricsSummary

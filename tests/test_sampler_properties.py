@@ -145,8 +145,13 @@ class TestRandomDigraph:
         assert border == 7 - self_loops
 
     def test_expansion_ratio_empty(self):
+        # |∂L| / (d · |L|), the ratio Property 2 bounds below by 2/3, on the
+        # empty family and on a singleton
         graph = LabelledDigraph(n=10, d=3, label_space=10, rng=random.Random(0))
-        assert graph.expansion_ratio([]) == 1.0
+        assert graph.border([]) == 0
+        family = [(2, 5)]
+        outside = sum(1 for y in graph.out_neighbours(2, 5) if y != 2)
+        assert graph.border(family) / (graph.d * len(family)) == outside / 3
 
     def test_random_family_has_distinct_nodes(self):
         family = random_family(30, 100, 10, random.Random(0))

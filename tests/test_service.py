@@ -206,11 +206,14 @@ class TestHTTPApp:
     def test_store_endpoints_and_errors(self, base, http):
         status, stats = http(base + "/store/stats")
         assert status == 200 and stats["schema_version"] >= 1
+        assert (stats["lookup_hits"], stats["lookup_misses"]) == (0, 0)
         assert http(base + "/healthz") == (200, {"status": "ok", "jobs": 0, "store": stats})
         assert http(base + "/jobs/nope")[0] == 404
         assert http(base + "/plans", {"ns": [24], "bogus": 1})[0] == 422
         _, submitted = http(base + "/plans", PLAN.to_dict())
         http(f"{base}/jobs/{submitted['job_id']}/records")  # blocks until done
+        stats = http(base + "/store/stats")[1]
+        assert (stats["lookup_hits"], stats["lookup_misses"]) == (0, 2)
         status, stored = http(base + "/store/records?protocol=aer&limit=1")
         assert status == 200 and len(stored) == 1
         assert http(base + "/store/records?fingerprint=other-fp") == (200, [])

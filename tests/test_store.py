@@ -352,6 +352,38 @@ class TestSweepIntegration:
         assert resumed.records[0] == complete.records[0]
 
 
+class TestLookupCounters:
+    """``stats()`` counts the specs ``get_many`` found and missed, per instance."""
+
+    #: the benchmark's cheap product-surface plan: 240 baseline specs and
+    #: four small lossy AER runs
+    PLAN = ExperimentPlan(
+        ns=(16, 24), protocols=("sample_majority", "naive_broadcast"),
+        adversaries=("none", "silent"), modes=("sync",), seeds=tuple(range(30)),
+        extra_specs=tuple(
+            ExperimentSpec(n=16, mode=mode, seed=i, faults={"loss_rate": 0.1})
+            for i, mode in enumerate(("sync", "async", "sync", "async"))
+        ),
+    )
+
+    @staticmethod
+    def _lookups(store):
+        stats = store.stats()
+        return stats["lookup_hits"], stats["lookup_misses"]
+
+    def test_cold_sweep_misses_and_served_sweep_hits(self, tmp_path):
+        path = str(tmp_path / "store.sqlite")
+        with ResultStore(path) as store:
+            assert self._lookups(store) == (0, 0)
+            cold = SweepRunner(self.PLAN, jobs=1).run(store=store)
+            assert cold.served_from_store == 0 and len(cold.records) == 244
+            assert self._lookups(store) == (0, 244)
+        with ResultStore(path) as store:
+            served = SweepRunner(self.PLAN, jobs=1).run(store=store)
+            assert served.served_from_store == 244
+            assert self._lookups(store) == (244, 0)
+
+
 # ----------------------------------------------------------------------
 # CLI: sweep --store/--no-store/--resume, store stats/prune
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from typing import List, Optional
 import pytest
 
 from repro.faults import FaultInjector, FaultSchedule
+from repro.net import kernel as kernel_module
 from repro.net.kernel import EventKernel, SendRecord
 from repro.net.messages import Message, SizeModel
 from repro.net.node import Node
@@ -261,6 +262,22 @@ class TestDeterminism:
         SynchronousSimulator(nodes=nodes, n=4, seed=1).run()
         values = {node.value for node in nodes}
         assert len(values) == 4
+
+    def test_node_rngs_are_derived_on_first_use(self, monkeypatch):
+        derived = []
+        original = kernel_module.derive_rng
+
+        def counting(seed, *scope):
+            derived.append(scope)
+            return original(seed, *scope)
+
+        monkeypatch.setattr(kernel_module, "derive_rng", counting)
+        simulator = SynchronousSimulator(nodes=ring(6), n=6, seed=5)
+        assert derived == []
+        rng = simulator.nodes[3].context.rng
+        assert derived == [("node", 3)]
+        assert simulator.nodes[3].context.rng is rng  # derived once
+        assert rng.random() == original(5, "node", 3).random()
 
 
 # ----------------------------------------------------------------------
