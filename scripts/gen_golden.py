@@ -3,7 +3,8 @@
 The fixture (``tests/golden/engine_golden.json``) pins the externally visible
 outcome of the simulation engine — decisions, rounds/span, bit metrics — for a
 matrix of (mode, adversary, n, seed) cases, plus the fault-injection cases and
-the full normalized record of every ae-stage composition.  ``tests/test_engine_golden.py``
+the full normalized record of every ae-stage composition, of the baselines
+and of async runs whose multicasts the calendar queue holds as delay runs.  ``tests/test_engine_golden.py``
 asserts the current engine reproduces these values exactly, which is what makes
 engine refactors provably behavior-preserving.
 
@@ -93,6 +94,24 @@ BASELINE_MATRIX = [
 ]
 
 
+#: async cases whose multicasts share one arrival time (a constant delay, or
+#: the cornering adversary's 1.0 / MIN_DELAY), so the calendar queue holds
+#: them as delay runs; one drops messages inside a run.  Keys start with
+#: ``async_run:``; the entry carries its ``"spec"`` dict and ``"result"``.
+ASYNC_RUN_MATRIX = [
+    ("async_run:cornering:n24:s3",
+     dict(n=24, mode="async", adversary="cornering", seed=3)),
+    ("async_run:constant:none:n24:s3",
+     dict(n=24, mode="async", seed=3, params={"delay_policy": "constant"})),
+    ("async_run:constant:quorum_flood:n24:s3",
+     dict(n=24, mode="async", adversary="quorum_flood", seed=3,
+          params={"delay_policy": "constant"})),
+    ("async_run:cornering-loss:n24:s3",
+     dict(n=24, mode="async", adversary="cornering", seed=3,
+          faults={"loss_rate": 0.1})),
+]
+
+
 def case_key(mode: str, rushing: bool, adversary: str, n: int, seed: int) -> str:
     return f"{mode}{'-rushing' if rushing else ''}:{adversary}:n{n}:s{seed}"
 
@@ -156,6 +175,9 @@ def main(out_path: str) -> None:
     )
     golden.update(
         {key: run_composition_case(kwargs) for key, kwargs in BASELINE_MATRIX}
+    )
+    golden.update(
+        {key: run_composition_case(kwargs) for key, kwargs in ASYNC_RUN_MATRIX}
     )
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)

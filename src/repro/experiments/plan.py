@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import TYPE_CHECKING, ClassVar, Dict, List, Mapping, Optional, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, ClassVar, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.backends import check_backend
 from repro.core import WRONG_CANDIDATE_MODES
@@ -67,8 +68,11 @@ def _canonical_faults(value) -> str:
     so two spellings of the same schedule — ``{}`` and an explicit
     ``{"loss_rate": 0.0}`` — compare equal and share one ``spec_key``.
     Unknown keys and out-of-range values are rejected here (by name), at
-    spec construction time.
+    spec construction time.  The default, as text or as an empty mapping
+    (what ``to_dict`` gives), is returned without parsing.
     """
+    if value == "{}" or value == {}:
+        return "{}"
     if isinstance(value, FaultSchedule):
         return value.to_json()
     if isinstance(value, str):
@@ -76,9 +80,15 @@ def _canonical_faults(value) -> str:
     return FaultSchedule.from_dict(value).to_json()
 
 
+@lru_cache(maxsize=None)
+def _field_names(cls) -> FrozenSet[str]:
+    """The field names of the dataclass ``cls``, computed once per class."""
+    return frozenset(f.name for f in fields(cls))
+
+
 def _known_fields(cls, data: Mapping[str, object], what: str) -> Dict[str, object]:
     """``data`` as a dict, rejecting (by name) keys that are not fields of ``cls``."""
-    known = {f.name for f in fields(cls)}
+    known = _field_names(cls)
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValueError(
@@ -205,7 +215,8 @@ class ExperimentSpec:
             raise ValueError(f"quorum_multiplier must be positive, got {self.quorum_multiplier!r}")
         # Knob names/ranges were checked at construction; the mode-dependent
         # constraints (delay classes are async-only) can only be checked here.
-        self.faults_schedule().validate_for_mode(self.mode)
+        if self.faults != "{}":
+            self.faults_schedule().validate_for_mode(self.mode)
         get_protocol(self.protocol).validate(self)
 
     def run(self) -> "RunResult":
@@ -283,7 +294,7 @@ class ExperimentPlan:
 
     def specs(self) -> List[ExperimentSpec]:
         """Expand the grid into the ordered list of specs to run."""
-        spec_fields = {f.name for f in fields(ExperimentSpec)}
+        spec_fields = _field_names(ExperimentSpec)
         shared = {f.name: getattr(self, f.name) for f in fields(self) if f.name in spec_fields}
         grid = [
             ExperimentSpec(

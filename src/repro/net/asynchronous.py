@@ -42,22 +42,41 @@ preserves exactness for arbitrarily small delays.
 A multicast is one grouped dispatch record (metrics, trace and payload
 interning happen once per record), with or without an adversary; its
 per-destination delays are chosen at dispatch time **in destination order**
-— exactly the RNG consumption order of per-message scheduling — and expanded
-into the buckets immediately.  Who chooses them depends on the adversary's
-*class*: one that overrides neither ``observe_send`` nor ``delay_for``
-(``watches_sends`` is false) cannot tell the difference, so the scheduler
-draws from the delay policy directly, as in a failure-free run; one that
-does is shown a :class:`SendRecord` per destination and asked for each
-delay, between the same sequence numbers as if the multicast had been sent
-message by message.  Only where per-message *entries* are observable — the
-trace events of a run with an adversary — is a multicast dispatched one
-destination at a time.
+— exactly the RNG consumption order of per-message scheduling — and queued
+immediately.  Who chooses them depends on the adversary's *class*: one that
+overrides neither ``observe_send`` nor ``delay_for`` (``watches_sends`` is
+false) cannot tell the difference, so the scheduler draws from the delay
+policy directly, as in a failure-free run; one that does is shown a
+:class:`SendRecord` per destination and asked for each delay, between the
+same sequence numbers as if the multicast had been sent message by message.
+Only where per-message *entries* are observable — the trace events of a run
+with an adversary — is a multicast dispatched one destination at a time.
+
+A multicast whose destinations all get one arrival time, under consecutive
+sequence numbers, is queued as one **delay run** ``(arrival, first_seq,
+sender, dests, message, bits)`` instead of one event per destination: under
+the ``constant`` policy, a delay class rescaling a constant delay, or an
+adversary giving every destination one delay (Lemma 6's cornering holds
+honest traffic at 1.0 and sends its own at ``MIN_DELAY``).  The consumer
+takes a run one destination per pass, making every per-event check (the
+caps, the decision count, fault advance and drop) before each, and its
+cursor steps past the run only once the last destination is taken.  The
+order stays exact: the run's sequence numbers are contiguous and unique, so
+under ``(time, seq)`` order it occupies exactly the slice its members would;
+a new arrival is strictly later than now (delay ≥ ``MIN_DELAY``), so
+``insort`` never places one before a partly delivered run; and events whose
+delays are chosen one by one may be placed after the loop that chooses them,
+since a bucket is sorted when it is opened.  A multicast during which the
+adversary sends from ``observe_send`` has split sequence numbers, and one
+with distinct arrivals (the ``random``, ``pareto`` and ``lognormal``
+policies) is queued per destination.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import List, Optional, Sequence, Tuple
 
 from repro.net.kernel import AdversaryProtocol, EventKernel, SendRecord, paused_gc
 from repro.net.messages import Message, SizeModel
@@ -209,9 +228,10 @@ class AsynchronousSimulator(EventKernel):
         self._time = 0.0
         self._seq = 0
         # Calendar queue: bucket id -> list of (time, seq, sender, dest,
-        # message, bits) event tuples.  ``_cur_*`` track the bucket being
+        # message, bits) event tuples, where ``dest`` is a tuple of
+        # destinations for a delay run.  ``_cur_*`` track the bucket being
         # consumed (already sorted; ``_cur_idx`` is the read cursor) and
-        # ``_pending`` counts undelivered events across all buckets.
+        # ``_pending`` counts undelivered destinations across all buckets.
         self._buckets: dict = {}
         self._cur_bucket: int = -1
         self._cur_list: list = []
@@ -282,7 +302,11 @@ class AsynchronousSimulator(EventKernel):
         self._schedule(sender, dests, message, bits)
 
     def _schedule(self, sender: int, dests: Sequence[int], message: Message, bits: int) -> None:
-        """Choose each destination's delay, in destination order, and queue the events."""
+        """Choose each destination's delay, in destination order, and queue the events.
+
+        A multicast whose destinations all arrive at one time, under
+        consecutive sequence numbers, is queued as one delay run.
+        """
         time = self._time
         buckets = self._buckets
         buckets_get = buckets.get
@@ -312,31 +336,48 @@ class AsynchronousSimulator(EventKernel):
             self._seq = seq
             self._pending += len(dests)
             return
+        count = len(dests)
         if self._constant_fast is not None:
             arrival = time + self._constant_fast
-            bucket = int(arrival * _BUCKET_RATE)
-            seq = self._seq
-            events = [
-                (arrival, seq + offset, sender, dest, message, bits)
-                for offset, dest in enumerate(dests, 1)
-            ]
-            self._seq = seq + len(events)
-            self._pending += len(events)
+            first_seq = self._seq + 1
+            self._seq += count
+            one_run = True
+        else:
+            arrivals, seqs = self._choose_arrivals(sender, dests, message, time)
+            arrival = arrivals[0]
+            first_seq = seqs[0]
+            one_run = seqs[-1] - first_seq == count - 1 and arrivals.count(arrival) == count
+        if one_run:
+            run = dests[0] if count == 1 else tuple(dests)
+            events = ((arrival, first_seq, sender, run, message, bits),)
+        else:
+            # distinct arrivals, or the adversary sent in between
+            events = zip(arrivals, seqs, repeat(sender), dests, repeat(message), repeat(bits))
+        # Placement after the delays are chosen is exact: a bucket is sorted
+        # when it is opened, and ``insort`` keeps the open one in order.
+        for event in events:
+            bucket = int(event[0] * _BUCKET_RATE)
             if bucket != cur_bucket:
                 lst = buckets_get(bucket)
                 if lst is None:
-                    buckets[bucket] = events
+                    buckets[bucket] = [event]
                 else:
-                    lst.extend(events)
+                    lst.append(event)
             else:
-                for event in events:
-                    insort(self._cur_list, event, self._cur_idx)
-            return
-        # Somebody chooses the delay per message: a watching adversary, a
-        # custom delay policy, or a fault delay class.  The adversary may send
-        # from inside ``observe_send`` (re-entering this method), so ``_seq``
-        # is read through ``self`` per message: sequence numbers interleave
-        # exactly as in message-by-message dispatch.
+                insort(self._cur_list, event, self._cur_idx)
+        self._pending += count
+
+    def _choose_arrivals(
+        self, sender: int, dests: Sequence[int], message: Message, time: float
+    ) -> Tuple[List[float], List[int]]:
+        """Each destination's arrival time and sequence number, in destination order.
+
+        Somebody chooses the delay per message: a watching adversary, a
+        custom delay policy, or a fault delay class.  The adversary may send
+        from inside ``observe_send`` (re-entering :meth:`_schedule`), so
+        ``_seq`` is read through ``self`` per message: sequence numbers
+        interleave exactly as in message-by-message dispatch.
+        """
         watcher = self._watcher
         if watcher is not None:
             observe_send = watcher.observe_send
@@ -344,6 +385,8 @@ class AsynchronousSimulator(EventKernel):
         policy_delay = self.delay_policy.delay
         rng = self._scheduler_rng
         delay_classes = self._delay_classes
+        arrivals = []
+        seqs = []
         for dest in dests:
             record = SendRecord(sender, dest, message, time)
             delay: Optional[float] = None
@@ -367,18 +410,9 @@ class AsynchronousSimulator(EventKernel):
                 if scale != 1.0:
                     delay = min(1.0, max(MIN_DELAY, delay * scale))
             self._seq = seq = self._seq + 1
-            arrival = time + delay
-            event = (arrival, seq, sender, dest, message, bits)
-            bucket = int(arrival * _BUCKET_RATE)
-            if bucket != cur_bucket:
-                lst = buckets_get(bucket)
-                if lst is None:
-                    buckets[bucket] = [event]
-                else:
-                    lst.append(event)
-            else:
-                insort(self._cur_list, event, self._cur_idx)
-        self._pending += len(dests)
+            seqs.append(seq)
+            arrivals.append(time + delay)
+        return arrivals, seqs
 
     def run(self) -> SimulationResult:
         """Process events until all correct nodes decide or a safety cap is hit."""
@@ -418,6 +452,7 @@ class AsynchronousSimulator(EventKernel):
         spill: dict = {}
         cur_list = self._cur_list
         cur_idx = self._cur_idx
+        run_pos = 0
         while self._pending and self._undecided_count:
             if cur_idx == len(cur_list):
                 # advance to the next non-empty bucket (bounded by the
@@ -437,11 +472,22 @@ class AsynchronousSimulator(EventKernel):
             if time > max_time or delivered >= max_events:
                 stopped_by = "max_time" if time > max_time else "max_events"
                 break
-            cur_idx += 1
-            self._cur_idx = cur_idx
+            dest = event[3]
+            if dest.__class__ is tuple:
+                # a delay run: one destination per pass, and the cursor
+                # steps past the run once its last destination is taken
+                run = dest
+                dest = run[run_pos]
+                run_pos += 1
+                if run_pos == len(run):
+                    run_pos = 0
+                    cur_idx += 1
+                    self._cur_idx = cur_idx
+            else:
+                cur_idx += 1
+                self._cur_idx = cur_idx
             self._pending -= 1
             sender = event[2]
-            dest = event[3]
             self._time = time
             if faults is not None:
                 # churn boundaries are unit-time steps (same semantics as

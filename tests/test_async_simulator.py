@@ -254,7 +254,8 @@ SEND_BLIND = _send_blind_adversaries()
 
 
 def _aer_async(
-    n, seed, adversary_name, policy, *, watching=False, log=False, faults=None, trace=None
+    n, seed, adversary_name, policy, *, watching=False, log=False, faults=None, trace=None,
+    simulator=AsynchronousSimulator,
 ):
     """One async AER run; ``watching`` swaps in a subclass with an empty ``observe_send``.
 
@@ -264,7 +265,8 @@ def _aer_async(
     records every message put on the wire as ``sim.dispatch_log``:
     ``(sender, dest, kind, bits)`` in dispatch order, read where each record
     is scheduled.  ``trace`` is handed to the simulator; with an adversary it
-    sends every multicast down the per-destination path.
+    sends every multicast down the per-destination path.  ``simulator`` is
+    the simulator class.
     """
     config = AERConfig.for_system(n)
     scenario = make_scenario(
@@ -277,7 +279,7 @@ def _aer_async(
         cls = type(adversary)
         watcher = type("Watching" + cls.__name__, (cls,), {"observe_send": lambda self, record: None})
         adversary = watcher(scenario.byzantine_ids, adversary.knowledge)
-    sim = AsynchronousSimulator(
+    sim = simulator(
         build_aer_nodes(scenario, config, samplers=samplers),
         n=n,
         adversary=adversary,
@@ -421,3 +423,157 @@ class TestStoppedBy:
         nodes = [ChainNode(i, 4, max_hops=2) for i in range(4)]
         result = AsynchronousSimulator(nodes, n=4, seed=0).run()
         assert result.stopped_by == "quiescent" and result.truncated is None
+
+
+# ----------------------------------------------------------------------
+# delay runs: a multicast with one arrival time is one queued entry
+# ----------------------------------------------------------------------
+class PerDestinationSimulator(AsynchronousSimulator):
+    """The reference for delay runs: every destination is queued on its own.
+
+    Each destination goes through the scheduler as a one-destination
+    multicast, in destination order, so it sees the same observations,
+    delay choices and sequence numbers as inside the grouped multicast.
+    """
+
+    def _schedule(self, sender, dests, message, bits):
+        for dest in dests:
+            super()._schedule(sender, (dest,), message, bits)
+
+
+class MulticastNode(Node):
+    """Multicasts one tick to every peer at start; decides after ``quota`` ticks."""
+
+    def __init__(self, node_id: int, quota: int) -> None:
+        super().__init__(node_id)
+        self.quota = quota
+        self.received = 0
+
+    def on_start(self) -> None:
+        self.send_many([p for p in range(self.context.n) if p != self.node_id], Tick())
+
+    def on_message(self, sender: int, message: Message) -> None:
+        self.received += 1
+        if self.received >= self.quota:
+            self.decide(self.received)
+
+
+def _queue_entries(sim) -> int:
+    """Entries (single events and delay runs) still queued in ``sim``."""
+    return sum(map(len, sim._buckets.values())) + len(sim._cur_list) - sim._cur_idx
+
+
+class SamplingSimulator(AsynchronousSimulator):
+    """Samples ``(queue entries, events in flight)`` once per unit of simulated time."""
+
+    def _schedule(self, sender, dests, message, bits):
+        samples = self.__dict__.setdefault("samples", {})
+        unit = int(self._time)
+        if unit not in samples:
+            samples[unit] = (_queue_entries(self), self._pending)
+        super()._schedule(sender, dests, message, bits)
+
+
+def _multicast_run(simulator, n, quota, **kwargs):
+    nodes = [MulticastNode(i, quota) for i in range(n)]
+    sim = simulator(nodes=nodes, n=n, seed=4, delay_policy=ConstantDelayPolicy(0.5), **kwargs)
+    return sim, sim.run(), [node.received for node in nodes]
+
+
+class TestDelayRuns:
+    def test_a_constant_delay_multicast_is_one_entry(self):
+        nodes = [MulticastNode(i, quota=5) for i in range(6)]
+        sim = AsynchronousSimulator(
+            nodes=nodes, n=6, seed=4, delay_policy=ConstantDelayPolicy(0.5)
+        )
+        for node in nodes:
+            node.on_start()
+        assert sim._pending == 30 and _queue_entries(sim) == 6
+
+    def test_an_event_cap_inside_a_run(self):
+        # six runs of five destinations each; the 8th delivery is the third
+        # destination of the second run
+        sim, result, received = _multicast_run(AsynchronousSimulator, 6, 5, max_events=8)
+        _, reference, reference_received = _multicast_run(
+            PerDestinationSimulator, 6, 5, max_events=8
+        )
+        assert result.stopped_by == reference.stopped_by == "max_events"
+        assert sum(received) == 8 and received == reference_received
+        assert sim._pending == 22 and _queue_entries(sim) == 5
+        _assert_same_result(result, reference)
+
+    def test_every_node_deciding_part_way_through_a_run(self):
+        # node 0's run reaches nodes 1-5; node 0 decides on the first
+        # destination of node 1's run, and the rest of that run stays queued
+        sim, result, received = _multicast_run(AsynchronousSimulator, 6, 1)
+        _, reference, reference_received = _multicast_run(PerDestinationSimulator, 6, 1)
+        assert result.stopped_by == reference.stopped_by == "decided"
+        assert received == reference_received == [1, 1, 1, 1, 1, 1]
+        assert sim._pending == 24 and _queue_entries(sim) == 5
+        _assert_same_result(result, reference)
+
+    @pytest.mark.parametrize("interject", [False, True])
+    def test_an_adversary_sending_part_way_through_a_multicast(self, interject):
+        class Interjecting(DelayRecordingAdversary):
+            """Holds every delay at 0.5; sends as node 5 while observing a send to node 2."""
+
+            def observe_send(self, record):
+                super().observe_send(record)
+                if interject and record.dest == 2 and record.sender != 5:
+                    self.context.send_as(5, 0, Tick())
+
+        def build(simulator):
+            nodes = [MulticastNode(i, quota=4) for i in range(5)]
+            adversary = Interjecting({5}, forced_delay=0.5)
+            return simulator(nodes=nodes, n=6, adversary=adversary, seed=4), nodes
+
+        sim, nodes = build(AsynchronousSimulator)
+        for node in nodes:
+            node.on_start()
+        # five multicasts of five destinations; node 0 hears from node 5 once
+        # per multicast that reaches node 2 (all but node 2's own)
+        assert sim._pending == (29 if interject else 25)
+        # an interjection splits a multicast's sequence numbers, so only node
+        # 2's multicast is a run; without one, each multicast is
+        expected = sim._pending - 4 if interject else 5
+        assert _queue_entries(sim) == expected
+
+        sim, nodes = build(AsynchronousSimulator)
+        result = sim.run()
+        reference_sim, reference_nodes = build(PerDestinationSimulator)
+        reference = reference_sim.run()
+        assert [node.received for node in nodes] == [node.received for node in reference_nodes]
+        _assert_same_result(result, reference)
+
+    @pytest.mark.parametrize("adversary, runs", [("cornering", True), ("none", False)])
+    def test_queue_entries_against_events_in_flight(self, adversary, runs):
+        # cornering holds honest traffic at 1.0 and sends its own at
+        # MIN_DELAY, so its multicasts are runs; random delays form none
+        sim, _ = _aer_async(48, 1, adversary, "random", simulator=SamplingSimulator)
+        samples = [(entries, pending) for entries, pending in sim.samples.values() if pending]
+        assert len(samples) >= 3
+        if runs:
+            # at the peak; the tail holds single sends only
+            entries, pending = max(samples, key=lambda sample: sample[1])
+            assert entries < pending
+        else:
+            assert all(entries == pending for entries, pending in samples)
+
+    @pytest.mark.parametrize("adversary, policy, faults", [
+        ("cornering", "random", None),
+        ("cornering", "random", {"loss_rate": 0.1}),
+        ("none", "constant", None),
+        ("quorum_flood", "constant", None),
+        ("slow_knowledgeable", "constant", None),
+        ("silent", "constant", {"slow_fraction": 0.5, "slow_factor": 3.0}),
+    ])
+    def test_aer_runs_equal_the_per_destination_reference(self, adversary, policy, faults):
+        def run(simulator):
+            injector = None
+            if faults is not None:
+                injector = FaultInjector(FaultSchedule.from_dict(faults), n=24, seed=3)
+            return _aer_async(24, 3, adversary, policy, faults=injector, simulator=simulator)[1]
+
+        result = run(AsynchronousSimulator)
+        assert result.metrics_all.total_messages > 0
+        _assert_same_result(result, run(PerDestinationSimulator))

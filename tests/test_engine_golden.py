@@ -12,7 +12,9 @@ sync inboxes; the async calendar queue with no adversary or a send-blind
 one, ``watches_sends`` false) and the observed ones — the rushing observation
 list, and the per-destination ``SendRecord`` observations of ``cornering``
 and the ``cornering_nodelay`` delay adversary inside one grouped async
-record.  The one traced case is sync (``compose:full_ba:sync-traced``).  A
+record — and the async delay runs (``async_run:`` keys: ``cornering``, the
+``constant`` policy, and loss dropping destinations inside a run).  The one
+traced case is sync (``compose:full_ba:sync-traced``).  A
 traced async run with an adversary, the one configuration that still
 dispatches a multicast message by message, is not pinned here;
 ``tests/test_trace.py`` checks it against its untraced twin.
@@ -41,6 +43,7 @@ LEGACY_CASES = sorted(k for k, v in GOLDEN.items() if "spec" not in v)
 FAULT_CASES = sorted(k for k, v in GOLDEN.items() if "spec" in v and "result" not in v)
 COMPOSITION_CASES = sorted(k for k, v in GOLDEN.items() if k.startswith("compose:"))
 BASELINE_CASES = sorted(k for k, v in GOLDEN.items() if k.startswith("baseline:"))
+ASYNC_RUN_CASES = sorted(k for k, v in GOLDEN.items() if k.startswith("async_run:"))
 
 
 def _parse_case(key: str):
@@ -125,6 +128,20 @@ def test_engine_reproduces_golden_baseline_case(case_key):
     ``RunResult.to_dict()`` — message and bit totals, node-wise load,
     decision times — must equal what the fixture recorded, so a change to
     how the baselines put their multicasts on the wire cannot drift them.
+    """
+    _assert_record_case(case_key)
+
+
+@pytest.mark.parametrize("case_key", ASYNC_RUN_CASES, ids=ASYNC_RUN_CASES)
+def test_engine_reproduces_golden_async_run_case(case_key):
+    """Async multicasts queued as delay runs, pinned on the full record.
+
+    ``cornering`` (honest traffic held at 1.0, its own at ``MIN_DELAY``), the
+    ``constant`` delay policy with no adversary and with ``quorum_flood``,
+    and ``cornering`` under 10 % loss, which drops destinations in the
+    middle of a run: every destination of such a multicast arrives at one
+    time, so the calendar queue holds it as one entry, and the record must
+    equal the one of per-destination queuing.
     """
     _assert_record_case(case_key)
 

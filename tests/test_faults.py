@@ -141,6 +141,34 @@ class TestSpecPlumbing:
         with pytest.raises(ValueError, match="loss_rate"):
             ExperimentSpec(n=24, faults={"loss_rate": 2.0})
 
+    def test_every_default_spelling_has_one_spec_key(self):
+        spellings = ["{}", {}, {"loss_rate": 0.0}, FaultSchedule()]
+        specs = [ExperimentSpec(n=24, faults=faults) for faults in spellings]
+        assert {spec.faults for spec in specs} == {"{}"}
+        assert len({spec_key(spec) for spec in specs}) == 1
+        assert len({spec_key(ExperimentSpec.from_dict(spec.to_dict())) for spec in specs}) == 1
+
+    @pytest.mark.parametrize("faults, named", [
+        ({"loss_rat": 0.1}, "loss_rat"),
+        ('{"loss_rat": 0.1}', "loss_rat"),
+        ({"loss_rate": -0.5}, "loss_rate"),
+        ({"churn_rate": "fast"}, "churn_rate"),
+        ("", "not valid JSON"),
+        ([], "mapping"),
+    ])
+    def test_bad_fault_keys_and_values_still_raise_by_name(self, faults, named):
+        with pytest.raises(ValueError, match=named):
+            ExperimentSpec(n=24, faults=faults)
+        with pytest.raises(ValueError, match=named):
+            ExperimentPlan(ns=(24,), faults=faults)
+
+    def test_unknown_spec_and_plan_keys_are_named(self):
+        data = ExperimentSpec(n=24).to_dict()
+        with pytest.raises(ValueError, match="unknown experiment spec key.*bogus"):
+            ExperimentSpec.from_dict({**data, "bogus": 1})
+        with pytest.raises(ValueError, match="unknown experiment plan key.*bogus"):
+            ExperimentPlan.from_dict({**ExperimentPlan(ns=(24,)).to_dict(), "bogus": 1})
+
     def test_sync_spec_with_delay_classes_fails_validation(self):
         spec = ExperimentSpec(n=24, mode="sync", faults={"byzantine_factor": 0.5})
         with pytest.raises(ValueError, match="mode='async'"):
